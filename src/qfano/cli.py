@@ -20,9 +20,11 @@ BUILTIN_BUNDLES = {
     "p1-trivial": (1, 2, ()),
 }
 
+# Packaged reference matrices by bundle spec (n, r, padded Chern tuple).
 FIXTURE_MATRICES = {
-    "flagship": ("flagship_mp.triplets", "flagship_mxi.triplets"),
-    "p1-trivial": ("p1p1_mp.triplets", "p1p1_mxi.triplets"),
+    (4, 6, (-3, 5, -5, 0, 0, 0)): ("flagship_mp.triplets",
+                                   "flagship_mxi.triplets"),
+    (1, 2, (0, 0)): ("p1p1_mp.triplets", "p1p1_mxi.triplets"),
 }
 
 
@@ -57,9 +59,10 @@ def _seed_source(args, spec):
 
 
 def _matrices(args, spec):
+    source = _seed_source(args, spec)
     try:
-        return reconstruct(spec, _seed_source(args, spec))
-    except seedlib.MissingSeedError as exc:
+        return reconstruct(spec, source)
+    except ValueError as exc:
         raise CliError(str(exc))
 
 
@@ -90,7 +93,7 @@ def cmd_reconstruct(args):
     spec = _bundle(args)
     mp, mxi = _matrices(args, spec)
     if args.verify_fixture:
-        names = FIXTURE_MATRICES.get(args.bundle)
+        names = FIXTURE_MATRICES.get((spec.n, spec.r, spec.chern))
         if names is None:
             raise CliError(
                 "no packaged fixture matrices for bundle %r" % args.bundle)
@@ -141,10 +144,10 @@ def cmd_jfun(args):
     if args.apery:
         try:
             table = qde.apery_table(ctable, args.apery, spec)
+        except qde.NonIntegralError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
         except ValueError as exc:
-            if "not an integer" in str(exc):
-                print("error: %s" % exc, file=sys.stderr)
-                return 1
             raise CliError(str(exc))
         outputs.append(("apery.csv",
                         "\n".join(",".join(str(x) for x in row)

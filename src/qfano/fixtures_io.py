@@ -11,15 +11,23 @@ def fixture_lines(name):
     return fixture_text(name).splitlines()
 
 
+def data_lines(lines):
+    """Yield (lineno, text) for each line that is not blank once its #
+    comment is removed; lineno counts every raw line from 1."""
+    for lineno, raw in enumerate(lines, 1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
+
+
 def load_named_expressions(lines):
     """Parse `name = expression` lines (# comments) into an ordered dict."""
+    lines = list(lines)
     out = {}
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(lines):
         name, eq, expr = line.partition("=")
         if not eq or not name.strip() or not expr.strip():
-            raise ValueError("expected `name = expression`, got %r" % raw)
+            raise ValueError("expected `name = expression`, got %r"
+                             % lines[lineno - 1])
         out[name.strip()] = expr.strip()
     return out

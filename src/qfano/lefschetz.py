@@ -24,7 +24,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from qfano import opparse
-from qfano.linalg import nullspace
+from qfano.fixtures_io import data_lines
+from qfano.linalg import accumulate, nullspace
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -68,20 +69,11 @@ def _exp_table(g, order):
     k = 0
     while power and k <= order:
         k += 1
-        nxt = {}
-        for (i1, j1), v1 in power.items():
-            for (i2, j2), v2 in g.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > order:
-                    continue
-                val = nxt.get((i, j), ZERO) + v1 * v2 / k
-                if val:
-                    nxt[(i, j)] = val
-                elif (i, j) in nxt:
-                    del nxt[(i, j)]
-        power = nxt
-        for key, val in power.items():
-            out[key] = out.get(key, ZERO) + val
+        power = accumulate({}, (
+            ((i1 + i2, j1 + j2), v1 * v2 / k)
+            for (i1, j1), v1 in power.items()
+            for (i2, j2), v2 in g.items() if i1 + i2 + j1 + j2 <= order))
+        accumulate(out, power.items())
     return out
 
 
@@ -144,20 +136,14 @@ def parse_pf_operator(text):
     terms = {}
     for chunk in opparse.split_terms(text):
         coeff, pw = opparse.parse_term(chunk, ("t", "D"))
-        key = (pw["t"], pw["D"])
-        val = terms.get(key, ZERO) + coeff
-        if val:
-            terms[key] = val
-        elif key in terms:
-            del terms[key]
+        accumulate(terms, [((pw["t"], pw["D"]), coeff)])
     return [PFTerm(terms[(m, e)], m, e)
             for (m, e) in sorted(terms, key=lambda k: (-k[1], k[0]))]
 
 
 def operator_from_lines(lines):
     """Parse an operator from text lines with # comments."""
-    body = " ".join(line.split("#", 1)[0] for line in lines)
-    return parse_pf_operator(body)
+    return parse_pf_operator(" ".join(text for _, text in data_lines(lines)))
 
 
 def format_pf_operator(op):

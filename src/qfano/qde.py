@@ -35,6 +35,10 @@ class FlatnessError(ValueError):
     """The two divisor-ray recursions disagree; the system is not flat."""
 
 
+class NonIntegralError(ValueError):
+    """A factorially normalized coefficient is not an integer."""
+
+
 def _split_matrix(qmat):
     """Split a QuantumMatrix into its classical part and its q-parts.
 
@@ -176,6 +180,29 @@ class JSeries:
         return self.frames[(a, b)][0][0]
 
 
+def _index_defect(js, a, b, u=None):
+    """Check the frame at index (a, b) against the divisor-ray equations.
+
+    Both right-hand sides are built from the frames below (a, b).  With u
+    None the frame is first solved along the ray with a positive exponent
+    and only the other ray is checked; a given u is checked on both.
+    Returns (u, defect), defect None or ((row, col), residual entry) for
+    the first nonzero residual.
+    """
+    size = js.spec.size
+    rays = [(a, js.p_classical, _shift_sum(js.frames, js.p_parts, a, b, size)),
+            (b, js.xi_classical,
+             _shift_sum(js.frames, js.xi_parts, a, b, size))]
+    if u is None:
+        u = _sylvester_solve(*rays.pop(0 if a >= 1 else 1), size)
+    for scale, classical, rhs in rays:
+        resid = _route_residual(scale, classical, u, rhs, size)
+        bad = _first_nonzero(resid)
+        if bad is not None:
+            return u, (bad, resid[bad[0]][bad[1]])
+    return u, None
+
+
 def j_series(mp, mxi, spec, order):
     """Solve the system for all frames with a + b <= order.
 
@@ -185,31 +212,22 @@ def j_series(mp, mxi, spec, order):
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    size = spec.size
     p_classical, p_parts = _split_matrix(mp)
     xi_classical, xi_parts = _split_matrix(mxi)
-    frames = {(0, 0): _identity_matrix(size)}
+    js = JSeries(spec, order, {(0, 0): _identity_matrix(spec.size)},
+                 p_classical, xi_classical, p_parts, xi_parts)
     for total in range(1, order + 1):
         for a in range(total, -1, -1):
             b = total - a
-            rhs_p = _shift_sum(frames, p_parts, a, b, size)
-            rhs_x = _shift_sum(frames, xi_parts, a, b, size)
-            if a >= 1:
-                u = _sylvester_solve(a, p_classical, rhs_p, size)
-                resid = _route_residual(b, xi_classical, u, rhs_x, size)
-            else:
-                u = _sylvester_solve(b, xi_classical, rhs_x, size)
-                resid = _route_residual(a, p_classical, u, rhs_p, size)
-            bad = _first_nonzero(resid)
-            if bad is not None:
-                i, j = bad
+            u, defect = _index_defect(js, a, b)
+            if defect is not None:
+                (i, j), val = defect
                 raise FlatnessError(
                     "flat frame inconsistent at index (%d,%d): cross-ray "
                     "residual %s at entry (%d,%d)"
-                    % (a, b, resid[i][j], i + 1, j + 1))
-            frames[(a, b)] = u
-    return JSeries(spec, order, frames, p_classical, xi_classical,
-                   p_parts, xi_parts)
+                    % (a, b, val, i + 1, j + 1))
+            js.frames[(a, b)] = u
+    return js
 
 
 def identity_coefficients(js):
@@ -284,7 +302,7 @@ def apery_table(ctable, size, spec):
             val = ctable[(i, j)] * factorial(i) ** spec.d1 \
                 * factorial(j) ** spec.d2
             if val.denominator != 1:
-                raise ValueError(
+                raise NonIntegralError(
                     "normalized coefficient (%d,%d) is not an integer: %s"
                     % (i, j, val))
             row.append(int(val))
@@ -392,19 +410,12 @@ def check_flatness(js):
 
     Returns None, or a diagnostic for the first failing index.
     """
-    size = js.spec.size
     for (a, b) in sorted(js.frames):
-        u = js.frames[(a, b)]
-        rhs_p = _shift_sum(js.frames, js.p_parts, a, b, size)
-        rhs_x = _shift_sum(js.frames, js.xi_parts, a, b, size)
-        for scale, classical, rhs in ((a, js.p_classical, rhs_p),
-                                      (b, js.xi_classical, rhs_x)):
-            resid = _route_residual(scale, classical, u, rhs, size)
-            bad = _first_nonzero(resid)
-            if bad is not None:
-                i, j = bad
-                return ("index (%d,%d): residual %s at entry (%d,%d)"
-                        % (a, b, resid[i][j], i + 1, j + 1))
+        _, defect = _index_defect(js, a, b, js.frames[(a, b)])
+        if defect is not None:
+            (i, j), val = defect
+            return ("index (%d,%d): residual %s at entry (%d,%d)"
+                    % (a, b, val, i + 1, j + 1))
     return None
 
 

@@ -17,21 +17,23 @@ seed columns (degree <= n) the two matrices are filled degree by degree:
 
 from fractions import Fraction
 
+from qfano import opparse
 from qfano import seeds as seeds_mod
+from qfano.fixtures_io import data_lines
+from qfano.linalg import accumulate
 from qfano.ring import classical_mul, monomial_class, pairing_matrix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+_STAR_ATOMS = ("p", "xi", "q1", "q2")
+
 
 def qp_add_into(dst, src, scale=ONE, shift=(0, 0)):
     """dst += scale * q^shift * src, dropping cancelled terms."""
-    for (a, b), v in src.items():
-        key = (a + shift[0], b + shift[1])
-        dst[key] = dst.get(key, ZERO) + scale * v
-        if not dst[key]:
-            del dst[key]
-    return dst
+    s, t = shift
+    return accumulate(dst, (((a + s, b + t), scale * v)
+                            for (a, b), v in src.items()))
 
 
 def col_add_into(dst, src, scale=ONE, shift=(0, 0)):
@@ -89,16 +91,8 @@ class QuantumMatrix:
         """Matrix times a column vector {row: QPoly} over the q-polynomials."""
         out = {}
         for j, qp_in in vec.items():
-            for row, qp_m in self.column(j).items():
-                tgt = out.setdefault(row, {})
-                for (a1, b1), v1 in qp_m.items():
-                    for (a2, b2), v2 in qp_in.items():
-                        key = (a1 + a2, b1 + b2)
-                        tgt[key] = tgt.get(key, ZERO) + v1 * v2
-                        if not tgt[key]:
-                            del tgt[key]
-                if not tgt:
-                    del out[row]
+            for shift, v in qp_in.items():
+                col_add_into(out, self.column(j), v, shift)
         return out
 
     def classical(self):
@@ -136,17 +130,13 @@ class QuantumMatrix:
     @classmethod
     def from_triplet_lines(cls, spec, label, lines):
         cols = [{} for _ in range(spec.size)]
-        for lineno, raw in enumerate(lines, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in data_lines(lines):
             tok = line.split()
             if len(tok) != 5:
                 raise ValueError("triplet line %d: expected 5 fields" % lineno)
             row, col, a, b = (int(t) for t in tok[:4])
-            value = Fraction(tok[4])
-            qp = cols[col - 1].setdefault(row - 1, {})
-            qp[(a, b)] = qp.get((a, b), ZERO) + value
+            accumulate(cols[col - 1].setdefault(row - 1, {}),
+                       [((a, b), Fraction(tok[4]))])
         out = cls(spec, label)
         for j, col in enumerate(cols):
             out.set_column(j, col)
@@ -223,10 +213,9 @@ def xi_column_from_p(spec, p_col, k, b0):
     if b0 == spec.r - 1:
         qp_add_into(col.setdefault(spec.position(k, 0), {}), {(0, 1): ONE})
     for row, qp in p_col.items():
-        for (a, b), v in qp.items():
-            if a >= 1 and b >= 1:
-                qp_add_into(col.setdefault(row, {}),
-                            {(a, b): v * Fraction(b, a)})
+        accumulate(col.setdefault(row, {}),
+                   (((a, b), v * Fraction(b, a)) for (a, b), v in qp.items()
+                    if a >= 1 and b >= 1))
     for row in [r for r, qp in col.items() if not qp]:
         del col[row]
     return col
@@ -259,43 +248,14 @@ def reconstruct(spec, source=None):
 def parse_star_polynomial(text):
     """Parse a polynomial in star-powers of p, xi and scalars q1, q2.
 
-    Grammar: terms joined by + or -, each a `*`-separated product of an
-    optional integer (or rational) coefficient and atoms p, xi, q1, q2
-    with optional ^exponent.  Returns a list of
+    Grammar: the opparse sums of products over the atoms p, xi, q1, q2
+    with rational literal coefficients.  Returns a list of
     (coefficient, q1-power, q2-power, p-star-power, xi-star-power).
     """
-    stripped = text.replace(" ", "")
-    if not stripped:
-        raise ValueError("empty relation")
     terms = []
-    buf = []
-    sign = 1
-    pieces = []
-    for ch in stripped:
-        if ch in "+-" and buf:
-            pieces.append((sign, "".join(buf)))
-            buf = []
-            sign = 1 if ch == "+" else -1
-        elif ch in "+-":
-            sign = sign * (1 if ch == "+" else -1)
-        else:
-            buf.append(ch)
-    if buf:
-        pieces.append((sign, "".join(buf)))
-    for sign, word in pieces:
-        coeff = Fraction(sign)
-        powers = {"p": 0, "xi": 0, "q1": 0, "q2": 0}
-        for factor in word.split("*"):
-            if not factor:
-                raise ValueError("empty factor in %r" % word)
-            name, _, exp = factor.partition("^")
-            e = int(exp) if exp else 1
-            if name in powers:
-                powers[name] += e
-            else:
-                coeff *= Fraction(name) ** e
-        terms.append((coeff, powers["q1"], powers["q2"],
-                      powers["p"], powers["xi"]))
+    for chunk in opparse.split_terms(text):
+        coeff, pw = opparse.parse_term(chunk, _STAR_ATOMS)
+        terms.append((coeff, pw["q1"], pw["q2"], pw["p"], pw["xi"]))
     return terms
 
 

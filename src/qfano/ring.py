@@ -9,7 +9,8 @@ p-power descending.
 
 from fractions import Fraction
 
-from qfano.linalg import invert
+from qfano.fixtures_io import data_lines
+from qfano.linalg import accumulate, invert
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,10 +85,7 @@ def load_bundle_config(path):
     """Read a bundle spec from a flat key-value file (keys n, r, chern)."""
     data = {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in data_lines(fh):
             if "=" not in line:
                 raise ValueError("%s:%d: expected 'key = value'" % (path, lineno))
             key, _, val = line.partition("=")
@@ -133,12 +131,8 @@ def _reduce_monomial(spec, a, b):
         ci = spec.chern[i - 1]
         if ci == 0:
             continue
-        for pos, coef in _reduce_monomial(spec, a + i, b - i).items():
-            val = out.get(pos, ZERO) - ci * coef
-            if val:
-                out[pos] = val
-            elif pos in out:
-                del out[pos]
+        accumulate(out, ((pos, -ci * coef) for pos, coef
+                         in _reduce_monomial(spec, a + i, b - i).items()))
     spec._mul_table[key] = out
     return out
 

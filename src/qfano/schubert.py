@@ -17,6 +17,8 @@ after reduction.
 
 from fractions import Fraction
 
+from qfano.linalg import accumulate
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -66,12 +68,10 @@ class Grassmannian:
             return {}
         out = {}
         for lam, coef in x.items():
-            if not coef:
-                continue
-            padded = tuple(lam) + (0,) * (self.k - len(lam))
-            for mu in self._strips(padded, i):
-                out[mu] = out.get(mu, ZERO) + coef
-        return {lam: c for lam, c in out.items() if c}
+            if coef:
+                padded = tuple(lam) + (0,) * (self.k - len(lam))
+                accumulate(out, ((mu, coef) for mu in self._strips(padded, i)))
+        return out
 
     def _strips(self, lam, size):
         # horizontal strips mu/lam of the given size inside the box:
@@ -133,14 +133,7 @@ def scale(x, c):
 
 
 def add(x, y):
-    out = dict(x)
-    for k, v in y.items():
-        w = out.get(k, ZERO) + v
-        if w:
-            out[k] = w
-        elif k in out:
-            del out[k]
-    return out
+    return accumulate(dict(x), y.items())
 
 
 def format_schubert(x):
@@ -238,13 +231,7 @@ def restrict_to_divisor(spec, x):
         for e, cls in eta_power(a).items():
             for _ in range(b):
                 cls = gr.pieri(cls, 1)
-            for lam, c in cls.items():
-                key = (lam, e)
-                v = out.get(key, ZERO) + coef * c
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+            accumulate(out, (((lam, e), coef * c) for lam, c in cls.items()))
     return out
 
 

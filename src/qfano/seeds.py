@@ -17,6 +17,8 @@ base-direction invariants come from a pluggable source:
 from fractions import Fraction
 
 from qfano import schubert
+from qfano.fixtures_io import data_lines
+from qfano.linalg import accumulate
 from qfano.ring import (
     basis_index,
     classical_mul,
@@ -173,10 +175,7 @@ def load_seeds(path, spec):
     """Parse a seed file: lines `(d,k) (d,k) a b value`, # comments."""
     table = SeedTable(spec)
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in data_lines(fh):
             tok = line.split()
             if len(tok) != 5:
                 raise ValueError("%s:%d: expected 5 fields, got %d"
@@ -253,13 +252,8 @@ def seed_columns(spec, source):
     cols_xi = {}
 
     def put(col, row, a, b, value):
-        if value:
-            qp = col.setdefault(row, {})
-            qp[(a, b)] = qp.get((a, b), ZERO) + value
-            if not qp[(a, b)]:
-                del qp[(a, b)]
-            if not qp:
-                del col[row]
+        if value and not accumulate(col.setdefault(row, {}), [((a, b), value)]):
+            del col[row]
 
     for ci, (a0, b0) in enumerate(spec.basis):
         deg = a0 + b0

@@ -51,6 +51,36 @@ def test_reconstruct_empty_seed_file_names_first_gap(tmp_path):
     assert "missing seed invariant (1,1) (9,4) 1 0" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "jfun"])
+def test_empty_seed_file_out_of_scope_spec_is_input_error(tmp_path, command):
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text("n = 3\nr = 2\nchern = -2\n")
+    empty = tmp_path / "empty.seeds"
+    empty.write_text("")
+    proc = run_cli(command, "--bundle", str(cfg), "--seeds", str(empty))
+    assert proc.returncode == 2, proc.stderr
+    assert "mixed curve class" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("body", ["n = 4\nr = 6\nchern = -3 5 -5\n",
+                                  "# P^1 x P^1\nn = 1\nr = 2\n"])
+def test_verify_fixture_finds_config_file_spec(tmp_path, body):
+    cfg = tmp_path / "bundle.cfg"
+    cfg.write_text(body)
+    proc = run_cli("reconstruct", "--bundle", str(cfg), "--verify-fixture")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("matches") == 2
+
+
+def test_verify_fixture_without_packaged_matrices(tmp_path):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text("n = 2\nr = 2\n")
+    proc = run_cli("reconstruct", "--bundle", str(cfg), "--verify-fixture")
+    assert proc.returncode == 2
+    assert "no packaged fixture matrices" in proc.stderr
+
+
 def test_unknown_bundle_rejected():
     proc = run_cli("reconstruct", "--bundle", "nosuch")
     assert proc.returncode == 2

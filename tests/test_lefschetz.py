@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfano import lefschetz as lf
 from qfano import qde
@@ -122,6 +124,21 @@ def test_pf_parse_and_format_roundtrip():
     assert lf.format_pf_operator([]) == "0"
     merged = lf.parse_pf_operator("2*t*D + 3*t*D")
     assert merged == [lf.PFTerm(F(5), 1, 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=12),
+              st.integers(min_value=0, max_value=9)),
+    st.fractions(min_value=-10**6, max_value=10**6,
+                 max_denominator=50).filter(bool),
+    max_size=12))
+def test_pf_format_parse_round_trip(coeffs):
+    op = [lf.PFTerm(coeffs[(m, e)], m, e)
+          for (m, e) in sorted(coeffs, key=lambda k: (-k[1], k[0]))]
+    text = lf.format_pf_operator(op)
+    assert lf.parse_pf_operator(text) == op
+    assert lf.format_pf_operator(lf.parse_pf_operator(text)) == text
 
 
 def test_pf_apply_basics():

@@ -109,6 +109,15 @@ def test_apery_reports_missing_order(flagship):
                          (1, 1): F(5), (0, 2): F(1, 64), (2, 0): F(0)}, 3, spec)
 
 
+def test_apery_errors_are_typed(flagship):
+    spec = flagship[0]
+    with pytest.raises(qde.NonIntegralError):
+        qde.apery_table({(0, 0): F(1, 3)}, 1, spec)
+    with pytest.raises(ValueError) as err:
+        qde.apery_table({(0, 0): F(1)}, 2, spec)
+    assert not isinstance(err.value, qde.NonIntegralError)
+
+
 def test_row_recursion_matches_frames(flagship, flagship_js):
     spec, mp, mxi = flagship
     deep = qde.identity_series(mp, mxi, spec, 8)

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfano import reconstruct as rc
 from qfano import seeds as seeds_mod
@@ -194,3 +196,28 @@ def test_parse_star_polynomial():
         rc.parse_star_polynomial("")
     with pytest.raises(ValueError):
         rc.parse_star_polynomial("p**2")
+
+
+def test_parse_star_polynomial_rejects_powered_literal():
+    with pytest.raises(ValueError, match="bad coefficient '2\\^3'"):
+        rc.parse_star_polynomial("2^3*p")
+
+
+star_term = st.tuples(
+    st.fractions(min_value=-50, max_value=50, max_denominator=20),
+    *[st.integers(min_value=0, max_value=6)] * 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(star_term, min_size=1, max_size=6), st.data())
+def test_parse_star_polynomial_round_trip(terms, data):
+    chunks = []
+    for coeff, q1, q2, ep, exi in terms:
+        factors = [str(abs(coeff))] + [
+            name if power == 1 else "%s^%d" % (name, power)
+            for name, power in zip(("q1", "q2", "p", "xi"), (q1, q2, ep, exi))
+            if power]
+        # Factors commute textually, so any order must parse the same.
+        factors = data.draw(st.permutations(factors))
+        chunks.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+    assert rc.parse_star_polynomial(" ".join(chunks)) == terms

@@ -185,6 +185,14 @@ def test_load_seeds_rejections(tmp_path, flagship):
         attempt("(3,3) (6,3) 1 0 5\n")
 
 
+def test_load_seeds_reports_raw_line_number(tmp_path, flagship):
+    path = tmp_path / "bad.seeds"
+    path.write_text("# header\n\n   # indented comment\n"
+                    "(3,3) (7,3) 1 0 5\n(3,3) (7,3) 1 0\n")
+    with pytest.raises(ValueError, match=r"bad\.seeds:5: expected 5 fields"):
+        seeds.load_seeds(str(path), flagship)
+
+
 def test_missing_seed_reported_with_exact_key(flagship):
     table = seeds.SeedTable(flagship)
     with pytest.raises(seeds.MissingSeedError) as err:
