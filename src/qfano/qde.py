@@ -9,23 +9,27 @@ equation per index,
 
 with P the classical part of M_p and the sum over (c,d) != (0,0); the
 fibre ray gives the analogous equation with b, the classical xi matrix,
-and the parts of M_xi.  Both classical matrices are nilpotent (they raise
-cohomological degree), so each equation is solved by a terminating
-commutator iteration.  Every frame entry carries a single implicit
-z-power, deg(row) - deg(col) + a*d1 + b*d2 below zero, so frames store
-plain Fractions and the Laurent structure is restored on export.
+and the parts of M_xi.  Both classical matrices raise cohomological
+degree and the basis ascends in degree, so each is strictly lower
+triangular and nilpotent: each equation is solved by a terminating
+commutator iteration, and any block of leading frame rows closes under
+it.  One solver works on such a block: j_series solves all rows and
+cross-checks them along both rays; identity_series solves the unit row
+alone, whose equation has no left product, and follows it to high
+order.  Every frame entry carries a single implicit z-power,
+deg(row) - deg(col) + a*d1 + b*d2 below zero, so frames store plain
+Fractions and the Laurent structure is restored on export.
 
 The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
-coefficient table c_{a,b}.  The unit row of both classical divisor
-matrices vanishes, so the first frame row closes under a recursion of
-its own; identity_series follows it to high order without frames.
+coefficient table c_{a,b}.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
 from qfano import opparse
+from qfano.linalg import accumulate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,15 +61,9 @@ def _split_matrix(qmat):
     return classical, parts
 
 
-def _zero_matrix(size):
-    return [[ZERO] * size for _ in range(size)]
-
-
 def _identity_matrix(size):
-    out = _zero_matrix(size)
-    for i in range(size):
-        out[i][i] = ONE
-    return out
+    return [[ONE if i == j else ZERO for j in range(size)]
+            for i in range(size)]
 
 
 def _first_nonzero(mat):
@@ -76,83 +74,79 @@ def _first_nonzero(mat):
     return None
 
 
-def _add_into(dst, src):
-    for drow, srow in zip(dst, src):
-        for j, x in enumerate(srow):
-            if x:
-                drow[j] += x
-
-
-def _left_mul(sparse, mat, size):
-    """sparse * mat for a {(row, col): value} sparse factor."""
-    out = _zero_matrix(size)
-    for (i, k), v in sparse.items():
-        src = mat[k]
-        dst = out[i]
-        for j, x in enumerate(src):
-            if x:
-                dst[j] += v * x
-    return out
-
-
-def _right_mul(mat, sparse, size):
-    """mat * sparse for a {(row, col): value} sparse factor."""
-    out = _zero_matrix(size)
+def _row_times(row, sparse, out):
+    """out += row * sparse for a {(row, col): value} sparse factor."""
     for (k, j), v in sparse.items():
-        for i in range(size):
-            x = mat[i][k]
-            if x:
-                out[i][j] += v * x
-    return out
+        x = row[k]
+        if x:
+            out[j] += x * v
 
 
-def _shift_sum(frames, parts, a, b, size):
-    """sum over q-parts of frame(a-c, b-d) * part."""
-    out = _zero_matrix(size)
+def _shift_sum(frames, parts, a, b):
+    """sum over q-parts of frame(a-c, b-d) * part, on the rows present."""
+    unit = frames[(0, 0)]
+    out = [[ZERO] * len(unit[0]) for _ in unit]
     for (c, d), part in parts.items():
         s, t = a - c, b - d
         if s < 0 or t < 0:
             continue
-        _add_into(out, _right_mul(frames[(s, t)], part, size))
+        for row, orow in zip(frames[(s, t)], out):
+            _row_times(row, part, orow)
     return out
 
 
-def _sylvester_solve(scale, classical, rhs, size):
+def _commutator(classical, u):
+    """U*C - C*U on a block of leading frame rows.
+
+    C is strictly lower triangular, so row i of C*U only draws on rows
+    k < i and the block closes; the left product touches block rows only.
+    """
+    out = [[ZERO] * len(row) for row in u]
+    for row, orow in zip(u, out):
+        _row_times(row, classical, orow)
+    for (i, k), v in classical.items():
+        if i < len(u):
+            dst = out[i]
+            for j, x in enumerate(u[k]):
+                if x:
+                    dst[j] -= v * x
+    return out
+
+
+def _sylvester_solve(scale, classical, rhs):
     """Solve scale*U + C*U - U*C = rhs for nilpotent sparse C.
 
-    Neumann iteration: U = sum_k (-1)^k ad_C^k(rhs) / scale^(k+1); the
-    commutator with a degree-raising matrix is nilpotent, so the loop
-    terminates.
+    Neumann iteration: U = sum_k ad_C^k(rhs) / scale^(k+1) with
+    ad_C(X) = X*C - C*X; the commutator with a degree-raising matrix is
+    nilpotent, so the loop terminates.
     """
-    u = _zero_matrix(size)
-    term = [[x / scale for x in row] for row in rhs]
-    guard = 0
-    while _first_nonzero(term) is not None:
-        _add_into(u, term)
-        nxt = _left_mul(classical, term, size)
-        rgt = _right_mul(term, classical, size)
-        term = [[(y - x) / scale for x, y in zip(nrow, rrow)]
-                for nrow, rrow in zip(nxt, rgt)]
-        guard += 1
-        if guard > 4 * size:
-            raise RuntimeError("commutator iteration failed to terminate")
-    return u
+    term = [row[:] for row in rhs]
+    u = [[ZERO] * len(row) for row in rhs]
+    for _ in range(4 * len(u[0])):
+        for trow, urow in zip(term, u):
+            for j, x in enumerate(trow):
+                if x:
+                    x /= scale
+                    trow[j] = x
+                    urow[j] += x
+        if _first_nonzero(term) is None:
+            return u
+        term = _commutator(classical, term)
+    raise RuntimeError("commutator iteration failed to terminate")
 
 
-def _route_residual(scale, classical, u, rhs, size):
+def _route_residual(scale, classical, u, rhs):
     """scale*U + C*U - U*C - rhs, the defect of the other ray's equation."""
-    out = _left_mul(classical, u, size)
-    rgt = _right_mul(u, classical, size)
-    return [[scale * x + l - r - h
-             for x, l, r, h in zip(urow, lrow, rrow, hrow)]
-            for urow, lrow, rrow, hrow in zip(u, out, rgt, rhs)]
+    return [[scale * x - y - h for x, y, h in zip(urow, crow, hrow)]
+            for urow, crow, hrow in zip(u, _commutator(classical, u), rhs)]
 
 
 class JSeries:
     """Flat frames of the quantum differential system up to a total order.
 
-    frames maps (a, b) with a + b <= order to a size x size Fraction
-    matrix with the z-grid implicit.
+    frames maps (a, b) with a + b <= order to the leading rows of a
+    size x size Fraction matrix with the z-grid implicit: all of them
+    for j_series, the unit row for identity_series.
     """
 
     def __init__(self, spec, order, frames, p_classical, xi_classical,
@@ -180,23 +174,38 @@ class JSeries:
         return self.frames[(a, b)][0][0]
 
 
+def _start(mp, mxi, spec, order, rows):
+    """The series before any solve: the unit frame cut to its leading rows."""
+    p_classical, p_parts = _split_matrix(mp)
+    xi_classical, xi_parts = _split_matrix(mxi)
+    unit = _identity_matrix(spec.size)[:rows]
+    return JSeries(spec, order, {(0, 0): unit}, p_classical, xi_classical,
+                   p_parts, xi_parts)
+
+
+def _ray(js, a, b, along_p):
+    """(scale, classical, rhs) of one divisor-ray equation at index (a, b),
+    with the right-hand side built from the frames below (a, b)."""
+    if along_p:
+        scale, classical, parts = a, js.p_classical, js.p_parts
+    else:
+        scale, classical, parts = b, js.xi_classical, js.xi_parts
+    return scale, classical, _shift_sum(js.frames, parts, a, b)
+
+
 def _index_defect(js, a, b, u=None):
     """Check the frame at index (a, b) against the divisor-ray equations.
 
-    Both right-hand sides are built from the frames below (a, b).  With u
-    None the frame is first solved along the ray with a positive exponent
-    and only the other ray is checked; a given u is checked on both.
-    Returns (u, defect), defect None or ((row, col), residual entry) for
-    the first nonzero residual.
+    With u None the frame is first solved along the ray with a positive
+    exponent and only the other ray is checked; a given u is checked on
+    both.  Returns (u, defect), defect None or ((row, col), residual
+    entry) for the first nonzero residual.
     """
-    size = js.spec.size
-    rays = [(a, js.p_classical, _shift_sum(js.frames, js.p_parts, a, b, size)),
-            (b, js.xi_classical,
-             _shift_sum(js.frames, js.xi_parts, a, b, size))]
+    rays = [_ray(js, a, b, True), _ray(js, a, b, False)]
     if u is None:
-        u = _sylvester_solve(*rays.pop(0 if a >= 1 else 1), size)
+        u = _sylvester_solve(*rays.pop(0 if a >= 1 else 1))
     for scale, classical, rhs in rays:
-        resid = _route_residual(scale, classical, u, rhs, size)
+        resid = _route_residual(scale, classical, u, rhs)
         bad = _first_nonzero(resid)
         if bad is not None:
             return u, (bad, resid[bad[0]][bad[1]])
@@ -212,10 +221,7 @@ def j_series(mp, mxi, spec, order):
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    p_classical, p_parts = _split_matrix(mp)
-    xi_classical, xi_parts = _split_matrix(mxi)
-    js = JSeries(spec, order, {(0, 0): _identity_matrix(spec.size)},
-                 p_classical, xi_classical, p_parts, xi_parts)
+    js = _start(mp, mxi, spec, order, spec.size)
     for total in range(1, order + 1):
         for a in range(total, -1, -1):
             b = total - a
@@ -236,55 +242,18 @@ def identity_coefficients(js):
 
 
 def identity_series(mp, mxi, spec, order):
-    """The c_{a,b} table to high order via the first-row recursion.
+    """The c_{a,b} table to high order: the frame solve on the unit row.
 
-    The unit rows of the classical divisor matrices vanish, so row one
-    of each frame satisfies scale*u - u*C = rho with rho driven by the
-    rows below it; u = rho * sum_k C^k / scale^(k+1).  No frames are
-    built, so no cross-ray check happens here; j_series covers that on
-    the shared range.
+    Row one closes under each ray's equation on its own, so only that
+    row is solved, along the ray with a positive exponent.  No cross-ray
+    check happens here; j_series covers that on the shared range.
     """
-    size = spec.size
-    p_classical, p_parts = _split_matrix(mp)
-    xi_classical, xi_parts = _split_matrix(mxi)
-    unit = [ZERO] * size
-    unit[0] = ONE
-    rows = {(0, 0): unit}
+    js = _start(mp, mxi, spec, order, 1)
     for total in range(1, order + 1):
         for a in range(total, -1, -1):
-            b = total - a
-            if a >= 1:
-                scale, classical, parts = a, p_classical, p_parts
-            else:
-                scale, classical, parts = b, xi_classical, xi_parts
-            rho = [ZERO] * size
-            for (c, d), part in parts.items():
-                s, t = a - c, b - d
-                if s < 0 or t < 0:
-                    continue
-                src = rows[(s, t)]
-                for (i, j), v in part.items():
-                    x = src[i]
-                    if x:
-                        rho[j] += x * v
-            u = [ZERO] * size
-            term = [x / scale for x in rho]
-            guard = 0
-            while any(term):
-                for j, x in enumerate(term):
-                    if x:
-                        u[j] += x
-                nxt = [ZERO] * size
-                for (i, j), v in classical.items():
-                    x = term[i]
-                    if x:
-                        nxt[j] += x * v
-                term = [x / scale for x in nxt]
-                guard += 1
-                if guard > 2 * size:
-                    raise RuntimeError("divisor iteration failed to terminate")
-            rows[(a, b)] = u
-    return {key: row[0] for key, row in rows.items()}
+            js.frames[(a, total - a)] = _sylvester_solve(
+                *_ray(js, a, total - a, a >= 1))
+    return identity_coefficients(js)
 
 
 def apery_table(ctable, size, spec):
@@ -336,22 +305,10 @@ def _divisor_action(vec, sparse, shift, size):
     """(classical cup + shift * z) applied to a vector of Laurent dicts."""
     out = [dict() for _ in range(size)]
     for (i, k), v in sparse.items():
-        comp = out[i]
-        for e, x in vec[k].items():
-            val = comp.get(e, ZERO) + v * x
-            if val:
-                comp[e] = val
-            elif e in comp:
-                del comp[e]
+        accumulate(out[i], ((e, v * x) for e, x in vec[k].items()))
     if shift:
-        for i in range(size):
-            comp = out[i]
-            for e, x in vec[i].items():
-                val = comp.get(e + 1, ZERO) + shift * x
-                if val:
-                    comp[e + 1] = val
-                elif e + 1 in comp:
-                    del comp[e + 1]
+        for comp, src in zip(out, vec):
+            accumulate(comp, ((e + 1, shift * x) for e, x in src.items()))
     return out
 
 
@@ -378,15 +335,9 @@ def apply_operator(op, js):
                 vec = _divisor_action(vec, js.p_classical, s, size)
             for _ in range(t.d2):
                 vec = _divisor_action(vec, js.xi_classical, u, size)
-            for i in range(size):
-                comp = acc[i]
-                for e, x in vec[i].items():
-                    key = e + t.z
-                    val = comp.get(key, ZERO) + t.coeff * x
-                    if val:
-                        comp[key] = val
-                    elif key in comp:
-                        del comp[key]
+            for comp, src in zip(acc, vec):
+                accumulate(comp, ((e + t.z, t.coeff * x)
+                                  for e, x in src.items()))
         residual[(a, b)] = acc
     return residual
 

@@ -88,13 +88,23 @@ def load_bundle_config(path):
         for lineno, line in data_lines(fh):
             if "=" not in line:
                 raise ValueError("%s:%d: expected 'key = value'" % (path, lineno))
-            key, _, val = line.partition("=")
-            data[key.strip()] = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key not in ("n", "r", "chern"):
+                raise ValueError("%s:%d: unknown key %r; expected n, r or chern"
+                                 % (path, lineno, key))
+            toks = val.replace(",", " ").split() if key == "chern" else [val]
+            try:
+                data[key] = [int(tok) for tok in toks]
+            except ValueError:
+                raise ValueError(
+                    "%s:%d: %s must be %s, got %r"
+                    % (path, lineno, key,
+                       "integers" if key == "chern" else "an integer", val)
+                ) from None
     missing = [k for k in ("n", "r") if k not in data]
     if missing:
         raise ValueError("%s: missing keys: %s" % (path, ", ".join(missing)))
-    chern = [int(tok) for tok in data.get("chern", "").replace(",", " ").split()]
-    return make_bundle(int(data["n"]), int(data["r"]), chern)
+    return make_bundle(data["n"][0], data["r"][0], data.get("chern", []))
 
 
 def basis_index(spec, d, k):

@@ -136,16 +136,6 @@ def add(x, y):
     return accumulate(dict(x), y.items())
 
 
-def format_schubert(x):
-    """Stable text form of a Schubert class."""
-    if not x:
-        return "0"
-    bits = []
-    for lam in sorted(x, key=lambda t: (sum(t), t)):
-        bits.append("%s*sigma%s" % (x[lam], list(lam)))
-    return " + ".join(bits)
-
-
 _G25 = None
 
 
@@ -249,13 +239,3 @@ def pushforward_divisor(x):
         for mu, c in qstar_segre(e - 2).items():
             out = add(out, scale(gr.mult_partition({lam: coef}, mu), c))
     return out
-
-
-def format_divisor_class(x):
-    """Stable text form of a divisor class."""
-    if not x:
-        return "0"
-    bits = []
-    for lam, e in sorted(x, key=lambda t: (sum(t[0]) + t[1], t[1], t[0])):
-        bits.append("%s*sigma%s*eta^%d" % (x[(lam, e)], list(lam), e))
-    return " + ".join(bits)

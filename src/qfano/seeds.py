@@ -248,6 +248,9 @@ def seed_columns(spec, source):
         raise ValueError(
             "mixed curve class (1,1) passes the dimension filter; "
             "its seeds are outside the reconstruction's scope")
+    base_terms = {}
+    for i, j, k in demanded_invariants(spec):
+        base_terms.setdefault(i, []).append((j, k))
     cols_p = {}
     cols_xi = {}
 
@@ -268,17 +271,11 @@ def seed_columns(spec, source):
             put(col_xi, row, 0, 0, c)
 
         # base directions: divisor factor k into M_p, none into M_xi
-        k = 1
-        while k * spec.d1 <= deg + 1:
-            degj = spec.dim - 1 + k * spec.d1 - deg
-            for j in range(spec.size):
-                if spec.degree(j) != degj:
-                    continue
-                val = source.pure_base(ci, j, k)
-                if val:
-                    for row in range(spec.size):
-                        put(col_p, row, k, 0, k * val * dual[j][row])
-            k += 1
+        for j, k in base_terms.get(ci, ()):
+            val = source.pure_base(ci, j, k)
+            if val:
+                for row in range(spec.size):
+                    put(col_p, row, k, 0, k * val * dual[j][row])
 
         # fibre direction: divisor factor 1 into M_xi, none into M_p
         degj = spec.dim - 1 + spec.d2 - deg

@@ -87,6 +87,15 @@ def test_unknown_bundle_rejected():
     assert "unknown bundle" in proc.stderr
 
 
+def test_bad_bundle_config_names_line_and_key(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n = x\nr = 2\n")
+    proc = run_cli("reconstruct", "--bundle", str(cfg))
+    assert proc.returncode == 2
+    assert "%s:1: n must be an integer, got 'x'" % cfg in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bundle_config_file_matches_builtin(tmp_path):
     cfg = tmp_path / "bundle.cfg"
     cfg.write_text("n = 1\nr = 2\n")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfano import ring
 from qfano.ring import (
@@ -267,6 +269,36 @@ def test_load_bundle_config(tmp_path):
     bad.write_text("n = 4\n")
     with pytest.raises(ValueError, match="missing keys"):
         ring.load_bundle_config(str(bad))
+
+
+@pytest.mark.parametrize("body,message", [
+    ("n = x\nr = 2\n", ":1: n must be an integer, got 'x'"),
+    ("n = 1\nr = 2.5\n", ":2: r must be an integer, got '2.5'"),
+    ("n = 1\nr = 2\nchern = 0, y\n", ":3: chern must be integers, got '0, y'"),
+    ("# comment\nn = 1\nr = 2\nfoo = 1\n", ":4: unknown key 'foo'"),
+])
+def test_load_bundle_config_names_line_and_key(tmp_path, body, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body)
+    with pytest.raises(ValueError) as info:
+        ring.load_bundle_config(str(cfg))
+    assert str(info.value).startswith(str(cfg) + message)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=2, max_value=5),
+       st.lists(st.integers(min_value=-4, max_value=4), max_size=5))
+def test_divisor_multiplication_strictly_lower_triangular(n, r, chern):
+    # the frame solver closes on leading row blocks because of this
+    try:
+        spec = make_bundle(n, r, chern[:r])
+    except ValueError:
+        assume(False)
+    for divisor in (monomial_class(spec, 1, 0), monomial_class(spec, 0, 1)):
+        for k, mono in enumerate(spec.basis):
+            col = classical_mul(spec, divisor, monomial_class(spec, *mono))
+            assert all(i > k for i, c in enumerate(col) if c)
 
 
 def test_format_class(flagship):
