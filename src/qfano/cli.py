@@ -186,7 +186,11 @@ def cmd_periods(args):
         bundles = lefschetz.parse_cut(args.cut)
     except ValueError as exc:
         raise CliError(str(exc))
-    ctable = qde.identity_series(mp, mxi, spec, max(args.terms - 1, 0))
+    try:
+        ctable = qde.identity_series(mp, mxi, spec, max(args.terms - 1, 0))
+    except qde.FlatnessError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     try:
         dtable = lefschetz.hypergeometric_modify(ctable, bundles)
         multiplier = lefschetz.mirror_map_correction(dtable, spec, bundles)

@@ -13,12 +13,18 @@ and the parts of M_xi.  Both classical matrices raise cohomological
 degree and the basis ascends in degree, so each is strictly lower
 triangular and nilpotent: each equation is solved by a terminating
 commutator iteration, and any block of leading frame rows closes under
-it.  One solver works on such a block: j_series solves all rows and
-cross-checks them along both rays; identity_series solves the unit row
-alone, whose equation has no left product, and follows it to high
-order.  Every frame entry carries a single implicit z-power,
-deg(row) - deg(col) + a*d1 + b*d2 below zero, so frames store plain
-Fractions and the Laurent structure is restored on export.
+it.  One loop solves every index along the ray with a positive exponent
+and cross-checks it along the other ray; j_series runs it on all rows,
+identity_series on the unit row alone, whose equation has no left
+product, to high order.
+
+The exact work runs on plain integers over shared denominators, in the
+fraction-free style of Bareiss elimination: each classical matrix is an
+integer sparse matrix over one denominator, each ray's q-parts share one
+denominator, and a frame block is a pair (integer rows, D).  Every frame
+entry carries a single implicit z-power, deg(row) - deg(col) + a*d1 +
+b*d2 below zero, so the Laurent structure is restored on export, where
+values become Fractions.
 
 The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
@@ -27,12 +33,9 @@ coefficient table c_{a,b}.
 
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd, lcm
 
 from qfano import opparse
-from qfano.linalg import accumulate
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class FlatnessError(ValueError):
@@ -43,11 +46,24 @@ class NonIntegralError(ValueError):
     """A factorially normalized coefficient is not an integer."""
 
 
+def _scaled(values, den):
+    """{key: value * den} for rationals whose denominators divide den."""
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+
+
+def _common(rows):
+    """(integer rows, D) for rows of rationals, over their lcm D."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in rows], den
+
+
 def _split_matrix(qmat):
     """Split a QuantumMatrix into its classical part and its q-parts.
 
-    Returns (classical, parts) with classical = {(row, col): Fraction}
-    and parts = {(c, d): {(row, col): Fraction}} over (c, d) != (0, 0).
+    Returns (classical, parts): classical = ({(row, col): int}, den) and
+    parts = ({(c, d): {(row, col): int}}, den) over (c, d) != (0, 0),
+    with one denominator for all the q-parts.
     """
     classical = {}
     parts = {}
@@ -58,12 +74,15 @@ def _split_matrix(qmat):
                     classical[(i, j)] = v
                 else:
                     parts.setdefault((a, b), {})[(i, j)] = v
-    return classical, parts
+    dc = lcm(*(v.denominator for v in classical.values()))
+    dq = lcm(*(v.denominator for part in parts.values()
+               for v in part.values()))
+    return ((_scaled(classical, dc), dc),
+            ({key: _scaled(part, dq) for key, part in parts.items()}, dq))
 
 
 def _identity_matrix(size):
-    return [[ONE if i == j else ZERO for j in range(size)]
-            for i in range(size)]
+    return [[int(i == j) for j in range(size)] for i in range(size)]
 
 
 def _first_nonzero(mat):
@@ -83,16 +102,24 @@ def _row_times(row, sparse, out):
 
 
 def _shift_sum(frames, parts, a, b):
-    """sum over q-parts of frame(a-c, b-d) * part, on the rows present."""
-    unit = frames[(0, 0)]
-    out = [[ZERO] * len(unit[0]) for _ in unit]
-    for (c, d), part in parts.items():
-        s, t = a - c, b - d
-        if s < 0 or t < 0:
-            continue
-        for row, orow in zip(frames[(s, t)], out):
+    """sum over q-parts of frame(a-c, b-d) * part, on the rows present.
+
+    Returns (R, L): integer rows R over L = lcm(D of the frames used) *
+    the parts' denominator.
+    """
+    pint, pden = parts
+    used = [(frames[(a - c, b - d)], part) for (c, d), part in pint.items()
+            if c <= a and d <= b]
+    den = lcm(*(fden for (_, fden), _ in used))
+    unit = frames[(0, 0)][0]
+    out = [[0] * len(unit[0]) for _ in unit]
+    for (rows, fden), part in used:
+        m = den // fden
+        if m != 1:
+            part = {k: m * v for k, v in part.items()}
+        for row, orow in zip(rows, out):
             _row_times(row, part, orow)
-    return out
+    return out, den * pden
 
 
 def _commutator(classical, u):
@@ -101,7 +128,7 @@ def _commutator(classical, u):
     C is strictly lower triangular, so row i of C*U only draws on rows
     k < i and the block closes; the left product touches block rows only.
     """
-    out = [[ZERO] * len(row) for row in u]
+    out = [[0] * len(row) for row in u]
     for row, orow in zip(u, out):
         _row_times(row, classical, orow)
     for (i, k), v in classical.items():
@@ -114,53 +141,69 @@ def _commutator(classical, u):
 
 
 def _sylvester_solve(scale, classical, rhs):
-    """Solve scale*U + C*U - U*C = rhs for nilpotent sparse C.
+    """Solve scale*U + C*U - U*C = R/L for nilpotent sparse C = Cint/dc.
 
-    Neumann iteration: U = sum_k ad_C^k(rhs) / scale^(k+1) with
+    Neumann iteration: U = sum_k ad_C^k(R/L) / scale^(k+1) with
     ad_C(X) = X*C - C*X; the commutator with a degree-raising matrix is
-    nilpotent, so the loop terminates.
+    nilpotent, so the loop terminates.  With T_k = ad_Cint^k(R) and T_K
+    the last nonzero iterate, U = sum_k T_k*(dc*scale)^(K-k) over
+    L*dc^K*scale^(K+1), summed by Horner as the iterates appear and
+    reduced by one gcd.  Returns (integer rows, D).
     """
-    term = [row[:] for row in rhs]
-    u = [[ZERO] * len(row) for row in rhs]
-    for _ in range(4 * len(u[0])):
-        for trow, urow in zip(term, u):
-            for j, x in enumerate(trow):
-                if x:
-                    x /= scale
-                    trow[j] = x
-                    urow[j] += x
+    cint, dc = classical
+    term, den = rhs
+    step = dc * scale
+    acc = term
+    depth = 0
+    while True:
+        term = _commutator(cint, term)
         if _first_nonzero(term) is None:
-            return u
-        term = _commutator(classical, term)
-    raise RuntimeError("commutator iteration failed to terminate")
+            break
+        depth += 1
+        if depth > 4 * len(term[0]):
+            raise RuntimeError("commutator iteration failed to terminate")
+        acc = [[x * step + y for x, y in zip(arow, trow)]
+               for arow, trow in zip(acc, term)]
+    den *= dc ** depth * scale ** (depth + 1)
+    g = gcd(den, *(x for row in acc for x in row))
+    return [[x // g for x in row] for row in acc], den // g
 
 
 def _route_residual(scale, classical, u, rhs):
-    """scale*U + C*U - U*C - rhs, the defect of the other ray's equation."""
-    return [[scale * x - y - h for x, y, h in zip(urow, crow, hrow)]
-            for urow, crow, hrow in zip(u, _commutator(classical, u), rhs)]
+    """First nonzero entry of scale*U + C*U - U*C - R/L, the defect of the
+    other ray's equation, as ((row, col), Fraction), or None.
+
+    The residual is formed on integers, scaled by D*dc*L."""
+    cint, dc = classical
+    rows, den = u
+    rrows, rden = rhs
+    fu, fr = scale * dc * rden, den * dc
+    for i, (urow, crow, hrow) in enumerate(
+            zip(rows, _commutator(cint, rows), rrows)):
+        for j, (x, y, h) in enumerate(zip(urow, crow, hrow)):
+            val = fu * x - rden * y - fr * h
+            if val:
+                return (i, j), Fraction(val, den * dc * rden)
+    return None
 
 
 class JSeries:
     """Flat frames of the quantum differential system up to a total order.
 
-    frames maps (a, b) with a + b <= order to the leading rows of a
-    size x size Fraction matrix with the z-grid implicit: all of them
-    for j_series, the unit row for identity_series.
+    frames maps (a, b) to a size x size Fraction matrix with the z-grid
+    implicit.  The matrix parts are the integer forms read by the solver:
+    each classical part is (integer sparse, den) and each ray's q-parts
+    ({(c, d): integer sparse}, den).
     """
 
-    def __init__(self, spec, order, frames, p_classical, xi_classical,
-                 p_parts, xi_parts):
+    def __init__(self, spec, frames, p_classical, p_parts, xi_classical,
+                 xi_parts):
         self.spec = spec
-        self.order = order
         self.frames = frames
         self.p_classical = p_classical
-        self.xi_classical = xi_classical
         self.p_parts = p_parts
+        self.xi_classical = xi_classical
         self.xi_parts = xi_parts
-
-    def indices(self):
-        return sorted(self.frames)
 
     def vector(self, a, b):
         """J at Novikov index (a, b): one Laurent dict per basis component."""
@@ -174,42 +217,59 @@ class JSeries:
         return self.frames[(a, b)][0][0]
 
 
-def _start(mp, mxi, spec, order, rows):
-    """The series before any solve: the unit frame cut to its leading rows."""
-    p_classical, p_parts = _split_matrix(mp)
-    xi_classical, xi_parts = _split_matrix(mxi)
-    unit = _identity_matrix(spec.size)[:rows]
-    return JSeries(spec, order, {(0, 0): unit}, p_classical, xi_classical,
-                   p_parts, xi_parts)
-
-
-def _ray(js, a, b, along_p):
+def _ray(js, frames, a, b, along_p):
     """(scale, classical, rhs) of one divisor-ray equation at index (a, b),
-    with the right-hand side built from the frames below (a, b)."""
+    with the right-hand side built from the integer frames below (a, b)."""
     if along_p:
         scale, classical, parts = a, js.p_classical, js.p_parts
     else:
         scale, classical, parts = b, js.xi_classical, js.xi_parts
-    return scale, classical, _shift_sum(js.frames, parts, a, b)
+    return scale, classical, _shift_sum(frames, parts, a, b)
 
 
-def _index_defect(js, a, b, u=None):
-    """Check the frame at index (a, b) against the divisor-ray equations.
+def _index_defect(js, frames, a, b, u=None):
+    """Check the integer frame at index (a, b) against the divisor-ray
+    equations.
 
     With u None the frame is first solved along the ray with a positive
     exponent and only the other ray is checked; a given u is checked on
     both.  Returns (u, defect), defect None or ((row, col), residual
     entry) for the first nonzero residual.
     """
-    rays = [_ray(js, a, b, True), _ray(js, a, b, False)]
+    rays = [_ray(js, frames, a, b, True), _ray(js, frames, a, b, False)]
     if u is None:
         u = _sylvester_solve(*rays.pop(0 if a >= 1 else 1))
     for scale, classical, rhs in rays:
-        resid = _route_residual(scale, classical, u, rhs)
-        bad = _first_nonzero(resid)
-        if bad is not None:
-            return u, (bad, resid[bad[0]][bad[1]])
+        defect = _route_residual(scale, classical, u, rhs)
+        if defect is not None:
+            return u, defect
     return u, None
+
+
+def _solve(mp, mxi, spec, order, rows):
+    """Integer frames cut to their leading rows for all a + b <= order.
+
+    Each block is built from the ray with a positive exponent and
+    cross-checked against the other ray; any defect raises FlatnessError
+    with the offending index and entry.  Returns (js, integer frames),
+    js holding the matrix parts and no frames yet.
+    """
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    js = JSeries(spec, {}, *_split_matrix(mp), *_split_matrix(mxi))
+    frames = {(0, 0): (_identity_matrix(spec.size)[:rows], 1)}
+    for total in range(1, order + 1):
+        for a in range(total, -1, -1):
+            b = total - a
+            u, defect = _index_defect(js, frames, a, b)
+            if defect is not None:
+                (i, j), val = defect
+                raise FlatnessError(
+                    "flat frame inconsistent at index (%d,%d): cross-ray "
+                    "residual %s at entry (%d,%d)"
+                    % (a, b, val, i + 1, j + 1))
+            frames[(a, b)] = u
+    return js, frames
 
 
 def j_series(mp, mxi, spec, order):
@@ -219,20 +279,9 @@ def j_series(mp, mxi, spec, order):
     cross-checked against the other ray; any defect raises
     FlatnessError with the offending index and entry.
     """
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    js = _start(mp, mxi, spec, order, spec.size)
-    for total in range(1, order + 1):
-        for a in range(total, -1, -1):
-            b = total - a
-            u, defect = _index_defect(js, a, b)
-            if defect is not None:
-                (i, j), val = defect
-                raise FlatnessError(
-                    "flat frame inconsistent at index (%d,%d): cross-ray "
-                    "residual %s at entry (%d,%d)"
-                    % (a, b, val, i + 1, j + 1))
-            js.frames[(a, b)] = u
+    js, frames = _solve(mp, mxi, spec, order, spec.size)
+    js.frames = {key: [[Fraction(x, den) for x in row] for row in rows]
+                 for key, (rows, den) in frames.items()}
     return js
 
 
@@ -245,15 +294,12 @@ def identity_series(mp, mxi, spec, order):
     """The c_{a,b} table to high order: the frame solve on the unit row.
 
     Row one closes under each ray's equation on its own, so only that
-    row is solved, along the ray with a positive exponent.  No cross-ray
-    check happens here; j_series covers that on the shared range.
+    row is solved, and every index is cross-checked along the other ray
+    as in j_series; a defect raises FlatnessError.
     """
-    js = _start(mp, mxi, spec, order, 1)
-    for total in range(1, order + 1):
-        for a in range(total, -1, -1):
-            js.frames[(a, total - a)] = _sylvester_solve(
-                *_ray(js, a, total - a, a >= 1))
-    return identity_coefficients(js)
+    _, frames = _solve(mp, mxi, spec, order, 1)
+    return {key: Fraction(rows[0][0], den)
+            for key, (rows, den) in frames.items()}
 
 
 def apery_table(ctable, size, spec):
@@ -301,15 +347,15 @@ def parse_operator(text):
     return terms
 
 
-def _divisor_action(vec, sparse, shift, size):
-    """(classical cup + shift * z) applied to a vector of Laurent dicts."""
-    out = [dict() for _ in range(size)]
-    for (i, k), v in sparse.items():
-        accumulate(out[i], ((e, v * x) for e, x in vec[k].items()))
-    if shift:
-        for comp, src in zip(out, vec):
-            accumulate(comp, ((e + 1, shift * x) for e, x in src.items()))
-    return out
+def _cup(vec, den, classical, shift):
+    """(classical cup + shift * z) on the first column vec / den."""
+    cint, dc = classical
+    out = [shift * dc * x for x in vec]
+    for (i, k), v in cint.items():
+        x = vec[k]
+        if x:
+            out[i] += v * x
+    return out, den * dc
 
 
 def apply_operator(op, js):
@@ -317,27 +363,45 @@ def apply_operator(op, js):
 
     The derivation along ray k acts on the (a, b) coefficient as the
     classical divisor cup plus (index along ray k) * z; q-powers shift
-    the source index.  Returns {(a, b): vector of Laurent dicts} over
-    every index of the series; each one is exact because operators
-    only shift indices downward.
+    the source index.  Every divisor action raises degree by one, so a
+    term whose source is (s, u) lands on component i at the single
+    exponent sigma - deg(i), sigma = d1 + d2 + z - s*spec.d1 - u*spec.d2
+    over its powers; terms are summed per sigma on integer first columns.
+    Returns {(a, b): vector of Laurent dicts} over every index of the
+    series; each one is exact because operators only shift indices
+    downward.
     """
     spec = js.spec
     size = spec.size
+    cols = {key: _common([[row[0] for row in frame]])
+            for key, frame in js.frames.items()}
     residual = {}
     for (a, b) in js.frames:
-        acc = [dict() for _ in range(size)]
+        groups = {}
         for t in op:
             s, u = a - t.q1, b - t.q2
             if s < 0 or u < 0:
                 continue
-            vec = js.vector(s, u)
+            (vec,), den = cols[(s, u)]
             for _ in range(t.d1):
-                vec = _divisor_action(vec, js.p_classical, s, size)
+                vec, den = _cup(vec, den, js.p_classical, s)
             for _ in range(t.d2):
-                vec = _divisor_action(vec, js.xi_classical, u, size)
-            for comp, src in zip(acc, vec):
-                accumulate(comp, ((e + t.z, t.coeff * x)
-                                  for e, x in src.items()))
+                vec, den = _cup(vec, den, js.xi_classical, u)
+            sigma = t.d1 + t.d2 + t.z - s * spec.d1 - u * spec.d2
+            groups.setdefault(sigma, []).append(
+                (vec, den * t.coeff.denominator, t.coeff.numerator))
+        acc = [dict() for _ in range(size)]
+        for sigma, items in groups.items():
+            den = lcm(*(d for _, d, _ in items))
+            total = [0] * size
+            for vec, d, num in items:
+                f = num * (den // d)
+                for i, x in enumerate(vec):
+                    if x:
+                        total[i] += f * x
+            for i, x in enumerate(total):
+                if x:
+                    acc[i][sigma - spec.degree(i)] = Fraction(x, den)
         residual[(a, b)] = acc
     return residual
 
@@ -359,10 +423,13 @@ def check_operator(op, js):
 def check_flatness(js):
     """Cross-verify every frame against both divisor-ray equations.
 
-    Returns None, or a diagnostic for the first failing index.
+    The integer frames are rebuilt from js.frames, so the check sees the
+    exported values.  Returns None, or a diagnostic for the first failing
+    index.
     """
-    for (a, b) in sorted(js.frames):
-        _, defect = _index_defect(js, a, b, js.frames[(a, b)])
+    frames = {key: _common(frame) for key, frame in js.frames.items()}
+    for (a, b) in sorted(frames):
+        _, defect = _index_defect(js, frames, a, b, frames[(a, b)])
         if defect is not None:
             (i, j), val = defect
             return ("index (%d,%d): residual %s at entry (%d,%d)"

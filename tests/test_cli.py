@@ -1,5 +1,6 @@
 """End-to-end checks of the command line via subprocess."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -220,3 +221,50 @@ def test_seeds_without_builtin_source(tmp_path):
     proc = run_cli("seeds", "--bundle", str(cfg))
     assert proc.returncode == 2
     assert "no builtin seed source" in proc.stderr
+
+
+def test_periods_bad_seed_fails_unit_row_cross_check(tmp_path):
+    out = tmp_path / "sd"
+    assert run_cli("seeds", "--bundle", "flagship",
+                   "--out", str(out)).returncode == 0
+    lines = (out / "seeds.txt").read_text().splitlines()
+    # the first nonzero seed, (2,2) (8,4) 1 0 2, changed to 3
+    assert lines[3] == "(2,2) (8,4) 1 0 2"
+    lines[3] = "(2,2) (8,4) 1 0 3"
+    bad = tmp_path / "bad.seeds"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_cli("periods", "--bundle", "flagship", "--terms", "8",
+                   "--seeds", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: flat frame inconsistent at index (1,1): "
+                           "cross-ray residual 1 at entry (1,1)\n")
+    assert proc.stdout == ""
+
+
+# sha256 of every file these invocations write, captured from the solver
+# that kept one Fraction per frame entry; the exact kernels may change,
+# these bytes may not.
+GOLDEN = [
+    (("jfun", "--bundle", "flagship", "--order", "4", "--apery", "3",
+      "--check-operators"),
+     {"apery.csv": "0cd52afd079cc1db136d41a8b748d57a"
+                   "bf7f489b68a9347567783b1c3a27e13d",
+      "coefficients.csv": "99697aea555e753917405cee21d6ab35"
+                          "ddf6d0110ed1af3d8779572d2506a9e7",
+      "operator_report.txt": "9be0202f156f28efbb43bef1e9bf289b"
+                             "80b53b1caea5c6cc95d9912182a5d816"}),
+    (("periods", "--bundle", "flagship", "--terms", "24", "--regularized",
+      "--pf-verify"),
+     {"periods.txt": "a93157b3624af58c11a619e67349ce6c"
+                     "c2dcd5ab65e41bdebe5b88d5e93255f7",
+      "pf_report.txt": "3353106b37dfa3947950e8c9568cdc61"
+                       "dff1afc4b9c0de653b6c5a226b50f164"}),
+]
+
+
+@pytest.mark.parametrize("argv,digests", GOLDEN, ids=["jfun", "periods"])
+def test_output_files_match_golden_bytes(tmp_path, argv, digests):
+    proc = run_cli(*argv, "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == digests

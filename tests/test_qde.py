@@ -217,3 +217,69 @@ def test_negative_order_rejected(flagship):
     spec, mp, mxi = flagship
     with pytest.raises(ValueError, match="order must be >= 0"):
         qde.j_series(mp, mxi, spec, -1)
+
+
+def test_identity_series_negative_order_rejected(flagship):
+    spec, mp, mxi = flagship
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        qde.identity_series(mp, mxi, spec, -1)
+
+
+def test_identity_series_cross_checks_unit_row(flagship):
+    spec, mp, mxi = flagship
+    bad = QuantumMatrix(spec, "xi")
+    for j in range(spec.size):
+        bad.set_column(j, {row: dict(qp) for row, qp in mxi.column(j).items()})
+    # double the quantum terms of one xi column; grading and purity survive
+    for qp in bad.column(spec.size - 11).values():
+        for key in qp:
+            if key != (0, 0):
+                qp[key] *= 2
+    with pytest.raises(qde.FlatnessError,
+                       match=r"index \(1,1\): cross-ray residual 1 at "
+                             r"entry \(1,6\)"):
+        qde.identity_series(mp, bad, spec, 6)
+
+
+LAMBDA, MU = F(1, 2), F(3, 5)
+
+
+def _basis_scale(k):
+    return F(1) if k == 0 else F(k + 2, 3)
+
+
+def _rescaled(spec, mat):
+    """Entry (i,j) at q1^c q2^d times LAMBDA^c MU^d s_j/s_i."""
+    out = QuantumMatrix(spec, mat.label)
+    for j in range(spec.size):
+        out.set_column(j, {
+            i: {(c, d): v * LAMBDA ** c * MU ** d
+                * _basis_scale(j) / _basis_scale(i)
+                for (c, d), v in qp.items()}
+            for i, qp in mat.column(j).items()})
+    return out
+
+
+@pytest.mark.parametrize("bundle", ["p1p1", "flagship"])
+def test_rational_inputs_rescale_frames(request, bundle):
+    # q -> (LAMBDA q1, MU q2) with the basis rescaled by s: both the
+    # classical entries and the q-parts become non-integral, and the
+    # frames transform as LAMBDA^a MU^b S^-1 F S
+    spec, mp, mxi = request.getfixturevalue(bundle)
+    mp2, mxi2 = _rescaled(spec, mp), _rescaled(spec, mxi)
+    terms = [(key, v) for mat in (mp2, mxi2) for j in range(spec.size)
+             for qp in mat.column(j).values() for key, v in qp.items()]
+    assert any(v.denominator != 1 for key, v in terms if key == (0, 0))
+    assert any(v.denominator != 1 for key, v in terms if key != (0, 0))
+    js = qde.j_series(mp, mxi, spec, 4)
+    js2 = qde.j_series(mp2, mxi2, spec, 4)
+    assert set(js2.frames) == set(js.frames)
+    for (a, b), frame in js.frames.items():
+        factor = LAMBDA ** a * MU ** b
+        assert js2.frames[(a, b)] == [
+            [factor * x * _basis_scale(j) / _basis_scale(i)
+             for j, x in enumerate(row)] for i, row in enumerate(frame)]
+    assert qde.check_flatness(js2) is None
+    deep = qde.identity_series(mp, mxi, spec, 10)
+    assert qde.identity_series(mp2, mxi2, spec, 10) == {
+        (a, b): LAMBDA ** a * MU ** b * c for (a, b), c in deep.items()}
