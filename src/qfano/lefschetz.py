@@ -198,9 +198,14 @@ def find_annihilator(seq, max_order, max_degree):
 
     Solves the exact linear system over every certified position of the
     sequence.  Returns the primitive normalized generator of a
-    one-dimensional kernel, None for an empty kernel, and raises when
-    the system is underdetermined or the kernel has dimension above one.
+    one-dimensional kernel, None for an empty kernel, and raises when a
+    bound is negative, the system is underdetermined or the kernel has
+    dimension above one.
     """
+    for name, bound in (("order", max_order), ("degree", max_degree)):
+        if bound < 0:
+            raise ValueError("operator %s bound must be >= 0, got %d"
+                             % (name, bound))
     unknowns = (max_order + 1) * (max_degree + 1)
     if len(seq) <= unknowns:
         raise ValueError(

@@ -1,7 +1,9 @@
-"""Exact linear algebra over the rationals (fractions.Fraction): dense
-elimination and sparse accumulation."""
+"""Exact linear algebra over the rationals: one dense elimination, which
+runs fraction-free on integers and returns Fractions, and sparse
+accumulation."""
 
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
 
@@ -18,30 +20,48 @@ def accumulate(dst, items):
     return dst
 
 
+def _integer_row(row):
+    """The row times the lcm of its denominators, as plain integers."""
+    row = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def _rref(rows, ncols):
-    """Gauss-Jordan elimination in place over the first ncols columns.
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows in
+    place over the first ncols columns.
 
     Each pivot is the first nonzero entry at or below the current row; the
-    loop stops once every row holds a pivot.  Returns (rows, pivots).
+    loop stops once every row holds a pivot.  At pivot p every other row
+    becomes (p*row - row[c]*pivot_row) // prev, where prev is the previous
+    pivot (1 at first); the division is exact because every entry is a
+    minor of the input.  Every pivot entry ends equal to one integer d, so
+    the reduced row echelon form is rows / d.  Returns (rows, pivots, d).
     """
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv_p = 1 / rows[r][c]
-        rows[r] = [x * inv_p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                rows[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return rows, pivots, prev
 
 
 def invert(mat):
@@ -50,12 +70,12 @@ def invert(mat):
     Raises ValueError on a singular matrix.
     """
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    aug = [_integer_row(list(row) + [int(i == j) for j in range(n)])
            for i, row in enumerate(mat)]
-    aug, pivots = _rref(aug, n)
+    aug, pivots, d = _rref(aug, n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    return [row[n:] for row in aug]
+    return [[Fraction(x, d) for x in row[n:]] for row in aug]
 
 
 def nullspace(mat, ncols=None):
@@ -64,16 +84,16 @@ def nullspace(mat, ncols=None):
     Returns a list of basis vectors (lists of Fractions), one per free
     column of the reduced row echelon form.
     """
-    rows = [[Fraction(x) for x in row] for row in mat]
+    rows = [_integer_row(row) for row in mat]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    rows, pivots = _rref(rows, ncols)
+    rows, pivots, d = _rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
+            vec[pc] = Fraction(-rows[i][fc], d)
         basis.append(vec)
     return basis

@@ -197,6 +197,18 @@ def test_periods_pf_search_bad_bounds():
     assert "ORDER,DEGREE" in proc.stderr
 
 
+@pytest.mark.parametrize("bounds,bad", [("4,-2", "degree bound"),
+                                        ("-1,3", "order bound"),
+                                        ("0,-10", "degree bound")],
+                         ids=["4,-2", "-1,3", "0,-10"])
+def test_periods_pf_search_negative_bound_is_config_error(bounds, bad):
+    proc = run_cli("periods", "--bundle", "flagship", "--terms", "20",
+                   "--regularized", "--pf-search=" + bounds)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: operator " + bad)
+    assert proc.stdout == ""
+
+
 def test_periods_dilaton_abort_is_config_error():
     proc = run_cli("periods", "--bundle", "p1-trivial", "--terms", "4")
     assert proc.returncode == 2
@@ -242,8 +254,9 @@ def test_periods_bad_seed_fails_unit_row_cross_check(tmp_path):
 
 
 # sha256 of every file these invocations write, captured from the solver
-# that kept one Fraction per frame entry; the exact kernels may change,
-# these bytes may not.
+# that kept one Fraction per frame entry (the operator search from the
+# elimination over Fraction); the exact kernels may change, these bytes
+# may not.
 GOLDEN = [
     (("jfun", "--bundle", "flagship", "--order", "4", "--apery", "3",
       "--check-operators"),
@@ -259,10 +272,17 @@ GOLDEN = [
                      "c2dcd5ab65e41bdebe5b88d5e93255f7",
       "pf_report.txt": "3353106b37dfa3947950e8c9568cdc61"
                        "dff1afc4b9c0de653b6c5a226b50f164"}),
+    (("periods", "--bundle", "flagship", "--terms", "64", "--regularized",
+      "--pf-verify", "--pf-search", "4,9"),
+     {"periods.txt": "4bad75e1e2835c29e831fedb91a90da1"
+                     "baab41d477e2e4768231c94dcb56f7f9",
+      "pf_report.txt": "220a118ad96ea2ffc5a7cee56b0080ce"
+                       "5cdc4e8854c266d0a1dd1fc32617d13f"}),
 ]
 
 
-@pytest.mark.parametrize("argv,digests", GOLDEN, ids=["jfun", "periods"])
+@pytest.mark.parametrize("argv,digests", GOLDEN,
+                         ids=["jfun", "periods", "pf-search"])
 def test_output_files_match_golden_bytes(tmp_path, argv, digests):
     proc = run_cli(*argv, "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr

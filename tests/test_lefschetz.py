@@ -178,6 +178,16 @@ def test_find_annihilator_degenerate():
         lf.find_annihilator([F(0)] * 8, 1, 1)
 
 
+@pytest.mark.parametrize("order,degree,bad", [
+    (4, -2, "degree bound must be >= 0, got -2"),
+    (-1, 3, "order bound must be >= 0, got -1"),
+    (0, -10, "degree bound must be >= 0, got -10")],
+    ids=["4,-2", "-1,3", "0,-10"])
+def test_find_annihilator_rejects_negative_bounds(order, degree, bad):
+    with pytest.raises(ValueError, match=bad):
+        lf.find_annihilator([F(1)] * 20, order, degree)
+
+
 def test_find_annihilator_none_for_factorials():
     seq = [F(factorial(m)) for m in range(8)]
     assert lf.find_annihilator(seq, 1, 1) is None

@@ -11,6 +11,60 @@ from qfano.linalg import accumulate, invert, nullspace
 F = Fraction
 
 
+# Reference: the Gauss-Jordan elimination over Fraction that qfano.linalg
+# used before its fraction-free integer elimination, kept verbatim so the
+# two can be compared on any input.
+def ref_rref(rows, ncols):
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv_p = 1 / rows[r][c]
+        rows[r] = [x * inv_p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def ref_invert(mat):
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    aug, pivots = ref_rref(aug, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in aug]
+
+
+def ref_nullspace(mat, ncols=None):
+    rows = [[Fraction(x) for x in row] for row in mat]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    rows, pivots = ref_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rows[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
 def matmul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), F(0))
              for col in zip(*b)] for row in a]
@@ -92,3 +146,78 @@ def test_invert_agrees_with_nullspace(mat):
             invert(mat)
     else:
         assert matmul(mat, invert(mat)) == identity(n)
+
+
+entries = st.one_of(st.integers(min_value=-5, max_value=5),
+                    st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=7))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices of any shape whose extra rows are zero rows,
+    duplicates, combinations of earlier rows or fresh random rows, so
+    that rank deficiency is common."""
+    nrows = draw(st.integers(min_value=1 if square else 0, max_value=7))
+    ncols = nrows if square else draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=min(nrows, 1), max_size=nrows))
+    while len(rows) < nrows:
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination",
+                                     "random"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            a, b = draw(entries), draw(entries)
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            rows.append(draw(row))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_nullspace_matches_fraction_reference(mat):
+    basis = nullspace(mat)
+    assert basis == ref_nullspace(mat)
+    assert all_fractions(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(square=True))
+def test_invert_matches_fraction_reference(mat):
+    try:
+        expected = ref_invert(mat)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular matrix"):
+            invert(mat)
+        return
+    inv = invert(mat)
+    assert inv == expected
+    assert all_fractions(inv)
+
+
+def big_matrix(nrows, ncols, salt):
+    # Deterministic signed entries of 200-240 bits.
+    return [[(pow(3, 150 + 7 * i + 3 * j + salt, 2 ** 241) - 2 ** 240)
+             // (1 + i + j) for j in range(ncols)] for i in range(nrows)]
+
+
+def test_large_entries_match_fraction_reference():
+    mat = big_matrix(7, 9, 0)
+    assert min(abs(x).bit_length() for row in mat for x in row) > 200
+    # two dependent rows make the 9x9 matrix rank 7
+    mat.append([x - 3 * y for x, y in zip(mat[0], mat[5])])
+    mat.append([F(x, 5) + F(y, 7) for x, y in zip(mat[2], mat[3])])
+    basis = nullspace(mat)
+    assert len(basis) == 2
+    assert basis == ref_nullspace(mat)
+    assert_kernel(mat, basis, 9)
+    sq = big_matrix(8, 8, 11)
+    sq[3] = [F(x, 2 ** 200 + 1) for x in sq[3]]
+    inv = invert(sq)
+    assert inv == ref_invert(sq)
+    assert matmul(sq, inv) == identity(8)

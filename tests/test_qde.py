@@ -56,15 +56,20 @@ def test_p1p1_coefficients_closed_form(p1p1_js):
         assert val == F(1, (factorial(a) * factorial(b)) ** 2)
 
 
-@pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3) for r in (2, 3, 4)])
+@pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4)
+                                 for r in (2, 3, 4, 5)])
 def test_product_bundles_closed_form(n, r):
-    # P^n x P^(r-1): c_{a,b} = 1 / ((a!)^(n+1) (b!)^r) on both solver paths
+    # P^n x P^(r-1): c_{a,b} = 1 / ((a!)^(n+1) (b!)^r) on both solver paths,
+    # and the J-series is annihilated by D1^(n+1) - q1 and D2^r - q2
     spec = make_bundle(n, r)
     mp, mxi = reconstruct(spec)
     expected = {(a, b): F(1, factorial(a) ** (n + 1) * factorial(b) ** r)
                 for a in range(6) for b in range(6 - a)}
     assert qde.identity_series(mp, mxi, spec, 5) == expected
-    assert qde.identity_coefficients(qde.j_series(mp, mxi, spec, 5)) == expected
+    js = qde.j_series(mp, mxi, spec, 5)
+    assert qde.identity_coefficients(js) == expected
+    for text in ("D1^%d - q1" % (n + 1), "D2^%d - q2" % r):
+        assert qde.check_operator(qde.parse_operator(text), js) is None, text
 
 
 def test_p1p1_vectors_match_hand_oracle(p1p1_js):
