@@ -12,7 +12,8 @@ import sys
 from qfano import lefschetz, qde
 from qfano import seeds as seedlib
 from qfano.fixtures_io import fixture_lines, load_named_expressions
-from qfano.reconstruct import QuantumMatrix, reconstruct
+from qfano.reconstruct import (QuantumMatrix, check_commutativity,
+                               check_three_point_symmetry, reconstruct)
 from qfano.ring import format_rational, load_bundle_config, make_bundle
 
 BUILTIN_BUNDLES = {
@@ -29,7 +30,7 @@ FIXTURE_MATRICES = {
 
 
 class CliError(Exception):
-    """Configuration or input problem; maps to exit code 2."""
+    """Configuration or input problem; main maps it to exit code 2."""
 
 
 def _bundle(args):
@@ -37,10 +38,7 @@ def _bundle(args):
     if name in BUILTIN_BUNDLES:
         return make_bundle(*BUILTIN_BUNDLES[name])
     if os.path.exists(name):
-        try:
-            return load_bundle_config(name)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return load_bundle_config(name)
     raise CliError(
         "unknown bundle %r; expected 'flagship', 'p1-trivial', or a "
         "config file path" % name)
@@ -48,22 +46,29 @@ def _bundle(args):
 
 def _seed_source(args, spec):
     if args.seeds:
-        try:
-            return seedlib.load_seeds(args.seeds, spec)
-        except ValueError as exc:
-            raise CliError(str(exc))
-    try:
-        return seedlib.builtin_source(spec)
-    except ValueError as exc:
-        raise CliError(str(exc))
+        return seedlib.load_seeds(args.seeds, spec)
+    return seedlib.builtin_source(spec)
 
 
 def _matrices(args, spec):
-    source = _seed_source(args, spec)
-    try:
-        return reconstruct(spec, source)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return reconstruct(spec, _seed_source(args, spec))
+
+
+def _structure_defect(mp, mxi):
+    """The first failed ring check on a reconstructed pair, or None.
+
+    set_column already enforces grading and purity; a wrong seed shows
+    up as a non-commuting pair or a non-symmetric three-point pairing.
+    """
+    j = check_commutativity(mp, mxi)
+    if j is not None:
+        return "commutativity check fails at column %d" % (j + 1)
+    for mat in (mp, mxi):
+        spot = check_three_point_symmetry(mat)
+        if spot is not None:
+            return ("%s matrix three-point symmetry check fails at entry "
+                    "(%d,%d)" % (mat.label, spot[0] + 1, spot[1] + 1))
+    return None
 
 
 def _read_lines(path):
@@ -113,6 +118,10 @@ def cmd_reconstruct(args):
                                       ref.entry_string(i, j)))
                 status = 1
         return status
+    bad = _structure_defect(mp, mxi)
+    if bad is not None:
+        print("error: %s" % bad, file=sys.stderr)
+        return 1
     outputs = []
     for mat, stem in ((mp, "mp"), (mxi, "mxi")):
         outputs.append((stem + ".triplets",
@@ -127,11 +136,9 @@ def cmd_jfun(args):
     mp, mxi = _matrices(args, spec)
     if args.order < 0:
         raise CliError("--order must be >= 0")
-    try:
-        js = qde.j_series(mp, mxi, spec, args.order)
-    except qde.FlatnessError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    if args.apery is not None and args.apery < 0:
+        raise CliError("--apery must be >= 0")
+    js = qde.j_series(mp, mxi, spec, args.order)
     bad = qde.check_homogeneity(js)
     if bad is not None:
         print("error: homogeneity failure: %s" % bad, file=sys.stderr)
@@ -142,13 +149,7 @@ def cmd_jfun(args):
               for (a, b), val in sorted(ctable.items())]
     outputs = [("coefficients.csv", "\n".join(lines) + "\n")]
     if args.apery:
-        try:
-            table = qde.apery_table(ctable, args.apery, spec)
-        except qde.NonIntegralError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            raise CliError(str(exc))
+        table = qde.apery_table(ctable, args.apery, spec)
         outputs.append(("apery.csv",
                         "\n".join(",".join(str(x) for x in row)
                                   for row in table) + "\n"))
@@ -157,18 +158,15 @@ def cmd_jfun(args):
         source = (fixture_lines("qde_operators.txt")
                   if args.check_operators == ""
                   else _read_lines(args.check_operators))
-        try:
-            named = load_named_expressions(source)
-            parsed = {name: qde.parse_operator(text)
-                      for name, text in named.items()}
-        except ValueError as exc:
-            raise CliError(str(exc))
+        named = load_named_expressions(source)
+        parsed = {name: qde.parse_operator(text)
+                  for name, text in named.items()}
         report = []
         for name in sorted(parsed):
             failure = qde.check_operator(parsed[name], js)
             if failure is None:
                 report.append("%s: residual zero at all %d indices"
-                              % (name, len(js.frames)))
+                              % (name, len(js.blocks)))
             else:
                 report.append("%s: %s" % (name, failure))
                 status = 1
@@ -182,21 +180,11 @@ def cmd_periods(args):
     mp, mxi = _matrices(args, spec)
     if args.terms < 0:
         raise CliError("--terms must be >= 0")
-    try:
-        bundles = lefschetz.parse_cut(args.cut)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    try:
-        ctable = qde.identity_series(mp, mxi, spec, max(args.terms - 1, 0))
-    except qde.FlatnessError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    try:
-        dtable = lefschetz.hypergeometric_modify(ctable, bundles)
-        multiplier = lefschetz.mirror_map_correction(dtable, spec, bundles)
-        seq = lefschetz.period_sequence(dtable, multiplier, args.terms)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    bundles = lefschetz.parse_cut(args.cut)
+    ctable = qde.identity_series(mp, mxi, spec, max(args.terms - 1, 0))
+    dtable = lefschetz.hypergeometric_modify(ctable, bundles)
+    multiplier = lefschetz.mirror_map_correction(dtable, spec, bundles)
+    seq = lefschetz.period_sequence(dtable, multiplier, args.terms)
     if args.regularized:
         seq = lefschetz.regularize(seq)
     status = 0
@@ -204,10 +192,7 @@ def cmd_periods(args):
     if args.pf_verify is not None:
         source = (fixture_lines("pf_operator.txt") if args.pf_verify == ""
                   else _read_lines(args.pf_verify))
-        try:
-            op = lefschetz.operator_from_lines(source)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        op = lefschetz.operator_from_lines(source)
         residual = lefschetz.pf_apply(op, seq)
         bad = next((pos for pos, val in enumerate(residual) if val), None)
         if bad is None:
@@ -223,11 +208,7 @@ def cmd_periods(args):
                 int(tok) for tok in args.pf_search.split(","))
         except ValueError:
             raise CliError("--pf-search expects ORDER,DEGREE")
-        try:
-            found = lefschetz.find_annihilator(seq, search_order,
-                                               search_degree)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        found = lefschetz.find_annihilator(seq, search_order, search_degree)
         if found is None:
             report.append("no annihilator within order %d, degree %d"
                           % (search_order, search_degree))
@@ -244,11 +225,7 @@ def cmd_periods(args):
 
 def cmd_seeds(args):
     spec = _bundle(args)
-    source = _seed_source(args, spec)
-    try:
-        lines = seedlib.dump_seed_lines(spec, source)
-    except seedlib.MissingSeedError as exc:
-        raise CliError(str(exc))
+    lines = seedlib.dump_seed_lines(spec, _seed_source(args, spec))
     return _emit(args, [("seeds.txt",
                          "".join(line + "\n" for line in lines))])
 
@@ -319,13 +296,15 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the one place exceptions become exit codes."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (qde.FlatnessError, qde.NonIntegralError) as exc:
+        # both subclass ValueError, so this clause must come first
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return 1
+    except (CliError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

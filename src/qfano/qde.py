@@ -21,9 +21,11 @@ product, to high order.
 The exact work runs on plain integers over shared denominators, in the
 fraction-free style of Bareiss elimination: each classical matrix is an
 integer sparse matrix over one denominator, each ray's q-parts share one
-denominator, and a frame block is a pair (integer rows, D).  Every frame
-entry carries a single implicit z-power, deg(row) - deg(col) + a*d1 +
-b*d2 below zero, so the Laurent structure is restored on export, where
+denominator, and a frame block is a pair (integer rows, D).  A JSeries
+keeps only these blocks; the solver, the flatness check and the operator
+pass all read them.  Every frame entry carries a single implicit z-power,
+deg(row) - deg(col) + a*d1 + b*d2 below zero, so the Laurent structure
+is restored on export (frames, vector, identity_coefficient), where
 values become Fractions.
 
 The J-vector at index (a,b) is the first frame column, component i at
@@ -49,13 +51,6 @@ class NonIntegralError(ValueError):
 def _scaled(values, den):
     """{key: value * den} for rationals whose denominators divide den."""
     return {k: v.numerator * (den // v.denominator) for k, v in values.items()}
-
-
-def _common(rows):
-    """(integer rows, D) for rows of rationals, over their lcm D."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row]
-            for row in rows], den
 
 
 def _split_matrix(qmat):
@@ -101,17 +96,17 @@ def _row_times(row, sparse, out):
             out[j] += x * v
 
 
-def _shift_sum(frames, parts, a, b):
+def _shift_sum(blocks, parts, a, b):
     """sum over q-parts of frame(a-c, b-d) * part, on the rows present.
 
-    Returns (R, L): integer rows R over L = lcm(D of the frames used) *
+    Returns (R, L): integer rows R over L = lcm(D of the blocks used) *
     the parts' denominator.
     """
     pint, pden = parts
-    used = [(frames[(a - c, b - d)], part) for (c, d), part in pint.items()
+    used = [(blocks[(a - c, b - d)], part) for (c, d), part in pint.items()
             if c <= a and d <= b]
     den = lcm(*(fden for (_, fden), _ in used))
-    unit = frames[(0, 0)][0]
+    unit = blocks[(0, 0)][0]
     out = [[0] * len(unit[0]) for _ in unit]
     for (rows, fden), part in used:
         m = den // fden
@@ -190,44 +185,53 @@ def _route_residual(scale, classical, u, rhs):
 class JSeries:
     """Flat frames of the quantum differential system up to a total order.
 
-    frames maps (a, b) to a size x size Fraction matrix with the z-grid
-    implicit.  The matrix parts are the integer forms read by the solver:
-    each classical part is (integer sparse, den) and each ray's q-parts
-    ({(c, d): integer sparse}, den).
+    blocks maps (a, b) to the frame as (integer rows, D), entry (i, j)
+    being rows[i][j] / D with the z-grid implicit; the unit-row solve
+    behind identity_series keeps row one only.  The matrix parts are the
+    integer forms read by the solver: each classical part is (integer
+    sparse, den) and each ray's q-parts ({(c, d): integer sparse}, den).
+    frames, vector and identity_coefficient are the Fraction exports of
+    the blocks.
     """
 
-    def __init__(self, spec, frames, p_classical, p_parts, xi_classical,
-                 xi_parts):
+    def __init__(self, spec, p_classical, p_parts, xi_classical, xi_parts):
         self.spec = spec
-        self.frames = frames
+        self.blocks = {}
         self.p_classical = p_classical
         self.p_parts = p_parts
         self.xi_classical = xi_classical
         self.xi_parts = xi_parts
 
+    @property
+    def frames(self):
+        """{(a, b): Fraction matrix}, exported afresh on every read."""
+        return {key: [[Fraction(x, den) for x in row] for row in rows]
+                for key, (rows, den) in self.blocks.items()}
+
     def vector(self, a, b):
         """J at Novikov index (a, b): one Laurent dict per basis component."""
         spec = self.spec
         w = a * spec.d1 + b * spec.d2
-        frame = self.frames[(a, b)]
-        return [({-spec.degree(i) - w: frame[i][0]} if frame[i][0] else {})
-                for i in range(spec.size)]
+        rows, den = self.blocks[(a, b)]
+        return [({-spec.degree(i) - w: Fraction(row[0], den)} if row[0]
+                 else {}) for i, row in enumerate(rows)]
 
     def identity_coefficient(self, a, b):
-        return self.frames[(a, b)][0][0]
+        rows, den = self.blocks[(a, b)]
+        return Fraction(rows[0][0], den)
 
 
-def _ray(js, frames, a, b, along_p):
+def _ray(js, a, b, along_p):
     """(scale, classical, rhs) of one divisor-ray equation at index (a, b),
-    with the right-hand side built from the integer frames below (a, b)."""
+    with the right-hand side built from the blocks below (a, b)."""
     if along_p:
         scale, classical, parts = a, js.p_classical, js.p_parts
     else:
         scale, classical, parts = b, js.xi_classical, js.xi_parts
-    return scale, classical, _shift_sum(frames, parts, a, b)
+    return scale, classical, _shift_sum(js.blocks, parts, a, b)
 
 
-def _index_defect(js, frames, a, b, u=None):
+def _index_defect(js, a, b, u=None):
     """Check the integer frame at index (a, b) against the divisor-ray
     equations.
 
@@ -236,7 +240,7 @@ def _index_defect(js, frames, a, b, u=None):
     both.  Returns (u, defect), defect None or ((row, col), residual
     entry) for the first nonzero residual.
     """
-    rays = [_ray(js, frames, a, b, True), _ray(js, frames, a, b, False)]
+    rays = [_ray(js, a, b, True), _ray(js, a, b, False)]
     if u is None:
         u = _sylvester_solve(*rays.pop(0 if a >= 1 else 1))
     for scale, classical, rhs in rays:
@@ -247,29 +251,28 @@ def _index_defect(js, frames, a, b, u=None):
 
 
 def _solve(mp, mxi, spec, order, rows):
-    """Integer frames cut to their leading rows for all a + b <= order.
+    """The series with every block cut to its leading rows, a + b <= order.
 
     Each block is built from the ray with a positive exponent and
     cross-checked against the other ray; any defect raises FlatnessError
-    with the offending index and entry.  Returns (js, integer frames),
-    js holding the matrix parts and no frames yet.
+    with the offending index and entry.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    js = JSeries(spec, {}, *_split_matrix(mp), *_split_matrix(mxi))
-    frames = {(0, 0): (_identity_matrix(spec.size)[:rows], 1)}
+    js = JSeries(spec, *_split_matrix(mp), *_split_matrix(mxi))
+    js.blocks[(0, 0)] = (_identity_matrix(spec.size)[:rows], 1)
     for total in range(1, order + 1):
         for a in range(total, -1, -1):
             b = total - a
-            u, defect = _index_defect(js, frames, a, b)
+            u, defect = _index_defect(js, a, b)
             if defect is not None:
                 (i, j), val = defect
                 raise FlatnessError(
                     "flat frame inconsistent at index (%d,%d): cross-ray "
                     "residual %s at entry (%d,%d)"
                     % (a, b, val, i + 1, j + 1))
-            frames[(a, b)] = u
-    return js, frames
+            js.blocks[(a, b)] = u
+    return js
 
 
 def j_series(mp, mxi, spec, order):
@@ -279,15 +282,12 @@ def j_series(mp, mxi, spec, order):
     cross-checked against the other ray; any defect raises
     FlatnessError with the offending index and entry.
     """
-    js, frames = _solve(mp, mxi, spec, order, spec.size)
-    js.frames = {key: [[Fraction(x, den) for x in row] for row in rows]
-                 for key, (rows, den) in frames.items()}
-    return js
+    return _solve(mp, mxi, spec, order, spec.size)
 
 
 def identity_coefficients(js):
     """The table c_{a,b}: identity component of J at its forced z-power."""
-    return {key: js.identity_coefficient(*key) for key in js.frames}
+    return {key: js.identity_coefficient(*key) for key in js.blocks}
 
 
 def identity_series(mp, mxi, spec, order):
@@ -297,9 +297,7 @@ def identity_series(mp, mxi, spec, order):
     row is solved, and every index is cross-checked along the other ray
     as in j_series; a defect raises FlatnessError.
     """
-    _, frames = _solve(mp, mxi, spec, order, 1)
-    return {key: Fraction(rows[0][0], den)
-            for key, (rows, den) in frames.items()}
+    return identity_coefficients(_solve(mp, mxi, spec, order, 1))
 
 
 def apery_table(ctable, size, spec):
@@ -373,16 +371,15 @@ def apply_operator(op, js):
     """
     spec = js.spec
     size = spec.size
-    cols = {key: _common([[row[0] for row in frame]])
-            for key, frame in js.frames.items()}
     residual = {}
-    for (a, b) in js.frames:
+    for (a, b) in js.blocks:
         groups = {}
         for t in op:
             s, u = a - t.q1, b - t.q2
             if s < 0 or u < 0:
                 continue
-            (vec,), den = cols[(s, u)]
+            rows, den = js.blocks[(s, u)]
+            vec = [row[0] for row in rows]
             for _ in range(t.d1):
                 vec, den = _cup(vec, den, js.p_classical, s)
             for _ in range(t.d2):
@@ -423,13 +420,10 @@ def check_operator(op, js):
 def check_flatness(js):
     """Cross-verify every frame against both divisor-ray equations.
 
-    The integer frames are rebuilt from js.frames, so the check sees the
-    exported values.  Returns None, or a diagnostic for the first failing
-    index.
+    Returns None, or a diagnostic for the first failing index.
     """
-    frames = {key: _common(frame) for key, frame in js.frames.items()}
-    for (a, b) in sorted(frames):
-        _, defect = _index_defect(js, frames, a, b, frames[(a, b)])
+    for (a, b) in sorted(js.blocks):
+        _, defect = _index_defect(js, a, b, js.blocks[(a, b)])
         if defect is not None:
             (i, j), val = defect
             return ("index (%d,%d): residual %s at entry (%d,%d)"
@@ -443,9 +437,9 @@ def check_homogeneity(js):
     Returns None, or a diagnostic for the first violation.
     """
     spec = js.spec
-    if js.frames[(0, 0)] != _identity_matrix(spec.size):
+    if js.blocks[(0, 0)] != (_identity_matrix(spec.size), 1):
         return "frame at index (0,0) is not the identity"
-    for (a, b) in sorted(js.frames):
+    for (a, b) in sorted(js.blocks):
         w = a * spec.d1 + b * spec.d2
         for i, comp in enumerate(js.vector(a, b)):
             if not comp:

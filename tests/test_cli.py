@@ -235,7 +235,8 @@ def test_seeds_without_builtin_source(tmp_path):
     assert "no builtin seed source" in proc.stderr
 
 
-def test_periods_bad_seed_fails_unit_row_cross_check(tmp_path):
+def bad_flagship_seeds(tmp_path):
+    """The flagship seed dump with its first nonzero seed changed."""
     out = tmp_path / "sd"
     assert run_cli("seeds", "--bundle", "flagship",
                    "--out", str(out)).returncode == 0
@@ -245,12 +246,36 @@ def test_periods_bad_seed_fails_unit_row_cross_check(tmp_path):
     lines[3] = "(2,2) (8,4) 1 0 3"
     bad = tmp_path / "bad.seeds"
     bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+def test_periods_bad_seed_fails_unit_row_cross_check(tmp_path):
+    bad = bad_flagship_seeds(tmp_path)
     proc = run_cli("periods", "--bundle", "flagship", "--terms", "8",
                    "--seeds", str(bad))
     assert proc.returncode == 1
     assert proc.stderr == ("error: flat frame inconsistent at index (1,1): "
                            "cross-ray residual 1 at entry (1,1)\n")
     assert proc.stdout == ""
+
+
+def test_reconstruct_bad_seed_writes_nothing(tmp_path):
+    bad = bad_flagship_seeds(tmp_path)
+    out = tmp_path / "mats"
+    proc = run_cli("reconstruct", "--bundle", "flagship",
+                   "--seeds", str(bad), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: commutativity check fails at column 4\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_jfun_negative_apery_is_config_error(tmp_path):
+    out = tmp_path / "jf"
+    proc = run_cli("jfun", "--order", "2", "--apery", "-1", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --apery must be >= 0\n"
+    assert not out.exists()
 
 
 # sha256 of every file these invocations write, captured from the solver

@@ -148,9 +148,19 @@ def test_flatness_and_homogeneity_pass(flagship_js):
 def test_flatness_detects_tampering(flagship):
     spec, mp, mxi = flagship
     js = qde.j_series(mp, mxi, spec, 2)
-    js.frames[(1, 0)][4][2] += 1
+    # entry (5,3) of the integer block at index (1,0)
+    js.blocks[(1, 0)][0][4][2] += 1
     report = qde.check_flatness(js)
     assert report is not None and "(1,0)" in report
+
+
+def test_homogeneity_detects_non_identity_origin(p1p1):
+    spec, mp, mxi = p1p1
+    js = qde.j_series(mp, mxi, spec, 1)
+    assert qde.check_homogeneity(js) is None
+    js.blocks[(0, 0)][0][1][0] = 1
+    assert qde.check_homogeneity(js) == (
+        "frame at index (0,0) is not the identity")
 
 
 def test_corrupted_matrix_fails_flat(flagship):
