@@ -29,5 +29,8 @@ def load_named_expressions(lines):
         if not eq or not name.strip() or not expr.strip():
             raise ValueError("expected `name = expression`, got %r"
                              % lines[lineno - 1])
-        out[name.strip()] = expr.strip()
+        name = name.strip()
+        if name in out:
+            raise ValueError("line %d: duplicate name %r" % (lineno, name))
+        out[name] = expr.strip()
     return out

@@ -92,6 +92,8 @@ def load_bundle_config(path):
             if key not in ("n", "r", "chern"):
                 raise ValueError("%s:%d: unknown key %r; expected n, r or chern"
                                  % (path, lineno, key))
+            if key in data:
+                raise ValueError("%s:%d: duplicate key %r" % (path, lineno, key))
             toks = val.replace(",", " ").split() if key == "chern" else [val]
             try:
                 data[key] = [int(tok) for tok in toks]

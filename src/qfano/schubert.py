@@ -16,6 +16,7 @@ after reduction.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from qfano.linalg import accumulate
 
@@ -136,15 +137,10 @@ def add(x, y):
     return accumulate(dict(x), y.items())
 
 
-_G25 = None
-
-
+@cache
 def g25():
     """The Grassmannian G(2,5) carrying the flagship blow-up geometry."""
-    global _G25
-    if _G25 is None:
-        _G25 = Grassmannian(2, 5)
-    return _G25
+    return Grassmannian(2, 5)
 
 
 def qstar_chern(i):
@@ -156,22 +152,17 @@ def qstar_chern(i):
     return {}
 
 
-_QSTAR_SEGRE = {}
-
-
+@cache
 def qstar_segre(i):
     """s_i(Q*), the term-wise inverse of c(Q*): 1, sigma_1, sigma_(1,1), 0, ..."""
     if i == 0:
         return sigma()
-    if i in _QSTAR_SEGRE:
-        return _QSTAR_SEGRE[i]
     gr = g25()
     out = {}
     for j in range(1, min(i, 3) + 1):
         # s_i = -sum_j c_j(Q*) s_(i-j), and c_j(Q*) = (-1)^j sigma_j
         term = gr.pieri(qstar_segre(i - j), j)
         out = add(out, scale(term, -((-1) ** j)))
-    _QSTAR_SEGRE[i] = out
     return out
 
 
@@ -179,17 +170,13 @@ def is_flagship(spec):
     return (spec.n, spec.r) == (4, 6) and tuple(spec.chern) == (-3, 5, -5, 0, 0, 0)
 
 
-_ETA_POWERS = {}
-
-
+@cache
 def eta_power(a):
     """eta^a reduced to eta-powers <= 2; returns {e: SchubertClass}."""
     if a < 0:
         raise ValueError("negative eta power")
     if a <= 2:
         return {a: sigma()}
-    if a in _ETA_POWERS:
-        return _ETA_POWERS[a]
     gr = g25()
     out = {}
     for e, cls in eta_power(a - 1).items():
@@ -200,9 +187,7 @@ def eta_power(a):
             out[2] = add(out.get(2, {}), gr.pieri(cls, 1))
             out[1] = add(out.get(1, {}), scale(gr.pieri(cls, 2), -1))
             out[0] = add(out.get(0, {}), gr.pieri(cls, 3))
-    out = {e: cls for e, cls in out.items() if cls}
-    _ETA_POWERS[a] = out
-    return out
+    return {e: cls for e, cls in out.items() if cls}
 
 
 def restrict_to_divisor(spec, x):

@@ -4,14 +4,16 @@ The reconstruction needs, for every basis class gamma of degree <= n, the
 two-point invariants <gamma, phi_j> in the fibre direction (0,1) and in the
 base directions (k,0) with k*d1 <= deg(gamma) + 1.  Fibre invariants are
 intrinsic (pushforward to the base, vanishing for multiplicity >= 2).  The
-base-direction invariants come from a pluggable source:
+base-direction invariants form one finite SeedTable, read from a seed file
+by load_seeds or filled by builtin_source from one invariant function:
 
-  * BlowupSeeds   - the flagship geometry, via the exceptional divisor
-                    over G(2,5) (vanishing for multiplicity >= 2);
-  * ProductSeeds  - bundles with all Chern coefficients zero, where the
-                    second projection is itself a fibration and the same
-                    pushforward argument applies on the other side;
-  * SeedTable     - explicit user-supplied entries.
+  * blowup_invariant  - the flagship geometry, via the exceptional divisor
+                        over G(2,5) (vanishing for multiplicity >= 2);
+  * product_invariant - bundles with all Chern coefficients zero, where the
+                        second projection is itself a fibration and the same
+                        pushforward argument applies on the other side.
+
+Both ways pass every entry through the same dimension and symmetry checks.
 """
 
 from fractions import Fraction
@@ -31,15 +33,13 @@ ZERO = Fraction(0)
 
 
 class MissingSeedError(ValueError):
-    """A demanded seed invariant is not available from the source."""
+    """A demanded seed invariant is not in the seed table."""
 
-    def __init__(self, spec, i, j, a, b):
-        self.key = (i, j, a, b)
-        da, ka = spec.basis[i][0] + spec.basis[i][1], spec.basis[i][0]
-        db, kb = spec.basis[j][0] + spec.basis[j][1], spec.basis[j][0]
-        super().__init__(
-            "missing seed invariant (%d,%d) (%d,%d) %d %d"
-            % (da, ka, db, kb, a, b))
+
+def seed_key(spec, i, j, a):
+    """The `(deg,p-power) (deg,p-power) a 0` key of a base-ray invariant."""
+    (ai, bi), (aj, bj) = spec.basis[i], spec.basis[j]
+    return "(%d,%d) (%d,%d) %d 0" % (ai + bi, ai, aj + bj, aj, a)
 
 
 def fiber_invariant(spec, alpha, beta, k):
@@ -100,36 +100,6 @@ def product_invariant(spec, alpha, beta, k):
     return sum((pa[b] * pb[spec.r - 1 - b] for b in range(spec.r)), ZERO)
 
 
-class BlowupSeeds:
-    """Builtin base-direction seed source for the flagship bundle."""
-
-    def __init__(self, spec):
-        if not schubert.is_flagship(spec):
-            raise ValueError("builtin blow-up seeds are flagship-specific")
-        self.spec = spec
-
-    def pure_base(self, i, j, k):
-        spec = self.spec
-        return blowup_invariant(spec,
-                                monomial_class(spec, *spec.basis[i]),
-                                monomial_class(spec, *spec.basis[j]), k)
-
-
-class ProductSeeds:
-    """Builtin base-direction seed source for all-zero-Chern bundles."""
-
-    def __init__(self, spec):
-        if any(spec.chern):
-            raise ValueError("builtin product seeds need all Chern coefficients zero")
-        self.spec = spec
-
-    def pure_base(self, i, j, k):
-        spec = self.spec
-        return product_invariant(spec,
-                                 monomial_class(spec, *spec.basis[i]),
-                                 monomial_class(spec, *spec.basis[j]), k)
-
-
 class SeedTable:
     """Explicit table of base-direction invariants keyed by basis pairs."""
 
@@ -141,18 +111,14 @@ class SeedTable:
         spec = self.spec
         if a < 1:
             raise ValueError("curve class must be a positive multiple of the base ray")
-        di = spec.degree(i)
-        dj = spec.degree(j)
-        if di + dj != spec.dim - 1 + a * spec.d1:
-            raise ValueError(
-                "dimension constraint violated for (%d,%d) (%d,%d) %d 0"
-                % (di, spec.basis[i][0], dj, spec.basis[j][0], a))
+        if spec.degree(i) + spec.degree(j) != spec.dim - 1 + a * spec.d1:
+            raise ValueError("dimension constraint violated for "
+                             + seed_key(spec, i, j, a))
         key = (min(i, j), max(i, j), a)
         old = self.entries.get(key)
         if old is not None and old != value:
-            raise ValueError(
-                "symmetry violation: conflicting values for (%d,%d) (%d,%d) %d 0"
-                % (di, spec.basis[i][0], dj, spec.basis[j][0], a))
+            raise ValueError("symmetry violation: conflicting values for "
+                             + seed_key(spec, i, j, a))
         self.entries[key] = Fraction(value)
 
     def pure_base(self, i, j, k):
@@ -160,7 +126,8 @@ class SeedTable:
         try:
             return self.entries[key]
         except KeyError:
-            raise MissingSeedError(self.spec, i, j, k, 0) from None
+            raise MissingSeedError("missing seed invariant "
+                                   + seed_key(self.spec, i, j, k)) from None
 
 
 def _parse_pair(tok):
@@ -176,43 +143,40 @@ def load_seeds(path, spec):
     table = SeedTable(spec)
     with open(path) as fh:
         for lineno, line in data_lines(fh):
-            tok = line.split()
-            if len(tok) != 5:
-                raise ValueError("%s:%d: expected 5 fields, got %d"
-                                 % (path, lineno, len(tok)))
             try:
+                tok = line.split()
+                if len(tok) != 5:
+                    raise ValueError("expected 5 fields, got %d" % len(tok))
                 (da, ka) = _parse_pair(tok[0])
                 (db, kb) = _parse_pair(tok[1])
                 a = int(tok[2])
                 b = int(tok[3])
                 value = Fraction(tok[4])
+                if b != 0:
+                    raise ValueError(
+                        "only base-ray rows (b = 0) are accepted; "
+                        "fibre and mixed classes are computed internally")
+                table.set(basis_index(spec, da, ka) - 1,
+                          basis_index(spec, db, kb) - 1, a, value)
             except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
-            if b != 0:
-                raise ValueError(
-                    "%s:%d: only base-ray rows (b = 0) are accepted; "
-                    "fibre and mixed classes are computed internally"
-                    % (path, lineno))
-            try:
-                i = basis_index(spec, da, ka) - 1
-                j = basis_index(spec, db, kb) - 1
-            except ValueError as exc:
-                raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
-            try:
-                table.set(i, j, a, value)
-            except ValueError as exc:
                 raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
     return table
 
 
 def builtin_source(spec):
-    """Pick the builtin seed source a spec supports, or raise."""
+    """The seed table of the builtin geometry a spec supports, or raise."""
     if schubert.is_flagship(spec):
-        return BlowupSeeds(spec)
-    if not any(spec.chern):
-        return ProductSeeds(spec)
-    raise ValueError(
-        "no builtin seed source for this spec; provide a seed table")
+        invariant = blowup_invariant
+    elif not any(spec.chern):
+        invariant = product_invariant
+    else:
+        raise ValueError(
+            "no builtin seed source for this spec; provide a seed table")
+    table = SeedTable(spec)
+    for i, j, k in demanded_invariants(spec):
+        table.set(i, j, k, invariant(spec, monomial_class(spec, *spec.basis[i]),
+                                     monomial_class(spec, *spec.basis[j]), k))
+    return table
 
 
 def demanded_invariants(spec):
@@ -232,11 +196,11 @@ def demanded_invariants(spec):
     return out
 
 
-def seed_columns(spec, source):
+def seed_columns(spec, table):
     """Columns of the two divisor matrices for every degree <= n class.
 
     Returns (cols_p, cols_xi): maps column index -> {row: {(a,b): Fraction}}.
-    Raises MissingSeedError when the source lacks a demanded invariant and
+    Raises MissingSeedError when the table lacks a demanded invariant and
     ValueError when a mixed curve class passes the dimension filter (outside
     the reconstruction's scope).
     """
@@ -272,7 +236,7 @@ def seed_columns(spec, source):
 
         # base directions: divisor factor k into M_p, none into M_xi
         for j, k in base_terms.get(ci, ()):
-            val = source.pure_base(ci, j, k)
+            val = table.pure_base(ci, j, k)
             if val:
                 for row in range(spec.size):
                     put(col_p, row, k, 0, k * val * dual[j][row])
@@ -294,15 +258,11 @@ def seed_columns(spec, source):
     return cols_p, cols_xi
 
 
-def dump_seed_lines(spec, source):
+def dump_seed_lines(spec, table):
     """Serialize every demanded base-direction invariant in the file grammar."""
     lines = ["# seed invariants: (deg,p-power) (deg,p-power) a b value"]
     for (i, j, k) in demanded_invariants(spec):
-        if i > j:
-            continue
-        val = source.pure_base(i, j, k)
-        ai, bi = spec.basis[i]
-        aj, bj = spec.basis[j]
-        lines.append("(%d,%d) (%d,%d) %d 0 %s"
-                     % (ai + bi, ai, aj + bj, aj, k, val))
+        if i <= j:
+            lines.append("%s %s" % (seed_key(spec, i, j, k),
+                                    table.pure_base(i, j, k)))
     return lines

@@ -138,6 +138,17 @@ def test_jfun_check_operators_reports_failure(tmp_path):
     assert "not_annihilating: residual nonzero" in proc.stdout
 
 
+def test_jfun_check_operators_rejects_duplicate_name(tmp_path):
+    # a second A would hide the first, so D1 - q1 would go unchecked
+    ops = tmp_path / "dup.ops"
+    ops.write_text("A = D1 - q1\nA = D2^2 - q2\n")
+    proc = run_cli("jfun", "--bundle", "p1-trivial", "--order", "4",
+                   "--check-operators", str(ops))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 2: duplicate name 'A'\n"
+
+
 def test_jfun_apery_needs_enough_order():
     proc = run_cli("jfun", "--order", "2", "--apery", "4")
     assert proc.returncode == 2

@@ -276,6 +276,7 @@ def test_load_bundle_config(tmp_path):
     ("n = 1\nr = 2.5\n", ":2: r must be an integer, got '2.5'"),
     ("n = 1\nr = 2\nchern = 0, y\n", ":3: chern must be integers, got '0, y'"),
     ("# comment\nn = 1\nr = 2\nfoo = 1\n", ":4: unknown key 'foo'"),
+    ("n = 3\nn = 1\nr = 2\n", ":2: duplicate key 'n'"),
 ])
 def test_load_bundle_config_names_line_and_key(tmp_path, body, message):
     cfg = tmp_path / "bad.cfg"

@@ -83,8 +83,13 @@ def test_product_invariant(p1p1):
 
 
 def test_builtin_source_dispatch(flagship, p1p1):
-    assert isinstance(seeds.builtin_source(flagship), seeds.BlowupSeeds)
-    assert isinstance(seeds.builtin_source(p1p1), seeds.ProductSeeds)
+    for spec, invariant in ((flagship, seeds.blowup_invariant),
+                            (p1p1, seeds.product_invariant)):
+        table = seeds.builtin_source(spec)
+        for i, j, k in seeds.demanded_invariants(spec):
+            assert table.pure_base(i, j, k) == invariant(
+                spec, mono(spec, *spec.basis[i]), mono(spec, *spec.basis[j]),
+                k), (i, j, k)
     other = make_bundle(3, 2, [1])
     with pytest.raises(ValueError):
         seeds.builtin_source(other)
@@ -95,7 +100,7 @@ def qpoly(col, spec, a, b):
 
 
 def test_flagship_seed_columns(flagship):
-    cp, cx = seeds.seed_columns(flagship, seeds.BlowupSeeds(flagship))
+    cp, cx = seeds.seed_columns(flagship, seeds.builtin_source(flagship))
     assert sorted(cp) == sorted(cx) == [i for i in range(flagship.size)
                                         if flagship.degree(i) <= flagship.n]
     # column of the identity: purely classical p resp. xi
@@ -130,7 +135,7 @@ def test_flagship_seed_columns(flagship):
 
 
 def test_p1p1_seed_columns(p1p1):
-    cp, cx = seeds.seed_columns(p1p1, seeds.ProductSeeds(p1p1))
+    cp, cx = seeds.seed_columns(p1p1, seeds.builtin_source(p1p1))
     pcol = cp[basis_index(p1p1, 1, 1) - 1]
     assert pcol == {0: {(1, 0): Fraction(1)}}
     xcol = cx[basis_index(p1p1, 1, 0) - 1]
@@ -200,13 +205,18 @@ def test_missing_seed_reported_with_exact_key(flagship):
     assert "missing seed invariant" in str(err.value)
 
 
-def test_dump_round_trip(tmp_path, flagship):
-    lines = seeds.dump_seed_lines(flagship, seeds.BlowupSeeds(flagship))
+def test_dump_round_trip(tmp_path):
+    # the flagship and every product bundle P^n x P^(r-1), n <= 4, r <= 5
+    bundles = [(4, 6, [-3, 5, -5])] + [(n, r) for n in range(1, 5)
+                                       for r in range(2, 6)]
     path = tmp_path / "dump.seeds"
-    path.write_text("\n".join(lines) + "\n")
-    table = seeds.load_seeds(str(path), flagship)
-    want = seeds.seed_columns(flagship, seeds.BlowupSeeds(flagship))
-    assert seeds.seed_columns(flagship, table) == want
+    for bundle in bundles:
+        spec = make_bundle(*bundle)
+        builtin = seeds.builtin_source(spec)
+        path.write_text("\n".join(seeds.dump_seed_lines(spec, builtin)) + "\n")
+        table = seeds.load_seeds(str(path), spec)
+        assert (seeds.seed_columns(spec, table)
+                == seeds.seed_columns(spec, builtin)), bundle
 
 
 def test_empty_seed_file_ok_when_nothing_demanded(tmp_path):
