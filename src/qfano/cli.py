@@ -71,9 +71,13 @@ def _structure_defect(mp, mxi):
     return None
 
 
-def _read_lines(path):
-    with open(path) as fh:
-        return fh.read().splitlines()
+def _operator_file(arg, fixture):
+    """(lines, where) of an operator option: the packaged fixture when
+    FILE is omitted, else the named file; parse errors cite `where`."""
+    if arg == "":
+        return fixture_lines(fixture), fixture
+    with open(arg) as fh:
+        return fh.read().splitlines(), arg
 
 
 def _emit(args, outputs):
@@ -155,12 +159,9 @@ def cmd_jfun(args):
                                   for row in table) + "\n"))
     status = 0
     if args.check_operators is not None:
-        source = (fixture_lines("qde_operators.txt")
-                  if args.check_operators == ""
-                  else _read_lines(args.check_operators))
-        named = load_named_expressions(source)
-        parsed = {name: qde.parse_operator(text)
-                  for name, text in named.items()}
+        lines, where = _operator_file(args.check_operators,
+                                      "qde_operators.txt")
+        parsed = load_named_expressions(lines, where, qde.parse_operator)
         report = []
         for name in sorted(parsed):
             failure = qde.check_operator(parsed[name], js)
@@ -182,17 +183,16 @@ def cmd_periods(args):
         raise CliError("--terms must be >= 0")
     bundles = lefschetz.parse_cut(args.cut)
     ctable = qde.identity_series(mp, mxi, spec, max(args.terms - 1, 0))
-    dtable = lefschetz.hypergeometric_modify(ctable, bundles)
-    multiplier = lefschetz.mirror_map_correction(dtable, spec, bundles)
-    seq = lefschetz.period_sequence(dtable, multiplier, args.terms)
+    series = lefschetz.hypergeometric_modify(ctable, spec, bundles)
+    multiplier = lefschetz.mirror_map_correction(series)
+    seq = lefschetz.period_sequence(series, multiplier, args.terms)
     if args.regularized:
         seq = lefschetz.regularize(seq)
     status = 0
     report = []
     if args.pf_verify is not None:
-        source = (fixture_lines("pf_operator.txt") if args.pf_verify == ""
-                  else _read_lines(args.pf_verify))
-        op = lefschetz.operator_from_lines(source)
+        lines, where = _operator_file(args.pf_verify, "pf_operator.txt")
+        op = lefschetz.operator_from_lines(lines, where)
         residual = lefschetz.pf_apply(op, seq)
         bad = next((pos for pos, val in enumerate(residual) if val), None)
         if bad is None:

@@ -20,17 +20,20 @@ def data_lines(lines):
             yield lineno, text
 
 
-def load_named_expressions(lines):
-    """Parse `name = expression` lines (# comments) into an ordered dict."""
+def load_named_expressions(lines, where="<lines>", parse=str):
+    """Parse `name = expression` lines (# comments) into an ordered dict
+    of parse(expression); every error starts with `where:lineno:`."""
     lines = list(lines)
     out = {}
     for lineno, line in data_lines(lines):
-        name, eq, expr = line.partition("=")
-        if not eq or not name.strip() or not expr.strip():
-            raise ValueError("expected `name = expression`, got %r"
-                             % lines[lineno - 1])
-        name = name.strip()
-        if name in out:
-            raise ValueError("line %d: duplicate name %r" % (lineno, name))
-        out[name] = expr.strip()
+        name, eq, expr = (part.strip() for part in line.partition("="))
+        try:
+            if not eq or not name or not expr:
+                raise ValueError("expected `name = expression`, got %r"
+                                 % lines[lineno - 1])
+            if name in out:
+                raise ValueError("duplicate name %r" % name)
+            out[name] = parse(expr)
+        except ValueError as exc:
+            raise ValueError("%s:%d: %s" % (where, lineno, exc)) from None
     return out

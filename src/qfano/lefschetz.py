@@ -2,14 +2,15 @@
 Fuchsian operator.
 
 Cutting the ambient space by nef line bundles rho = u*p + v*xi multiplies
-the identity coefficient c_{i,j} by (u*i + v*j)! per bundle and moves the
-term to z-weight w(i,j) = sum(rho . (i,j)) - i*d1 - j*d2.  Terms at
-w = -1 feed the exponential reparametrization along the unit direction;
-terms at w >= 0 besides the constant would shift the dilaton slot, which
-this pipeline refuses.  Collapsing both Novikov variables to t and
-multiplying by the reparametrization gives the period sequence; the
-regularized sequence (m-th term times m!) is the one an operator in
-D = t d/dt annihilates.
+the identity coefficient c_{i,j} by (u*i + v*j)! per bundle.  The quantum
+period of the cut Y is one series in t graded by -K_Y.(i,j) = w1*i + w2*j,
+with w1 = d1 - sum(u) and w2 = d2 - sum(v); the term then sits at z-weight
+-(w1*i + w2*j).  A cut with w1 < 1 or w2 < 1 would put nonzero classes at
+z-weight >= 0 and shift the dilaton slot, which this pipeline refuses.
+Otherwise grade 1 is exactly the z-weight -1 stratum, whose negated
+exponential is the mirror reparametrization; multiplying by it gives the
+period sequence, and the regularized sequence (m-th term times m!) is the
+one an operator in D = t d/dt annihilates.
 
 Operators are lists of terms coeff * t^m * D^e.  Applied to a sequence,
 the term sends position d to coeff * d^e at position d + m, so every
@@ -21,7 +22,7 @@ primitive integer generator of a one-dimensional kernel.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from qfano import opparse
 from qfano.fixtures_io import data_lines
@@ -49,77 +50,56 @@ def parse_cut(text):
     return bundles
 
 
-def hypergeometric_modify(ctable, bundles):
-    """d_{i,j} = c_{i,j} * product of (u*i + v*j)! over the bundles."""
+def hypergeometric_modify(ctable, spec, bundles):
+    """The cut's series in t, graded by -K_Y.(i,j) = w1*i + w2*j.
+
+    d_m sums c_{i,j} * product of (u*i + v*j)! over the bundles, over
+    every (i, j) of grade m; the list runs to the table's total order,
+    where every grade is complete because w1, w2 >= 1.
+    """
     for (u, v) in bundles:
         if u < 0 or v < 0:
             raise ValueError("bundle (%d,%d) is not nef" % (u, v))
-    out = {}
+    w1 = spec.d1 - sum(u for u, _ in bundles)
+    w2 = spec.d2 - sum(v for _, v in bundles)
+    if w1 < 1 or w2 < 1:
+        raise ValueError(
+            "non-trivial dilaton shift: unsupported (the cut gives "
+            "-K_Y = (%d,%d), which must be positive on both rays)"
+            % (w1, w2))
+    order = max(i + j for (i, j) in ctable)
+    out = [ZERO] * (order + 1)
     for (i, j), val in ctable.items():
-        for (u, v) in bundles:
-            val = val * factorial(u * i + v * j)
-        out[(i, j)] = val
+        m = w1 * i + w2 * j
+        if m <= order:
+            out[m] += val * prod(factorial(u * i + v * j)
+                                 for (u, v) in bundles)
     return out
 
 
-def _exp_table(g, order):
-    """exp of a table with no constant term, kept to total degree <= order."""
-    out = {(0, 0): ONE}
-    power = {(0, 0): ONE}
-    k = 0
-    while power and k <= order:
-        k += 1
-        power = accumulate({}, (
-            ((i1 + i2, j1 + j2), v1 * v2 / k)
-            for (i1, j1), v1 in power.items()
-            for (i2, j2), v2 in g.items() if i1 + i2 + j1 + j2 <= order))
-        accumulate(out, power.items())
-    return out
+def mirror_map_correction(series):
+    """Multiplier exp(-d_1 t) removing the unit-direction shift of the cut.
 
-
-def mirror_map_correction(dtable, spec, bundles):
-    """Multiplier table removing the unit-direction shift of the cut.
-
-    Collects the z-weight -1 stratum of the modified table and returns
-    its negated exponential.  Any nonzero term at z-weight >= 0 other
-    than the constant aborts: that would need a dilaton or scaling
-    correction this pipeline does not implement.
+    Grade 1 is the whole z-weight -1 stratum; the list has the length of
+    the series.
     """
-    order = max(i + j for (i, j) in dtable)
-    shift = {}
-    for (i, j), val in sorted(dtable.items()):
-        if (i, j) == (0, 0) or not val:
-            continue
-        w = sum(u * i + v * j for (u, v) in bundles) \
-            - i * spec.d1 - j * spec.d2
-        if w >= 0:
-            raise ValueError(
-                "non-trivial dilaton shift: unsupported (term q1^%d q2^%d "
-                "at z-weight %d)" % (i, j, w))
-        if w == -1:
-            shift[(i, j)] = -val
-    return _exp_table(shift, order)
+    out = [ONE]
+    for m in range(1, len(series)):
+        out.append(-out[-1] * series[1] / m)
+    return out
 
 
-def period_sequence(dtable, multiplier, terms):
-    """First `terms` coefficients of the collapsed series at q1 = q2 = t."""
+def period_sequence(series, multiplier, terms):
+    """First `terms` coefficients of the series times the multiplier."""
     if terms < 0:
         raise ValueError("term count must be >= 0")
-    order = max(i + j for (i, j) in dtable)
+    order = len(series) - 1
     if terms > order + 1:
         raise ValueError(
             "insufficient truncation: %d terms requested but the "
             "coefficient table reaches total degree %d; recompute with "
             "order >= %d" % (terms, order, terms - 1))
-    dcol = [ZERO] * terms
-    for (i, j), val in dtable.items():
-        if i + j < terms:
-            dcol[i + j] += val
-    mcol = [ZERO] * terms
-    for (i, j), val in multiplier.items():
-        if i + j < terms:
-            mcol[i + j] += val
-    return [sum((dcol[k] * mcol[m - k] for k in range(m + 1)), ZERO)
+    return [sum((series[k] * multiplier[m - k] for k in range(m + 1)), ZERO)
             for m in range(terms)]
 
 
@@ -141,9 +121,14 @@ def parse_pf_operator(text):
             for (m, e) in sorted(terms, key=lambda k: (-k[1], k[0]))]
 
 
-def operator_from_lines(lines):
-    """Parse an operator from text lines with # comments."""
-    return parse_pf_operator(" ".join(text for _, text in data_lines(lines)))
+def operator_from_lines(lines, where="<lines>"):
+    """Parse an operator from text lines with # comments; errors start
+    with `where:`."""
+    try:
+        return parse_pf_operator(
+            " ".join(text for _, text in data_lines(lines)))
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (where, exc)) from None
 
 
 def format_pf_operator(op):

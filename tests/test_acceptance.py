@@ -154,9 +154,9 @@ def test_criterion_06_flatness_and_homogeneity(js14):
 
 def test_criterion_07_period_sequence(flagship, ctable14):
     bundles = lefschetz.parse_cut("p,xi^5")
-    dtable = lefschetz.hypergeometric_modify(ctable14, bundles)
-    multiplier = lefschetz.mirror_map_correction(dtable, flagship, bundles)
-    plain = lefschetz.period_sequence(dtable, multiplier, 10)
+    series = lefschetz.hypergeometric_modify(ctable14, flagship, bundles)
+    multiplier = lefschetz.mirror_map_correction(series)
+    plain = lefschetz.period_sequence(series, multiplier, 10)
     regularized = lefschetz.regularize(plain)
     failures = []
     if plain[2] != 5:
@@ -177,10 +177,10 @@ def test_criterion_08_pf_operator_verified_and_recovered(flagship, matrices):
     start = time.monotonic()
     ctable = qde.identity_series(mp, mxi, flagship, 63)
     bundles = lefschetz.parse_cut("p,xi^5")
-    dtable = lefschetz.hypergeometric_modify(ctable, bundles)
-    multiplier = lefschetz.mirror_map_correction(dtable, flagship, bundles)
+    series = lefschetz.hypergeometric_modify(ctable, flagship, bundles)
+    multiplier = lefschetz.mirror_map_correction(series)
     sequence = lefschetz.regularize(
-        lefschetz.period_sequence(dtable, multiplier, 64))
+        lefschetz.period_sequence(series, multiplier, 64))
     operator = lefschetz.operator_from_lines(fixture_lines("pf_operator.txt"))
     residual = lefschetz.pf_apply(operator, sequence)
     bad = [pos for pos, value in enumerate(residual) if value]

@@ -3,9 +3,12 @@
 import hashlib
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from qfano import cli
 from qfano.fixtures_io import fixture_lines
 
 
@@ -146,7 +149,31 @@ def test_jfun_check_operators_rejects_duplicate_name(tmp_path):
                    "--check-operators", str(ops))
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: line 2: duplicate name 'A'\n"
+    assert proc.stderr == "error: %s:2: duplicate name 'A'\n" % ops
+
+
+@pytest.mark.parametrize("body,error", [
+    ("A = D1 - q1\nB\n", "2: expected `name = expression`, got 'B'"),
+    ("# one\nA = D1 - Q\n", "2: unknown atom 'Q' in term '-Q'")],
+    ids=["malformed", "bad-atom"])
+def test_jfun_check_operators_bad_line_names_file(tmp_path, body, error):
+    ops = tmp_path / "bad.ops"
+    ops.write_text(body)
+    proc = run_cli("jfun", "--bundle", "p1-trivial", "--order", "4",
+                   "--check-operators", str(ops))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: %s:%s\n" % (ops, error)
+
+
+def test_periods_pf_verify_bad_file_names_file(tmp_path):
+    op = tmp_path / "bad.pf"
+    op.write_text("# two lines\nD^2\n- t*Q\n")
+    proc = run_cli("periods", "--terms", "4", "--pf-verify", str(op))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: %s: unknown atom 'Q' in term '-t*Q'\n"
+                           % op)
 
 
 def test_jfun_apery_needs_enough_order():
@@ -224,6 +251,59 @@ def test_periods_dilaton_abort_is_config_error():
     proc = run_cli("periods", "--bundle", "p1-trivial", "--terms", "4")
     assert proc.returncode == 2
     assert "non-trivial dilaton shift" in proc.stderr
+
+
+# The period of the cut is graded by -K_Y, not by total Novikov degree:
+# -K_Y = (1,2) for p,xi^4 and (2,1) for xi^5 on the flagship.
+@pytest.mark.parametrize("cut,expected", [
+    ("p,xi^4", [1, 0, 2, 30, 54, 600, 6590, 26040, 265510]),
+    ("xi^5", [1, 0, 0, 30, 120, 240, 5850, 50400, 214200])])
+def test_periods_graded_by_anticanonical_class(cut, expected):
+    proc = run_cli("periods", "--cut", cut, "--terms", "9", "--regularized")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == [str(v) for v in expected]
+
+
+def test_periods_non_ample_cut_is_config_error():
+    proc = run_cli("periods", "--cut", "p^2,xi^5", "--terms", "9",
+                   "--regularized")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "non-trivial dilaton shift" in proc.stderr
+    assert "-K_Y = (0,1)" in proc.stderr
+
+
+def projective_product_periods(dims, terms):
+    """Regularized period of the product of P^k over dims, closed form:
+    m! times the t^m coefficient of the product over k >= 1 of
+    sum_a t^((k+1)a) / (a!)^(k+1)."""
+    series = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+    for k in dims:
+        if k < 1:
+            continue
+        factor = [Fraction(0)] * terms
+        for a in range(0, terms, k + 1):
+            factor[a] = Fraction(1, factorial(a // (k + 1)) ** (k + 1))
+        series = [sum(series[i] * factor[m - i] for i in range(m + 1))
+                  for m in range(terms)]
+    return [val * factorial(m) for m, val in enumerate(series)]
+
+
+@pytest.mark.parametrize("n,r,cut", [(n, r, cut) for n in (1, 2, 3, 4)
+                                     for r in (2, 3, 4, 5)
+                                     for cut in ("p", "xi")])
+def test_periods_product_bundles_closed_form(tmp_path, capsys, n, r, cut):
+    # cutting P^n x P^(r-1) by p gives P^(n-1) x P^(r-1), by xi
+    # P^n x P^(r-2)
+    cfg = tmp_path / "product.cfg"
+    cfg.write_text("n = %d\nr = %d\n" % (n, r))
+    status = cli.main(["periods", "--bundle", str(cfg), "--cut", cut,
+                       "--terms", "13", "--regularized"])
+    out = capsys.readouterr().out
+    assert status == 0
+    dims = (n - 1, r - 1) if cut == "p" else (n, r - 2)
+    assert out.splitlines()[1:] == [
+        str(v) for v in projective_product_periods(dims, 13)]
 
 
 def test_seeds_dump_drives_reconstruction(tmp_path):

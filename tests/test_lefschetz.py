@@ -34,9 +34,9 @@ def flagship_ctable(flagship):
 @pytest.fixture(scope="module")
 def flagship_periods(flagship, flagship_ctable):
     spec = flagship[0]
-    dtable = lf.hypergeometric_modify(flagship_ctable, FLAGSHIP_CUT)
-    multiplier = lf.mirror_map_correction(dtable, spec, FLAGSHIP_CUT)
-    return lf.period_sequence(dtable, multiplier, 12)
+    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT)
+    multiplier = lf.mirror_map_correction(series)
+    return lf.period_sequence(series, multiplier, 12)
 
 
 def periods_fixture():
@@ -56,32 +56,36 @@ def test_parse_cut():
         lf.parse_cut("p,,xi")
 
 
-def test_hypergeometric_modify(flagship_ctable):
-    dtable = lf.hypergeometric_modify(flagship_ctable, FLAGSHIP_CUT)
-    assert dtable[(1, 1)] == 5          # c = 5 times 1! * (1!)^5
-    assert dtable[(0, 1)] == 1
-    assert dtable[(0, 2)] == F(1, 64) * 2 ** 5
-    # empty cut is the identity on tables
-    assert lf.hypergeometric_modify(flagship_ctable, []) == flagship_ctable
+def test_hypergeometric_modify(flagship, flagship_ctable):
+    spec = flagship[0]
+    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT)
+    # -K_Y = (1,1): grade 1 is (0,1) alone and grade 2 is (1,1) + (0,2),
+    # since c_{1,0} = c_{2,0} = 0
+    assert series[1] == 1
+    assert series[2] == 5 + F(1, 64) * 2 ** 5   # 5 * 1! * (1!)^5, c * (2!)^5
+    # empty cut applies no factorial and grades by -K = (d1, d2) = (2, 6)
+    assert lf.hypergeometric_modify(flagship_ctable, spec, []) == [
+        sum((c for (i, j), c in flagship_ctable.items()
+             if 2 * i + 6 * j == m), F(0)) for m in range(12)]
     with pytest.raises(ValueError, match="not nef"):
-        lf.hypergeometric_modify(flagship_ctable, [(-1, 0)])
+        lf.hypergeometric_modify(flagship_ctable, spec, [(-1, 0)])
 
 
 def test_mirror_multiplier_is_fibre_exponential(flagship, flagship_ctable):
     spec = flagship[0]
-    dtable = lf.hypergeometric_modify(flagship_ctable, FLAGSHIP_CUT)
-    multiplier = lf.mirror_map_correction(dtable, spec, FLAGSHIP_CUT)
+    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT)
+    multiplier = lf.mirror_map_correction(series)
     # only the fibre-ray stratum sits at z-weight -1, so the multiplier
-    # is exp(-q2); both rays collapse identically in the period limit
-    assert multiplier == {(0, m): F((-1) ** m, factorial(m))
-                          for m in range(12)}
+    # is exp(-q2) = exp(-t)
+    assert multiplier == [F((-1) ** m, factorial(m)) for m in range(12)]
 
 
 def test_mirror_multiplier_trivial_without_cut():
     spec = make_bundle(1, 2)
     mp, mxi = reconstruct(spec)
     ctable = qde.identity_series(mp, mxi, spec, 4)
-    assert lf.mirror_map_correction(ctable, spec, []) == {(0, 0): 1}
+    series = lf.hypergeometric_modify(ctable, spec, [])
+    assert lf.mirror_map_correction(series) == [1, 0, 0, 0, 0]
 
 
 def test_dilaton_shift_refused(flagship):
@@ -89,7 +93,7 @@ def test_dilaton_shift_refused(flagship):
     table = {(0, 0): F(1), (1, 0): F(5)}
     for cut in ([(2, 0)], [(3, 0)]):
         with pytest.raises(ValueError, match="dilaton shift"):
-            lf.mirror_map_correction(table, spec, cut)
+            lf.hypergeometric_modify(table, spec, cut)
 
 
 def test_period_sequence_flagship(flagship_periods):
@@ -102,12 +106,12 @@ def test_period_sequence_flagship(flagship_periods):
 
 def test_period_sequence_edge_counts(flagship, flagship_ctable):
     spec = flagship[0]
-    dtable = lf.hypergeometric_modify(flagship_ctable, FLAGSHIP_CUT)
-    multiplier = lf.mirror_map_correction(dtable, spec, FLAGSHIP_CUT)
-    assert lf.period_sequence(dtable, multiplier, 1) == [1]
-    assert lf.period_sequence(dtable, multiplier, 0) == []
+    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT)
+    multiplier = lf.mirror_map_correction(series)
+    assert lf.period_sequence(series, multiplier, 1) == [1]
+    assert lf.period_sequence(series, multiplier, 0) == []
     with pytest.raises(ValueError, match="order >= 12"):
-        lf.period_sequence(dtable, multiplier, 13)
+        lf.period_sequence(series, multiplier, 13)
 
 
 def test_regularize():
