@@ -162,6 +162,11 @@ def cmd_jfun(args):
         lines, where = _operator_file(args.check_operators,
                                       "qde_operators.txt")
         parsed = load_named_expressions(lines, where, qde.parse_operator)
+        if not parsed:
+            raise CliError("%s: no operators" % where)
+        zero = next((name for name in parsed if not parsed[name]), None)
+        if zero is not None:
+            raise CliError("%s: operator %r is zero" % (where, zero))
         report = []
         for name in sorted(parsed):
             failure = qde.check_operator(parsed[name], js)
@@ -193,6 +198,8 @@ def cmd_periods(args):
     if args.pf_verify is not None:
         lines, where = _operator_file(args.pf_verify, "pf_operator.txt")
         op = lefschetz.operator_from_lines(lines, where)
+        if not op:
+            raise CliError("%s: operator is zero" % where)
         residual = lefschetz.pf_apply(op, seq)
         bad = next((pos for pos, val in enumerate(residual) if val), None)
         if bad is None:

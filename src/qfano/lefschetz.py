@@ -36,8 +36,11 @@ def parse_cut(text):
     """Parse a cut like "p,xi^5" into line-bundle pairs (u, v).
 
     Each comma-separated factor is p or xi with an optional caret count
-    of repeated bundles; "p,xi^5" gives one (1,0) and five (0,1).
+    of repeated bundles; "p,xi^5" gives one (1,0) and five (0,1).  An
+    empty or blank cut is no cut: Y = X.
     """
+    if not text.strip():
+        return []
     bundles = []
     for item in text.split(","):
         item = item.strip()

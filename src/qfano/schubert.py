@@ -1,5 +1,5 @@
-"""Schubert calculus on G(k,m) plus the exceptional-divisor ring for the
-flagship bundle.
+"""Schubert calculus on G(k,m) and the flagship's exceptional-divisor
+pushforward.
 
 Schubert classes are maps from partitions (at most k parts, each at most
 m-k) to Fractions.  Multiplication is Pieri-generated; products by a
@@ -7,12 +7,13 @@ two-part partition use the 2x2 Giambelli combination of Pieri steps.
 
 The flagship's second extremal contraction is resolved by a divisor
 D = P(Q*) over G(2,5) with relative class eta, presented in the subspace
-convention with c_i(Q*) = (-1)^i sigma_i, so
+convention with c_i(Q*) = (-1)^i sigma_i.  A class of X restricts to D
+by p -> eta and xi -> sigma_1, and the Segre classes s_i(Q*) are the
+pushforwards of eta^(2+i) (Fulton, Intersection Theory, 3.1), so
 
-    eta^3 = sigma_1 eta^2 - sigma_2 eta + sigma_3.
+    pi_*(p^a xi^b |_D) = sigma_1^b s_(a-2)(Q*),
 
-Classes of D are maps (partition, eta-power) -> Fraction, eta-power <= 2
-after reduction.
+which is zero for a < 2.
 """
 
 from fractions import Fraction
@@ -170,57 +171,19 @@ def is_flagship(spec):
     return (spec.n, spec.r) == (4, 6) and tuple(spec.chern) == (-3, 5, -5, 0, 0, 0)
 
 
-@cache
-def eta_power(a):
-    """eta^a reduced to eta-powers <= 2; returns {e: SchubertClass}."""
-    if a < 0:
-        raise ValueError("negative eta power")
-    if a <= 2:
-        return {a: sigma()}
-    gr = g25()
-    out = {}
-    for e, cls in eta_power(a - 1).items():
-        if e < 2:
-            out[e + 1] = add(out.get(e + 1, {}), cls)
-        else:
-            # eta^3 = sigma_1 eta^2 - sigma_2 eta + sigma_3
-            out[2] = add(out.get(2, {}), gr.pieri(cls, 1))
-            out[1] = add(out.get(1, {}), scale(gr.pieri(cls, 2), -1))
-            out[0] = add(out.get(0, {}), gr.pieri(cls, 3))
-    return {e: cls for e, cls in out.items() if cls}
-
-
-def restrict_to_divisor(spec, x):
-    """Restrict a class of the flagship X to D = P(Q*): p -> eta, xi -> sigma_1.
-
-    Returns a map (partition, eta-power) -> Fraction with eta-power <= 2.
-    """
+def pushforward_from_divisor(spec, x):
+    """Push a class of the flagship X, restricted to D = P(Q*), to G(2,5):
+    p^a xi^b maps to sigma_1^b s_(a-2)(Q*), and to zero when a < 2."""
     if not is_flagship(spec):
         raise ValueError("exceptional-divisor geometry is flagship-specific")
     gr = g25()
     out = {}
     for i, coef in enumerate(x):
-        if not coef:
-            continue
         a, b = spec.basis[i]
-        for e, cls in eta_power(a).items():
-            for _ in range(b):
-                cls = gr.pieri(cls, 1)
-            accumulate(out, (((lam, e), coef * c) for lam, c in cls.items()))
-    return out
-
-
-def pushforward_divisor(x):
-    """Push a class of D down the P^2-fibration to G(2,5).
-
-    sigma_lam * eta^(2+i) maps to sigma_lam * s_i(Q*); eta-powers below 2
-    push to zero.  Accepts unreduced input (any eta-power >= 0).
-    """
-    gr = g25()
-    out = {}
-    for (lam, e), coef in x.items():
-        if e < 2 or not coef:
+        if not coef or a < 2:
             continue
-        for mu, c in qstar_segre(e - 2).items():
-            out = add(out, scale(gr.mult_partition({lam: coef}, mu), c))
+        cls = qstar_segre(a - 2)
+        for _ in range(b):
+            cls = gr.pieri(cls, 1)
+        accumulate(out, ((lam, coef * c) for lam, c in cls.items()))
     return out

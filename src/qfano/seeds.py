@@ -5,13 +5,12 @@ two-point invariants <gamma, phi_j> in the fibre direction (0,1) and in the
 base directions (k,0) with k*d1 <= deg(gamma) + 1.  Fibre invariants are
 intrinsic (pushforward to the base, vanishing for multiplicity >= 2).  The
 base-direction invariants form one finite SeedTable, read from a seed file
-by load_seeds or filled by builtin_source from one invariant function:
+by load_seeds or filled by builtin_source from one pushforward pairing:
 
-  * blowup_invariant  - the flagship geometry, via the exceptional divisor
-                        over G(2,5) (vanishing for multiplicity >= 2);
-  * product_invariant - bundles with all Chern coefficients zero, where the
-                        second projection is itself a fibration and the same
-                        pushforward argument applies on the other side.
+  * blowup_invariant  - the flagship: both classes pushed from the
+                        exceptional divisor to G(2,5) and paired there;
+  * product_invariant - all Chern coefficients zero: fiber_invariant on X
+                        read as the product bundle over the other factor.
 
 Both ways pass every entry through the same dimension and symmetry checks.
 """
@@ -25,6 +24,7 @@ from qfano.ring import (
     basis_index,
     classical_mul,
     dual_basis,
+    make_bundle,
     monomial_class,
     pushforward_to_base,
 )
@@ -61,7 +61,7 @@ def blowup_invariant(spec, alpha, beta, k):
     """Two-point invariant of k times the base ray, flagship geometry.
 
     Zero for k >= 2; for k = 1 the Grassmannian pairing of the two
-    classes restricted to the exceptional divisor and pushed down.
+    classes pushed from the exceptional divisor to G(2,5).
     """
     if not schubert.is_flagship(spec):
         raise ValueError("blow-up seed geometry is flagship-specific")
@@ -69,35 +69,23 @@ def blowup_invariant(spec, alpha, beta, k):
         raise ValueError("multiplicity must be >= 1")
     if k >= 2:
         return ZERO
-    gr = schubert.g25()
-    ra = schubert.pushforward_divisor(schubert.restrict_to_divisor(spec, alpha))
-    rb = schubert.pushforward_divisor(schubert.restrict_to_divisor(spec, beta))
-    return gr.pair(ra, rb)
+    return schubert.g25().pair(schubert.pushforward_from_divisor(spec, alpha),
+                               schubert.pushforward_from_divisor(spec, beta))
 
 
 def product_invariant(spec, alpha, beta, k):
     """Base-ray invariant for an all-zero-Chern (product) bundle.
 
-    The second projection X = P^n x P^(r-1) -> P^(r-1) is a fibration
-    whose fibre line is the base ray, so the fibre argument applies with
-    the roles of p and xi exchanged: multiplicity >= 2 vanishes, and for
-    k = 1 the pushforward keeps only the p^n layer.
+    X = P^n x P^(r-1) is also the product bundle over P^(r-1) with fibre
+    P^n, whose fibre line is the base ray here: the invariant is
+    fiber_invariant on that swapped spec, with p^a xi^b read as p^b xi^a.
     """
     if any(spec.chern):
         raise ValueError("product seed geometry needs all Chern coefficients zero")
-    if k < 1:
-        raise ValueError("multiplicity must be >= 1")
-    if k >= 2:
-        return ZERO
-    pa = [ZERO] * spec.r
-    pb = [ZERO] * spec.r
-    for i, c in enumerate(alpha):
-        if c and spec.basis[i][0] == spec.n:
-            pa[spec.basis[i][1]] += c
-    for i, c in enumerate(beta):
-        if c and spec.basis[i][0] == spec.n:
-            pb[spec.basis[i][1]] += c
-    return sum((pa[b] * pb[spec.r - 1 - b] for b in range(spec.r)), ZERO)
+    swapped = make_bundle(spec.r - 1, spec.n + 1)
+    alpha, beta = ([x[spec.position(b, a)] for a, b in swapped.basis]
+                   for x in (alpha, beta))
+    return fiber_invariant(swapped, alpha, beta, k)
 
 
 class SeedTable:

@@ -166,6 +166,34 @@ def test_jfun_check_operators_bad_line_names_file(tmp_path, body, error):
     assert proc.stderr == "error: %s:%s\n" % (ops, error)
 
 
+@pytest.mark.parametrize("body,error", [
+    ("# no operators here\n\n", "no operators"),
+    ("A = 0\nB = D1 - q1\n", "operator 'A' is zero")],
+    ids=["no-operators", "zero-operator"])
+def test_jfun_check_operators_refuses_empty_check(tmp_path, body, error):
+    ops = tmp_path / "ops.txt"
+    ops.write_text(body)
+    out = tmp_path / "jf"
+    proc = run_cli("jfun", "--bundle", "p1-trivial", "--order", "4",
+                   "--check-operators", str(ops), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: %s: %s\n" % (ops, error)
+    assert not out.exists()
+
+
+def test_periods_pf_verify_refuses_zero_operator(tmp_path):
+    op = tmp_path / "zero.pf"
+    op.write_text("# annihilates everything\n0\n")
+    out = tmp_path / "pf"
+    proc = run_cli("periods", "--terms", "8", "--pf-verify", str(op),
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: %s: operator is zero\n" % op
+    assert not out.exists()
+
+
 def test_periods_pf_verify_bad_file_names_file(tmp_path):
     op = tmp_path / "bad.pf"
     op.write_text("# two lines\nD^2\n- t*Q\n")
@@ -273,6 +301,25 @@ def test_periods_non_ample_cut_is_config_error():
     assert "-K_Y = (0,1)" in proc.stderr
 
 
+def test_periods_empty_cut_is_period_of_the_bundle(capsys):
+    # P^1 x P^1 graded by -K = (2,2): term 2k is binom(2k,k)^2
+    status = cli.main(["periods", "--bundle", "p1-trivial", "--cut", "",
+                       "--terms", "9", "--regularized"])
+    assert status == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "1", "0", "4", "0", "36", "0", "400", "0", "4900"]
+
+
+def test_periods_empty_cut_matches_p0(capsys):
+    outs = []
+    for cut in ("", "p^0"):
+        status = cli.main(["periods", "--cut", cut, "--terms", "12",
+                           "--regularized"])
+        assert status == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def projective_product_periods(dims, terms):
     """Regularized period of the product of P^k over dims, closed form:
     m! times the t^m coefficient of the product over k >= 1 of
@@ -291,17 +338,17 @@ def projective_product_periods(dims, terms):
 
 @pytest.mark.parametrize("n,r,cut", [(n, r, cut) for n in (1, 2, 3, 4)
                                      for r in (2, 3, 4, 5)
-                                     for cut in ("p", "xi")])
+                                     for cut in ("p", "xi", "")])
 def test_periods_product_bundles_closed_form(tmp_path, capsys, n, r, cut):
     # cutting P^n x P^(r-1) by p gives P^(n-1) x P^(r-1), by xi
-    # P^n x P^(r-2)
+    # P^n x P^(r-2), and the empty cut leaves P^n x P^(r-1)
     cfg = tmp_path / "product.cfg"
     cfg.write_text("n = %d\nr = %d\n" % (n, r))
     status = cli.main(["periods", "--bundle", str(cfg), "--cut", cut,
                        "--terms", "13", "--regularized"])
     out = capsys.readouterr().out
     assert status == 0
-    dims = (n - 1, r - 1) if cut == "p" else (n, r - 2)
+    dims = {"p": (n - 1, r - 1), "xi": (n, r - 2), "": (n, r - 1)}[cut]
     assert out.splitlines()[1:] == [
         str(v) for v in projective_product_periods(dims, 13)]
 

@@ -54,6 +54,9 @@ def test_parse_cut():
         lf.parse_cut("2*p")
     with pytest.raises(ValueError, match="empty cut factor"):
         lf.parse_cut("p,,xi")
+    # no cut at all: the period of X itself
+    assert lf.parse_cut("") == []
+    assert lf.parse_cut("  ") == []
 
 
 def test_hypergeometric_modify(flagship, flagship_ctable):

@@ -1,20 +1,86 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfano.linalg import accumulate
 from qfano.ring import make_bundle, monomial_class
 from qfano.schubert import (
     Grassmannian,
     add,
-    eta_power,
     g25,
-    pushforward_divisor,
+    is_flagship,
+    pushforward_from_divisor,
     qstar_chern,
     qstar_segre,
-    restrict_to_divisor,
     scale,
     sigma,
 )
+
+
+# Reference: the eta-power reduction on D = P(Q*), the restriction and the
+# pushforward that qfano.schubert used before its direct pushforward, kept
+# verbatim so the two can be compared on any class.
+@cache
+def eta_power(a):
+    """eta^a reduced to eta-powers <= 2; returns {e: SchubertClass}."""
+    if a < 0:
+        raise ValueError("negative eta power")
+    if a <= 2:
+        return {a: sigma()}
+    gr = g25()
+    out = {}
+    for e, cls in eta_power(a - 1).items():
+        if e < 2:
+            out[e + 1] = add(out.get(e + 1, {}), cls)
+        else:
+            # eta^3 = sigma_1 eta^2 - sigma_2 eta + sigma_3
+            out[2] = add(out.get(2, {}), gr.pieri(cls, 1))
+            out[1] = add(out.get(1, {}), scale(gr.pieri(cls, 2), -1))
+            out[0] = add(out.get(0, {}), gr.pieri(cls, 3))
+    return {e: cls for e, cls in out.items() if cls}
+
+
+def restrict_to_divisor(spec, x):
+    """Restrict a class of the flagship X to D = P(Q*): p -> eta, xi -> sigma_1.
+
+    Returns a map (partition, eta-power) -> Fraction with eta-power <= 2.
+    """
+    if not is_flagship(spec):
+        raise ValueError("exceptional-divisor geometry is flagship-specific")
+    gr = g25()
+    out = {}
+    for i, coef in enumerate(x):
+        if not coef:
+            continue
+        a, b = spec.basis[i]
+        for e, cls in eta_power(a).items():
+            for _ in range(b):
+                cls = gr.pieri(cls, 1)
+            accumulate(out, (((lam, e), coef * c) for lam, c in cls.items()))
+    return out
+
+
+def pushforward_divisor(x):
+    """Push a class of D down the P^2-fibration to G(2,5).
+
+    sigma_lam * eta^(2+i) maps to sigma_lam * s_i(Q*); eta-powers below 2
+    push to zero.  Accepts unreduced input (any eta-power >= 0).
+    """
+    gr = g25()
+    out = {}
+    for (lam, e), coef in x.items():
+        if e < 2 or not coef:
+            continue
+        for mu, c in qstar_segre(e - 2).items():
+            out = add(out, scale(gr.mult_partition({lam: coef}, mu), c))
+    return out
+
+
+def reference_pushforward(spec, x):
+    return pushforward_divisor(restrict_to_divisor(spec, x))
 
 
 @pytest.fixture(scope="module")
@@ -118,50 +184,42 @@ def test_qstar_chern_segre_inverse(gr):
         assert acc == ({(): 1} if i == 0 else {}), i
 
 
-def test_eta_powers(gr):
-    assert eta_power(3) == {2: {(1,): 1}, 1: {(2,): -1}, 0: {(3,): 1}}
-    e4 = eta_power(4)
-    assert e4[2] == {(1, 1): 1}
-    assert e4[1] == {(2, 1): -1}
-    assert e4[0] == {(3, 1): 1}
+def test_pushforward_matches_reference_on_monomials(flagship):
+    for a, b in flagship.basis:
+        x = monomial_class(flagship, a, b)
+        assert pushforward_from_divisor(flagship, x) == \
+            reference_pushforward(flagship, x), (a, b)
 
 
-def test_eta_reduction_consistent_with_pushforward(gr):
-    # push eta^(2+i) directly, or reduce first and then push: same class
-    for i in range(5):
-        direct = pushforward_divisor({((), 2 + i): Fraction(1)})
-        reduced = eta_power(2 + i)
-        via_reduce = {}
-        for e, cls in reduced.items():
-            for lam, c in cls.items():
-                via_reduce = add(via_reduce,
-                                 pushforward_divisor({(lam, e): c}))
-        assert direct == via_reduce == qstar_segre(i), i
-
-
-def test_restrict_examples(flagship):
-    p = monomial_class(flagship, 1, 0)
-    assert restrict_to_divisor(flagship, p) == {((), 1): 1}
-
-    xi2 = monomial_class(flagship, 0, 2)
-    assert restrict_to_divisor(flagship, xi2) == {((2,), 0): 1, ((1, 1), 0): 1}
-
-    p4 = monomial_class(flagship, 4, 0)
-    assert restrict_to_divisor(flagship, p4) == {
-        ((1, 1), 2): 1,
-        ((2, 1), 1): -1,
-        ((3, 1), 0): 1,
-    }
-
-
-def test_restrict_rejects_other_specs():
-    other = make_bundle(3, 3, [1])
-    with pytest.raises(ValueError):
-        restrict_to_divisor(other, monomial_class(other, 1, 0))
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-9, max_value=9,
+                                       max_denominator=12)),
+                min_size=30, max_size=30))
+def test_eta_reduction_consistent_with_pushforward(flagship, x):
+    # reducing eta-powers on D before pushing gives the direct pushforward
+    assert pushforward_from_divisor(flagship, x) == \
+        reference_pushforward(flagship, x)
 
 
 def test_pushforward_examples(flagship):
-    assert pushforward_divisor({((), 2): Fraction(1)}) == {(): 1}
-    assert pushforward_divisor({((2, 1), 1): Fraction(1)}) == {}
-    p4 = monomial_class(flagship, 4, 0)
-    assert pushforward_divisor(restrict_to_divisor(flagship, p4)) == {(1, 1): 1}
+    def push(a, b):
+        return pushforward_from_divisor(flagship, monomial_class(flagship, a, b))
+
+    # p^(2+i) -> s_i(Q*): 1, sigma_1, sigma_(1,1)
+    for i in range(3):
+        assert push(2 + i, 0) == qstar_segre(i), i
+    assert push(4, 0) == {(1, 1): 1}
+    # eta-powers below 2 push to zero
+    assert push(1, 0) == {}
+    assert push(0, 2) == {}
+    assert push(1, 3) == {}
+    # p^2 xi = sigma_1, p^3 xi = sigma_1^2 = sigma_2 + sigma_(1,1)
+    assert push(2, 1) == {(1,): 1}
+    assert push(3, 1) == {(2,): 1, (1, 1): 1}
+
+
+def test_pushforward_rejects_other_specs():
+    other = make_bundle(3, 3, [1])
+    with pytest.raises(ValueError, match="flagship-specific"):
+        pushforward_from_divisor(other, monomial_class(other, 1, 0))

@@ -82,6 +82,20 @@ def test_product_invariant(p1p1):
                                 mono(twisted, 1, 1), 1)
 
 
+def test_product_invariant_closed_form():
+    # on P^n x P^(r-1) one line of class (1,0) meets p^n xi^b and p^n xi^d,
+    # once, when b + d = r - 1: the line through two points of P^n
+    for n in range(1, 5):
+        for r in range(2, 6):
+            spec = make_bundle(n, r)
+            for a, b in spec.basis:
+                for c, d in spec.basis:
+                    want = int(a == c == n and b + d == r - 1)
+                    assert seeds.product_invariant(
+                        spec, mono(spec, a, b), mono(spec, c, d), 1) == want, \
+                        (n, r, (a, b), (c, d))
+
+
 def test_builtin_source_dispatch(flagship, p1p1):
     for spec, invariant in ((flagship, seeds.blowup_invariant),
                             (p1p1, seeds.product_invariant)):
