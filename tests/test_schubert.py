@@ -184,6 +184,30 @@ def test_qstar_chern_segre_inverse(gr):
         assert acc == ({(): 1} if i == 0 else {}), i
 
 
+def test_eta_powers(gr):
+    # the reference reduction: eta^3 and eta^4 on D in eta-powers <= 2
+    assert eta_power(3) == {2: {(1,): 1}, 1: {(2,): -1}, 0: {(3,): 1}}
+    e4 = eta_power(4)
+    assert e4[2] == {(1, 1): 1}
+    assert e4[1] == {(2, 1): -1}
+    assert e4[0] == {(3, 1): 1}
+
+
+def test_restrict_examples(flagship):
+    p = monomial_class(flagship, 1, 0)
+    assert restrict_to_divisor(flagship, p) == {((), 1): 1}
+
+    xi2 = monomial_class(flagship, 0, 2)
+    assert restrict_to_divisor(flagship, xi2) == {((2,), 0): 1, ((1, 1), 0): 1}
+
+    p4 = monomial_class(flagship, 4, 0)
+    assert restrict_to_divisor(flagship, p4) == {
+        ((1, 1), 2): 1,
+        ((2, 1), 1): -1,
+        ((3, 1), 0): 1,
+    }
+
+
 def test_pushforward_matches_reference_on_monomials(flagship):
     for a, b in flagship.basis:
         x = monomial_class(flagship, a, b)
