@@ -142,6 +142,15 @@ def cmd_jfun(args):
         raise CliError("--order must be >= 0")
     if args.apery is not None and args.apery < 0:
         raise CliError("--apery must be >= 0")
+    if args.check_operators is not None:
+        lines, where = _operator_file(args.check_operators,
+                                      "qde_operators.txt")
+        parsed = load_named_expressions(lines, where, qde.parse_operator)
+        if not parsed:
+            raise CliError("%s: no operators" % where)
+        zero = next((name for name in parsed if not parsed[name]), None)
+        if zero is not None:
+            raise CliError("%s: operator %r is zero" % (where, zero))
     js = qde.j_series(mp, mxi, spec, args.order)
     bad = qde.check_homogeneity(js)
     if bad is not None:
@@ -159,14 +168,6 @@ def cmd_jfun(args):
                                   for row in table) + "\n"))
     status = 0
     if args.check_operators is not None:
-        lines, where = _operator_file(args.check_operators,
-                                      "qde_operators.txt")
-        parsed = load_named_expressions(lines, where, qde.parse_operator)
-        if not parsed:
-            raise CliError("%s: no operators" % where)
-        zero = next((name for name in parsed if not parsed[name]), None)
-        if zero is not None:
-            raise CliError("%s: operator %r is zero" % (where, zero))
         report = []
         for name in sorted(parsed):
             failure = qde.check_operator(parsed[name], js)
@@ -187,8 +188,22 @@ def cmd_periods(args):
     if args.terms < 0:
         raise CliError("--terms must be >= 0")
     bundles = lefschetz.parse_cut(args.cut)
-    ctable = qde.identity_series(mp, mxi, spec, max(args.terms - 1, 0))
-    series = lefschetz.hypergeometric_modify(ctable, spec, bundles)
+    weights = lefschetz.cut_weights(spec, bundles)
+    if args.pf_verify is not None:
+        lines, where = _operator_file(args.pf_verify, "pf_operator.txt")
+        op = lefschetz.operator_from_lines(lines, where)
+        if not op:
+            raise CliError("%s: operator is zero" % where)
+    if args.pf_search:
+        try:
+            search_order, search_degree = (
+                int(tok) for tok in args.pf_search.split(","))
+        except ValueError:
+            raise CliError("--pf-search expects ORDER,DEGREE")
+        lefschetz.check_search_box(args.terms, search_order, search_degree)
+    order = max(args.terms - 1, 0)
+    ctable = qde.identity_series(mp, mxi, spec, order, weights)
+    series = lefschetz.hypergeometric_modify(ctable, spec, bundles, order)
     multiplier = lefschetz.mirror_map_correction(series)
     seq = lefschetz.period_sequence(series, multiplier, args.terms)
     if args.regularized:
@@ -196,10 +211,6 @@ def cmd_periods(args):
     status = 0
     report = []
     if args.pf_verify is not None:
-        lines, where = _operator_file(args.pf_verify, "pf_operator.txt")
-        op = lefschetz.operator_from_lines(lines, where)
-        if not op:
-            raise CliError("%s: operator is zero" % where)
         residual = lefschetz.pf_apply(op, seq)
         bad = next((pos for pos, val in enumerate(residual) if val), None)
         if bad is None:
@@ -210,11 +221,6 @@ def cmd_periods(args):
                           % (format_rational(residual[bad]), bad))
             status = 1
     if args.pf_search:
-        try:
-            search_order, search_degree = (
-                int(tok) for tok in args.pf_search.split(","))
-        except ValueError:
-            raise CliError("--pf-search expects ORDER,DEGREE")
         found = lefschetz.find_annihilator(seq, search_order, search_degree)
         if found is None:
             report.append("no annihilator within order %d, degree %d"

@@ -53,13 +53,9 @@ def parse_cut(text):
     return bundles
 
 
-def hypergeometric_modify(ctable, spec, bundles):
-    """The cut's series in t, graded by -K_Y.(i,j) = w1*i + w2*j.
-
-    d_m sums c_{i,j} * product of (u*i + v*j)! over the bundles, over
-    every (i, j) of grade m; the list runs to the table's total order,
-    where every grade is complete because w1, w2 >= 1.
-    """
+def cut_weights(spec, bundles):
+    """The grading (w1, w2) = -K_Y of the cut, refusing a bundle that is
+    not nef and a cut that is not positive on both rays."""
     for (u, v) in bundles:
         if u < 0 or v < 0:
             raise ValueError("bundle (%d,%d) is not nef" % (u, v))
@@ -70,13 +66,23 @@ def hypergeometric_modify(ctable, spec, bundles):
             "non-trivial dilaton shift: unsupported (the cut gives "
             "-K_Y = (%d,%d), which must be positive on both rays)"
             % (w1, w2))
-    order = max(i + j for (i, j) in ctable)
+    return w1, w2
+
+
+def hypergeometric_modify(ctable, spec, bundles, order):
+    """The cut's series in t to grade order, graded by -K_Y.(i,j) =
+    w1*i + w2*j.
+
+    d_m sums c_{i,j} * product of (u*i + v*j)! over the bundles, over
+    every (i, j) of grade m; ctable must hold every index of grade at most
+    order, and may hold more.
+    """
+    w1, w2 = cut_weights(spec, bundles)
     out = [ZERO] * (order + 1)
-    for (i, j), val in ctable.items():
-        m = w1 * i + w2 * j
-        if m <= order:
-            out[m] += val * prod(factorial(u * i + v * j)
-                                 for (u, v) in bundles)
+    for i in range(order // w1 + 1):
+        for j in range((order - w1 * i) // w2 + 1):
+            out[w1 * i + w2 * j] += ctable[(i, j)] * prod(
+                factorial(u * i + v * j) for (u, v) in bundles)
     return out
 
 
@@ -181,25 +187,31 @@ def pf_normalize(op):
             for term in sorted(op, key=lambda t: (-t.e, t.m))]
 
 
-def find_annihilator(seq, max_order, max_degree):
-    """Search for one operator of D-order and t-degree at most the bounds.
-
-    Solves the exact linear system over every certified position of the
-    sequence.  Returns the primitive normalized generator of a
-    one-dimensional kernel, None for an empty kernel, and raises when a
-    bound is negative, the system is underdetermined or the kernel has
-    dimension above one.
-    """
+def check_search_box(terms, max_order, max_degree):
+    """Refuse a search box with a negative bound, or one that a sequence
+    of `terms` terms cannot overdetermine."""
     for name, bound in (("order", max_order), ("degree", max_degree)):
         if bound < 0:
             raise ValueError("operator %s bound must be >= 0, got %d"
                              % (name, bound))
     unknowns = (max_order + 1) * (max_degree + 1)
-    if len(seq) <= unknowns:
+    if terms <= unknowns:
         raise ValueError(
             "sequence of length %d cannot overdetermine %d operator "
             "coefficients; need more than %d terms"
-            % (len(seq), unknowns, unknowns))
+            % (terms, unknowns, unknowns))
+
+
+def find_annihilator(seq, max_order, max_degree):
+    """Search for one operator of D-order and t-degree at most the bounds.
+
+    Solves the exact linear system over every certified position of the
+    sequence.  Returns the primitive normalized generator of a
+    one-dimensional kernel, None for an empty kernel, and raises when
+    check_search_box refuses the box or the kernel has dimension above
+    one.
+    """
+    check_search_box(len(seq), max_order, max_degree)
     cols = [(e, m) for e in range(max_order + 1)
             for m in range(max_degree + 1)]
     rows = []

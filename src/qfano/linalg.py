@@ -1,11 +1,24 @@
 """Exact linear algebra over the rationals: one dense elimination, which
-runs fraction-free on integers and returns Fractions, and sparse
-accumulation."""
+runs fraction-free on integers or on residues modulo a prime, and sparse
+accumulation.
+
+nullspace first eliminates modulo each prime of _MODULI in turn, rebuilds
+every basis vector by rational reconstruction and certifies it by an
+exact product with the integer rows.  A certified basis is the reduced
+row echelon basis over Q entry for entry: the rank modulo a prime is at
+most the rank over Q, and a kernel vector over Q with a 1 at a column and
+support only on earlier columns makes that column free over Q too.  If a
+reconstruction or a check fails for every prime, the exact fraction-free
+pass decides.
+"""
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 ZERO = Fraction(0)
+
+# Mersenne primes for the modular kernel, tried in this order.
+_MODULI = (2 ** 127 - 1, 2 ** 521 - 1, 2 ** 1279 - 1)
 
 
 def accumulate(dst, items):
@@ -27,7 +40,7 @@ def _integer_row(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _rref(rows, ncols):
+def _rref(rows, ncols, modulus=None):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows in
     place over the first ncols columns.
 
@@ -37,6 +50,10 @@ def _rref(rows, ncols):
     pivot (1 at first); the division is exact because every entry is a
     minor of the input.  Every pivot entry ends equal to one integer d, so
     the reduced row echelon form is rows / d.  Returns (rows, pivots, d).
+
+    With a prime modulus the rows hold residues, each pivot row is scaled
+    to pivot 1 and the others become row - row[c]*pivot_row reduced, so d
+    is 1 and rows is the reduced row echelon form modulo the prime.
     """
     pivots = []
     prev = 1
@@ -48,11 +65,17 @@ def _rref(rows, ncols):
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         p = prow[c]
+        if modulus:
+            inv = pow(p, -1, modulus)
+            prow = rows[r] = [x * inv % modulus for x in prow]
+            p = 1
         for i, row in enumerate(rows):
             if i == r:
                 continue
             f = row[c]
-            if f:
+            if f and modulus:
+                rows[i] = [(a - f * b) % modulus for a, b in zip(row, prow)]
+            elif f:
                 rows[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
             elif p != prev:
                 rows[i] = [p * a // prev for a in row]
@@ -78,22 +101,68 @@ def invert(mat):
     return [[Fraction(x, d) for x in row[n:]] for row in aug]
 
 
+def _rational(x, modulus):
+    """The fraction n/d with n = d*x modulo the prime and |n|, d at most
+    sqrt(modulus/2), by the extended Euclidean algorithm, or None."""
+    bound = isqrt(modulus // 2)
+    r0, r1, t0, t1 = modulus, x, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    if abs(t1) > bound:
+        return None
+    return Fraction(r1, t1)
+
+
+def _echelon_basis(rows, pivots, ncols, entry):
+    """One kernel vector per free column of reduced echelon rows, with
+    entry(x) the value at a pivot column whose row holds x at the free
+    column; None as soon as entry returns None."""
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [ZERO] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                val = entry(row[fc])
+                if val is None:
+                    return None
+                vec[pc] = val
+        basis.append(vec)
+    return basis
+
+
+def _certified(rows, basis):
+    """True when every vector is an exact kernel vector of the integer
+    rows."""
+    for vec in basis:
+        den = lcm(*(x.denominator for x in vec))
+        support = [(j, x.numerator * (den // x.denominator))
+                   for j, x in enumerate(vec) if x]
+        if any(sum(row[j] * n for j, n in support) for row in rows):
+            return False
+    return True
+
+
 def nullspace(mat, ncols=None):
     """Exact right nullspace basis of a rectangular matrix of Fractions.
 
     Returns a list of basis vectors (lists of Fractions), one per free
-    column of the reduced row echelon form.
+    column of the reduced row echelon form.  The first prime of _MODULI
+    whose kernel lifts and passes the exact check gives the basis; the
+    fraction-free pass gives it when none does.
     """
     rows = [_integer_row(row) for row in mat]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
+    for q in _MODULI:
+        residues, pivots, _ = _rref([[x % q for x in row] for row in rows],
+                                    ncols, q)
+        basis = _echelon_basis(residues, pivots, ncols,
+                               lambda x: _rational(q - x, q))
+        if basis is not None and _certified(rows, basis):
+            return basis
     rows, pivots, d = _rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = Fraction(-rows[i][fc], d)
-        basis.append(vec)
-    return basis
+    return _echelon_basis(rows, pivots, ncols, lambda x: Fraction(-x, d))

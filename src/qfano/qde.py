@@ -250,8 +250,12 @@ def _index_defect(js, a, b, u=None):
     return u, None
 
 
-def _solve(mp, mxi, spec, order, rows):
-    """The series with every block cut to its leading rows, a + b <= order.
+def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
+    """The series with every block cut to its leading rows, over the
+    indices with w1*a + w2*b <= order for weights (w1, w2) >= (1, 1).
+
+    The indices below (a, b) have a lower weighted sum, so every block a
+    solve or a cross-check reads is present.
 
     Each block is built from the ray with a positive exponent and
     cross-checked against the other ray; any defect raises FlatnessError
@@ -261,9 +265,12 @@ def _solve(mp, mxi, spec, order, rows):
         raise ValueError("truncation order must be >= 0")
     js = JSeries(spec, *_split_matrix(mp), *_split_matrix(mxi))
     js.blocks[(0, 0)] = (_identity_matrix(spec.size)[:rows], 1)
+    w1, w2 = weights
     for total in range(1, order + 1):
         for a in range(total, -1, -1):
             b = total - a
+            if w1 * a + w2 * b > order:
+                continue
             u, defect = _index_defect(js, a, b)
             if defect is not None:
                 (i, j), val = defect
@@ -290,14 +297,15 @@ def identity_coefficients(js):
     return {key: js.identity_coefficient(*key) for key in js.blocks}
 
 
-def identity_series(mp, mxi, spec, order):
-    """The c_{a,b} table to high order: the frame solve on the unit row.
+def identity_series(mp, mxi, spec, order, weights=(1, 1)):
+    """The c_{a,b} table to high order: the frame solve on the unit row,
+    over the indices with w1*a + w2*b <= order.
 
     Row one closes under each ray's equation on its own, so only that
     row is solved, and every index is cross-checked along the other ray
     as in j_series; a defect raises FlatnessError.
     """
-    return identity_coefficients(_solve(mp, mxi, spec, order, 1))
+    return identity_coefficients(_solve(mp, mxi, spec, order, 1, weights))
 
 
 def apery_table(ctable, size, spec):

@@ -154,7 +154,7 @@ def test_criterion_06_flatness_and_homogeneity(js14):
 
 def test_criterion_07_period_sequence(flagship, ctable14):
     bundles = lefschetz.parse_cut("p,xi^5")
-    series = lefschetz.hypergeometric_modify(ctable14, flagship, bundles)
+    series = lefschetz.hypergeometric_modify(ctable14, flagship, bundles, 14)
     multiplier = lefschetz.mirror_map_correction(series)
     plain = lefschetz.period_sequence(series, multiplier, 10)
     regularized = lefschetz.regularize(plain)
@@ -177,7 +177,7 @@ def test_criterion_08_pf_operator_verified_and_recovered(flagship, matrices):
     start = time.monotonic()
     ctable = qde.identity_series(mp, mxi, flagship, 63)
     bundles = lefschetz.parse_cut("p,xi^5")
-    series = lefschetz.hypergeometric_modify(ctable, flagship, bundles)
+    series = lefschetz.hypergeometric_modify(ctable, flagship, bundles, 63)
     multiplier = lefschetz.mirror_map_correction(series)
     sequence = lefschetz.regularize(
         lefschetz.period_sequence(series, multiplier, 64))

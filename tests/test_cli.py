@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from qfano import cli
+from qfano import cli, qde
 from qfano.fixtures_io import fixture_lines
 
 
@@ -303,7 +303,7 @@ def test_periods_non_ample_cut_is_config_error():
 
 def test_periods_empty_cut_is_period_of_the_bundle(capsys):
     # P^1 x P^1 graded by -K = (2,2): term 2k is binom(2k,k)^2
-    status = cli.main(["periods", "--bundle", "p1-trivial", "--cut", "",
+    status = cli.main(PERIODS + ["--bundle", "p1-trivial", "--cut", "",
                        "--terms", "9", "--regularized"])
     assert status == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
@@ -313,7 +313,7 @@ def test_periods_empty_cut_is_period_of_the_bundle(capsys):
 def test_periods_empty_cut_matches_p0(capsys):
     outs = []
     for cut in ("", "p^0"):
-        status = cli.main(["periods", "--cut", cut, "--terms", "12",
+        status = cli.main(PERIODS + ["--cut", cut, "--terms", "12",
                            "--regularized"])
         assert status == 0
         outs.append(capsys.readouterr().out)
@@ -344,7 +344,7 @@ def test_periods_product_bundles_closed_form(tmp_path, capsys, n, r, cut):
     # P^n x P^(r-2), and the empty cut leaves P^n x P^(r-1)
     cfg = tmp_path / "product.cfg"
     cfg.write_text("n = %d\nr = %d\n" % (n, r))
-    status = cli.main(["periods", "--bundle", str(cfg), "--cut", cut,
+    status = cli.main(PERIODS + ["--bundle", str(cfg), "--cut", cut,
                        "--terms", "13", "--regularized"])
     out = capsys.readouterr().out
     assert status == 0
@@ -414,6 +414,96 @@ def test_jfun_negative_apery_is_config_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == "error: --apery must be >= 0\n"
     assert not out.exists()
+
+
+def refuse_to_solve(*args, **kwargs):
+    raise AssertionError("series solved before the options were checked")
+
+
+# Options and operator files refused before any series is solved, with
+# the message after "error: "; {file} is the operator file, written from
+# the body unless that is None.
+PERIODS = ["periods", "--terms", "64", "--regularized"]
+JFUN = ["jfun", "--order", "16"]
+EARLY_REFUSALS = [
+    (PERIODS + ["--pf-search", "abc"], None,
+     "--pf-search expects ORDER,DEGREE"),
+    (PERIODS + ["--pf-search", "4"], None,
+     "--pf-search expects ORDER,DEGREE"),
+    (PERIODS + ["--pf-search=4,-2"], None,
+     "operator degree bound must be >= 0, got -2"),
+    (PERIODS + ["--pf-search", "4,12"], None,
+     "sequence of length 64 cannot overdetermine 65 operator "
+     "coefficients; need more than 65 terms"),
+    (PERIODS + ["--pf-verify", "{file}"], "# annihilates everything\n0\n",
+     "{file}: operator is zero"),
+    (PERIODS + ["--pf-verify", "{file}"], "D^2\n- t*Q\n",
+     "{file}: unknown atom 'Q' in term '-t*Q'"),
+    (PERIODS + ["--pf-verify", "{file}"], None,
+     "[Errno 2] No such file or directory: '{file}'"),
+    (JFUN + ["--check-operators", "{file}"], "# none\n",
+     "{file}: no operators"),
+    (JFUN + ["--check-operators", "{file}"], "A = 0\nB = D1 - q1\n",
+     "{file}: operator 'A' is zero"),
+    (JFUN + ["--check-operators", "{file}"], "A = D1\nA = D2\n",
+     "{file}:2: duplicate name 'A'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,body,error", EARLY_REFUSALS,
+    ids=["search-abc", "search-one-bound", "search-negative",
+         "search-underdetermined", "verify-zero", "verify-bad-atom",
+         "verify-missing", "check-empty", "check-zero", "check-duplicate"])
+def test_refused_options_exit_before_solving(tmp_path, monkeypatch, capsys,
+                                             argv, body, error):
+    monkeypatch.setattr(qde, "identity_series", refuse_to_solve)
+    monkeypatch.setattr(qde, "j_series", refuse_to_solve)
+    path = tmp_path / "operators.txt"
+    if body is not None:
+        path.write_text(body)
+    out = tmp_path / "out"
+    status = cli.main([arg.format(file=path) for arg in argv]
+                      + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % error.format(file=path)
+    assert not out.exists()
+
+
+# Cuts graded by -K_Y = (2,1), (1,2) and (2,6) at 64 terms: the indices
+# their grades need, and the sha256 of periods.txt as written by the
+# solve over every index with i + j <= 63.
+GRADED_CUTS = [
+    ("xi^5", 1056, "75f0435872ee3dd78574916322369734"
+                   "ad5083a4568da951c1262ba33c2c5f16"),
+    ("p,xi^4", 1056, "166d054233b9fe4ffcbdbc7f2ad70802"
+                     "373c8fc7ecd2301cbd74c9d7dd181c75"),
+    ("", 187, "1e88c32da8dcd5707cb476ebd48ab4d8"
+              "192653bc533b39e4524b6c608a7a0589"),
+]
+
+
+@pytest.mark.parametrize("cut,indices,digest", GRADED_CUTS,
+                         ids=["xi^5", "p,xi^4", "empty"])
+def test_periods_solve_only_the_grades_of_the_cut(tmp_path, monkeypatch,
+                                                  capsys, cut, indices,
+                                                  digest):
+    tables = []
+    solve = qde.identity_series
+
+    def spy(*args):
+        tables.append(solve(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(qde, "identity_series", spy)
+    status = cli.main(PERIODS + ["--cut", cut, "--terms", "64",
+                       "--regularized", "--out", str(tmp_path)])
+    assert status == 0
+    assert [len(table) for table in tables] == [indices]
+    assert hashlib.sha256((tmp_path / "periods.txt").read_bytes()
+                          ).hexdigest() == digest
 
 
 # sha256 of every file these invocations write, captured from the solver

@@ -34,7 +34,7 @@ def flagship_ctable(flagship):
 @pytest.fixture(scope="module")
 def flagship_periods(flagship, flagship_ctable):
     spec = flagship[0]
-    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT)
+    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
     multiplier = lf.mirror_map_correction(series)
     return lf.period_sequence(series, multiplier, 12)
 
@@ -61,22 +61,22 @@ def test_parse_cut():
 
 def test_hypergeometric_modify(flagship, flagship_ctable):
     spec = flagship[0]
-    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT)
+    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
     # -K_Y = (1,1): grade 1 is (0,1) alone and grade 2 is (1,1) + (0,2),
     # since c_{1,0} = c_{2,0} = 0
     assert series[1] == 1
     assert series[2] == 5 + F(1, 64) * 2 ** 5   # 5 * 1! * (1!)^5, c * (2!)^5
     # empty cut applies no factorial and grades by -K = (d1, d2) = (2, 6)
-    assert lf.hypergeometric_modify(flagship_ctable, spec, []) == [
+    assert lf.hypergeometric_modify(flagship_ctable, spec, [], 11) == [
         sum((c for (i, j), c in flagship_ctable.items()
              if 2 * i + 6 * j == m), F(0)) for m in range(12)]
     with pytest.raises(ValueError, match="not nef"):
-        lf.hypergeometric_modify(flagship_ctable, spec, [(-1, 0)])
+        lf.hypergeometric_modify(flagship_ctable, spec, [(-1, 0)], 11)
 
 
 def test_mirror_multiplier_is_fibre_exponential(flagship, flagship_ctable):
     spec = flagship[0]
-    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT)
+    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
     multiplier = lf.mirror_map_correction(series)
     # only the fibre-ray stratum sits at z-weight -1, so the multiplier
     # is exp(-q2) = exp(-t)
@@ -87,7 +87,7 @@ def test_mirror_multiplier_trivial_without_cut():
     spec = make_bundle(1, 2)
     mp, mxi = reconstruct(spec)
     ctable = qde.identity_series(mp, mxi, spec, 4)
-    series = lf.hypergeometric_modify(ctable, spec, [])
+    series = lf.hypergeometric_modify(ctable, spec, [], 4)
     assert lf.mirror_map_correction(series) == [1, 0, 0, 0, 0]
 
 
@@ -96,7 +96,7 @@ def test_dilaton_shift_refused(flagship):
     table = {(0, 0): F(1), (1, 0): F(5)}
     for cut in ([(2, 0)], [(3, 0)]):
         with pytest.raises(ValueError, match="dilaton shift"):
-            lf.hypergeometric_modify(table, spec, cut)
+            lf.hypergeometric_modify(table, spec, cut, 1)
 
 
 def test_period_sequence_flagship(flagship_periods):
@@ -109,7 +109,7 @@ def test_period_sequence_flagship(flagship_periods):
 
 def test_period_sequence_edge_counts(flagship, flagship_ctable):
     spec = flagship[0]
-    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT)
+    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
     multiplier = lf.mirror_map_correction(series)
     assert lf.period_sequence(series, multiplier, 1) == [1]
     assert lf.period_sequence(series, multiplier, 0) == []
@@ -193,6 +193,15 @@ def test_find_annihilator_degenerate():
 def test_find_annihilator_rejects_negative_bounds(order, degree, bad):
     with pytest.raises(ValueError, match=bad):
         lf.find_annihilator([F(1)] * 20, order, degree)
+
+
+def test_find_annihilator_refuses_multiples():
+    # D - t*D - t and its multiple by t both fit in degree 2
+    with pytest.raises(ValueError) as err:
+        lf.find_annihilator([F(1)] * 7, 1, 2)
+    assert str(err.value) == (
+        "annihilator space is 2-dimensional at order 1, degree 2; the "
+        "sequence does not pin one operator")
 
 
 def test_find_annihilator_none_for_factorials():

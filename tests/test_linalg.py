@@ -1,11 +1,13 @@
 """Exact elimination and sparse accumulation in qfano.linalg."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfano import linalg
 from qfano.linalg import accumulate, invert, nullspace
 
 F = Fraction
@@ -221,3 +223,62 @@ def test_large_entries_match_fraction_reference():
     inv = invert(sq)
     assert inv == ref_invert(sq)
     assert matmul(sq, inv) == identity(8)
+
+
+Q127, Q521, Q1279 = linalg._MODULI
+
+
+def eliminations(monkeypatch, mat, moduli=None):
+    """nullspace(mat) and the modulus of every elimination it ran, None
+    for the exact pass; moduli replaces the ladder when given."""
+    seen = []
+    rref = linalg._rref
+
+    def spy(rows, ncols, modulus=None):
+        seen.append(modulus)
+        return rref(rows, ncols, modulus)
+
+    monkeypatch.setattr(linalg, "_rref", spy)
+    if moduli is not None:
+        monkeypatch.setattr(linalg, "_MODULI", moduli)
+    return nullspace(mat), seen
+
+
+# (matrix, eliminations run): a kernel the first prime certifies; a pivot
+# entry 2*(2^127 - 1) that vanishes modulo the first prime, so the rank
+# drops there and its extra kernel vector fails the exact check; entries
+# of 80 bits, beyond the first prime's reconstruction bound of 63 bits;
+# and entries of 700 bits, beyond every prime of the ladder.
+MODULAR_CASES = [
+    ([[2, 4, F(1, 3)], [1, 0, -5], [3, 4, F(-14, 3)]], [Q127]),
+    ([[2 * Q127, 3, 1], [0, 1, 1], [0, 2, 2]], [Q127, Q521]),
+    ([[2 ** 80 + 1, 3 ** 50], [0, 0]], [Q127, Q521]),
+    ([[2 ** 700 + 1, 3 ** 440]], [Q127, Q521, Q1279, None]),
+]
+
+
+@pytest.mark.parametrize("mat,path", MODULAR_CASES,
+                         ids=["first-prime", "rank-drop", "second-prime",
+                              "exact-pass"])
+def test_nullspace_modular_ladder(monkeypatch, mat, path):
+    basis, seen = eliminations(monkeypatch, mat)
+    assert seen == path
+    assert basis == ref_nullspace(mat)
+    assert basis and all_fractions(basis)
+    assert_kernel(mat, basis, len(mat[0]))
+
+
+def test_nullspace_exact_pass_after_short_ladder(monkeypatch):
+    mat = MODULAR_CASES[2][0]
+    basis, seen = eliminations(monkeypatch, mat, (Q127,))
+    assert seen == [Q127, None]
+    assert basis == ref_nullspace(mat) == [[F(-3 ** 50, 2 ** 80 + 1), F(1)]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_nullspace_tiny_primes_match_fraction_reference(mat):
+    # Primes this small drop the rank and miss reconstructions often; the
+    # exact check must still let only the reduced echelon basis through.
+    with mock.patch.object(linalg, "_MODULI", (5, 7, 11)):
+        assert nullspace(mat) == ref_nullspace(mat)
