@@ -136,12 +136,16 @@ def cmd_reconstruct(args):
 
 
 def cmd_jfun(args):
-    spec = _bundle(args)
-    mp, mxi = _matrices(args, spec)
     if args.order < 0:
         raise CliError("--order must be >= 0")
     if args.apery is not None and args.apery < 0:
         raise CliError("--apery must be >= 0")
+    corner = (args.apery or 1) - 1
+    if args.order < 2 * corner:
+        raise CliError("--apery %d reads the coefficient (%d,%d); recompute "
+                       "with order >= %d"
+                       % (args.apery, corner, corner, 2 * corner))
+    spec = _bundle(args)
     if args.check_operators is not None:
         lines, where = _operator_file(args.check_operators,
                                       "qde_operators.txt")
@@ -151,6 +155,7 @@ def cmd_jfun(args):
         zero = next((name for name in parsed if not parsed[name]), None)
         if zero is not None:
             raise CliError("%s: operator %r is zero" % (where, zero))
+    mp, mxi = _matrices(args, spec)
     js = qde.j_series(mp, mxi, spec, args.order)
     bad = qde.check_homogeneity(js)
     if bad is not None:
@@ -183,10 +188,9 @@ def cmd_jfun(args):
 
 
 def cmd_periods(args):
-    spec = _bundle(args)
-    mp, mxi = _matrices(args, spec)
     if args.terms < 0:
         raise CliError("--terms must be >= 0")
+    spec = _bundle(args)
     bundles = lefschetz.parse_cut(args.cut)
     weights = lefschetz.cut_weights(spec, bundles)
     if args.pf_verify is not None:
@@ -202,6 +206,7 @@ def cmd_periods(args):
             raise CliError("--pf-search expects ORDER,DEGREE")
         lefschetz.check_search_box(args.terms, search_order, search_degree)
     order = max(args.terms - 1, 0)
+    mp, mxi = _matrices(args, spec)
     ctable = qde.identity_series(mp, mxi, spec, order, weights)
     series = lefschetz.hypergeometric_modify(ctable, spec, bundles, order)
     multiplier = lefschetz.mirror_map_correction(series)
@@ -238,7 +243,12 @@ def cmd_periods(args):
 
 def cmd_seeds(args):
     spec = _bundle(args)
-    lines = seedlib.dump_seed_lines(spec, _seed_source(args, spec))
+    source = _seed_source(args, spec)
+    bad = _structure_defect(*reconstruct(spec, source))
+    if bad is not None:
+        print("error: %s" % bad, file=sys.stderr)
+        return 1
+    lines = seedlib.dump_seed_lines(spec, source)
     return _emit(args, [("seeds.txt",
                          "".join(line + "\n" for line in lines))])
 

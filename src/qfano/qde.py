@@ -10,20 +10,22 @@ equation per index,
 with P the classical part of M_p and the sum over (c,d) != (0,0); the
 fibre ray gives the analogous equation with b, the classical xi matrix,
 and the parts of M_xi.  Both classical matrices raise cohomological
-degree and the basis ascends in degree, so each is strictly lower
-triangular and nilpotent: each equation is solved by a terminating
-commutator iteration, and any block of leading frame rows closes under
-it.  One loop solves every index along the ray with a positive exponent
-and cross-checks it along the other ray; j_series runs it on all rows,
-identity_series on the unit row alone, whose equation has no left
-product, to high order.
+degree by exactly one and the basis ascends in degree, so each is
+strictly lower triangular: the commutator with P moves a frame entry
+from level deg(row) - deg(col) to the next level up, each equation is
+solved in one pass from the lowest level upward, and any block of
+leading frame rows closes under it.  One loop solves every index along
+the ray with a positive exponent and cross-checks it along the other
+ray; j_series runs it on all rows, identity_series on the unit row
+alone, whose equation has no left product, to high order.
 
 The exact work runs on plain integers over shared denominators, in the
 fraction-free style of Bareiss elimination: each classical matrix is an
-integer sparse matrix over one denominator, each ray's q-parts share one
-denominator, and a frame block is a pair (integer rows, D).  A JSeries
-keeps only these blocks; the solver, the flatness check and the operator
-pass all read them.  Every frame entry carries a single implicit z-power,
+integer sparse matrix with adjacency lists by row and by column over one
+denominator, each ray's q-parts share one denominator, and a frame
+block is a pair (integer rows, D).  A JSeries keeps only these blocks;
+the solver, the flatness check and the operator pass all read them.
+Every frame entry carries a single implicit z-power,
 deg(row) - deg(col) + a*d1 + b*d2 below zero, so the Laurent structure
 is restored on export (frames, vector, identity_coefficient), where
 values become Fractions.
@@ -53,16 +55,27 @@ def _scaled(values, den):
     return {k: v.numerator * (den // v.denominator) for k, v in values.items()}
 
 
+# A classical divisor matrix C = Cint/den: entries is {(i, k): Cint[i][k]},
+# rows[i] lists the pairs (k, Cint[i][k]) of row i, cols[j] the pairs
+# (k, Cint[k][j]) of column j, and degree[i] is the degree of basis
+# element i.  C raises degree by exactly one (set_column enforces the
+# grading), so deg(k) = deg(i) - 1 in rows[i] and deg(k) = deg(j) + 1 in
+# cols[j]; the solver's walk order relies on it.
+Classical = namedtuple("Classical", "entries rows cols den degree")
+
+
 def _split_matrix(qmat):
     """Split a QuantumMatrix into its classical part and its q-parts.
 
-    Returns (classical, parts): classical = ({(row, col): int}, den) and
-    parts = ({(c, d): {(row, col): int}}, den) over (c, d) != (0, 0),
-    with one denominator for all the q-parts.
+    Returns (classical, parts): classical is a Classical built once here
+    for the solver, the residual and the operator pass, and parts =
+    ({(c, d): {(row, col): int}}, den) over (c, d) != (0, 0), with one
+    denominator for all the q-parts.
     """
+    spec = qmat.spec
     classical = {}
     parts = {}
-    for j in range(qmat.spec.size):
+    for j in range(spec.size):
         for i, qp in qmat.column(j).items():
             for (a, b), v in qp.items():
                 if (a, b) == (0, 0):
@@ -72,20 +85,19 @@ def _split_matrix(qmat):
     dc = lcm(*(v.denominator for v in classical.values()))
     dq = lcm(*(v.denominator for part in parts.values()
                for v in part.values()))
-    return ((_scaled(classical, dc), dc),
+    entries = _scaled(classical, dc)
+    rows = [[] for _ in range(spec.size)]
+    cols = [[] for _ in range(spec.size)]
+    for (i, k), v in entries.items():
+        rows[i].append((k, v))
+        cols[k].append((i, v))
+    degree = tuple(spec.degree(i) for i in range(spec.size))
+    return (Classical(entries, rows, cols, dc, degree),
             ({key: _scaled(part, dq) for key, part in parts.items()}, dq))
 
 
 def _identity_matrix(size):
     return [[int(i == j) for j in range(size)] for i in range(size)]
-
-
-def _first_nonzero(mat):
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            if x:
-                return (i, j)
-    return None
 
 
 def _row_times(row, sparse, out):
@@ -117,65 +129,79 @@ def _shift_sum(blocks, parts, a, b):
     return out, den * pden
 
 
-def _commutator(classical, u):
-    """U*C - C*U on a block of leading frame rows.
-
-    C is strictly lower triangular, so row i of C*U only draws on rows
-    k < i and the block closes; the left product touches block rows only.
-    """
-    out = [[0] * len(row) for row in u]
-    for row, orow in zip(u, out):
-        _row_times(row, classical, orow)
-    for (i, k), v in classical.items():
-        if i < len(u):
-            dst = out[i]
-            for j, x in enumerate(u[k]):
-                if x:
-                    dst[j] -= v * x
-    return out
-
-
 def _sylvester_solve(scale, classical, rhs):
-    """Solve scale*U + C*U - U*C = R/L for nilpotent sparse C = Cint/dc.
+    """Solve scale*U + C*U - U*C = R/L for C = Cint/dc, level by level.
 
-    Neumann iteration: U = sum_k ad_C^k(R/L) / scale^(k+1) with
-    ad_C(X) = X*C - C*X; the commutator with a degree-raising matrix is
-    nilpotent, so the loop terminates.  With T_k = ad_Cint^k(R) and T_K
-    the last nonzero iterate, U = sum_k T_k*(dc*scale)^(K-k) over
-    L*dc^K*scale^(K+1), summed by Horner as the iterates appear and
-    reduced by one gcd.  Returns (integer rows, D).
+    C raises degree by exactly one, so ad_C(X) = X*C - C*X carries the
+    entries of level deg(row) - deg(col) = l - 1 to level l, and the
+    equation splits into U_l = (R_l/L + ad_C(U_{l-1})) / scale.  With lo
+    the lowest level of R and m = l - lo, U_l = W_l / (L*dc^m*scale^(m+1))
+    with W_l = R_l*(dc*scale)^m + ad_Cint(W_{l-1}), which needs no
+    division.  Entry (i, j) of W reads the entries (i, k) with k > j and
+    (k, j) with k < i, so one walk up the rows and down the columns of a
+    block of leading rows computes each entry once, from entries already
+    done.  Every level is then brought to the common denominator
+    L*dc^depth*scale^(depth+1), depth being the top level of the block
+    less lo, and reduced by one gcd.  Returns (integer rows, D).
     """
-    cint, dc = classical
-    term, den = rhs
-    step = dc * scale
-    acc = term
-    depth = 0
-    while True:
-        term = _commutator(cint, term)
-        if _first_nonzero(term) is None:
-            break
-        depth += 1
-        if depth > 4 * len(term[0]):
-            raise RuntimeError("commutator iteration failed to terminate")
-        acc = [[x * step + y for x, y in zip(arow, trow)]
-               for arow, trow in zip(acc, term)]
-    den *= dc ** depth * scale ** (depth + 1)
-    g = gcd(den, *(x for row in acc for x in row))
-    return [[x // g for x in row] for row in acc], den // g
+    rrows, den = rhs
+    deg = classical.degree
+    size = len(deg)
+    lo = min((deg[i] - deg[j] for i, hrow in enumerate(rrows)
+              for j, h in enumerate(hrow) if h), default=None)
+    if lo is None:
+        return [[0] * size for _ in rrows], 1
+    depth = deg[len(rrows) - 1] - deg[0] - lo
+    step = classical.den * scale
+    pw = [1]
+    for _ in range(depth):
+        pw.append(pw[-1] * step)
+    cols = classical.cols
+    w = [[0] * size for _ in rrows]
+    for i, (hrow, wrow) in enumerate(zip(rrows, w)):
+        below = classical.rows[i]
+        for j in range(size - 1, -1, -1):
+            x = 0
+            for k, v in cols[j]:
+                y = wrow[k]
+                if y:
+                    x += y * v
+            for k, v in below:
+                y = w[k][j]
+                if y:
+                    x -= v * y
+            h = hrow[j]
+            if h:
+                x += h * pw[deg[i] - deg[j] - lo]
+            wrow[j] = x
+    for i, wrow in enumerate(w):
+        for j, x in enumerate(wrow):
+            if x:
+                wrow[j] = x * pw[depth + lo - deg[i] + deg[j]]
+    den *= classical.den ** depth * scale ** (depth + 1)
+    g = gcd(den, *(x for row in w for x in row))
+    return [[x // g for x in row] for row in w], den // g
 
 
 def _route_residual(scale, classical, u, rhs):
     """First nonzero entry of scale*U + C*U - U*C - R/L, the defect of the
-    other ray's equation, as ((row, col), Fraction), or None.
+    other ray's equation, in row-major order, as ((row, col), Fraction),
+    or None.
 
     The residual is formed on integers, scaled by D*dc*L."""
-    cint, dc = classical
     rows, den = u
     rrows, rden = rhs
+    dc = classical.den
     fu, fr = scale * dc * rden, den * dc
-    for i, (urow, crow, hrow) in enumerate(
-            zip(rows, _commutator(cint, rows), rrows)):
-        for j, (x, y, h) in enumerate(zip(urow, crow, hrow)):
+    cols = classical.cols
+    for i, (urow, hrow) in enumerate(zip(rows, rrows)):
+        below = classical.rows[i]
+        for j, (x, h) in enumerate(zip(urow, hrow)):
+            y = 0
+            for k, v in cols[j]:
+                y += urow[k] * v
+            for k, v in below:
+                y -= v * rows[k][j]
             val = fu * x - rden * y - fr * h
             if val:
                 return (i, j), Fraction(val, den * dc * rden)
@@ -188,10 +214,10 @@ class JSeries:
     blocks maps (a, b) to the frame as (integer rows, D), entry (i, j)
     being rows[i][j] / D with the z-grid implicit; the unit-row solve
     behind identity_series keeps row one only.  The matrix parts are the
-    integer forms read by the solver: each classical part is (integer
-    sparse, den) and each ray's q-parts ({(c, d): integer sparse}, den).
-    frames, vector and identity_coefficient are the Fraction exports of
-    the blocks.
+    integer forms read by the solver: each classical part is a Classical
+    and each ray's q-parts ({(c, d): integer sparse}, den).  frames,
+    vector and identity_coefficient are the Fraction exports of the
+    blocks.
     """
 
     def __init__(self, spec, p_classical, p_parts, xi_classical, xi_parts):
@@ -355,9 +381,9 @@ def parse_operator(text):
 
 def _cup(vec, den, classical, shift):
     """(classical cup + shift * z) on the first column vec / den."""
-    cint, dc = classical
+    dc = classical.den
     out = [shift * dc * x for x in vec]
-    for (i, k), v in cint.items():
+    for (i, k), v in classical.entries.items():
         x = vec[k]
         if x:
             out[i] += v * x

@@ -408,6 +408,17 @@ def test_reconstruct_bad_seed_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_seeds_bad_seed_writes_nothing(tmp_path):
+    bad = bad_flagship_seeds(tmp_path)
+    out = tmp_path / "dump"
+    proc = run_cli("seeds", "--bundle", "flagship",
+                   "--seeds", str(bad), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: commutativity check fails at column 4\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_jfun_negative_apery_is_config_error(tmp_path):
     out = tmp_path / "jf"
     proc = run_cli("jfun", "--order", "2", "--apery", "-1", "--out", str(out))
@@ -469,6 +480,34 @@ def test_refused_options_exit_before_solving(tmp_path, monkeypatch, capsys,
     assert status == 2
     assert captured.out == ""
     assert captured.err == "error: %s\n" % error.format(file=path)
+    assert not out.exists()
+
+
+# Counts refused before the pair is reconstructed, with the message
+# after "error: ".
+BAD_COUNTS = [
+    (["jfun", "--order", "7", "--apery", "5"],
+     "--apery 5 reads the coefficient (4,4); recompute with order >= 8"),
+    (["jfun", "--order", "-1"], "--order must be >= 0"),
+    (["jfun", "--order", "4", "--apery", "-1"], "--apery must be >= 0"),
+    (["periods", "--terms", "-1"], "--terms must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv,error", BAD_COUNTS,
+                         ids=["apery-beyond-order", "order-negative",
+                              "apery-negative", "terms-negative"])
+def test_bad_counts_exit_before_reconstructing(tmp_path, monkeypatch, capsys,
+                                               argv, error):
+    monkeypatch.setattr(qde, "identity_series", refuse_to_solve)
+    monkeypatch.setattr(qde, "j_series", refuse_to_solve)
+    monkeypatch.setattr(cli, "reconstruct", refuse_to_solve)
+    out = tmp_path / "out"
+    status = cli.main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % error
     assert not out.exists()
 
 

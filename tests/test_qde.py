@@ -1,7 +1,7 @@
 """Quantum differential system: frames, coefficient tables, operators."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -298,3 +298,108 @@ def test_rational_inputs_rescale_frames(request, bundle):
     deep = qde.identity_series(mp, mxi, spec, 10)
     assert qde.identity_series(mp2, mxi2, spec, 10) == {
         (a, b): LAMBDA ** a * MU ** b * c for (a, b), c in deep.items()}
+
+
+def ref_classical(qmat):
+    """(integer {(row, col): value}, dc) of the classical part of a matrix,
+    read off its columns."""
+    entries = {(i, j): qp[(0, 0)] for j in range(qmat.spec.size)
+               for i, qp in qmat.column(j).items() if qp.get((0, 0))}
+    dc = lcm(*(v.denominator for v in entries.values()))
+    return {key: int(v * dc) for key, v in entries.items()}, dc
+
+
+def ref_commutator(cint, u):
+    """U*C - C*U on a block of leading frame rows.
+
+    C is strictly lower triangular, so row i of C*U only draws on rows
+    k < i and the block closes; the left product touches block rows only.
+    """
+    out = [[0] * len(row) for row in u]
+    for row, orow in zip(u, out):
+        for (k, j), v in cint.items():
+            x = row[k]
+            if x:
+                orow[j] += x * v
+    for (i, k), v in cint.items():
+        if i < len(u):
+            dst = out[i]
+            for j, x in enumerate(u[k]):
+                if x:
+                    dst[j] -= v * x
+    return out
+
+
+def ref_sylvester_solve(scale, classical, rhs):
+    """Solve scale*U + C*U - U*C = R/L for nilpotent sparse C = Cint/dc.
+
+    Neumann iteration: U = sum_k ad_C^k(R/L) / scale^(k+1) with
+    ad_C(X) = X*C - C*X; the commutator with a degree-raising matrix is
+    nilpotent, so the loop terminates.  With T_k = ad_Cint^k(R) and T_K
+    the last nonzero iterate, U = sum_k T_k*(dc*scale)^(K-k) over
+    L*dc^K*scale^(K+1), summed by Horner as the iterates appear and
+    reduced by one gcd.  Returns (integer rows, D).
+    """
+    cint, dc = classical
+    term, den = rhs
+    step = dc * scale
+    acc = term
+    depth = 0
+    while True:
+        term = ref_commutator(cint, term)
+        if not any(x for row in term for x in row):
+            break
+        depth += 1
+        assert depth <= 4 * len(term[0]), "commutator iteration diverged"
+        acc = [[x * step + y for x, y in zip(arow, trow)]
+               for arow, trow in zip(acc, term)]
+    den *= dc ** depth * scale ** (depth + 1)
+    g = gcd(den, *(x for row in acc for x in row))
+    return [[x // g for x in row] for row in acc], den // g
+
+
+def reference_series(request, case):
+    """(mp, mxi, series) of one reference-oracle case."""
+    if case == "product":
+        spec = make_bundle(2, 4)
+        mp, mxi = reconstruct(spec)
+        return mp, mxi, qde.j_series(mp, mxi, spec, 6)
+    if case == "rescaled":
+        spec, mp, mxi = request.getfixturevalue("flagship")
+        mp, mxi = _rescaled(spec, mp), _rescaled(spec, mxi)
+        return mp, mxi, qde.j_series(mp, mxi, spec, 4)
+    if case == "unit-row":
+        spec, mp, mxi = request.getfixturevalue("flagship")
+        return mp, mxi, qde._solve(mp, mxi, spec, 40, 1, (2, 1))
+    spec, mp, mxi = request.getfixturevalue(case)
+    return mp, mxi, request.getfixturevalue(case + "_js")
+
+
+@pytest.mark.parametrize("case", ["flagship", "p1p1", "product", "rescaled",
+                                  "unit-row"])
+def test_solve_matches_neumann_reference(request, case):
+    # every block, solved level by level, equals the Neumann series on
+    # each ray with a positive exponent, from the same right-hand side
+    mp, mxi, js = reference_series(request, case)
+    rays = {True: ref_classical(mp), False: ref_classical(mxi)}
+    if case == "rescaled":
+        assert rays[True][1] > 1 and rays[False][1] > 1
+    checked = 0
+    for (a, b), block in js.blocks.items():
+        for along_p, scale in ((True, a), (False, b)):
+            if scale:
+                rhs = qde._ray(js, a, b, along_p)[2]
+                assert ref_sylvester_solve(scale, rays[along_p], rhs) \
+                    == block, ((a, b), along_p)
+                checked += 1
+    assert checked >= len(js.blocks) - 1
+
+
+def test_zero_right_hand_side_gives_zero_block(flagship):
+    spec, mp, mxi = flagship
+    js = qde.j_series(mp, mxi, spec, 0)
+    zero = [[0] * spec.size for _ in range(3)]
+    for classical, ref in ((js.p_classical, ref_classical(mp)),
+                           (js.xi_classical, ref_classical(mxi))):
+        assert qde._sylvester_solve(2, classical, (zero, 5)) == (zero, 1)
+        assert ref_sylvester_solve(2, ref, (zero, 5)) == (zero, 1)
