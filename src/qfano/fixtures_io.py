@@ -11,6 +11,15 @@ def fixture_lines(name):
     return fixture_text(name).splitlines()
 
 
+def read_lines(path):
+    """The lines of a UTF-8 input file; a decoding error names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+
+
 def data_lines(lines):
     """Yield (lineno, text) for each line that is not blank once its #
     comment is removed; lineno counts every raw line from 1."""

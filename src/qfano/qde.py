@@ -24,11 +24,10 @@ fraction-free style of Bareiss elimination: each classical matrix is an
 integer sparse matrix with adjacency lists by row and by column over one
 denominator, each ray's q-parts share one denominator, and a frame
 block is a pair (integer rows, D).  A JSeries keeps only these blocks;
-the solver, the flatness check and the operator pass all read them.
-Every frame entry carries a single implicit z-power,
-deg(row) - deg(col) + a*d1 + b*d2 below zero, so the Laurent structure
-is restored on export (frames, vector, identity_coefficient), where
-values become Fractions.
+the solver and the operator pass read them.  Every frame entry carries
+a single implicit z-power, deg(row) - deg(col) + a*d1 + b*d2 below zero,
+so the Laurent structure is restored on export (frames, the coefficient
+table, the operator residual), where values become Fractions.
 
 The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
@@ -94,10 +93,6 @@ def _split_matrix(qmat):
     degree = tuple(spec.degree(i) for i in range(spec.size))
     return (Classical(entries, rows, cols, dc, degree),
             ({key: _scaled(part, dq) for key, part in parts.items()}, dq))
-
-
-def _identity_matrix(size):
-    return [[int(i == j) for j in range(size)] for i in range(size)]
 
 
 def _row_times(row, sparse, out):
@@ -215,9 +210,8 @@ class JSeries:
     being rows[i][j] / D with the z-grid implicit; the unit-row solve
     behind identity_series keeps row one only.  The matrix parts are the
     integer forms read by the solver: each classical part is a Classical
-    and each ray's q-parts ({(c, d): integer sparse}, den).  frames,
-    vector and identity_coefficient are the Fraction exports of the
-    blocks.
+    and each ray's q-parts ({(c, d): integer sparse}, den).  frames is
+    the Fraction export of the blocks.
     """
 
     def __init__(self, spec, p_classical, p_parts, xi_classical, xi_parts):
@@ -234,18 +228,6 @@ class JSeries:
         return {key: [[Fraction(x, den) for x in row] for row in rows]
                 for key, (rows, den) in self.blocks.items()}
 
-    def vector(self, a, b):
-        """J at Novikov index (a, b): one Laurent dict per basis component."""
-        spec = self.spec
-        w = a * spec.d1 + b * spec.d2
-        rows, den = self.blocks[(a, b)]
-        return [({-spec.degree(i) - w: Fraction(row[0], den)} if row[0]
-                 else {}) for i, row in enumerate(rows)]
-
-    def identity_coefficient(self, a, b):
-        rows, den = self.blocks[(a, b)]
-        return Fraction(rows[0][0], den)
-
 
 def _ray(js, a, b, along_p):
     """(scale, classical, rhs) of one divisor-ray equation at index (a, b),
@@ -255,25 +237,6 @@ def _ray(js, a, b, along_p):
     else:
         scale, classical, parts = b, js.xi_classical, js.xi_parts
     return scale, classical, _shift_sum(js.blocks, parts, a, b)
-
-
-def _index_defect(js, a, b, u=None):
-    """Check the integer frame at index (a, b) against the divisor-ray
-    equations.
-
-    With u None the frame is first solved along the ray with a positive
-    exponent and only the other ray is checked; a given u is checked on
-    both.  Returns (u, defect), defect None or ((row, col), residual
-    entry) for the first nonzero residual.
-    """
-    rays = [_ray(js, a, b, True), _ray(js, a, b, False)]
-    if u is None:
-        u = _sylvester_solve(*rays.pop(0 if a >= 1 else 1))
-    for scale, classical, rhs in rays:
-        defect = _route_residual(scale, classical, u, rhs)
-        if defect is not None:
-            return u, defect
-    return u, None
 
 
 def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
@@ -290,14 +253,17 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     js = JSeries(spec, *_split_matrix(mp), *_split_matrix(mxi))
-    js.blocks[(0, 0)] = (_identity_matrix(spec.size)[:rows], 1)
+    js.blocks[(0, 0)] = ([[int(i == j) for j in range(spec.size)]
+                          for i in range(rows)], 1)
     w1, w2 = weights
     for total in range(1, order + 1):
         for a in range(total, -1, -1):
             b = total - a
             if w1 * a + w2 * b > order:
                 continue
-            u, defect = _index_defect(js, a, b)
+            u = _sylvester_solve(*_ray(js, a, b, a >= 1))
+            scale, classical, rhs = _ray(js, a, b, a < 1)
+            defect = _route_residual(scale, classical, u, rhs)
             if defect is not None:
                 (i, j), val = defect
                 raise FlatnessError(
@@ -320,7 +286,8 @@ def j_series(mp, mxi, spec, order):
 
 def identity_coefficients(js):
     """The table c_{a,b}: identity component of J at its forced z-power."""
-    return {key: js.identity_coefficient(*key) for key in js.blocks}
+    return {key: Fraction(rows[0][0], den)
+            for key, (rows, den) in js.blocks.items()}
 
 
 def identity_series(mp, mxi, spec, order, weights=(1, 1)):
@@ -448,39 +415,4 @@ def check_operator(op, js):
                                   for e in sorted(comp))
                 return ("residual nonzero at index (%d,%d), component %d: %s"
                         % (a, b, i + 1, terms))
-    return None
-
-
-def check_flatness(js):
-    """Cross-verify every frame against both divisor-ray equations.
-
-    Returns None, or a diagnostic for the first failing index.
-    """
-    for (a, b) in sorted(js.blocks):
-        _, defect = _index_defect(js, a, b, js.blocks[(a, b)])
-        if defect is not None:
-            (i, j), val = defect
-            return ("index (%d,%d): residual %s at entry (%d,%d)"
-                    % (a, b, val, i + 1, j + 1))
-    return None
-
-
-def check_homogeneity(js):
-    """Every exported J component must sit at its forced z-exponent.
-
-    Returns None, or a diagnostic for the first violation.
-    """
-    spec = js.spec
-    if js.blocks[(0, 0)] != (_identity_matrix(spec.size), 1):
-        return "frame at index (0,0) is not the identity"
-    for (a, b) in sorted(js.blocks):
-        w = a * spec.d1 + b * spec.d2
-        for i, comp in enumerate(js.vector(a, b)):
-            if not comp:
-                continue
-            forced = -spec.degree(i) - w
-            if set(comp) != {forced}:
-                return ("index (%d,%d) component %d supported at %s, "
-                        "expected z^%d"
-                        % (a, b, i + 1, sorted(comp), forced))
     return None

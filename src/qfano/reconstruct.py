@@ -17,16 +17,12 @@ seed columns (degree <= n) the two matrices are filled degree by degree:
 
 from fractions import Fraction
 
-from qfano import opparse
 from qfano import seeds as seeds_mod
 from qfano.fixtures_io import data_lines
 from qfano.linalg import accumulate
 from qfano.ring import classical_mul, monomial_class, pairing_matrix
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
-
-_STAR_ATOMS = ("p", "xi", "q1", "q2")
 
 
 def qp_add_into(dst, src, scale=ONE, shift=(0, 0)):
@@ -93,26 +89,6 @@ class QuantumMatrix:
         for j, qp_in in vec.items():
             for shift, v in qp_in.items():
                 col_add_into(out, self.column(j), v, shift)
-        return out
-
-    def classical(self):
-        """The q = 0 matrix as a dense grid of Fractions."""
-        size = self.spec.size
-        grid = [[ZERO] * size for _ in range(size)]
-        for j in range(size):
-            for row, qp in self.column(j).items():
-                grid[row][j] = qp.get((0, 0), ZERO)
-        return grid
-
-    def set_q_zero(self):
-        """A copy with every quantum term dropped."""
-        out = QuantumMatrix(self.spec, self.label)
-        for j in range(self.spec.size):
-            col = {}
-            for row, qp in self.column(j).items():
-                if (0, 0) in qp:
-                    col[row] = {(0, 0): qp[(0, 0)]}
-            out.set_column(j, col)
         return out
 
     def triplet_lines(self):
@@ -245,52 +221,6 @@ def reconstruct(spec, source=None):
     return mp, mxi
 
 
-def parse_star_polynomial(text):
-    """Parse a polynomial in star-powers of p, xi and scalars q1, q2.
-
-    Grammar: the opparse sums of products over the atoms p, xi, q1, q2
-    with rational literal coefficients.  Returns a list of
-    (coefficient, q1-power, q2-power, p-star-power, xi-star-power).
-    """
-    terms = []
-    for chunk in opparse.split_terms(text):
-        coeff, pw = opparse.parse_term(chunk, _STAR_ATOMS)
-        terms.append((coeff, pw["q1"], pw["q2"], pw["p"], pw["xi"]))
-    return terms
-
-
-def verify_relation(mp, mxi, relation):
-    """Residual of a star-polynomial applied to the identity class.
-
-    `relation` is a grammar string or a parsed term list; the result is a
-    {row: QPoly} map, empty exactly when the relation holds.
-    """
-    if isinstance(relation, str):
-        relation = parse_star_polynomial(relation)
-    spec = mp.spec
-    out = {}
-    for coeff, qa, qb, ep, exi in relation:
-        vec = {0: {(0, 0): ONE}}
-        for _ in range(ep):
-            vec = mp.apply(vec)
-        for _ in range(exi):
-            vec = mxi.apply(vec)
-        col_add_into(out, vec, scale=coeff, shift=(qa, qb))
-    return out
-
-
-def check_grading(mat):
-    """Re-validate the grading of every stored entry (set_column enforces it)."""
-    spec = mat.spec
-    for j in range(spec.size):
-        for row, qp in mat.column(j).items():
-            for (a, b) in qp:
-                if spec.degree(row) != (spec.degree(j) + 1
-                                        - a * spec.d1 - b * spec.d2):
-                    return (row, j, a, b)
-    return None
-
-
 def check_commutativity(mp, mxi):
     """First basis index where p * (xi * phi_j) != xi * (p * phi_j), if any."""
     for j in range(mp.spec.size):
@@ -318,16 +248,4 @@ def check_three_point_symmetry(mat):
         for j in range(i, size):
             if paired(i, j) != paired(j, i):
                 return (i, j)
-    return None
-
-
-def check_purity(mat):
-    """First entry violating the no-pure-q2 / no-pure-q1 rule, if any."""
-    for j in range(mat.spec.size):
-        for row, qp in mat.column(j).items():
-            for (a, b) in qp:
-                if mat.label == "p" and a == 0 and b >= 1:
-                    return (row, j, a, b)
-                if mat.label == "xi" and a >= 1 and b == 0:
-                    return (row, j, a, b)
     return None

@@ -9,7 +9,7 @@ p-power descending.
 
 from fractions import Fraction
 
-from qfano.fixtures_io import data_lines
+from qfano.fixtures_io import data_lines, read_lines
 from qfano.linalg import accumulate, invert
 
 ZERO = Fraction(0)
@@ -84,25 +84,24 @@ def make_bundle(n, r, chern=()):
 def load_bundle_config(path):
     """Read a bundle spec from a flat key-value file (keys n, r, chern)."""
     data = {}
-    with open(path) as fh:
-        for lineno, line in data_lines(fh):
-            if "=" not in line:
-                raise ValueError("%s:%d: expected 'key = value'" % (path, lineno))
-            key, _, val = (part.strip() for part in line.partition("="))
-            if key not in ("n", "r", "chern"):
-                raise ValueError("%s:%d: unknown key %r; expected n, r or chern"
-                                 % (path, lineno, key))
-            if key in data:
-                raise ValueError("%s:%d: duplicate key %r" % (path, lineno, key))
-            toks = val.replace(",", " ").split() if key == "chern" else [val]
-            try:
-                data[key] = [int(tok) for tok in toks]
-            except ValueError:
-                raise ValueError(
-                    "%s:%d: %s must be %s, got %r"
-                    % (path, lineno, key,
-                       "integers" if key == "chern" else "an integer", val)
-                ) from None
+    for lineno, line in data_lines(read_lines(path)):
+        if "=" not in line:
+            raise ValueError("%s:%d: expected 'key = value'" % (path, lineno))
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key not in ("n", "r", "chern"):
+            raise ValueError("%s:%d: unknown key %r; expected n, r or chern"
+                             % (path, lineno, key))
+        if key in data:
+            raise ValueError("%s:%d: duplicate key %r" % (path, lineno, key))
+        toks = val.replace(",", " ").split() if key == "chern" else [val]
+        try:
+            data[key] = [int(tok) for tok in toks]
+        except ValueError:
+            raise ValueError(
+                "%s:%d: %s must be %s, got %r"
+                % (path, lineno, key,
+                   "integers" if key == "chern" else "an integer", val)
+            ) from None
     missing = [k for k in ("n", "r") if k not in data]
     if missing:
         raise ValueError("%s: missing keys: %s" % (path, ", ".join(missing)))
@@ -177,16 +176,6 @@ def integrate_monomial(spec, a, b):
     return spec.segre[b - spec.r + 1]
 
 
-def integrate(spec, x):
-    """Integral of a class over X."""
-    total = ZERO
-    for i, c in enumerate(x):
-        if c:
-            a, b = spec.basis[i]
-            total += c * integrate_monomial(spec, a, b)
-    return total
-
-
 def pushforward_monomial(spec, a, b):
     """pi_*(p^a xi^b) as a p-coefficient list of length n+1."""
     out = [ZERO] * (spec.n + 1)
@@ -228,15 +217,5 @@ def dual_basis(spec):
     return spec._dual
 
 
-def dual_class(spec, i):
-    """The class phi^i dual to basis element i (0-based)."""
-    return list(dual_basis(spec)[i])
-
-
 def format_rational(x):
     return str(Fraction(x))
-
-
-def format_class(spec, x):
-    """Serialize a class as a list of exact rational strings."""
-    return [format_rational(c) for c in x]

@@ -2,8 +2,8 @@
 pushforward.
 
 Schubert classes are maps from partitions (at most k parts, each at most
-m-k) to Fractions.  Multiplication is Pieri-generated; products by a
-two-part partition use the 2x2 Giambelli combination of Pieri steps.
+m-k) to Fractions.  Multiplication by a special class sigma_i follows
+Pieri's rule.
 
 The flagship's second extremal contraction is resolved by a divisor
 D = P(Q*) over G(2,5) with relative class eta, presented in the subspace
@@ -38,19 +38,6 @@ class Grassmannian:
         self.k = k
         self.m = m
         self.cols = m - k
-        self.dim = k * (m - k)
-        self.box = (self.cols,) * k
-        parts = [()]
-        stack = [()]
-        while stack:
-            lam = stack.pop()
-            bound = lam[-1] if lam else self.cols
-            if len(lam) < k:
-                for nxt in range(1, bound + 1):
-                    mu = lam + (nxt,)
-                    parts.append(mu)
-                    stack.append(mu)
-        self.partitions = tuple(sorted(parts, key=lambda t: (sum(t), t)))
 
     def complement(self, lam):
         """Box complement: the Poincare dual partition."""
@@ -91,27 +78,6 @@ class Grassmannian:
                 yield from rec(j + 1, remaining - add_boxes, prefix + (mj,))
         yield from rec(0, size, ())
 
-    def mult_partition(self, x, mu):
-        """Multiply a class by sigma_mu for a partition with <= 2 parts.
-
-        Uses sigma_(a,b) = sigma_a sigma_b - sigma_(a+1) sigma_(b-1).
-        """
-        mu = _strip(mu)
-        if len(mu) == 0:
-            return dict(x)
-        if len(mu) == 1:
-            return self.pieri(x, mu[0])
-        if len(mu) > 2:
-            raise ValueError("products beyond two-part partitions not implemented")
-        a, b = mu
-        plus = self.pieri(self.pieri(x, a), b)
-        minus = self.pieri(self.pieri(x, a + 1), b - 1)
-        return add(plus, scale(minus, -1))
-
-    def integrate(self, x):
-        """Coefficient of the full-box class."""
-        return x.get(self.box, ZERO)
-
     def pair(self, x, y):
         """Poincare pairing: integral of the product, via box duality."""
         total = ZERO
@@ -142,15 +108,6 @@ def add(x, y):
 def g25():
     """The Grassmannian G(2,5) carrying the flagship blow-up geometry."""
     return Grassmannian(2, 5)
-
-
-def qstar_chern(i):
-    """c_i(Q*) on G(2,5): sign-alternated special classes."""
-    if i == 0:
-        return sigma()
-    if 1 <= i <= 3:
-        return scale(sigma(i), (-1) ** i)
-    return {}
 
 
 @cache

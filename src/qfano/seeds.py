@@ -18,7 +18,7 @@ Both ways pass every entry through the same dimension and symmetry checks.
 from fractions import Fraction
 
 from qfano import schubert
-from qfano.fixtures_io import data_lines
+from qfano.fixtures_io import data_lines, read_lines
 from qfano.linalg import accumulate
 from qfano.ring import (
     basis_index,
@@ -129,25 +129,24 @@ def _parse_pair(tok):
 def load_seeds(path, spec):
     """Parse a seed file: lines `(d,k) (d,k) a b value`, # comments."""
     table = SeedTable(spec)
-    with open(path) as fh:
-        for lineno, line in data_lines(fh):
-            try:
-                tok = line.split()
-                if len(tok) != 5:
-                    raise ValueError("expected 5 fields, got %d" % len(tok))
-                (da, ka) = _parse_pair(tok[0])
-                (db, kb) = _parse_pair(tok[1])
-                a = int(tok[2])
-                b = int(tok[3])
-                value = Fraction(tok[4])
-                if b != 0:
-                    raise ValueError(
-                        "only base-ray rows (b = 0) are accepted; "
-                        "fibre and mixed classes are computed internally")
-                table.set(basis_index(spec, da, ka) - 1,
-                          basis_index(spec, db, kb) - 1, a, value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+    for lineno, line in data_lines(read_lines(path)):
+        try:
+            tok = line.split()
+            if len(tok) != 5:
+                raise ValueError("expected 5 fields, got %d" % len(tok))
+            (da, ka) = _parse_pair(tok[0])
+            (db, kb) = _parse_pair(tok[1])
+            a = int(tok[2])
+            b = int(tok[3])
+            value = Fraction(tok[4])
+            if b != 0:
+                raise ValueError(
+                    "only base-ray rows (b = 0) are accepted; "
+                    "fibre and mixed classes are computed internally")
+            table.set(basis_index(spec, da, ka) - 1,
+                      basis_index(spec, db, kb) - 1, a, value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
     return table
 
 

@@ -1,0 +1,150 @@
+"""Independent checks of the pipeline's results, shared by the test modules.
+
+The package never calls these.  Each one re-derives, from the finished
+object alone, a property that the code enforces while building it:
+QuantumMatrix.set_column refuses misgraded and impure entries, and the
+frame solve sets the origin block to the identity and cross-checks
+every index along the other divisor ray.  The star-polynomial relations
+of fixtures/star_relations.txt are checked here as well.
+"""
+
+from fractions import Fraction
+
+from qfano import opparse, qde
+from qfano.reconstruct import ONE, QuantumMatrix, col_add_into
+from qfano.ring import ZERO, integrate_monomial
+
+_STAR_ATOMS = ("p", "xi", "q1", "q2")
+
+
+def vector(js, a, b):
+    """J at Novikov index (a, b): one Laurent dict per basis component."""
+    spec = js.spec
+    w = a * spec.d1 + b * spec.d2
+    rows, den = js.blocks[(a, b)]
+    return [({-spec.degree(i) - w: Fraction(row[0], den)} if row[0]
+             else {}) for i, row in enumerate(rows)]
+
+
+def check_flatness(js):
+    """Cross-verify every frame against both divisor-ray equations.
+
+    Returns None, or a diagnostic for the first failing index.
+    """
+    for (a, b) in sorted(js.blocks):
+        for along_p in (True, False):
+            scale, classical, rhs = qde._ray(js, a, b, along_p)
+            defect = qde._route_residual(scale, classical, js.blocks[(a, b)],
+                                         rhs)
+            if defect is not None:
+                (i, j), val = defect
+                return ("index (%d,%d): residual %s at entry (%d,%d)"
+                        % (a, b, val, i + 1, j + 1))
+    return None
+
+
+def check_homogeneity(js):
+    """Every exported J component must sit at its forced z-exponent.
+
+    Returns None, or a diagnostic for the first violation.
+    """
+    spec = js.spec
+    identity = [[int(i == j) for j in range(spec.size)]
+                for i in range(spec.size)]
+    if js.blocks[(0, 0)] != (identity, 1):
+        return "frame at index (0,0) is not the identity"
+    for (a, b) in sorted(js.blocks):
+        w = a * spec.d1 + b * spec.d2
+        for i, comp in enumerate(vector(js, a, b)):
+            if not comp:
+                continue
+            forced = -spec.degree(i) - w
+            if set(comp) != {forced}:
+                return ("index (%d,%d) component %d supported at %s, "
+                        "expected z^%d"
+                        % (a, b, i + 1, sorted(comp), forced))
+    return None
+
+
+def parse_star_polynomial(text):
+    """Parse a polynomial in star-powers of p, xi and scalars q1, q2.
+
+    Grammar: the opparse sums of products over the atoms p, xi, q1, q2
+    with rational literal coefficients.  Returns a list of
+    (coefficient, q1-power, q2-power, p-star-power, xi-star-power).
+    """
+    terms = []
+    for chunk in opparse.split_terms(text):
+        coeff, pw = opparse.parse_term(chunk, _STAR_ATOMS)
+        terms.append((coeff, pw["q1"], pw["q2"], pw["p"], pw["xi"]))
+    return terms
+
+
+def verify_relation(mp, mxi, relation):
+    """Residual of a star-polynomial applied to the identity class.
+
+    `relation` is a grammar string; the result is a {row: QPoly} map,
+    empty exactly when the relation holds.
+    """
+    out = {}
+    for coeff, qa, qb, ep, exi in parse_star_polynomial(relation):
+        vec = {0: {(0, 0): ONE}}
+        for _ in range(ep):
+            vec = mp.apply(vec)
+        for _ in range(exi):
+            vec = mxi.apply(vec)
+        col_add_into(out, vec, scale=coeff, shift=(qa, qb))
+    return out
+
+
+def check_grading(mat):
+    """First stored entry (row, col, a, b) off the grading, or None."""
+    spec = mat.spec
+    for j in range(spec.size):
+        for row, qp in mat.column(j).items():
+            for (a, b) in qp:
+                if spec.degree(row) != (spec.degree(j) + 1
+                                        - a * spec.d1 - b * spec.d2):
+                    return (row, j, a, b)
+    return None
+
+
+def check_purity(mat):
+    """First entry violating the no-pure-q2 / no-pure-q1 rule, if any."""
+    for j in range(mat.spec.size):
+        for row, qp in mat.column(j).items():
+            for (a, b) in qp:
+                if mat.label == "p" and a == 0 and b >= 1:
+                    return (row, j, a, b)
+                if mat.label == "xi" and a >= 1 and b == 0:
+                    return (row, j, a, b)
+    return None
+
+
+def classical(mat):
+    """The q = 0 matrix as a dense grid of Fractions."""
+    size = mat.spec.size
+    grid = [[ZERO] * size for _ in range(size)]
+    for j in range(size):
+        for row, qp in mat.column(j).items():
+            grid[row][j] = qp.get((0, 0), ZERO)
+    return grid
+
+
+def set_q_zero(mat):
+    """A copy of a QuantumMatrix with every quantum term dropped."""
+    out = QuantumMatrix(mat.spec, mat.label)
+    for j in range(mat.spec.size):
+        out.set_column(j, {row: {(0, 0): qp[(0, 0)]}
+                           for row, qp in mat.column(j).items()
+                           if (0, 0) in qp})
+    return out
+
+
+def integrate(spec, x):
+    """Integral of a class over X."""
+    total = ZERO
+    for i, c in enumerate(x):
+        if c:
+            total += c * integrate_monomial(spec, *spec.basis[i])
+    return total

@@ -100,6 +100,33 @@ def test_bad_bundle_config_names_line_and_key(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# Each option that reads a file, given {file}.
+FILE_OPTIONS = [
+    ["reconstruct", "--bundle", "{file}"],
+    ["reconstruct", "--seeds", "{file}"],
+    ["jfun", "--order", "4", "--check-operators", "{file}"],
+    ["periods", "--terms", "4", "--pf-verify", "{file}"],
+]
+
+
+@pytest.mark.parametrize("argv", FILE_OPTIONS,
+                         ids=["bundle", "seeds", "check-operators",
+                              "pf-verify"])
+def test_non_utf8_file_is_input_error_naming_it(tmp_path, capsys, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\n")
+    out = tmp_path / "out"
+    status = cli.main([arg.format(file=path) for arg in argv]
+                      + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n" % path)
+    assert not out.exists()
+
+
 def test_bundle_config_file_matches_builtin(tmp_path):
     cfg = tmp_path / "bundle.cfg"
     cfg.write_text("n = 1\nr = 2\n")

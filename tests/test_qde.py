@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 import pytest
+from oracles import check_flatness, check_homogeneity, vector
 
 from qfano import qde
 from qfano.fixtures_io import fixture_lines, fixture_text, load_named_expressions
@@ -74,9 +75,9 @@ def test_product_bundles_closed_form(n, r):
 
 def test_p1p1_vectors_match_hand_oracle(p1p1_js):
     # basis order (1, p, xi, p*xi)
-    assert p1p1_js.vector(0, 0) == [{0: 1}, {}, {}, {}]
-    assert p1p1_js.vector(1, 0) == [{-2: 1}, {-3: -2}, {}, {}]
-    assert p1p1_js.vector(1, 1) == [{-4: 1}, {-5: -2}, {-5: -2}, {-6: 4}]
+    assert vector(p1p1_js, 0, 0) == [{0: 1}, {}, {}, {}]
+    assert vector(p1p1_js, 1, 0) == [{-2: 1}, {-3: -2}, {}, {}]
+    assert vector(p1p1_js, 1, 1) == [{-4: 1}, {-5: -2}, {-5: -2}, {-6: 4}]
 
 
 def test_p1p1_row_recursion_closed_form(p1p1):
@@ -141,8 +142,8 @@ def test_row_recursion_matches_frames(flagship, flagship_js):
 
 
 def test_flatness_and_homogeneity_pass(flagship_js):
-    assert qde.check_flatness(flagship_js) is None
-    assert qde.check_homogeneity(flagship_js) is None
+    assert check_flatness(flagship_js) is None
+    assert check_homogeneity(flagship_js) is None
 
 
 def test_flatness_detects_tampering(flagship):
@@ -150,16 +151,16 @@ def test_flatness_detects_tampering(flagship):
     js = qde.j_series(mp, mxi, spec, 2)
     # entry (5,3) of the integer block at index (1,0)
     js.blocks[(1, 0)][0][4][2] += 1
-    report = qde.check_flatness(js)
+    report = check_flatness(js)
     assert report is not None and "(1,0)" in report
 
 
 def test_homogeneity_detects_non_identity_origin(p1p1):
     spec, mp, mxi = p1p1
     js = qde.j_series(mp, mxi, spec, 1)
-    assert qde.check_homogeneity(js) is None
+    assert check_homogeneity(js) is None
     js.blocks[(0, 0)][0][1][0] = 1
-    assert qde.check_homogeneity(js) == (
+    assert check_homogeneity(js) == (
         "frame at index (0,0) is not the identity")
 
 
@@ -225,7 +226,7 @@ def test_order_zero_series(flagship):
     js = qde.j_series(mp, mxi, spec, 0)
     assert set(js.frames) == {(0, 0)}
     assert qde.identity_coefficients(js) == {(0, 0): 1}
-    assert qde.check_flatness(js) is None
+    assert check_flatness(js) is None
 
 
 def test_negative_order_rejected(flagship):
@@ -294,7 +295,7 @@ def test_rational_inputs_rescale_frames(request, bundle):
         assert js2.frames[(a, b)] == [
             [factor * x * _basis_scale(j) / _basis_scale(i)
              for j, x in enumerate(row)] for i, row in enumerate(frame)]
-    assert qde.check_flatness(js2) is None
+    assert check_flatness(js2) is None
     deep = qde.identity_series(mp, mxi, spec, 10)
     assert qde.identity_series(mp2, mxi2, spec, 10) == {
         (a, b): LAMBDA ** a * MU ** b * c for (a, b), c in deep.items()}
