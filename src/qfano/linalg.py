@@ -87,20 +87,6 @@ def _rref(rows, ncols, modulus=None):
     return rows, pivots, prev
 
 
-def invert(mat):
-    """Invert a square matrix of Fractions by Gauss-Jordan elimination.
-
-    Raises ValueError on a singular matrix.
-    """
-    n = len(mat)
-    aug = [_integer_row(list(row) + [int(i == j) for j in range(n)])
-           for i, row in enumerate(mat)]
-    aug, pivots, d = _rref(aug, n)
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    return [[Fraction(x, d) for x in row[n:]] for row in aug]
-
-
 def _rational(x, modulus):
     """The fraction n/d with n = d*x modulo the prime and |n|, d at most
     sqrt(modulus/2), by the extended Euclidean algorithm, or None."""
@@ -146,7 +132,7 @@ def _certified(rows, basis):
     return True
 
 
-def nullspace(mat, ncols=None):
+def nullspace(mat):
     """Exact right nullspace basis of a rectangular matrix of Fractions.
 
     Returns a list of basis vectors (lists of Fractions), one per free
@@ -155,8 +141,7 @@ def nullspace(mat, ncols=None):
     fraction-free pass gives it when none does.
     """
     rows = [_integer_row(row) for row in mat]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+    ncols = len(rows[0]) if rows else 0
     for q in _MODULI:
         residues, pivots, _ = _rref([[x % q for x in row] for row in rows],
                                     ncols, q)

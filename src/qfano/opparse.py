@@ -49,6 +49,8 @@ def parse_term(term, names):
             raise ValueError("empty factor in term %r" % term)
         if factor[0].isdigit():
             try:
+                if not factor.isascii():
+                    raise ValueError
                 coeff *= Fraction(factor)
             except (ValueError, ZeroDivisionError):
                 raise ValueError("bad coefficient %r in term %r" % (factor, term))
@@ -58,7 +60,7 @@ def parse_term(term, names):
             raise ValueError("unknown atom %r in term %r" % (name, term))
         step = 1
         if caret:
-            if not power.isdigit():
+            if not (power.isascii() and power.isdigit()):
                 raise ValueError("bad exponent %r in term %r" % (power, term))
             step = int(power)
         powers[name] += step

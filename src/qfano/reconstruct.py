@@ -2,17 +2,19 @@
 
 Entries are polynomials in the two curve-class parameters q1 (base ray)
 and q2 (fibre ray), stored as {(a, b): Fraction} maps.  Column j of a
-matrix encodes divisor * phi_j in the monomial basis.  Starting from the
-seed columns (degree <= n) the two matrices are filled degree by degree:
+matrix encodes divisor * phi_j in the monomial basis.  The p-matrix
+columns of degree <= n are the seed columns; the two matrices are then
+filled column by column in basis order:
 
-  * p-direction: p * (xi * v) = xi * (p * v) rewrites the unknown column
-    in terms of strictly earlier ones, provided the p-power descends
-    within each degree so the one same-degree column needed has already
-    been done (or is killed by p^(n+1) = 0);
-  * xi-direction: the divisor axiom fixes every q1^a q2^b term with
-    a >= 1 as b/a times the matching p-entry, the classical part is ring
-    multiplication, and the only pure-q2 term is the fibre-line insertion
-    at the p^k row when the column monomial is p^k xi^(r-1).
+  * p-direction: p * (xi * v) = xi * (p * v) rewrites each p column of
+    degree > n in terms of strictly earlier ones, provided the p-power
+    descends within each degree so the one same-degree column needed has
+    already been done (or is killed by p^(n+1) = 0);
+  * xi-direction: every xi column follows from its p column.  The
+    divisor axiom fixes every q1^a q2^b term with a >= 1 as b/a times the
+    matching p-entry, the classical part is ring multiplication, and the
+    only pure-q2 term is the fibre-line insertion at the p^k row when the
+    column monomial is p^k xi^(r-1).
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from fractions import Fraction
 from qfano import seeds as seeds_mod
 from qfano.fixtures_io import data_lines
 from qfano.linalg import accumulate
-from qfano.ring import classical_mul, monomial_class, pairing_matrix
+from qfano.ring import divisor_mul, pairing_matrix
 
 ONE = Fraction(1)
 
@@ -181,11 +183,8 @@ def p_lemma_step(mp, mxi, spec, d, k):
 
 def xi_column_from_p(spec, p_col, k, b0):
     """The xi-matrix column of p^k xi^b0 implied by the p-matrix column."""
-    col = {}
-    xi = monomial_class(spec, 0, 1)
-    for row, c in enumerate(classical_mul(spec, xi, monomial_class(spec, k, b0))):
-        if c:
-            col.setdefault(row, {})[(0, 0)] = c
+    col = {row: {(0, 0): c}
+           for row, c in divisor_mul(spec, "xi", k, b0).items()}
     if b0 == spec.r - 1:
         qp_add_into(col.setdefault(spec.position(k, 0), {}), {(0, 1): ONE})
     for row, qp in p_col.items():
@@ -197,27 +196,17 @@ def xi_column_from_p(spec, p_col, k, b0):
     return col
 
 
-def xi_lemma_step(mp, mxi, spec, d, k):
-    """Fill the xi-matrix column of p^k xi^(d-k) from the matching p column."""
-    target = spec.position(k, d - k)
-    mxi.set_column(target, xi_column_from_p(spec, mp.column(target), k, d - k))
-
-
-def reconstruct(spec, source=None):
-    """Both divisor matrices, from seed columns up to the top degree."""
-    if source is None:
-        source = seeds_mod.builtin_source(spec)
-    cols_p, cols_xi = seeds_mod.seed_columns(spec, source)
+def reconstruct(spec, source):
+    """Both divisor matrices, from the seed columns of a SeedTable up to
+    the top degree."""
     mp = QuantumMatrix(spec, "p")
     mxi = QuantumMatrix(spec, "xi")
-    for j, col in cols_p.items():
+    for j, col in seeds_mod.seed_columns(spec, source).items():
         mp.set_column(j, col)
-    for j, col in cols_xi.items():
-        mxi.set_column(j, col)
-    for d in range(spec.n + 1, spec.dim + 1):
-        for k in range(min(d, spec.n), max(0, d - spec.r + 1) - 1, -1):
-            p_lemma_step(mp, mxi, spec, d, k)
-            xi_lemma_step(mp, mxi, spec, d, k)
+    for j, (k, b) in enumerate(spec.basis):
+        if k + b > spec.n:
+            p_lemma_step(mp, mxi, spec, k + b, k)
+        mxi.set_column(j, xi_column_from_p(spec, mp.column(j), k, b))
     return mp, mxi
 
 

@@ -10,7 +10,6 @@ p-power descending.
 from fractions import Fraction
 
 from qfano.fixtures_io import data_lines, read_lines
-from qfano.linalg import accumulate, invert
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -44,9 +43,7 @@ class BundleSpec:
             segre.append(-sum(Fraction(self.chern[i - 1]) * segre[j - i]
                               for i in range(1, min(j, r) + 1)))
         self.segre = tuple(segre)
-        self._mul_table = {}
         self._pairing = None
-        self._dual = None
 
     def degree(self, i):
         """Total degree of basis element i (0-based)."""
@@ -126,41 +123,23 @@ def monomial_class(spec, a, b):
     return vec
 
 
-def _reduce_monomial(spec, a, b):
-    """Expand p^a xi^b in the basis; returns {position: Fraction}."""
+def divisor_mul(spec, label, a, b):
+    """Cup product of the divisor p or xi (label) with p^a xi^b.
+
+    Returns {position: Fraction}.  p^(a+1) xi^b vanishes when a = n, and
+    p^a xi^r = -(c_1 p^(a+1) xi^(r-1) + ... + c_r p^(a+r)), dropping the
+    terms past p^n; every other product is a basis monomial.
+    """
+    if label == "p":
+        a += 1
+    else:
+        b += 1
     if a > spec.n:
         return {}
-    if b <= spec.r - 1:
+    if b < spec.r:
         return {spec.position(a, b): ONE}
-    key = (a, b)
-    cached = spec._mul_table.get(key)
-    if cached is not None:
-        return cached
-    # xi^r = -(c_1 p xi^(r-1) + ... + c_r p^r)
-    out = {}
-    for i in range(1, spec.r + 1):
-        ci = spec.chern[i - 1]
-        if ci == 0:
-            continue
-        accumulate(out, ((pos, -ci * coef) for pos, coef
-                         in _reduce_monomial(spec, a + i, b - i).items()))
-    spec._mul_table[key] = out
-    return out
-
-
-def classical_mul(spec, x, y):
-    """Cup product of two classes in basis coordinates."""
-    out = zero_class(spec)
-    nz_y = [(j, cy) for j, cy in enumerate(y) if cy]
-    for i, cx in enumerate(x):
-        if not cx:
-            continue
-        ai, bi = spec.basis[i]
-        for j, cy in nz_y:
-            aj, bj = spec.basis[j]
-            for pos, coef in _reduce_monomial(spec, ai + aj, bi + bj).items():
-                out[pos] += cx * cy * coef
-    return out
+    return {spec.position(a + i, b - i): Fraction(-c)
+            for i, c in enumerate(spec.chern, 1) if c and a + i <= spec.n}
 
 
 def integrate_monomial(spec, a, b):
@@ -208,13 +187,20 @@ def pairing_matrix(spec):
 
 
 def dual_basis(spec):
-    """Inverse pairing matrix; row i gives phi^i in basis coordinates."""
-    if spec._dual is None:
-        try:
-            spec._dual = invert(pairing_matrix(spec))
-        except ValueError:
-            raise ValueError("degenerate Poincare pairing; invalid spec")
-    return spec._dual
+    """Row i gives the Poincare dual phi^i in basis coordinates.
+
+    By the projection formula and c(E) s(E) = 1, the dual of p^a xi^b is
+    sum_(i=0)^min(a, r-1-b) c_i p^(n-a+i) xi^(r-1-b-i), with c_0 = 1.
+    """
+    chern = (1,) + spec.chern
+    dual = []
+    for a, b in spec.basis:
+        row = zero_class(spec)
+        for i in range(min(a, spec.r - 1 - b) + 1):
+            row[spec.position(spec.n - a + i, spec.r - 1 - b - i)] = \
+                Fraction(chern[i])
+        dual.append(row)
+    return dual
 
 
 def format_rational(x):

@@ -1,11 +1,12 @@
-"""Seed two-point invariants and the degree <= n matrix columns built from them.
+"""Seed two-point invariants and the degree <= n p-matrix columns they fix.
 
 The reconstruction needs, for every basis class gamma of degree <= n, the
-two-point invariants <gamma, phi_j> in the fibre direction (0,1) and in the
-base directions (k,0) with k*d1 <= deg(gamma) + 1.  Fibre invariants are
-intrinsic (pushforward to the base, vanishing for multiplicity >= 2).  The
-base-direction invariants form one finite SeedTable, read from a seed file
-by load_seeds or filled by builtin_source from one pushforward pairing:
+two-point invariants <gamma, phi_j> in the base directions (k,0) with
+k*d1 <= deg(gamma) + 1; by the divisor axiom they fix the p-matrix
+column of gamma, and every xi-matrix column follows from its p column
+(reconstruct.xi_column_from_p).  These invariants form one finite
+SeedTable, read from a seed file by load_seeds or filled by
+builtin_source from one pushforward pairing:
 
   * blowup_invariant  - the flagship: both classes pushed from the
                         exceptional divisor to G(2,5) and paired there;
@@ -22,7 +23,7 @@ from qfano.fixtures_io import data_lines, read_lines
 from qfano.linalg import accumulate
 from qfano.ring import (
     basis_index,
-    classical_mul,
+    divisor_mul,
     dual_basis,
     make_bundle,
     monomial_class,
@@ -184,65 +185,40 @@ def demanded_invariants(spec):
 
 
 def seed_columns(spec, table):
-    """Columns of the two divisor matrices for every degree <= n class.
+    """The p-matrix column of every degree <= n class.
 
-    Returns (cols_p, cols_xi): maps column index -> {row: {(a,b): Fraction}}.
+    Returns a map column index -> {row: {(a,b): Fraction}}: the classical
+    product plus, for each base-ray invariant <gamma, phi_j> of k times
+    the ray, k times its value times q1^k times the dual class phi^j.
     Raises MissingSeedError when the table lacks a demanded invariant and
     ValueError when a mixed curve class passes the dimension filter (outside
     the reconstruction's scope).
     """
-    dual = dual_basis(spec)
-    p = monomial_class(spec, 1, 0)
-    xi = monomial_class(spec, 0, 1)
     # mixed classes must not pass the dimension filter for degree <= n columns
     if spec.d1 + spec.d2 <= spec.n + 1:
         raise ValueError(
             "mixed curve class (1,1) passes the dimension filter; "
             "its seeds are outside the reconstruction's scope")
+    dual = dual_basis(spec)
     base_terms = {}
     for i, j, k in demanded_invariants(spec):
         base_terms.setdefault(i, []).append((j, k))
-    cols_p = {}
-    cols_xi = {}
-
-    def put(col, row, a, b, value):
-        if value and not accumulate(col.setdefault(row, {}), [((a, b), value)]):
-            del col[row]
-
+    cols = {}
     for ci, (a0, b0) in enumerate(spec.basis):
-        deg = a0 + b0
-        if deg > spec.n:
+        if a0 + b0 > spec.n:
             continue
-        gamma = monomial_class(spec, a0, b0)
-        col_p = {}
-        col_xi = {}
-        for row, c in enumerate(classical_mul(spec, p, gamma)):
-            put(col_p, row, 0, 0, c)
-        for row, c in enumerate(classical_mul(spec, xi, gamma)):
-            put(col_xi, row, 0, 0, c)
-
-        # base directions: divisor factor k into M_p, none into M_xi
+        col = {row: {(0, 0): c}
+               for row, c in divisor_mul(spec, "p", a0, b0).items()}
         for j, k in base_terms.get(ci, ()):
             val = table.pure_base(ci, j, k)
-            if val:
-                for row in range(spec.size):
-                    put(col_p, row, k, 0, k * val * dual[j][row])
-
-        # fibre direction: divisor factor 1 into M_xi, none into M_p
-        degj = spec.dim - 1 + spec.d2 - deg
-        if degj <= spec.dim:
-            for j in range(spec.size):
-                if spec.degree(j) != degj:
-                    continue
-                val = fiber_invariant(spec, gamma,
-                                      monomial_class(spec, *spec.basis[j]), 1)
-                if val:
-                    for row in range(spec.size):
-                        put(col_xi, row, 0, 1, val * dual[j][row])
-
-        cols_p[ci] = col_p
-        cols_xi[ci] = col_xi
-    return cols_p, cols_xi
+            if not val:
+                continue
+            for row, c in enumerate(dual[j]):
+                if c and not accumulate(col.setdefault(row, {}),
+                                        [((k, 0), k * val * c)]):
+                    del col[row]
+        cols[ci] = col
+    return cols
 
 
 def dump_seed_lines(spec, table):

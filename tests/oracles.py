@@ -6,13 +6,21 @@ QuantumMatrix.set_column refuses misgraded and impure entries, and the
 frame solve sets the origin block to the identity and cross-checks
 every index along the other divisor ray.  The star-polynomial relations
 of fixtures/star_relations.txt are checked here as well.
+
+The general ring computations the package replaced by closed forms are
+kept here as references: the cup product with recursive reduction, the
+dual basis as the inverse of the Poincare pairing, and the degree <= n
+xi-matrix columns from fibre-line invariants.
 """
 
 from fractions import Fraction
 
 from qfano import opparse, qde
+from qfano.linalg import accumulate, nullspace
 from qfano.reconstruct import ONE, QuantumMatrix, col_add_into
-from qfano.ring import ZERO, integrate_monomial
+from qfano.ring import (ZERO, integrate_monomial, monomial_class,
+                        pairing_matrix, zero_class)
+from qfano.seeds import fiber_invariant
 
 _STAR_ATOMS = ("p", "xi", "q1", "q2")
 
@@ -148,3 +156,84 @@ def integrate(spec, x):
         if c:
             total += c * integrate_monomial(spec, *spec.basis[i])
     return total
+
+
+def reduce_monomial(spec, a, b):
+    """p^a xi^b in the basis as {position: Fraction}, by p^(n+1) = 0 and
+    xi^r = -(c_1 p xi^(r-1) + ... + c_r p^r) applied until b < r."""
+    if a > spec.n:
+        return {}
+    if b < spec.r:
+        return {spec.position(a, b): ONE}
+    out = {}
+    for i, c in enumerate(spec.chern, 1):
+        if c:
+            accumulate(out, ((pos, -c * coef) for pos, coef
+                             in reduce_monomial(spec, a + i, b - i).items()))
+    return out
+
+
+def classical_mul(spec, x, y):
+    """Cup product of two classes in basis coordinates."""
+    out = zero_class(spec)
+    for i, cx in enumerate(x):
+        if not cx:
+            continue
+        ai, bi = spec.basis[i]
+        for j, cy in enumerate(y):
+            if not cy:
+                continue
+            aj, bj = spec.basis[j]
+            for pos, coef in reduce_monomial(spec, ai + aj, bi + bj).items():
+                out[pos] += cx * cy * coef
+    return out
+
+
+def invert(mat):
+    """Inverse of a square matrix, read off the nullspace of [A | -I].
+
+    That kernel is {(x, Ax)}.  When A is invertible its echelon basis
+    vector at free column n + j is (A^-1 e_j, e_j); otherwise the last n
+    entries span only the image of A.  Raises ValueError on a singular
+    matrix.
+    """
+    n = len(mat)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    basis = nullspace([list(row) + [-x for x in unit[i]]
+                       for i, row in enumerate(mat)])
+    if [vec[n:] for vec in basis] != unit:
+        raise ValueError("singular matrix")
+    return [list(row) for row in zip(*(vec[:n] for vec in basis))]
+
+
+def dual_basis(spec):
+    """Inverse Poincare pairing; row i gives phi^i in basis coordinates."""
+    return invert(pairing_matrix(spec))
+
+
+def fibre_xi_seed_columns(spec):
+    """The xi-matrix column of every degree <= n class from fibre-line
+    invariants: the classical product plus, for each invariant
+    <gamma, phi_j> of the fibre line, its value times q2 times phi^j."""
+    dual = dual_basis(spec)
+    xi = monomial_class(spec, 0, 1)
+
+    def put(col, row, key, value):
+        if value and not accumulate(col.setdefault(row, {}), [(key, value)]):
+            del col[row]
+
+    cols = {}
+    for ci, (a0, b0) in enumerate(spec.basis):
+        if a0 + b0 > spec.n:
+            continue
+        gamma = monomial_class(spec, a0, b0)
+        col = cols[ci] = {}
+        for row, c in enumerate(classical_mul(spec, xi, gamma)):
+            put(col, row, (0, 0), c)
+        for j in range(spec.size):
+            if spec.degree(j) == spec.dim - 1 + spec.d2 - a0 - b0:
+                val = fiber_invariant(
+                    spec, gamma, monomial_class(spec, *spec.basis[j]), 1)
+                for row, c in enumerate(dual[j]):
+                    put(col, row, (0, 1), val * c)
+    return cols

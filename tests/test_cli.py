@@ -181,11 +181,16 @@ def test_jfun_check_operators_rejects_duplicate_name(tmp_path):
 
 @pytest.mark.parametrize("body,error", [
     ("A = D1 - q1\nB\n", "2: expected `name = expression`, got 'B'"),
-    ("# one\nA = D1 - Q\n", "2: unknown atom 'Q' in term '-Q'")],
-    ids=["malformed", "bad-atom"])
+    ("# one\nA = D1 - Q\n", "2: unknown atom 'Q' in term '-Q'"),
+    # int() reads both; the grammar takes ASCII digits only
+    ("A = D1^\u00b2\n", "1: bad exponent '\u00b2' in term 'D1^\u00b2'"),
+    ("A = D1^\u0663 - D1^3\n",
+     "1: bad exponent '\u0663' in term 'D1^\u0663'")],
+    ids=["malformed", "bad-atom", "superscript-exponent",
+         "arabic-indic-exponent"])
 def test_jfun_check_operators_bad_line_names_file(tmp_path, body, error):
     ops = tmp_path / "bad.ops"
-    ops.write_text(body)
+    ops.write_text(body, encoding="utf-8")
     proc = run_cli("jfun", "--bundle", "p1-trivial", "--order", "4",
                    "--check-operators", str(ops))
     assert proc.returncode == 2

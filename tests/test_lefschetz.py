@@ -12,6 +12,7 @@ from qfano import qde
 from qfano.fixtures_io import fixture_lines
 from qfano.reconstruct import reconstruct
 from qfano.ring import make_bundle
+from qfano.seeds import builtin_source
 
 F = Fraction
 
@@ -21,7 +22,7 @@ FLAGSHIP_CUT = lf.parse_cut("p,xi^5")
 @pytest.fixture(scope="module")
 def flagship():
     spec = make_bundle(4, 6, [-3, 5, -5])
-    mp, mxi = reconstruct(spec)
+    mp, mxi = reconstruct(spec, builtin_source(spec))
     return spec, mp, mxi
 
 
@@ -85,7 +86,7 @@ def test_mirror_multiplier_is_fibre_exponential(flagship, flagship_ctable):
 
 def test_mirror_multiplier_trivial_without_cut():
     spec = make_bundle(1, 2)
-    mp, mxi = reconstruct(spec)
+    mp, mxi = reconstruct(spec, builtin_source(spec))
     ctable = qde.identity_series(mp, mxi, spec, 4)
     series = lf.hypergeometric_modify(ctable, spec, [], 4)
     assert lf.mirror_map_correction(series) == [1, 0, 0, 0, 0]

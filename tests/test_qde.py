@@ -10,6 +10,7 @@ from qfano import qde
 from qfano.fixtures_io import fixture_lines, fixture_text, load_named_expressions
 from qfano.reconstruct import QuantumMatrix, reconstruct
 from qfano.ring import make_bundle
+from qfano.seeds import builtin_source
 
 F = Fraction
 
@@ -17,7 +18,7 @@ F = Fraction
 @pytest.fixture(scope="module")
 def p1p1():
     spec = make_bundle(1, 2)
-    mp, mxi = reconstruct(spec)
+    mp, mxi = reconstruct(spec, builtin_source(spec))
     return spec, mp, mxi
 
 
@@ -30,7 +31,7 @@ def p1p1_js(p1p1):
 @pytest.fixture(scope="module")
 def flagship():
     spec = make_bundle(4, 6, [-3, 5, -5])
-    mp, mxi = reconstruct(spec)
+    mp, mxi = reconstruct(spec, builtin_source(spec))
     return spec, mp, mxi
 
 
@@ -63,7 +64,7 @@ def test_product_bundles_closed_form(n, r):
     # P^n x P^(r-1): c_{a,b} = 1 / ((a!)^(n+1) (b!)^r) on both solver paths,
     # and the J-series is annihilated by D1^(n+1) - q1 and D2^r - q2
     spec = make_bundle(n, r)
-    mp, mxi = reconstruct(spec)
+    mp, mxi = reconstruct(spec, builtin_source(spec))
     expected = {(a, b): F(1, factorial(a) ** (n + 1) * factorial(b) ** r)
                 for a in range(6) for b in range(6 - a)}
     assert qde.identity_series(mp, mxi, spec, 5) == expected
@@ -189,6 +190,11 @@ def test_parse_operator_basics():
         qde.parse_operator("D3^2")
     with pytest.raises(ValueError, match="bad exponent"):
         qde.parse_operator("q1^x")
+    for digit in ("\u00b2", "\u0663"):  # superscript two, Arabic-Indic three
+        with pytest.raises(ValueError, match="bad exponent '%s'" % digit):
+            qde.parse_operator("D1^" + digit)
+        with pytest.raises(ValueError, match="bad coefficient '%s'" % digit):
+            qde.parse_operator(digit + "*D1")
 
 
 def test_operator_fixture_term_counts(operators):
@@ -363,7 +369,7 @@ def reference_series(request, case):
     """(mp, mxi, series) of one reference-oracle case."""
     if case == "product":
         spec = make_bundle(2, 4)
-        mp, mxi = reconstruct(spec)
+        mp, mxi = reconstruct(spec, builtin_source(spec))
         return mp, mxi, qde.j_series(mp, mxi, spec, 6)
     if case == "rescaled":
         spec, mp, mxi = request.getfixturevalue("flagship")

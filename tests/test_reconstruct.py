@@ -4,15 +4,16 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import (check_grading, check_purity, classical,
-                     parse_star_polynomial, set_q_zero, verify_relation)
+from oracles import (check_grading, check_purity, classical, classical_mul,
+                     fibre_xi_seed_columns, parse_star_polynomial, set_q_zero,
+                     verify_relation)
 
 from qfano import reconstruct as rc
 from qfano import seeds as seeds_mod
 from qfano.fixtures_io import fixture_lines, load_named_expressions
-from qfano.ring import basis_index, classical_mul, make_bundle, monomial_class
+from qfano.ring import basis_index, make_bundle, monomial_class
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def flagship():
 
 @pytest.fixture(scope="module")
 def flagship_matrices(flagship):
-    return rc.reconstruct(flagship)
+    return rc.reconstruct(flagship, seeds_mod.builtin_source(flagship))
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def p1p1():
 
 @pytest.fixture(scope="module")
 def p1p1_matrices(p1p1):
-    return rc.reconstruct(p1p1)
+    return rc.reconstruct(p1p1, seeds_mod.builtin_source(p1p1))
 
 
 def test_flagship_matches_fixtures(flagship, flagship_matrices):
@@ -48,7 +49,7 @@ def test_flagship_matches_fixtures(flagship, flagship_matrices):
 
 def test_flagship_runtime(flagship):
     t0 = time.time()
-    rc.reconstruct(flagship)
+    rc.reconstruct(flagship, seeds_mod.builtin_source(flagship))
     assert time.time() - t0 < 5.0
 
 
@@ -121,14 +122,38 @@ def test_q_zero_recovers_classical(flagship, flagship_matrices):
             assert got == want, (mat.label, j)
 
 
-def test_seed_independence_cross_check(flagship, p1p1):
-    # deriving each degree <= n xi column from the p column reproduces it
-    for spec in (flagship, p1p1):
-        cols_p, cols_xi = seeds_mod.seed_columns(
-            spec, seeds_mod.builtin_source(spec))
-        for j, col in cols_p.items():
-            a0, b0 = spec.basis[j]
-            assert rc.xi_column_from_p(spec, col, a0, b0) == cols_xi[j], j
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=2, max_value=5),
+       st.lists(st.integers(min_value=-4, max_value=4), max_size=5),
+       st.randoms(use_true_random=False))
+@example(4, 6, [-3, 5, -5], None)
+@example(1, 2, [], None)
+def test_seed_independence_cross_check(n, r, chern, rng):
+    # every degree <= n xi column, derived from its p column, equals the
+    # fibre-line computation, whatever the base-ray seed values are; the
+    # builtin geometries run with their own seeds
+    try:
+        spec = make_bundle(n, r, chern[:r])
+    except ValueError:
+        assume(False)
+    assume(spec.d1 + spec.d2 > spec.n + 1)
+    if rng is None:
+        table = seeds_mod.builtin_source(spec)
+    else:
+        table = seeds_mod.SeedTable(spec)
+        values = {}
+        for i, j, k in seeds_mod.demanded_invariants(spec):
+            key = (min(i, j), max(i, j), k)
+            values.setdefault(key, Fraction(rng.randint(-9, 9),
+                                            rng.randint(1, 4)))
+            table.set(i, j, k, values[key])
+    _, mxi = rc.reconstruct(spec, table)
+    want = fibre_xi_seed_columns(spec)
+    assert sorted(want) == [j for j in range(spec.size)
+                            if spec.degree(j) <= spec.n]
+    for j, col in want.items():
+        assert mxi.column(j) == col, j
 
 
 def test_p1p1_pipeline(p1p1, p1p1_matrices):
@@ -144,7 +169,7 @@ def test_p1p1_pipeline(p1p1, p1p1_matrices):
 
 def test_reconstruct_deterministic(flagship, flagship_matrices):
     mp, mxi = flagship_matrices
-    mp2, mxi2 = rc.reconstruct(flagship)
+    mp2, mxi2 = rc.reconstruct(flagship, seeds_mod.builtin_source(flagship))
     assert mp == mp2 and mxi == mxi2
 
 

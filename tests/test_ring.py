@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import integrate
+from oracles import classical_mul, integrate
+from oracles import dual_basis as pairing_inverse
 
 from qfano import ring
 from qfano.ring import (
     basis_index,
-    classical_mul,
+    divisor_mul,
     dual_basis,
     integrate_monomial,
     make_bundle,
@@ -295,7 +296,34 @@ def test_divisor_multiplication_strictly_lower_triangular(n, r, chern):
         spec = make_bundle(n, r, chern[:r])
     except ValueError:
         assume(False)
-    for divisor in (monomial_class(spec, 1, 0), monomial_class(spec, 0, 1)):
+    for label in ("p", "xi"):
         for k, mono in enumerate(spec.basis):
-            col = classical_mul(spec, divisor, monomial_class(spec, *mono))
-            assert all(i > k for i, c in enumerate(col) if c)
+            assert all(i > k for i in divisor_mul(spec, label, *mono))
+
+
+def as_class(spec, sparse):
+    vec = zero_class(spec)
+    for pos, c in sparse.items():
+        vec[pos] = c
+    return vec
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=2, max_value=7),
+       st.lists(st.integers(min_value=-5, max_value=5), max_size=7))
+def test_closed_forms_match_general_oracles(n, r, chern):
+    # divisor products and the dual basis in closed form equal the
+    # recursive cup product and the inverse of the pairing matrix
+    try:
+        spec = make_bundle(n, r, chern[:r])
+    except ValueError:
+        assume(False)
+    for label, divisor in (("p", monomial_class(spec, 1, 0)),
+                           ("xi", monomial_class(spec, 0, 1))):
+        for mono in spec.basis:
+            got = divisor_mul(spec, label, *mono)
+            assert all(type(c) is Fraction and c for c in got.values())
+            assert as_class(spec, got) == classical_mul(
+                spec, divisor, monomial_class(spec, *mono)), (label, mono)
+    assert dual_basis(spec) == pairing_inverse(spec)
