@@ -169,8 +169,8 @@ def cmd_jfun(args):
     status = 0
     if args.check_operators is not None:
         report = []
-        for name in sorted(parsed):
-            failure = qde.check_operator(parsed[name], js)
+        failures = qde.check_operator([parsed[n] for n in sorted(parsed)], js)
+        for name, failure in zip(sorted(parsed), failures):
             if failure is None:
                 report.append("%s: residual zero at all %d indices"
                               % (name, len(js.blocks)))

@@ -49,7 +49,7 @@ def parse_term(term, names):
             raise ValueError("empty factor in term %r" % term)
         if factor[0].isdigit():
             try:
-                if not factor.isascii():
+                if not set(factor) <= set("0123456789/"):
                     raise ValueError
                 coeff *= Fraction(factor)
             except (ValueError, ZeroDivisionError):

@@ -31,7 +31,9 @@ table, the operator residual), where values become Fractions.
 
 The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
-coefficient table c_{a,b}.
+coefficient table c_{a,b}.  All operators share one pass over the
+series by source index, which builds each derivative chain D1^k D2^l
+of a source's J-vector once.
 """
 
 from collections import namedtuple
@@ -54,13 +56,13 @@ def _scaled(values, den):
     return {k: v.numerator * (den // v.denominator) for k, v in values.items()}
 
 
-# A classical divisor matrix C = Cint/den: entries is {(i, k): Cint[i][k]},
-# rows[i] lists the pairs (k, Cint[i][k]) of row i, cols[j] the pairs
-# (k, Cint[k][j]) of column j, and degree[i] is the degree of basis
-# element i.  C raises degree by exactly one (set_column enforces the
-# grading), so deg(k) = deg(i) - 1 in rows[i] and deg(k) = deg(j) + 1 in
-# cols[j]; the solver's walk order relies on it.
-Classical = namedtuple("Classical", "entries rows cols den degree")
+# A classical divisor matrix C = Cint/den: rows[i] lists the pairs
+# (k, Cint[i][k]) of row i, cols[j] the pairs (k, Cint[k][j]) of column
+# j, and degree[i] is the degree of basis element i.  C raises degree by
+# exactly one (set_column enforces the grading), so deg(k) = deg(i) - 1
+# in rows[i] and deg(k) = deg(j) + 1 in cols[j]; the solver's walk order
+# relies on it.
+Classical = namedtuple("Classical", "rows cols den degree")
 
 
 def _split_matrix(qmat):
@@ -84,14 +86,13 @@ def _split_matrix(qmat):
     dc = lcm(*(v.denominator for v in classical.values()))
     dq = lcm(*(v.denominator for part in parts.values()
                for v in part.values()))
-    entries = _scaled(classical, dc)
     rows = [[] for _ in range(spec.size)]
     cols = [[] for _ in range(spec.size)]
-    for (i, k), v in entries.items():
+    for (i, k), v in _scaled(classical, dc).items():
         rows[i].append((k, v))
         cols[k].append((i, v))
     degree = tuple(spec.degree(i) for i in range(spec.size))
-    return (Classical(entries, rows, cols, dc, degree),
+    return (Classical(rows, cols, dc, degree),
             ({key: _scaled(part, dq) for key, part in parts.items()}, dq))
 
 
@@ -349,70 +350,84 @@ def parse_operator(text):
 def _cup(vec, den, classical, shift):
     """(classical cup + shift * z) on the first column vec / den."""
     dc = classical.den
-    out = [shift * dc * x for x in vec]
-    for (i, k), v in classical.entries.items():
-        x = vec[k]
-        if x:
-            out[i] += v * x
+    out = []
+    for x, row in zip(vec, classical.rows):
+        x *= shift * dc
+        for k, v in row:
+            x += v * vec[k]
+        out.append(x)
     return out, den * dc
 
 
-def apply_operator(op, js):
-    """Apply a parsed operator to the J-series.
+def _chain(chains, k, l, js, s, u):
+    """D1^k D2^l on the first column of source (s, u), memoized in chains
+    as an extension of D1^k D2^(l-1), or of D1^(k-1) when l = 0."""
+    if (k, l) not in chains:
+        if l:
+            chains[(k, l)] = _cup(*_chain(chains, k, l - 1, js, s, u),
+                                  js.xi_classical, u)
+        else:
+            chains[(k, l)] = _cup(*_chain(chains, k - 1, 0, js, s, u),
+                                  js.p_classical, s)
+    return chains[(k, l)]
+
+
+def apply_operator(ops, js):
+    """Apply parsed operators to the J-series in one pass over the sources.
 
     The derivation along ray k acts on the (a, b) coefficient as the
     classical divisor cup plus (index along ray k) * z; q-powers shift
     the source index.  Every divisor action raises degree by one, so a
     term whose source is (s, u) lands on component i at the single
     exponent sigma - deg(i), sigma = d1 + d2 + z - s*spec.d1 - u*spec.d2
-    over its powers; terms are summed per sigma on integer first columns.
-    Returns {(a, b): vector of Laurent dicts} over every index of the
-    series; each one is exact because operators only shift indices
-    downward.
+    over its powers.  A source's chains serve the terms of every operator
+    and are dropped before the next source; terms are summed per target
+    and sigma on integer first columns.  Returns, per operator, {(a, b):
+    vector of Laurent dicts} over every index of the series; each one is
+    exact because operators only shift indices downward.
     """
     spec = js.spec
-    size = spec.size
-    residual = {}
-    for (a, b) in js.blocks:
-        groups = {}
-        for t in op:
-            s, u = a - t.q1, b - t.q2
-            if s < 0 or u < 0:
-                continue
-            rows, den = js.blocks[(s, u)]
-            vec = [row[0] for row in rows]
-            for _ in range(t.d1):
-                vec, den = _cup(vec, den, js.p_classical, s)
-            for _ in range(t.d2):
-                vec, den = _cup(vec, den, js.xi_classical, u)
-            sigma = t.d1 + t.d2 + t.z - s * spec.d1 - u * spec.d2
-            groups.setdefault(sigma, []).append(
-                (vec, den * t.coeff.denominator, t.coeff.numerator))
-        acc = [dict() for _ in range(size)]
-        for sigma, items in groups.items():
-            den = lcm(*(d for _, d, _ in items))
-            total = [0] * size
-            for vec, d, num in items:
-                f = num * (den // d)
-                for i, x in enumerate(vec):
+    sums = [{key: {} for key in js.blocks} for _ in ops]
+    for (s, u), (rows, den) in js.blocks.items():
+        chains = {(0, 0): ([row[0] for row in rows], den)}
+        for op, targets in zip(ops, sums):
+            for t in op:
+                groups = targets.get((s + t.q1, u + t.q2))
+                if groups is None:
+                    continue
+                vec, d = _chain(chains, t.d1, t.d2, js, s, u)
+                d *= t.coeff.denominator
+                sigma = t.d1 + t.d2 + t.z - s * spec.d1 - u * spec.d2
+                acc = groups.setdefault(sigma, [[0] * len(vec), d])
+                m = lcm(acc[1], d)
+                if m != acc[1]:
+                    acc[:] = [m // acc[1] * x for x in acc[0]], m
+                g, total = t.coeff.numerator * (m // d), acc[0]
+                for i, y in enumerate(vec):
+                    if y:
+                        total[i] += g * y
+        # blocks ascend in a + b: every source of (s, u) came before it
+        for targets in sums:
+            groups, out = targets[(s, u)], [{} for _ in range(spec.size)]
+            for sigma, (total, tden) in groups.items():
+                for i, x in enumerate(total):
                     if x:
-                        total[i] += f * x
-            for i, x in enumerate(total):
-                if x:
-                    acc[i][sigma - spec.degree(i)] = Fraction(x, den)
-        residual[(a, b)] = acc
-    return residual
+                        out[i][sigma - spec.degree(i)] = Fraction(x, tden)
+            targets[(s, u)] = out
+    return sums
 
 
-def check_operator(op, js):
-    """None if the operator annihilates the series at every index,
+def check_operator(ops, js):
+    """Per operator, None if it annihilates the series at every index,
     else a diagnostic naming the first surviving component."""
-    res = apply_operator(op, js)
-    for (a, b) in sorted(res):
-        for i, comp in enumerate(res[(a, b)]):
-            if comp:
-                terms = ", ".join("%s*z^%d" % (comp[e], e)
-                                  for e in sorted(comp))
-                return ("residual nonzero at index (%d,%d), component %d: %s"
-                        % (a, b, i + 1, terms))
-    return None
+    reports = []
+    for res in apply_operator(ops, js):
+        hit = next(((key, i, comp) for key in sorted(res)
+                    for i, comp in enumerate(res[key]) if comp), None)
+        if hit:
+            (a, b), i, comp = hit
+            terms = ", ".join("%s*z^%d" % (comp[e], e) for e in sorted(comp))
+            hit = ("residual nonzero at index (%d,%d), component %d: %s"
+                   % (a, b, i + 1, terms))
+        reports.append(hit)
+    return reports

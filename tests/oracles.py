@@ -10,10 +10,13 @@ of fixtures/star_relations.txt are checked here as well.
 The general ring computations the package replaced by closed forms are
 kept here as references: the cup product with recursive reduction, the
 dual basis as the inverse of the Poincare pairing, and the degree <= n
-xi-matrix columns from fibre-line invariants.
+xi-matrix columns from fibre-line invariants.  So is the operator
+residual built term by term, which the package now builds in one pass
+shared by all operators.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from qfano import opparse, qde
 from qfano.linalg import accumulate, nullspace
@@ -72,6 +75,58 @@ def check_homogeneity(js):
                         "expected z^%d"
                         % (a, b, i + 1, sorted(comp), forced))
     return None
+
+
+def _ref_cup(vec, den, classical, shift):
+    """(classical cup + shift * z) on vec / den, read by columns."""
+    dc = classical.den
+    out = [shift * dc * x for x in vec]
+    for k, col in enumerate(classical.cols):
+        x = vec[k]
+        if x:
+            for i, v in col:
+                out[i] += v * x
+    return out, den * dc
+
+
+def ref_apply_operator(op, js):
+    """One operator's residual, built term by term: each term rebuilds its
+    own derivative chain on its source's first column, and the terms are
+    summed per target and sigma over the lcm of their denominators.
+    Returns {(a, b): vector of Laurent dicts} as qde.apply_operator does
+    for one operator."""
+    spec = js.spec
+    size = spec.size
+    residual = {}
+    for (a, b) in js.blocks:
+        groups = {}
+        for t in op:
+            s, u = a - t.q1, b - t.q2
+            if s < 0 or u < 0:
+                continue
+            rows, den = js.blocks[(s, u)]
+            vec = [row[0] for row in rows]
+            for _ in range(t.d1):
+                vec, den = _ref_cup(vec, den, js.p_classical, s)
+            for _ in range(t.d2):
+                vec, den = _ref_cup(vec, den, js.xi_classical, u)
+            sigma = t.d1 + t.d2 + t.z - s * spec.d1 - u * spec.d2
+            groups.setdefault(sigma, []).append(
+                (vec, den * t.coeff.denominator, t.coeff.numerator))
+        acc = [dict() for _ in range(size)]
+        for sigma, items in groups.items():
+            den = lcm(*(d for _, d, _ in items))
+            total = [0] * size
+            for vec, d, num in items:
+                f = num * (den // d)
+                for i, x in enumerate(vec):
+                    if x:
+                        total[i] += f * x
+            for i, x in enumerate(total):
+                if x:
+                    acc[i][sigma - spec.degree(i)] = Fraction(x, den)
+        residual[(a, b)] = acc
+    return residual
 
 
 def parse_star_polynomial(text):

@@ -135,9 +135,10 @@ def test_criterion_05_operators_annihilate(js14):
     reach = max(a + b for (a, b) in js14.frames)
     if reach < 14:
         failures.append("series reaches only total order %d" % reach)
-    for name in sorted(named):
-        op = qde.parse_operator(named[name])
-        bad = qde.check_operator(op, js14)
+    names = sorted(named)
+    reports = qde.check_operator([qde.parse_operator(named[name])
+                                  for name in names], js14)
+    for name, bad in zip(names, reports):
         if bad is not None:
             failures.append("%s: %s" % (name, bad))
     _verdict(5, failures)

@@ -185,9 +185,15 @@ def test_jfun_check_operators_rejects_duplicate_name(tmp_path):
     # int() reads both; the grammar takes ASCII digits only
     ("A = D1^\u00b2\n", "1: bad exponent '\u00b2' in term 'D1^\u00b2'"),
     ("A = D1^\u0663 - D1^3\n",
-     "1: bad exponent '\u0663' in term 'D1^\u0663'")],
+     "1: bad exponent '\u0663' in term 'D1^\u0663'"),
+    # Fraction() reads these; the grammar takes digits and digits/digits
+    ("A = D1 - q1\nB = 1e3*D2^2 - q2\n",
+     "2: bad coefficient '1e3' in term '1e3*D2^2'"),
+    ("A = D1 - 1_0*q1\n", "1: bad coefficient '1_0' in term '-1_0*q1'"),
+    ("A = 1.5*D1 - q1\n", "1: bad coefficient '1.5' in term '1.5*D1'")],
     ids=["malformed", "bad-atom", "superscript-exponent",
-         "arabic-indic-exponent"])
+         "arabic-indic-exponent", "exponent-literal", "underscore-literal",
+         "decimal-literal"])
 def test_jfun_check_operators_bad_line_names_file(tmp_path, body, error):
     ops = tmp_path / "bad.ops"
     ops.write_text(body, encoding="utf-8")
@@ -196,6 +202,23 @@ def test_jfun_check_operators_bad_line_names_file(tmp_path, body, error):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: %s:%s\n" % (ops, error)
+
+
+def test_jfun_check_operators_builds_each_chain_once(tmp_path, monkeypatch):
+    # 812 distinct (source index, k, l) chains at order 6; one chain per
+    # operator term would cost 3286 passes
+    passes = []
+    cup = qde._cup
+
+    def spy(*args):
+        passes.append(None)
+        return cup(*args)
+
+    monkeypatch.setattr(qde, "_cup", spy)
+    status = cli.main(["jfun", "--order", "6", "--apery", "4",
+                       "--check-operators", "--out", str(tmp_path)])
+    assert status == 0
+    assert len(passes) == 812
 
 
 @pytest.mark.parametrize("body,error", [

@@ -1,5 +1,6 @@
 """Period pipeline: cuts, mirror multiplier, sequences, Fuchsian search."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -147,6 +148,16 @@ def test_pf_format_parse_round_trip(coeffs):
     text = lf.format_pf_operator(op)
     assert lf.parse_pf_operator(text) == op
     assert lf.format_pf_operator(lf.parse_pf_operator(text)) == text
+
+
+@pytest.mark.parametrize("lit", ["1e3", "1_0", "1.5"])
+def test_pf_parse_rejects_literals_outside_grammar(lit):
+    # Fraction() reads these; the grammar takes digits and digits/digits
+    with pytest.raises(ValueError, match=re.escape(
+            "bad coefficient '%s' in term '-%s*t*D'" % (lit, lit))):
+        lf.parse_pf_operator("D^2 - %s*t*D" % lit)
+    with pytest.raises(ValueError, match="bad coefficient"):
+        lf.parse_cut("p,%s*xi" % lit)
 
 
 def test_pf_apply_basics():

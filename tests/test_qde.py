@@ -1,10 +1,12 @@
 """Quantum differential system: frames, coefficient tables, operators."""
 
+import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
 import pytest
-from oracles import check_flatness, check_homogeneity, vector
+from oracles import (check_flatness, check_homogeneity, ref_apply_operator,
+                     vector)
 
 from qfano import qde
 from qfano.fixtures_io import fixture_lines, fixture_text, load_named_expressions
@@ -70,8 +72,9 @@ def test_product_bundles_closed_form(n, r):
     assert qde.identity_series(mp, mxi, spec, 5) == expected
     js = qde.j_series(mp, mxi, spec, 5)
     assert qde.identity_coefficients(js) == expected
-    for text in ("D1^%d - q1" % (n + 1), "D2^%d - q2" % r):
-        assert qde.check_operator(qde.parse_operator(text), js) is None, text
+    texts = ("D1^%d - q1" % (n + 1), "D2^%d - q2" % r)
+    reports = qde.check_operator([qde.parse_operator(t) for t in texts], js)
+    assert reports == [None, None], texts
 
 
 def test_p1p1_vectors_match_hand_oracle(p1p1_js):
@@ -195,6 +198,13 @@ def test_parse_operator_basics():
             qde.parse_operator("D1^" + digit)
         with pytest.raises(ValueError, match="bad coefficient '%s'" % digit):
             qde.parse_operator(digit + "*D1")
+    # Fraction() reads these; the grammar takes digits and digits/digits
+    for lit in ("1e3", "1_0", "1.5", "1/2/3", "1/", "1/0", "3/4e1"):
+        with pytest.raises(ValueError, match=re.escape(
+                "bad coefficient '%s' in term '%s*D1'" % (lit, lit))):
+            qde.parse_operator(lit + "*D1")
+    assert qde.parse_operator("07/14*D1") == [qde.OpTerm(F(1, 2), 0, 0, 0,
+                                                         1, 0)]
 
 
 def test_operator_fixture_term_counts(operators):
@@ -205,24 +215,45 @@ def test_operator_fixture_term_counts(operators):
 
 
 def test_operators_annihilate_flagship(flagship_js, operators):
-    for name, text in sorted(operators.items()):
-        op = qde.parse_operator(text)
-        assert qde.check_operator(op, flagship_js) is None, name
+    names = sorted(operators)
+    ops = [qde.parse_operator(operators[name]) for name in names]
+    reports = qde.check_operator(ops, flagship_js)
+    assert dict(zip(names, reports)) == dict.fromkeys(names)
 
 
 def test_operators_annihilate_p1p1_diagonal_relation(p1p1_js):
     # D1^2 - q1 and D2^2 - q2 generate the annihilator for the product
-    for text in ("D1^2 - q1", "D2^2 - q2"):
-        assert qde.check_operator(qde.parse_operator(text), p1p1_js) is None
+    ops = [qde.parse_operator(text) for text in ("D1^2 - q1", "D2^2 - q2")]
+    assert qde.check_operator(ops, p1p1_js) == [None, None]
 
 
 def test_nonannihilating_operator_reported(flagship_js):
-    report = qde.check_operator(qde.parse_operator("D1"), flagship_js)
+    [report] = qde.check_operator([qde.parse_operator("D1")], flagship_js)
     assert report is not None and "index (0,0)" in report
 
 
+# the first three leave a residual, the third with two sigma groups at one
+# target; the last one's q-shifts lie beyond both series
+NON_ANNIHILATING = ("D1", "z*D2^3 + 2/3*q1*D1^2 - q2",
+                    "D1*D2 - D2*D1 + 5*z^2*q1", "q1^5*q2^5*D1 - 3*q2^9")
+
+
+@pytest.mark.parametrize("series", ["flagship_js", "p1p1_js"])
+def test_one_pass_matches_per_operator_oracle(request, series, operators):
+    js = request.getfixturevalue(series)
+    texts = [operators[name] for name in sorted(operators)]
+    ops = [qde.parse_operator(text) for text in texts + list(NON_ANNIHILATING)]
+    residuals = qde.apply_operator(ops, js)
+    assert len(residuals) == len(ops)
+    for text, op, res in zip(texts + list(NON_ANNIHILATING), ops, residuals):
+        assert res == ref_apply_operator(op, js), text
+    for res in residuals[-4:-1]:
+        assert any(any(vec) for vec in res.values())
+    assert not any(any(vec) for vec in residuals[-1].values())
+
+
 def test_unit_fibre_derivation_action(p1p1_js):
-    res = qde.apply_operator(qde.parse_operator("D2"), p1p1_js)
+    [res] = qde.apply_operator([qde.parse_operator("D2")], p1p1_js)
     # at the origin index: xi cup the unit, sitting at z^0
     assert res[(0, 0)] == [{}, {}, {0: 1}, {}]
 
