@@ -14,18 +14,20 @@ from qfano import seeds as seedlib
 from qfano.fixtures_io import fixture_lines, load_named_expressions, read_lines
 from qfano.reconstruct import (QuantumMatrix, check_commutativity,
                                check_three_point_symmetry, reconstruct)
-from qfano.ring import format_rational, load_bundle_config, make_bundle
+from qfano.ring import bundle_key, load_bundle_config, make_bundle
+from qfano.schubert import FLAGSHIP
 
 BUILTIN_BUNDLES = {
-    "flagship": (4, 6, (-3, 5, -5)),
+    "flagship": FLAGSHIP,
     "p1-trivial": (1, 2, ()),
 }
 
 # Packaged reference matrices by bundle spec (n, r, padded Chern tuple).
 FIXTURE_MATRICES = {
-    (4, 6, (-3, 5, -5, 0, 0, 0)): ("flagship_mp.triplets",
-                                   "flagship_mxi.triplets"),
-    (1, 2, (0, 0)): ("p1p1_mp.triplets", "p1p1_mxi.triplets"),
+    bundle_key(*BUILTIN_BUNDLES["flagship"]): ("flagship_mp.triplets",
+                                               "flagship_mxi.triplets"),
+    bundle_key(*BUILTIN_BUNDLES["p1-trivial"]): ("p1p1_mp.triplets",
+                                                 "p1p1_mxi.triplets"),
 }
 
 
@@ -158,7 +160,7 @@ def cmd_jfun(args):
     js = qde.j_series(mp, mxi, spec, args.order)
     ctable = qde.identity_coefficients(js)
     lines = ["i,j,c"]
-    lines += ["%d,%d,%s" % (a, b, format_rational(val))
+    lines += ["%d,%d,%s" % (a, b, val)
               for (a, b), val in sorted(ctable.items())]
     outputs = [("coefficients.csv", "\n".join(lines) + "\n")]
     if args.apery:
@@ -218,7 +220,7 @@ def cmd_periods(args):
                           % len(seq))
         else:
             report.append("operator residual %s at position %d"
-                          % (format_rational(residual[bad]), bad))
+                          % (residual[bad], bad))
             status = 1
     if args.pf_search:
         found = lefschetz.find_annihilator(seq, search_order, search_degree)
@@ -228,7 +230,7 @@ def cmd_periods(args):
             status = 1
         else:
             report.append(lefschetz.format_pf_operator(found))
-    body = "".join(format_rational(val) + "\n" for val in seq)
+    body = "".join(str(val) + "\n" for val in seq)
     outputs = [("periods.txt", body)]
     if report:
         outputs.append(("pf_report.txt", "\n".join(report) + "\n"))

@@ -2,13 +2,29 @@
 
 An expression is a sequence of terms joined by + or -.  A term is a
 product of factors separated by *.  A factor is either a rational
-literal (7, -3, 5/4) or a named atom with an optional caret power
-(q1^2, D2^10, t, z).  Whitespace is ignored everywhere.  Callers pass
-the set of atom names they accept and map the resulting power dicts
-onto their own term types.
+literal (7, 5/4; see parse_number) or a named atom with an optional
+caret power (q1^2, D2^10, t, z).  Whitespace is ignored everywhere.
+Callers pass the set of atom names they accept and map the resulting
+power dicts onto their own term types.
 """
 
 from fractions import Fraction
+
+
+def parse_number(text, fraction=False):
+    """Read a literal of the one numeric grammar of every input file: an
+    optional -, ASCII digits and, when fraction is set, optionally / and
+    more ASCII digits.
+
+    Returns an int, or a Fraction when fraction is set.  Anything else
+    raises ValueError; a zero denominator raises ZeroDivisionError.
+    """
+    parts = (text[1:] if text[:1] == "-" else text).split("/")
+    if len(parts) > 1 + fraction or not all(
+            part.isascii() and part.isdigit() for part in parts):
+        raise ValueError("bad %s %r" % ("number" if fraction else "integer",
+                                         text))
+    return Fraction(text) if fraction else int(text)
 
 
 def split_terms(text):
@@ -49,9 +65,7 @@ def parse_term(term, names):
             raise ValueError("empty factor in term %r" % term)
         if factor[0].isdigit():
             try:
-                if not set(factor) <= set("0123456789/"):
-                    raise ValueError
-                coeff *= Fraction(factor)
+                coeff *= parse_number(factor, fraction=True)
             except (ValueError, ZeroDivisionError):
                 raise ValueError("bad coefficient %r in term %r" % (factor, term))
             continue

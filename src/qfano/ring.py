@@ -10,6 +10,7 @@ p-power descending.
 from fractions import Fraction
 
 from qfano.fixtures_io import data_lines, read_lines
+from qfano.opparse import parse_number
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -58,16 +59,22 @@ class BundleSpec:
         return "BundleSpec(n=%d, r=%d, chern=%s)" % (self.n, self.r, list(self.chern))
 
 
+def bundle_key(n, r, chern=()):
+    """(n, r, Chern tuple padded with zeros to length r): the data that
+    identify a bundle, as a BundleSpec holds them."""
+    return n, r, tuple(chern) + (0,) * (r - len(chern))
+
+
 def make_bundle(n, r, chern=()):
     """Build and validate a BundleSpec; missing Chern entries are zero."""
     if n < 1:
         raise ValueError("base dimension must satisfy n >= 1")
     if r < 2:
         raise ValueError("rank must satisfy r >= 2")
-    chern = list(chern)
+    chern = tuple(chern)
     if len(chern) > r:
         raise ValueError("got %d Chern coefficients for rank %d" % (len(chern), r))
-    chern += [0] * (r - len(chern))
+    chern = bundle_key(n, r, chern)[2]
     c1 = chern[0]
     if r + 1 + c1 <= 0:
         raise ValueError(
@@ -92,7 +99,7 @@ def load_bundle_config(path):
             raise ValueError("%s:%d: duplicate key %r" % (path, lineno, key))
         toks = val.replace(",", " ").split() if key == "chern" else [val]
         try:
-            data[key] = [int(tok) for tok in toks]
+            data[key] = [parse_number(tok) for tok in toks]
         except ValueError:
             raise ValueError(
                 "%s:%d: %s must be %s, got %r"
@@ -155,27 +162,6 @@ def integrate_monomial(spec, a, b):
     return spec.segre[b - spec.r + 1]
 
 
-def pushforward_monomial(spec, a, b):
-    """pi_*(p^a xi^b) as a p-coefficient list of length n+1."""
-    out = [ZERO] * (spec.n + 1)
-    i = b - (spec.r - 1)
-    if i >= 0 and a + i <= spec.n:
-        out[a + i] = spec.segre[i]
-    return out
-
-
-def pushforward_to_base(spec, x):
-    """pi_* of a class, as a polynomial in p on the base (length n+1)."""
-    out = [ZERO] * (spec.n + 1)
-    for i, c in enumerate(x):
-        if c:
-            a, b = spec.basis[i]
-            for k, s in enumerate(pushforward_monomial(spec, a, b)):
-                if s:
-                    out[k] += c * s
-    return out
-
-
 def pairing_matrix(spec):
     """Poincare pairing G with G[i][j] = integral of phi_i cup phi_j."""
     if spec._pairing is None:
@@ -201,7 +187,3 @@ def dual_basis(spec):
                 Fraction(chern[i])
         dual.append(row)
     return dual
-
-
-def format_rational(x):
-    return str(Fraction(x))

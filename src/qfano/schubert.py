@@ -1,9 +1,4 @@
-"""Schubert calculus on G(k,m) and the flagship's exceptional-divisor
-pushforward.
-
-Schubert classes are maps from partitions (at most k parts, each at most
-m-k) to Fractions.  Multiplication by a special class sigma_i follows
-Pieri's rule.
+"""The flagship's exceptional-divisor pairing on G(2,5), in closed form.
 
 The flagship's second extremal contraction is resolved by a divisor
 D = P(Q*) over G(2,5) with relative class eta, presented in the subspace
@@ -13,134 +8,29 @@ pushforwards of eta^(2+i) (Fulton, Intersection Theory, 3.1), so
 
     pi_*(p^a xi^b |_D) = sigma_1^b s_(a-2)(Q*),
 
-which is zero for a < 2.
+which is zero for a < 2.  On G(2,5), s_0, s_1, s_2 = 1, sigma_1,
+sigma_(1,1), and a <= n = 4, so every pushforward is a monomial
+sigma_1^x sigma_(1,1)^y.  A pair of them integrates to 5, 2 or 1 when
+x + 2y = 6 = dim G(2,5) and y = 0, 1 or 2, and to zero otherwise.
 """
 
-from fractions import Fraction
-from functools import cache
+from qfano.ring import bundle_key
 
-from qfano.linalg import accumulate
+# (n, r, chern) of the flagship bundle E -> P^4 of rank 6.
+FLAGSHIP = (4, 6, (-3, 5, -5))
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def _strip(part):
-    return tuple(x for x in part if x)
-
-
-class Grassmannian:
-    """G(k, m): k-dimensional subspaces of an m-dimensional space."""
-
-    def __init__(self, k, m):
-        if not 1 <= k < m:
-            raise ValueError("need 1 <= k < m")
-        self.k = k
-        self.m = m
-        self.cols = m - k
-
-    def complement(self, lam):
-        """Box complement: the Poincare dual partition."""
-        padded = tuple(lam) + (0,) * (self.k - len(lam))
-        return _strip(tuple(self.cols - padded[self.k - 1 - i]
-                            for i in range(self.k)))
-
-    def pieri(self, x, i):
-        """Multiply a class by the special class sigma_i.
-
-        Indices outside 1..m-k multiply by zero (the class does not
-        exist); i = 0 is the identity.
-        """
-        if i == 0:
-            return dict(x)
-        if i < 0 or i > self.cols:
-            return {}
-        out = {}
-        for lam, coef in x.items():
-            if coef:
-                padded = tuple(lam) + (0,) * (self.k - len(lam))
-                accumulate(out, ((mu, coef) for mu in self._strips(padded, i)))
-        return out
-
-    def _strips(self, lam, size):
-        # horizontal strips mu/lam of the given size inside the box:
-        # lam[j] <= mu[j] <= lam[j-1] (mu[0] <= cols)
-        def rec(j, remaining, prefix):
-            if j == self.k:
-                if remaining == 0:
-                    yield _strip(prefix)
-                return
-            high = self.cols if j == 0 else lam[j - 1]
-            for mj in range(lam[j], high + 1):
-                add_boxes = mj - lam[j]
-                if add_boxes > remaining:
-                    break
-                yield from rec(j + 1, remaining - add_boxes, prefix + (mj,))
-        yield from rec(0, size, ())
-
-    def pair(self, x, y):
-        """Poincare pairing: integral of the product, via box duality."""
-        total = ZERO
-        for lam, c in x.items():
-            d = y.get(self.complement(lam))
-            if c and d:
-                total += c * d
-        return total
-
-
-def sigma(*lam):
-    """The Schubert class of a partition, as a unit-coefficient map."""
-    return {_strip(lam): ONE}
-
-
-def scale(x, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in x.items()}
-
-
-def add(x, y):
-    return accumulate(dict(x), y.items())
-
-
-@cache
-def g25():
-    """The Grassmannian G(2,5) carrying the flagship blow-up geometry."""
-    return Grassmannian(2, 5)
-
-
-@cache
-def qstar_segre(i):
-    """s_i(Q*), the term-wise inverse of c(Q*): 1, sigma_1, sigma_(1,1), 0, ..."""
-    if i == 0:
-        return sigma()
-    gr = g25()
-    out = {}
-    for j in range(1, min(i, 3) + 1):
-        # s_i = -sum_j c_j(Q*) s_(i-j), and c_j(Q*) = (-1)^j sigma_j
-        term = gr.pieri(qstar_segre(i - j), j)
-        out = add(out, scale(term, -((-1) ** j)))
-    return out
+# The integral of sigma_1^(6-2y) sigma_(1,1)^y over G(2,5), by y.
+_TOP_INTEGRALS = (5, 2, 1)
 
 
 def is_flagship(spec):
-    return (spec.n, spec.r) == (4, 6) and tuple(spec.chern) == (-3, 5, -5, 0, 0, 0)
+    return (spec.n, spec.r, spec.chern) == bundle_key(*FLAGSHIP)
 
 
-def pushforward_from_divisor(spec, x):
-    """Push a class of the flagship X, restricted to D = P(Q*), to G(2,5):
-    p^a xi^b maps to sigma_1^b s_(a-2)(Q*), and to zero when a < 2."""
-    if not is_flagship(spec):
-        raise ValueError("exceptional-divisor geometry is flagship-specific")
-    gr = g25()
-    out = {}
-    for i, coef in enumerate(x):
-        a, b = spec.basis[i]
-        if not coef or a < 2:
-            continue
-        cls = qstar_segre(a - 2)
-        for _ in range(b):
-            cls = gr.pieri(cls, 1)
-        accumulate(out, ((lam, coef * c) for lam, c in cls.items()))
-    return out
+def divisor_pairing(a, b, c, d):
+    """The G(2,5) pairing of p^a xi^b and p^c xi^d pushed from D."""
+    if a < 2 or c < 2:
+        return 0
+    y = (a == 4) + (c == 4)
+    x = b + d + (a == 3) + (c == 3)
+    return _TOP_INTEGRALS[y] if x + 2 * y == 6 else 0

@@ -6,12 +6,14 @@ k*d1 <= deg(gamma) + 1; by the divisor axiom they fix the p-matrix
 column of gamma, and every xi-matrix column follows from its p column
 (reconstruct.xi_column_from_p).  These invariants form one finite
 SeedTable, read from a seed file by load_seeds or filled by
-builtin_source from one pushforward pairing:
+builtin_source from a closed form, zero for every multiple k >= 2 of the
+base ray:
 
   * blowup_invariant  - the flagship: both classes pushed from the
-                        exceptional divisor to G(2,5) and paired there;
-  * product_invariant - all Chern coefficients zero: fiber_invariant on X
-                        read as the product bundle over the other factor.
+                        exceptional divisor to G(2,5) and paired there
+                        (schubert.divisor_pairing);
+  * product_invariant - all Chern coefficients zero: on P^n x P^(r-1)
+                        the line through two points of P^n.
 
 Both ways pass every entry through the same dimension and symmetry checks.
 """
@@ -21,14 +23,8 @@ from fractions import Fraction
 from qfano import schubert
 from qfano.fixtures_io import data_lines, read_lines
 from qfano.linalg import accumulate
-from qfano.ring import (
-    basis_index,
-    divisor_mul,
-    dual_basis,
-    make_bundle,
-    monomial_class,
-    pushforward_to_base,
-)
+from qfano.opparse import parse_number
+from qfano.ring import basis_index, divisor_mul, dual_basis, monomial_class
 
 ZERO = Fraction(0)
 
@@ -43,19 +39,9 @@ def seed_key(spec, i, j, a):
     return "(%d,%d) (%d,%d) %d 0" % (ai + bi, ai, aj + bj, aj, a)
 
 
-def fiber_invariant(spec, alpha, beta, k):
-    """Two-point invariant of k times the fibre line class.
-
-    Zero for k >= 2; for k = 1 the integral over the base of the two
-    pushforwards (zero whenever the dimension constraint fails).
-    """
-    if k < 1:
-        raise ValueError("multiplicity must be >= 1")
-    if k >= 2:
-        return ZERO
-    pa = pushforward_to_base(spec, alpha)
-    pb = pushforward_to_base(spec, beta)
-    return sum((pa[a] * pb[spec.n - a] for a in range(spec.n + 1)), ZERO)
+def _support(spec, x):
+    """(a, b, coefficient) for each nonzero entry of a dense class."""
+    return [spec.basis[i] + (c,) for i, c in enumerate(x) if c]
 
 
 def blowup_invariant(spec, alpha, beta, k):
@@ -70,23 +56,29 @@ def blowup_invariant(spec, alpha, beta, k):
         raise ValueError("multiplicity must be >= 1")
     if k >= 2:
         return ZERO
-    return schubert.g25().pair(schubert.pushforward_from_divisor(spec, alpha),
-                               schubert.pushforward_from_divisor(spec, beta))
+    right = _support(spec, beta)
+    return sum((x * y * schubert.divisor_pairing(a, b, c, d)
+                for a, b, x in _support(spec, alpha)
+                for c, d, y in right), ZERO)
 
 
 def product_invariant(spec, alpha, beta, k):
     """Base-ray invariant for an all-zero-Chern (product) bundle.
 
-    X = P^n x P^(r-1) is also the product bundle over P^(r-1) with fibre
-    P^n, whose fibre line is the base ray here: the invariant is
-    fiber_invariant on that swapped spec, with p^a xi^b read as p^b xi^a.
+    On X = P^n x P^(r-1) one line of the base ray meets p^n xi^b and
+    p^n xi^d, once, when b + d = r - 1: the line through two points of
+    P^n.  So the k = 1 invariant is the sum over b of
+    alpha[p^n xi^b] beta[p^n xi^(r-1-b)], and k >= 2 gives zero.
     """
     if any(spec.chern):
         raise ValueError("product seed geometry needs all Chern coefficients zero")
-    swapped = make_bundle(spec.r - 1, spec.n + 1)
-    alpha, beta = ([x[spec.position(b, a)] for a, b in swapped.basis]
-                   for x in (alpha, beta))
-    return fiber_invariant(swapped, alpha, beta, k)
+    if k < 1:
+        raise ValueError("multiplicity must be >= 1")
+    if k >= 2:
+        return ZERO
+    n, r = spec.n, spec.r
+    return sum((alpha[spec.position(n, b)] * beta[spec.position(n, r - 1 - b)]
+                for b in range(r)), ZERO)
 
 
 class SeedTable:
@@ -124,7 +116,7 @@ def _parse_pair(tok):
     if not (tok.startswith("(") and tok.endswith(")")):
         raise ValueError("expected a (degree,p-power) pair, got %r" % tok)
     d, _, k = tok[1:-1].partition(",")
-    return int(d), int(k)
+    return parse_number(d), parse_number(k)
 
 
 def load_seeds(path, spec):
@@ -137,9 +129,9 @@ def load_seeds(path, spec):
                 raise ValueError("expected 5 fields, got %d" % len(tok))
             (da, ka) = _parse_pair(tok[0])
             (db, kb) = _parse_pair(tok[1])
-            a = int(tok[2])
-            b = int(tok[3])
-            value = Fraction(tok[4])
+            a = parse_number(tok[2])
+            b = parse_number(tok[3])
+            value = parse_number(tok[4], fraction=True)
             if b != 0:
                 raise ValueError(
                     "only base-ray rows (b = 0) are accepted; "

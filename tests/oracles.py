@@ -12,18 +12,23 @@ kept here as references: the cup product with recursive reduction, the
 dual basis as the inverse of the Poincare pairing, and the degree <= n
 xi-matrix columns from fibre-line invariants.  So is the operator
 residual built term by term, which the package now builds in one pass
-shared by all operators.
+shared by all operators.  So are the seed invariants the package now
+reads off closed forms: the Schubert calculus on G(2,5) with Pieri's
+rule behind the flagship's exceptional-divisor pairing, and the
+fibre-line invariant of the pushforwards to the base behind the product
+bundles' base-ray invariant.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from qfano import opparse, qde
 from qfano.linalg import accumulate, nullspace
 from qfano.reconstruct import ONE, QuantumMatrix, col_add_into
-from qfano.ring import (ZERO, integrate_monomial, monomial_class,
+from qfano.ring import (ZERO, integrate_monomial, make_bundle, monomial_class,
                         pairing_matrix, zero_class)
-from qfano.seeds import fiber_invariant
+from qfano.schubert import is_flagship
 
 _STAR_ATOMS = ("p", "xi", "q1", "q2")
 
@@ -292,3 +297,186 @@ def fibre_xi_seed_columns(spec):
                 for row, c in enumerate(dual[j]):
                     put(col, row, (0, 1), val * c)
     return cols
+
+
+def pushforward_monomial(spec, a, b):
+    """pi_*(p^a xi^b) as a p-coefficient list of length n+1."""
+    out = [ZERO] * (spec.n + 1)
+    i = b - (spec.r - 1)
+    if i >= 0 and a + i <= spec.n:
+        out[a + i] = spec.segre[i]
+    return out
+
+
+def pushforward_to_base(spec, x):
+    """pi_* of a class, as a polynomial in p on the base (length n+1)."""
+    out = [ZERO] * (spec.n + 1)
+    for i, c in enumerate(x):
+        if c:
+            a, b = spec.basis[i]
+            for k, s in enumerate(pushforward_monomial(spec, a, b)):
+                if s:
+                    out[k] += c * s
+    return out
+
+
+def fiber_invariant(spec, alpha, beta, k):
+    """Two-point invariant of k times the fibre line class.
+
+    Zero for k >= 2; for k = 1 the integral over the base of the two
+    pushforwards (zero whenever the dimension constraint fails).
+    """
+    if k < 1:
+        raise ValueError("multiplicity must be >= 1")
+    if k >= 2:
+        return ZERO
+    pa = pushforward_to_base(spec, alpha)
+    pb = pushforward_to_base(spec, beta)
+    return sum((pa[a] * pb[spec.n - a] for a in range(spec.n + 1)), ZERO)
+
+
+def ref_product_invariant(spec, alpha, beta, k):
+    """Base-ray invariant of a product bundle: X = P^n x P^(r-1) is also
+    the product bundle over P^(r-1) with fibre P^n, whose fibre line is
+    the base ray here, so the invariant is fiber_invariant on that
+    swapped spec, with p^a xi^b read as p^b xi^a."""
+    if any(spec.chern):
+        raise ValueError("product seed geometry needs all Chern coefficients zero")
+    swapped = make_bundle(spec.r - 1, spec.n + 1)
+    alpha, beta = ([x[spec.position(b, a)] for a, b in swapped.basis]
+                   for x in (alpha, beta))
+    return fiber_invariant(swapped, alpha, beta, k)
+
+
+# Schubert calculus on G(k,m).  Schubert classes are maps from partitions
+# (at most k parts, each at most m-k) to Fractions; multiplication by a
+# special class sigma_i follows Pieri's rule.
+
+def _strip(part):
+    return tuple(x for x in part if x)
+
+
+class Grassmannian:
+    """G(k, m): k-dimensional subspaces of an m-dimensional space."""
+
+    def __init__(self, k, m):
+        if not 1 <= k < m:
+            raise ValueError("need 1 <= k < m")
+        self.k = k
+        self.m = m
+        self.cols = m - k
+
+    def complement(self, lam):
+        """Box complement: the Poincare dual partition."""
+        padded = tuple(lam) + (0,) * (self.k - len(lam))
+        return _strip(tuple(self.cols - padded[self.k - 1 - i]
+                            for i in range(self.k)))
+
+    def pieri(self, x, i):
+        """Multiply a class by the special class sigma_i.
+
+        Indices outside 1..m-k multiply by zero (the class does not
+        exist); i = 0 is the identity.
+        """
+        if i == 0:
+            return dict(x)
+        if i < 0 or i > self.cols:
+            return {}
+        out = {}
+        for lam, coef in x.items():
+            if coef:
+                padded = tuple(lam) + (0,) * (self.k - len(lam))
+                accumulate(out, ((mu, coef) for mu in self._strips(padded, i)))
+        return out
+
+    def _strips(self, lam, size):
+        # horizontal strips mu/lam of the given size inside the box:
+        # lam[j] <= mu[j] <= lam[j-1] (mu[0] <= cols)
+        def rec(j, remaining, prefix):
+            if j == self.k:
+                if remaining == 0:
+                    yield _strip(prefix)
+                return
+            high = self.cols if j == 0 else lam[j - 1]
+            for mj in range(lam[j], high + 1):
+                add_boxes = mj - lam[j]
+                if add_boxes > remaining:
+                    break
+                yield from rec(j + 1, remaining - add_boxes, prefix + (mj,))
+        yield from rec(0, size, ())
+
+    def pair(self, x, y):
+        """Poincare pairing: integral of the product, via box duality."""
+        total = ZERO
+        for lam, c in x.items():
+            d = y.get(self.complement(lam))
+            if c and d:
+                total += c * d
+        return total
+
+
+def sigma(*lam):
+    """The Schubert class of a partition, as a unit-coefficient map."""
+    return {_strip(lam): ONE}
+
+
+def scale(x, c):
+    c = Fraction(c)
+    if not c:
+        return {}
+    return {k: c * v for k, v in x.items()}
+
+
+def add(x, y):
+    return accumulate(dict(x), y.items())
+
+
+@cache
+def g25():
+    """The Grassmannian G(2,5) carrying the flagship blow-up geometry."""
+    return Grassmannian(2, 5)
+
+
+@cache
+def qstar_segre(i):
+    """s_i(Q*), the term-wise inverse of c(Q*): 1, sigma_1, sigma_(1,1), 0, ..."""
+    if i == 0:
+        return sigma()
+    gr = g25()
+    out = {}
+    for j in range(1, min(i, 3) + 1):
+        # s_i = -sum_j c_j(Q*) s_(i-j), and c_j(Q*) = (-1)^j sigma_j
+        term = gr.pieri(qstar_segre(i - j), j)
+        out = add(out, scale(term, -((-1) ** j)))
+    return out
+
+
+def pushforward_from_divisor(spec, x):
+    """Push a class of the flagship X, restricted to D = P(Q*), to G(2,5):
+    p^a xi^b maps to sigma_1^b s_(a-2)(Q*), and to zero when a < 2."""
+    if not is_flagship(spec):
+        raise ValueError("exceptional-divisor geometry is flagship-specific")
+    gr = g25()
+    out = {}
+    for i, coef in enumerate(x):
+        a, b = spec.basis[i]
+        if not coef or a < 2:
+            continue
+        cls = qstar_segre(a - 2)
+        for _ in range(b):
+            cls = gr.pieri(cls, 1)
+        accumulate(out, ((lam, coef * c) for lam, c in cls.items()))
+    return out
+
+
+def ref_blowup_invariant(spec, alpha, beta, k):
+    """Flagship base-ray invariant by Pieri's rule: zero for k >= 2; for
+    k = 1 the G(2,5) pairing of the two pushforwards from D."""
+    if not is_flagship(spec):
+        raise ValueError("blow-up seed geometry is flagship-specific")
+    if k < 1:
+        raise ValueError("multiplicity must be >= 1")
+    if k >= 2:
+        return ZERO
+    return g25().pair(pushforward_from_divisor(spec, alpha),
+                      pushforward_from_divisor(spec, beta))

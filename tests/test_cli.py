@@ -100,6 +100,52 @@ def test_bad_bundle_config_names_line_and_key(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# Each config body is read as the flagship by int(); the grammar of every
+# input file takes an optional -, then ASCII digits.
+@pytest.mark.parametrize("body,error", [
+    ("n = \u0664\nr = 6\nchern = -3 5 -5\n",
+     "1: n must be an integer, got '\u0664'"),
+    ("n = +4\nr = 6\nchern = -3 5 -5\n", "1: n must be an integer, got '+4'"),
+    ("n = 4\nr = 6\nchern = -3, 5, -0_5\n",
+     "3: chern must be integers, got '-3, 5, -0_5'")],
+    ids=["arabic-indic-digit", "plus-sign", "underscore"])
+def test_bundle_config_literal_outside_grammar(tmp_path, capsys, body, error):
+    cfg = tmp_path / "bundle.cfg"
+    cfg.write_text(body)
+    status = cli.main(["reconstruct", "--bundle", str(cfg), "--verify-fixture"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s:%s\n" % (cfg, error)
+
+
+# Each line is read as the dump's `(2,2) (8,4) 1 0 2` by int() and
+# Fraction(); seed values take digits and digits/digits, fields digits.
+@pytest.mark.parametrize("line,error", [
+    ("(2,2) (8,4) 1 0 2e0", "bad number '2e0'"),
+    ("(2,2) (8,4) 1 0 2.0", "bad number '2.0'"),
+    ("(2,2) (8,4) 1 0 \u0662", "bad number '\u0662'"),
+    ("(2,2) (8,4) 0_1 0 2", "bad integer '0_1'"),
+    ("(2,2) (8,4) +1 0 2", "bad integer '+1'"),
+    ("(\u0662,2) (8,4) 1 0 2", "bad integer '\u0662'")],
+    ids=["exponent-value", "decimal-value", "arabic-indic-value",
+         "underscore-multiple", "plus-multiple", "arabic-indic-degree"])
+def test_seed_literal_outside_grammar(tmp_path, capsys, line, error):
+    out = tmp_path / "sd"
+    assert cli.main(["seeds", "--out", str(out)]) == 0
+    lines = (out / "seeds.txt").read_text().splitlines()
+    assert lines[3] == "(2,2) (8,4) 1 0 2"
+    lines[3] = line
+    path = tmp_path / "odd.seeds"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    status = cli.main(["reconstruct", "--seeds", str(path), "--verify-fixture"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s:4: %s\n" % (path, error)
+
+
 # Each option that reads a file, given {file}.
 FILE_OPTIONS = [
     ["reconstruct", "--bundle", "{file}"],

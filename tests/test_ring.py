@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import classical_mul, integrate
 from oracles import dual_basis as pairing_inverse
+from oracles import pushforward_monomial, pushforward_to_base
 
 from qfano import ring
 from qfano.ring import (
@@ -16,8 +17,6 @@ from qfano.ring import (
     make_bundle,
     monomial_class,
     pairing_matrix,
-    pushforward_monomial,
-    pushforward_to_base,
     zero_class,
 )
 

@@ -1,3 +1,6 @@
+"""The flagship's closed-form G(2,5) pairing, against Schubert calculus
+by Pieri's rule (tests/oracles.py) and the eta-power reduction on D."""
+
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -5,19 +8,21 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from qfano.linalg import accumulate
-from qfano.ring import make_bundle, monomial_class
-from qfano.schubert import (
+from oracles import (
     Grassmannian,
     add,
     g25,
-    is_flagship,
     pushforward_from_divisor,
     qstar_segre,
+    ref_blowup_invariant,
     scale,
     sigma,
 )
+
+from qfano import seeds
+from qfano.linalg import accumulate
+from qfano.ring import make_bundle, monomial_class
+from qfano.schubert import FLAGSHIP, divisor_pairing, is_flagship
 
 
 def partitions(gr):
@@ -249,11 +254,15 @@ def test_pushforward_matches_reference_on_monomials(flagship):
             reference_pushforward(flagship, x), (a, b)
 
 
+# dense rational classes of the flagship, about half their entries zero
+DENSE = st.lists(st.one_of(st.just(Fraction(0)),
+                           st.fractions(min_value=-9, max_value=9,
+                                        max_denominator=12)),
+                 min_size=30, max_size=30)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(st.just(Fraction(0)),
-                          st.fractions(min_value=-9, max_value=9,
-                                       max_denominator=12)),
-                min_size=30, max_size=30))
+@given(DENSE)
 def test_eta_reduction_consistent_with_pushforward(flagship, x):
     # reducing eta-powers on D before pushing gives the direct pushforward
     assert pushforward_from_divisor(flagship, x) == \
@@ -281,3 +290,54 @@ def test_pushforward_rejects_other_specs():
     other = make_bundle(3, 3, [1])
     with pytest.raises(ValueError, match="flagship-specific"):
         pushforward_from_divisor(other, monomial_class(other, 1, 0))
+
+
+def test_flagship_spelled_once():
+    assert FLAGSHIP == (4, 6, (-3, 5, -5))
+    assert is_flagship(make_bundle(*FLAGSHIP))
+    assert is_flagship(make_bundle(4, 6, [-3, 5, -5, 0, 0, 0]))
+    for other in ((4, 6, (-3, 5, -4)), (4, 6, (-3, 5, -5, 0, 0, 1)),
+                  (4, 7, (-3, 5, -5)), (1, 2, ())):
+        assert not is_flagship(make_bundle(*other)), other
+
+
+def test_divisor_pairing_values():
+    # sigma_1^6 = 5, sigma_1^4 sigma_(1,1) = 2, sigma_1^2 sigma_(1,1)^2 = 1
+    assert divisor_pairing(2, 0, 2, 6) == 5
+    assert divisor_pairing(2, 3, 3, 2) == 5
+    assert divisor_pairing(4, 0, 2, 4) == 2
+    assert divisor_pairing(4, 1, 3, 2) == 2
+    assert divisor_pairing(4, 0, 4, 2) == 1
+    assert divisor_pairing(4, 1, 4, 1) == 1
+    # off the top degree, or an eta-power below 2 on either side
+    assert divisor_pairing(4, 0, 4, 1) == 0
+    assert divisor_pairing(2, 0, 2, 5) == 0
+    assert divisor_pairing(1, 5, 2, 4) == 0
+    assert divisor_pairing(4, 2, 0, 5) == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closed_form_matches_pieri_on_monomial_pairs(flagship, k):
+    classes = [monomial_class(flagship, a, b) for a, b in flagship.basis]
+    values = set()
+    for x in classes:
+        for y in classes:
+            got = seeds.blowup_invariant(flagship, x, y, k)
+            assert got == ref_blowup_invariant(flagship, x, y, k), \
+                (k, x.index(1), y.index(1))
+            values.add(got)
+    assert values == ({0, 1, 2, 5} if k == 1 else {0})
+
+
+# cheaper to draw: integer entries over one denominator per class
+DENSE_OVER_ONE = st.builds(
+    lambda nums, den: [Fraction(num, den) for num in nums],
+    st.lists(st.integers(-9, 9), min_size=30, max_size=30),
+    st.integers(1, 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(DENSE_OVER_ONE, DENSE_OVER_ONE)
+def test_closed_form_matches_pieri_on_dense_classes(flagship, x, y):
+    assert seeds.blowup_invariant(flagship, x, y, 1) == \
+        ref_blowup_invariant(flagship, x, y, 1)

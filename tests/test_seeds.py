@@ -1,11 +1,13 @@
 """Tests for seed invariants and the degree <= n matrix columns."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import fiber_invariant, ref_product_invariant
 
-from qfano import seeds
+from qfano import cli, seeds
 from qfano.reconstruct import reconstruct
 from qfano.ring import basis_index, make_bundle, monomial_class
 
@@ -26,16 +28,16 @@ def mono(spec, a, b):
 
 def test_fiber_multiplicity_two_vanishes(flagship):
     for k in (2, 3, 5):
-        assert seeds.fiber_invariant(
+        assert fiber_invariant(
             flagship, mono(flagship, 0, 5), mono(flagship, 4, 5), k) == 0
 
 
 def test_fiber_values(flagship, p1p1):
-    assert seeds.fiber_invariant(
+    assert fiber_invariant(
         flagship, mono(flagship, 0, 5), mono(flagship, 4, 5), 1) == 1
-    assert seeds.fiber_invariant(p1p1, mono(p1p1, 0, 1), mono(p1p1, 1, 1), 1) == 1
+    assert fiber_invariant(p1p1, mono(p1p1, 0, 1), mono(p1p1, 1, 1), 1) == 1
     # degree mismatch integrates to zero without any explicit filter
-    assert seeds.fiber_invariant(
+    assert fiber_invariant(
         flagship, mono(flagship, 1, 0), mono(flagship, 4, 5), 1) == 0
 
 
@@ -95,6 +97,30 @@ def test_product_invariant_closed_form():
                     assert seeds.product_invariant(
                         spec, mono(spec, a, b), mono(spec, c, d), 1) == want, \
                         (n, r, (a, b), (c, d))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_product_invariant_matches_swapped_fibre_oracle(n):
+    # every monomial pair of P^n x P^(r-1), r <= 6, against fiber_invariant
+    # on the same product read as a bundle over P^(r-1)
+    for r in range(2, 7):
+        spec = make_bundle(n, r)
+        classes = [mono(spec, a, b) for a, b in spec.basis]
+        for x in classes:
+            for y in classes:
+                assert seeds.product_invariant(spec, x, y, 1) == \
+                    ref_product_invariant(spec, x, y, 1), \
+                    (n, r, x.index(1), y.index(1))
+        assert seeds.product_invariant(spec, x, x, 2) == \
+            ref_product_invariant(spec, x, x, 2) == 0
+
+
+def test_builtin_invariants_refuse_multiplicity_zero(flagship, p1p1):
+    for spec, invariant in ((flagship, seeds.blowup_invariant),
+                            (p1p1, seeds.product_invariant)):
+        one = mono(spec, 0, 0)
+        with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+            invariant(spec, one, one, 0)
 
 
 def test_builtin_source_dispatch(flagship, p1p1):
@@ -257,3 +283,43 @@ def test_mixed_curve_class_out_of_scope():
     spec = make_bundle(2, 2, [-2])
     with pytest.raises(ValueError, match="mixed curve class"):
         seeds.seed_columns(spec, seeds.SeedTable(spec))
+
+
+# sha256 of `qfano seeds --out DIR` DIR/seeds.txt, by bundle: the two
+# builtins and each product config (n, r); the closed forms must keep the
+# bytes the Schubert-calculus and swapped-fibre seed sources wrote.
+SEED_DUMP_SHA256 = {
+    "flagship": "ddb107bf6671c0a9ef466e1b1cb2ba4c703bff005846f4d8b98d449f41c12819",
+    "p1-trivial": "ddb18cda191ac542f9de8d5463c11411e5813db32825349235d7cdd2fb1f12e7",
+    (1, 2): "ddb18cda191ac542f9de8d5463c11411e5813db32825349235d7cdd2fb1f12e7",
+    (1, 3): "3adf1ba3053d691ec0d8531df8f0621eec4d3c87b6fb6594bf1ea093f9b251e4",
+    (1, 4): "4a46883ad42f76fc3b5214caace7ab2c49ab079bdbd04b8c1714224bba832530",
+    (1, 5): "f197191eae495a6446e4b0102c5fe56106ad765608ac0b6f5407bb080efde6c9",
+    (2, 2): "5b8108c854723ec1203818984e9d9ef1ccfd935b32828cefb3d5f9ae34762db6",
+    (2, 3): "5b67ec62547379c8706766cef6c67e58a252c1e249aa8b43c487071b932614d9",
+    (2, 4): "dd8d193f11cde275bcfbb6e923b3dd14250accccaa9e457e486b43f46cb3bbed",
+    (2, 5): "e57ce5fa8c2e7848c72be3eebe1d7f667e084b43f3ff01e1af960c7e6b303366",
+    (3, 2): "2d6c4a9d3d36cb182f674c748aa15851cee1031f64674cfc947d64392da0e867",
+    (3, 3): "481a0fb566168d72714e2eb423f7132b323f661ff8fafbb89466bcc80f9e97e5",
+    (3, 4): "2545025046a3a12efab29b833c21678a4300eef5285b04e1048b9a3b56a291f8",
+    (3, 5): "9775dd3446a4d0ea5eca6cd15091816064eb5eba993b1f3145a6dcb98da907d5",
+    (4, 2): "d0a19d81a67095b2ed69ee580bdb74af3d42359ddc3a13d07d8ba6f744283542",
+    (4, 3): "17811e6cc555d9d4c534b69b86d7ad695f17504024c9e0b579b68d4e7a611569",
+    (4, 4): "161e7ef53efc0f3161a805b940868139b629b2216038cef50380f91d1ff7d76c",
+    (4, 5): "ce8adbfad90a0b47b5087b8bb097c6018021d7635eb8b8532a2eb9e06ccbb313",
+}
+
+
+@pytest.mark.parametrize("bundle", list(SEED_DUMP_SHA256), ids=str)
+def test_seed_dump_bytes_pinned(tmp_path, capsys, bundle):
+    if isinstance(bundle, tuple):
+        cfg = tmp_path / "product.cfg"
+        cfg.write_text("n = %d\nr = %d\n" % bundle)
+        bundle_arg = str(cfg)
+    else:
+        bundle_arg = bundle
+    out = tmp_path / "dump"
+    assert cli.main(["seeds", "--bundle", bundle_arg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    digest = hashlib.sha256((out / "seeds.txt").read_bytes()).hexdigest()
+    assert digest == SEED_DUMP_SHA256[bundle]
