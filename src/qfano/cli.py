@@ -12,6 +12,7 @@ import sys
 from qfano import lefschetz, qde
 from qfano import seeds as seedlib
 from qfano.fixtures_io import fixture_lines, load_named_expressions, read_lines
+from qfano.opparse import parse_number
 from qfano.reconstruct import (QuantumMatrix, check_commutativity,
                                check_three_point_symmetry, reconstruct)
 from qfano.ring import bundle_key, load_bundle_config, make_bundle
@@ -33,6 +34,15 @@ FIXTURE_MATRICES = {
 
 class CliError(Exception):
     """Configuration or input problem; main maps it to exit code 2."""
+
+
+def _integer(text):
+    """argparse type of the integer options: the literal grammar of the
+    input files, so argparse names the option and exits 2 on `1_0`."""
+    try:
+        return parse_number(text.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _bundle(args):
@@ -198,7 +208,8 @@ def cmd_periods(args):
     if args.pf_search:
         try:
             search_order, search_degree = (
-                int(tok) for tok in args.pf_search.split(","))
+                parse_number(tok.strip())
+                for tok in args.pf_search.split(","))
         except ValueError:
             raise CliError("--pf-search expects ORDER,DEGREE")
         lefschetz.check_search_box(args.terms, search_order, search_degree)
@@ -279,9 +290,9 @@ def build_parser():
                        help="solve the differential system and export the "
                             "coefficient table")
     common(p)
-    p.add_argument("--order", type=int, default=16,
+    p.add_argument("--order", type=_integer, default=16,
                    help="total Novikov order of the series (default 16)")
-    p.add_argument("--apery", type=int, metavar="SIZE",
+    p.add_argument("--apery", type=_integer, metavar="SIZE",
                    help="also export the SIZE x SIZE normalized integer "
                         "table")
     p.add_argument("--check-operators", nargs="?", const="", metavar="FILE",
@@ -295,7 +306,7 @@ def build_parser():
     common(p)
     p.add_argument("--cut", default="p,xi^5",
                    help='line bundles of the cut (default "p,xi^5")')
-    p.add_argument("--terms", type=int, default=10,
+    p.add_argument("--terms", type=_integer, default=10,
                    help="number of sequence terms (default 10)")
     p.add_argument("--regularized", action="store_true",
                    help="multiply term m by m!")

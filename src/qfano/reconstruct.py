@@ -22,7 +22,7 @@ from fractions import Fraction
 from qfano import seeds as seeds_mod
 from qfano.fixtures_io import data_lines
 from qfano.linalg import accumulate
-from qfano.ring import divisor_mul, pairing_matrix
+from qfano.ring import divisor_mul, dual_basis
 
 ONE = Fraction(1)
 
@@ -94,16 +94,13 @@ class QuantumMatrix:
         return out
 
     def triplet_lines(self):
-        """Sparse export: `row col a b value`, 1-based indices."""
-        lines = []
-        for j in range(self.spec.size):
-            for row in sorted(self.column(j)):
-                for (a, b) in sorted(self.column(j)[row]):
-                    lines.append("%d %d %d %d %s"
-                                 % (row + 1, j + 1, a, b,
-                                    self.column(j)[row][(a, b)]))
-        lines.sort(key=lambda s: tuple(int(t) for t in s.split()[:2]))
-        return lines
+        """Sparse export: `row col a b value`, 1-based indices, sorted by
+        (row, col, a, b)."""
+        return ["%d %d %d %d %s" % entry for entry in sorted(
+            (row + 1, j + 1, a, b, v)
+            for j in range(self.spec.size)
+            for row, qp in self.column(j).items()
+            for (a, b), v in qp.items())]
 
     @classmethod
     def from_triplet_lines(cls, spec, label, lines):
@@ -221,20 +218,17 @@ def check_commutativity(mp, mxi):
 
 
 def check_three_point_symmetry(mat):
-    """First (i, j) where pairing(M phi_i, phi_j) != pairing(M phi_j, phi_i)."""
-    spec = mat.spec
-    gram = pairing_matrix(spec)
-    size = spec.size
+    """First (i, j), i < j, where <M phi^j, phi^i> != <M phi^i, phi^j>.
 
-    def paired(i, j):
-        out = {}
-        for row, qp in mat.column(i).items():
-            if gram[row][j]:
-                qp_add_into(out, qp, scale=gram[row][j])
-        return out
-
+    Column j of M D, with D the dual basis, is M phi^j, so its entry i
+    is <M phi^j, phi^i>.  D is the inverse of the symmetric Gram matrix
+    G and M D = D (G M) D, so M D is symmetric exactly when G M is.
+    """
+    size = mat.spec.size
+    md_cols = [mat.apply({k: {(0, 0): c} for k, c in enumerate(row) if c})
+                 for row in dual_basis(mat.spec)]
     for i in range(size):
-        for j in range(i, size):
-            if paired(i, j) != paired(j, i):
+        for j in range(i + 1, size):
+            if md_cols[j].get(i, {}) != md_cols[i].get(j, {}):
                 return (i, j)
     return None

@@ -4,7 +4,7 @@ H*(X) = Q[p, xi] / (p^(n+1), xi^r + c_1 p xi^(r-1) + ... + c_r p^r)
 with p the hyperplane pullback and xi the relative hyperplane class
 (subspace convention).  Classes are dense Fraction vectors over the
 monomial basis p^k xi^(d-k), ordered by total degree ascending and then
-p-power descending.
+p-power descending.  Divisor products and the dual basis are closed forms.
 """
 
 from fractions import Fraction
@@ -20,8 +20,7 @@ class BundleSpec:
     """Validated bundle data: base dimension n, rank r, Chern integers.
 
     Derived fields: Novikov degrees d1 = n+1+c1 (base ray) and d2 = r
-    (fibre ray), dim = n+r-1, the ordered monomial basis, and the Segre
-    numbers s_0..s_n of E.
+    (fibre ray), dim = n+r-1, and the ordered monomial basis.
     """
 
     def __init__(self, n, r, chern):
@@ -38,13 +37,6 @@ class BundleSpec:
         )
         self.size = len(self.basis)
         self._pos = {mono: i for i, mono in enumerate(self.basis)}
-        # s(E) = 1/c(E) truncated at p^n
-        segre = [ONE]
-        for j in range(1, n + 1):
-            segre.append(-sum(Fraction(self.chern[i - 1]) * segre[j - i]
-                              for i in range(1, min(j, r) + 1)))
-        self.segre = tuple(segre)
-        self._pairing = None
 
     def degree(self, i):
         """Total degree of basis element i (0-based)."""
@@ -113,7 +105,7 @@ def load_bundle_config(path):
 
 
 def basis_index(spec, d, k):
-    """1-based basis position of p^k xi^(d-k), by enumeration."""
+    """1-based basis position of p^k xi^(d-k)."""
     if not (0 <= k <= min(d, spec.n)) or d - k > spec.r - 1:
         raise ValueError("no basis monomial with degree %d and p-power %d" % (d, k))
     return spec.position(k, d - k) + 1
@@ -147,29 +139,6 @@ def divisor_mul(spec, label, a, b):
         return {spec.position(a, b): ONE}
     return {spec.position(a + i, b - i): Fraction(-c)
             for i, c in enumerate(spec.chern, 1) if c and a + i <= spec.n}
-
-
-def integrate_monomial(spec, a, b):
-    """Integral of p^a xi^b over X, via the Segre pushforward.
-
-    Nonzero only in the top degree a + b = n + r - 1 with b >= r - 1,
-    where it equals s_(b-r+1)(E).
-    """
-    if a < 0 or b < spec.r - 1:
-        return ZERO
-    if a > spec.n or a + b != spec.dim:
-        return ZERO
-    return spec.segre[b - spec.r + 1]
-
-
-def pairing_matrix(spec):
-    """Poincare pairing G with G[i][j] = integral of phi_i cup phi_j."""
-    if spec._pairing is None:
-        spec._pairing = [
-            [integrate_monomial(spec, ai + aj, bi + bj) for (aj, bj) in spec.basis]
-            for (ai, bi) in spec.basis
-        ]
-    return spec._pairing
 
 
 def dual_basis(spec):

@@ -4,13 +4,16 @@ The package never calls these.  Each one re-derives, from the finished
 object alone, a property that the code enforces while building it:
 QuantumMatrix.set_column refuses misgraded and impure entries, and the
 frame solve sets the origin block to the identity and cross-checks
-every index along the other divisor ray.  The star-polynomial relations
-of fixtures/star_relations.txt are checked here as well.
+every index along the other divisor ray.  The quantum ring relations
+are checked here as well, read off the z-free terms of the packaged
+annihilating operators.
 
 The general ring computations the package replaced by closed forms are
 kept here as references: the cup product with recursive reduction, the
-dual basis as the inverse of the Poincare pairing, and the degree <= n
-xi-matrix columns from fibre-line invariants.  So is the operator
+Segre numbers and the integral over X, the Poincare pairing as a Gram
+matrix of integrals and the dual basis as its inverse, the three-point
+symmetry checked on that Gram matrix, and the degree <= n xi-matrix
+columns from fibre-line invariants.  So is the operator
 residual built term by term, which the package now builds in one pass
 shared by all operators.  So are the seed invariants the package now
 reads off closed forms: the Schubert calculus on G(2,5) with Pieri's
@@ -23,14 +26,11 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from qfano import opparse, qde
+from qfano import qde
 from qfano.linalg import accumulate, nullspace
-from qfano.reconstruct import ONE, QuantumMatrix, col_add_into
-from qfano.ring import (ZERO, integrate_monomial, make_bundle, monomial_class,
-                        pairing_matrix, zero_class)
+from qfano.reconstruct import ONE, QuantumMatrix, col_add_into, qp_add_into
+from qfano.ring import ZERO, make_bundle, monomial_class, zero_class
 from qfano.schubert import is_flagship
-
-_STAR_ATOMS = ("p", "xi", "q1", "q2")
 
 
 def vector(js, a, b):
@@ -134,34 +134,24 @@ def ref_apply_operator(op, js):
     return residual
 
 
-def parse_star_polynomial(text):
-    """Parse a polynomial in star-powers of p, xi and scalars q1, q2.
+def verify_relation(mp, mxi, op):
+    """Residual on the identity class of the z-free terms of an operator.
 
-    Grammar: the opparse sums of products over the atoms p, xi, q1, q2
-    with rational literal coefficients.  Returns a list of
-    (coefficient, q1-power, q2-power, p-star-power, xi-star-power).
-    """
-    terms = []
-    for chunk in opparse.split_terms(text):
-        coeff, pw = opparse.parse_term(chunk, _STAR_ATOMS)
-        terms.append((coeff, pw["q1"], pw["q2"], pw["p"], pw["xi"]))
-    return terms
-
-
-def verify_relation(mp, mxi, relation):
-    """Residual of a star-polynomial applied to the identity class.
-
-    `relation` is a grammar string; the result is a {row: QPoly} map,
-    empty exactly when the relation holds.
+    `op` is a list of qde.OpTerm.  At z = 0 an operator that kills J
+    gives a relation in quantum cohomology: D1 acts as M_p, D2 as M_xi
+    and q1^a q2^b as a shift.  The result is a {row: QPoly} map, empty
+    exactly when the relation holds.
     """
     out = {}
-    for coeff, qa, qb, ep, exi in parse_star_polynomial(relation):
+    for t in op:
+        if t.z:
+            continue
         vec = {0: {(0, 0): ONE}}
-        for _ in range(ep):
+        for _ in range(t.d1):
             vec = mp.apply(vec)
-        for _ in range(exi):
+        for _ in range(t.d2):
             vec = mxi.apply(vec)
-        col_add_into(out, vec, scale=coeff, shift=(qa, qb))
+        col_add_into(out, vec, scale=t.coeff, shift=(t.q1, t.q2))
     return out
 
 
@@ -207,6 +197,56 @@ def set_q_zero(mat):
                            for row, qp in mat.column(j).items()
                            if (0, 0) in qp})
     return out
+
+
+@cache
+def segre(spec):
+    """Segre numbers s_0..s_n of E: s(E) = 1/c(E) truncated at p^n."""
+    out = [ONE]
+    for j in range(1, spec.n + 1):
+        out.append(-sum(spec.chern[i - 1] * out[j - i]
+                        for i in range(1, min(j, spec.r) + 1)))
+    return tuple(out)
+
+
+def integrate_monomial(spec, a, b):
+    """Integral of p^a xi^b over X, via the Segre pushforward.
+
+    Nonzero only in the top degree a + b = n + r - 1 with b >= r - 1,
+    where it equals s_(b-r+1)(E).
+    """
+    if a < 0 or b < spec.r - 1:
+        return ZERO
+    if a > spec.n or a + b != spec.dim:
+        return ZERO
+    return segre(spec)[b - spec.r + 1]
+
+
+def pairing_matrix(spec):
+    """Poincare pairing G with G[i][j] = integral of phi_i cup phi_j."""
+    return [[integrate_monomial(spec, ai + aj, bi + bj)
+             for (aj, bj) in spec.basis]
+            for (ai, bi) in spec.basis]
+
+
+def gram_three_point_symmetry(mat):
+    """First (i, j), i <= j, where (G M)[j][i] != (G M)[i][j] for the
+    Gram matrix G: pairing(M phi_i, phi_j) != pairing(M phi_j, phi_i)."""
+    gram = pairing_matrix(mat.spec)
+    size = mat.spec.size
+
+    def paired(i, j):
+        out = {}
+        for row, qp in mat.column(i).items():
+            if gram[row][j]:
+                qp_add_into(out, qp, scale=gram[row][j])
+        return out
+
+    for i in range(size):
+        for j in range(i, size):
+            if paired(i, j) != paired(j, i):
+                return (i, j)
+    return None
 
 
 def integrate(spec, x):
@@ -304,7 +344,7 @@ def pushforward_monomial(spec, a, b):
     out = [ZERO] * (spec.n + 1)
     i = b - (spec.r - 1)
     if i >= 0 and a + i <= spec.n:
-        out[a + i] = spec.segre[i]
+        out[a + i] = segre(spec)[i]
     return out
 
 

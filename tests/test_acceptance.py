@@ -77,13 +77,16 @@ def test_criterion_01_reconstruction_matches_fixture(flagship,
 
 
 def test_criterion_02_ring_relations_hold(matrices):
+    # the z-free terms of annihilator_4 and annihilator_3 are the quantum
+    # relations of p and of xi
     mp, mxi = matrices
-    relations = load_named_expressions(fixture_lines("star_relations.txt"))
+    operators = load_named_expressions(fixture_lines("qde_operators.txt"),
+                                       parse=qde.parse_operator)
     failures = []
-    for name in ("p_relation", "xi_relation"):
-        residual = verify_relation(mp, mxi, relations[name])
+    for name in ("annihilator_4", "annihilator_3"):
+        residual = verify_relation(mp, mxi, operators[name])
         if residual:
-            failures.append("%s residual nonzero in rows %s"
+            failures.append("%s at z = 0: residual nonzero in rows %s"
                             % (name, sorted(residual)))
     _verdict(2, failures)
 
@@ -204,9 +207,9 @@ def test_criterion_09_product_bundle_products():
     spec = make_bundle(1, 2)
     mp, mxi = rc.reconstruct(spec, seedlib.builtin_source(spec))
     failures = []
-    if verify_relation(mp, mxi, "p^2 - q1"):
+    if verify_relation(mp, mxi, qde.parse_operator("D1^2 - q1")):
         failures.append("p * p != q1")
-    if verify_relation(mp, mxi, "xi^2 - q2"):
+    if verify_relation(mp, mxi, qde.parse_operator("D2^2 - q2")):
         failures.append("xi * xi != q2")
     _verdict(9, failures)
 

@@ -612,6 +612,49 @@ def test_bad_counts_exit_before_reconstructing(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+# Integer options outside the literal grammar of the input files, refused
+# before the pair is reconstructed; the last stderr line names the option.
+BAD_LITERALS = [
+    (["jfun", "--order", "1_0", "--apery", "\u0663"],
+     "qfano jfun: error: argument --order: bad integer '1_0'"),
+    (["jfun", "--order", "10", "--apery", "\u0663"],
+     "qfano jfun: error: argument --apery: bad integer '\u0663'"),
+    (["periods", "--terms", "+8"],
+     "qfano periods: error: argument --terms: bad integer '+8'"),
+    (["periods", "--terms", "64", "--pf-search", "\u0664,1_2"],
+     "error: --pf-search expects ORDER,DEGREE"),
+    (["periods", "--terms", "64", "--pf-search", "4,+9"],
+     "error: --pf-search expects ORDER,DEGREE"),
+]
+
+
+@pytest.mark.parametrize("argv,error", BAD_LITERALS,
+                         ids=["order", "apery", "terms", "search-digits",
+                              "search-plus"])
+def test_integer_option_literal_outside_grammar(tmp_path, monkeypatch, capsys,
+                                                argv, error):
+    monkeypatch.setattr(qde, "identity_series", refuse_to_solve)
+    monkeypatch.setattr(qde, "j_series", refuse_to_solve)
+    monkeypatch.setattr(cli, "reconstruct", refuse_to_solve)
+    out = tmp_path / "out"
+    try:
+        status = cli.main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse refuses the option itself
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == error
+    assert not out.exists()
+
+
+def test_integer_options_ignore_surrounding_space(tmp_path):
+    proc = run_cli("periods", "--terms", " 8 ", "--regularized",
+                   "--pf-search", "1, 1")
+    assert proc.returncode == 1
+    assert proc.stdout.endswith("no annihilator within order 1, degree 1\n")
+
+
 # Cuts graded by -K_Y = (2,1), (1,2) and (2,6) at 64 terms: the indices
 # their grades need, and the sha256 of periods.txt as written by the
 # solve over every index with i + j <= 63.

@@ -5,11 +5,13 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (check_flatness, check_homogeneity, ref_apply_operator,
                      vector)
 
 from qfano import qde
-from qfano.fixtures_io import fixture_lines, fixture_text, load_named_expressions
+from qfano.fixtures_io import fixture_lines, load_named_expressions
 from qfano.reconstruct import QuantumMatrix, reconstruct
 from qfano.ring import make_bundle
 from qfano.seeds import builtin_source
@@ -205,6 +207,32 @@ def test_parse_operator_basics():
             qde.parse_operator(lit + "*D1")
     assert qde.parse_operator("07/14*D1") == [qde.OpTerm(F(1, 2), 0, 0, 0,
                                                          1, 0)]
+
+
+def test_parse_operator_rejects_powered_literal():
+    with pytest.raises(ValueError, match="bad coefficient '2\\^3'"):
+        qde.parse_operator("2^3*D1")
+
+
+op_term = st.tuples(
+    st.fractions(min_value=-50, max_value=50, max_denominator=20).filter(bool),
+    *[st.integers(min_value=0, max_value=6)] * 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(op_term, min_size=1, max_size=6), st.data())
+def test_parse_operator_round_trip(terms, data):
+    chunks = []
+    for coeff, *powers in terms:
+        factors = [str(abs(coeff))] + [
+            name if power == 1 else "%s^%d" % (name, power)
+            for name, power in zip(("q1", "q2", "z", "D1", "D2"), powers)
+            if power]
+        # Factors commute textually, so any order must parse the same.
+        factors = data.draw(st.permutations(factors))
+        chunks.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+    assert qde.parse_operator(" ".join(chunks)) == [
+        qde.OpTerm(*term) for term in terms]
 
 
 def test_operator_fixture_term_counts(operators):

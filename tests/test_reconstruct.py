@@ -2,17 +2,20 @@
 
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (check_grading, check_purity, classical, classical_mul,
-                     fibre_xi_seed_columns, parse_star_polynomial, set_q_zero,
-                     verify_relation)
+                     fibre_xi_seed_columns, gram_three_point_symmetry,
+                     pairing_matrix, set_q_zero, verify_relation)
 
+from qfano import qde
 from qfano import reconstruct as rc
 from qfano import seeds as seeds_mod
 from qfano.fixtures_io import fixture_lines, load_named_expressions
+from qfano.linalg import accumulate
 from qfano.ring import basis_index, make_bundle, monomial_class
 
 
@@ -76,17 +79,51 @@ def test_notable_columns(flagship, flagship_matrices):
     }
 
 
-def test_ring_relations(flagship_matrices):
+@pytest.fixture(scope="module")
+def operators():
+    return load_named_expressions(fixture_lines("qde_operators.txt"),
+                                  parse=qde.parse_operator)
+
+
+def test_ring_relations(flagship_matrices, operators):
+    # the z-free terms of annihilator_4 and annihilator_3 are the quantum
+    # relations of p and of xi
     mp, mxi = flagship_matrices
-    rels = load_named_expressions(fixture_lines("star_relations.txt"))
-    assert verify_relation(mp, mxi, rels["p_relation"]) == {}
-    assert verify_relation(mp, mxi, rels["xi_relation"]) == {}
+    assert verify_relation(mp, mxi, operators["annihilator_4"]) == {}
+    assert verify_relation(mp, mxi, operators["annihilator_3"]) == {}
+
+
+def test_every_operator_gives_a_relation_at_z_zero(flagship_matrices,
+                                                    operators):
+    mp, mxi = flagship_matrices
+    assert sorted(operators) == ["annihilator_%d" % k for k in (1, 2, 3, 4)]
+    for name, op in operators.items():
+        assert any(t.z == 0 for t in op), name
+        assert verify_relation(mp, mxi, op) == {}, name
+
+
+def test_changed_z_free_coefficient_leaves_its_term(flagship_matrices,
+                                                    operators):
+    # raising one z-free coefficient of annihilator_4 by 1 leaves that
+    # term alone on the identity, and no such term vanishes there
+    mp, mxi = flagship_matrices
+    op = operators["annihilator_4"]
+    free = [k for k, t in enumerate(op) if t.z == 0]
+    assert len(free) == 7
+    for k in free:
+        changed = list(op)
+        changed[k] = op[k]._replace(coeff=op[k].coeff + 1)
+        res = verify_relation(mp, mxi, changed)
+        assert res, op[k]
+        assert res == verify_relation(mp, mxi, [op[k]._replace(coeff=1)])
 
 
 def test_sign_variant_residual_is_pinned(flagship, flagship_matrices):
     # flipping the signs of the two q1^2 terms leaves 2*q1^2*(2*xi - p)
     mp, mxi = flagship_matrices
-    variant = "p^5 - q1^2*p + 2*q1^2*xi + 2*q1*p^3 - 2*q1*p^2*xi - q1*p*xi^2 - q1*xi^3"
+    variant = qde.parse_operator(
+        "D1^5 - q1^2*D1 + 2*q1^2*D2 + 2*q1*D1^3 - 2*q1*D1^2*D2"
+        " - q1*D1*D2^2 - q1*D2^3")
     res = verify_relation(mp, mxi, variant)
     assert res == {
         1: {(2, 0): Fraction(-2)},
@@ -96,7 +133,8 @@ def test_sign_variant_residual_is_pinned(flagship, flagship_matrices):
 
 def test_classical_relation_at_q_zero(flagship_matrices):
     mp, mxi = flagship_matrices
-    assert verify_relation(set_q_zero(mp), set_q_zero(mxi), "p^5") == {}
+    assert verify_relation(set_q_zero(mp), set_q_zero(mxi),
+                           qde.parse_operator("D1^5")) == {}
 
 
 def test_structural_invariants(flagship_matrices):
@@ -163,8 +201,8 @@ def test_p1p1_pipeline(p1p1, p1p1_matrices):
     fmxi = rc.QuantumMatrix.from_triplet_lines(
         p1p1, "xi", fixture_lines("p1p1_mxi.triplets"))
     assert mp == fmp and mxi == fmxi
-    assert verify_relation(mp, mxi, "p^2 - q1") == {}
-    assert verify_relation(mp, mxi, "xi^2 - q2") == {}
+    assert verify_relation(mp, mxi, qde.parse_operator("D1^2 - q1")) == {}
+    assert verify_relation(mp, mxi, qde.parse_operator("D2^2 - q2")) == {}
 
 
 def test_reconstruct_deterministic(flagship, flagship_matrices):
@@ -213,40 +251,46 @@ def test_missing_seed_propagates(flagship):
         rc.reconstruct(flagship, seeds_mod.SeedTable(flagship))
 
 
-def test_parse_star_polynomial():
-    terms = parse_star_polynomial("p^5 - 2*q1*xi + 1/2*q2^2")
-    assert terms == [
-        (Fraction(1), 0, 0, 5, 0),
-        (Fraction(-2), 1, 0, 0, 1),
-        (Fraction(1, 2), 0, 2, 0, 0),
-    ]
-    assert parse_star_polynomial("-p") == [(Fraction(-1), 0, 0, 1, 0)]
-    with pytest.raises(ValueError):
-        parse_star_polynomial("")
-    with pytest.raises(ValueError):
-        parse_star_polynomial("p**2")
+# The flagship and every product bundle with n <= 3, r <= 4 (p1-trivial
+# among them), as (n, r, chern).
+SYMMETRY_SPECS = [(4, 6, (-3, 5, -5))] + [(n, r, ()) for n in (1, 2, 3)
+                                          for r in (2, 3, 4)]
 
 
-def test_parse_star_polynomial_rejects_powered_literal():
-    with pytest.raises(ValueError, match="bad coefficient '2\\^3'"):
-        parse_star_polynomial("2^3*p")
+@cache
+def builtin_matrices(key):
+    spec = make_bundle(*key)
+    return rc.reconstruct(spec, seeds_mod.builtin_source(spec))
 
 
-star_term = st.tuples(
-    st.fractions(min_value=-50, max_value=50, max_denominator=20),
-    *[st.integers(min_value=0, max_value=6)] * 4)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(star_term, min_size=1, max_size=6), st.data())
-def test_parse_star_polynomial_round_trip(terms, data):
-    chunks = []
-    for coeff, q1, q2, ep, exi in terms:
-        factors = [str(abs(coeff))] + [
-            name if power == 1 else "%s^%d" % (name, power)
-            for name, power in zip(("q1", "q2", "p", "xi"), (q1, q2, ep, exi))
-            if power]
-        # Factors commute textually, so any order must parse the same.
-        factors = data.draw(st.permutations(factors))
-        chunks.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
-    assert parse_star_polynomial(" ".join(chunks)) == terms
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SYMMETRY_SPECS), st.sampled_from((0, 1)), st.data())
+def test_dual_basis_symmetry_check_agrees_with_gram_oracle(key, which, data):
+    # Perturbed entries need not respect the grading: M D = D (G M) D
+    # holds for any matrix of q-polynomials, so set_column is bypassed.
+    mat = builtin_matrices(key)[which]
+    spec = mat.spec
+    cols = [{row: dict(qp) for row, qp in mat.column(j).items()}
+            for j in range(spec.size)]
+    change = st.tuples(st.integers(0, spec.size - 1),
+                       st.integers(0, spec.size - 1),
+                       st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       st.builds(Fraction, st.sampled_from((-2, -1, 1, 3)),
+                                 st.integers(1, 3)))
+    if data.draw(st.booleans(), label="symmetric"):
+        # M + c q^s (E_ij + E_ji) G keeps both M D and G M symmetric
+        i, j, shift, c = data.draw(change)
+        gram = pairing_matrix(spec)
+        for row, other in ((i, j), (j, i)):
+            for k, g in enumerate(gram[other]):
+                if g:
+                    accumulate(cols[k].setdefault(row, {}), [(shift, c * g)])
+    else:
+        for i, j, shift, c in data.draw(st.lists(change, min_size=1,
+                                                 max_size=3)):
+            accumulate(cols[j].setdefault(i, {}), [(shift, c)])
+    perturbed = rc.QuantumMatrix(spec, mat.label)
+    perturbed.cols = [{row: qp for row, qp in col.items() if qp}
+                      for col in cols]
+    assert ((rc.check_three_point_symmetry(perturbed) is None)
+            == (gram_three_point_symmetry(perturbed) is None))
