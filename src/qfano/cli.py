@@ -8,6 +8,8 @@ byte-identical files and stdout.
 import argparse
 import os
 import sys
+from fractions import Fraction
+from math import factorial
 
 from qfano import lefschetz, qde
 from qfano import seeds as seedlib
@@ -215,12 +217,10 @@ def cmd_periods(args):
         lefschetz.check_search_box(args.terms, search_order, search_degree)
     order = max(args.terms - 1, 0)
     mp, mxi = _matrices(args, spec)
-    ctable = qde.identity_series(mp, mxi, spec, order, weights)
-    series = lefschetz.hypergeometric_modify(ctable, spec, bundles, order)
-    multiplier = lefschetz.mirror_map_correction(series)
-    seq = lefschetz.period_sequence(series, multiplier, args.terms)
-    if args.regularized:
-        seq = lefschetz.regularize(seq)
+    atable = qde.identity_series(mp, mxi, spec, order, weights)
+    seq = lefschetz.regularized_periods(atable, spec, bundles, args.terms)
+    if not args.regularized:
+        seq = [Fraction(val, factorial(m)) for m, val in enumerate(seq)]
     status = 0
     report = []
     if args.pf_verify is not None:

@@ -8,9 +8,13 @@ with w1 = d1 - sum(u) and w2 = d2 - sum(v); the term then sits at z-weight
 -(w1*i + w2*j).  A cut with w1 < 1 or w2 < 1 would put nonzero classes at
 z-weight >= 0 and shift the dilaton slot, which this pipeline refuses.
 Otherwise grade 1 is exactly the z-weight -1 stratum, whose negated
-exponential is the mirror reparametrization; multiplying by it gives the
-period sequence, and the regularized sequence (m-th term times m!) is the
-one an operator in D = t d/dt annihilates.
+exponential is the mirror reparametrization; multiplying the series
+sum d_m t^m by exp(-d_1 t) gives the period sequence, and the regularized
+sequence (m-th term times m!), the one an operator in D = t d/dt
+annihilates, is the binomial convolution r_m = sum_k C(m,k) E_k
+(-E_1)^(m-k) of E_m = m! d_m.  On the Apery-normalized table of
+qde.identity_series, E_m sums integers times multinomial coefficients,
+so the whole chain runs on integers.
 
 Operators are lists of terms coeff * t^m * D^e.  Applied to a sequence,
 the term sends position d to coeff * d^e at position d + m, so every
@@ -22,14 +26,11 @@ primitive integer generator of a one-dimensional kernel.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import comb, gcd
 
 from qfano import opparse
 from qfano.fixtures_io import data_lines
-from qfano.linalg import accumulate, nullspace
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from qfano.linalg import accumulate, common_denominator, nullspace
 
 
 def parse_cut(text):
@@ -69,52 +70,38 @@ def cut_weights(spec, bundles):
     return w1, w2
 
 
-def hypergeometric_modify(ctable, spec, bundles, order):
-    """The cut's series in t to grade order, graded by -K_Y.(i,j) =
-    w1*i + w2*j.
+def regularized_periods(atable, spec, bundles, terms):
+    """The first `terms` regularized periods r_m of the cut, from the
+    table A_{i,j} = (i!)^d1 (j!)^d2 c_{i,j} at every grade below terms.
 
-    d_m sums c_{i,j} * product of (u*i + v*j)! over the bundles, over
-    every (i, j) of grade m; ctable must hold every index of grade at most
-    order, and may hold more.
+    E_m sums A_{i,j} m!/((i!)^w1 (j!)^w2) times (u*i + v*j)!/((i!)^u
+    (j!)^v) per bundle over the grade m.  Numerators over the lcm L of the
+    table's denominators give E'_m = L*E_m, and r_m = sum_k C(m,k) E'_k
+    L^k (-E'_1)^(m-k) / L^(m+1), a Fraction unless L = 1.
     """
     w1, w2 = cut_weights(spec, bundles)
-    out = [ZERO] * (order + 1)
-    for i in range(order // w1 + 1):
-        for j in range((order - w1 * i) // w2 + 1):
-            out[w1 * i + w2 * j] += ctable[(i, j)] * prod(
-                factorial(u * i + v * j) for (u, v) in bundles)
-    return out
-
-
-def mirror_map_correction(series):
-    """Multiplier exp(-d_1 t) removing the unit-direction shift of the cut.
-
-    Grade 1 is the whole z-weight -1 stratum; the list has the length of
-    the series.
-    """
-    out = [ONE]
-    for m in range(1, len(series)):
-        out.append(-out[-1] * series[1] / m)
-    return out
-
-
-def period_sequence(series, multiplier, terms):
-    """First `terms` coefficients of the series times the multiplier."""
     if terms < 0:
         raise ValueError("term count must be >= 0")
-    order = len(series) - 1
-    if terms > order + 1:
-        raise ValueError(
-            "insufficient truncation: %d terms requested but the "
-            "coefficient table reaches total degree %d; recompute with "
-            "order >= %d" % (terms, order, terms - 1))
-    return [sum((series[k] * multiplier[m - k] for k in range(m + 1)), ZERO)
-            for m in range(terms)]
-
-
-def regularize(seq):
-    """m-th term times m!."""
-    return [val * factorial(m) for m, val in enumerate(seq)]
+    top = terms - 1
+    keys = [(i, j) for i in range(top // w1 + 1)
+            for j in range((top - w1 * i) // w2 + 1)]
+    nums, den = common_denominator([atable[key] for key in keys])
+    fact = [1]
+    for k in range(1, max(spec.d1, spec.d2) * top + 1):
+        fact.append(fact[-1] * k)
+    series = [0] * terms
+    for (i, j), x in zip(keys, nums):
+        if x:
+            m = w1 * i + w2 * j
+            x *= fact[m] // (fact[i] ** w1 * fact[j] ** w2)
+            for u, v in bundles:
+                x *= fact[u * i + v * j] // (fact[i] ** u * fact[j] ** v)
+            series[m] += x
+    shift = [(-series[1] if terms > 1 else 0) ** k for k in range(terms)]
+    out = [sum(comb(m, k) * series[k] * den ** k * shift[m - k]
+               for k in range(m + 1)) for m in range(terms)]
+    return out if den == 1 else [Fraction(x, den ** (m + 1))
+                                 for m, x in enumerate(out)]
 
 
 PFTerm = namedtuple("PFTerm", "coeff m e")  # coeff * t^m * D^e
@@ -158,33 +145,24 @@ def format_pf_operator(op):
 
 
 def pf_apply(op, seq):
-    """Residual of the operator on a truncated sequence, position-exact."""
-    out = []
-    for pos in range(len(seq)):
-        acc = ZERO
-        for term in op:
-            d = pos - term.m
-            if d >= 0:
-                acc += term.coeff * d ** term.e * seq[d]
-        out.append(acc)
-    return out
+    """Residual of the operator on a truncated sequence, position-exact,
+    summed on integers over one common denominator: 0 or a Fraction."""
+    coeffs, cden = common_denominator([term.coeff for term in op])
+    ints, den = common_denominator(seq)
+    sums = [sum(c * (pos - t.m) ** t.e * ints[pos - t.m]
+                for c, t in zip(coeffs, op) if pos >= t.m)
+            for pos in range(len(seq))]
+    return [Fraction(x, den * cden) if x else 0 for x in sums]
 
 
 def pf_normalize(op):
     """Scale to primitive integer coefficients with the lowest t-term of
     the highest D-power positive."""
-    if not op:
-        return []
-    denom = lcm(*(term.coeff.denominator for term in op))
-    content = 0
-    for term in op:
-        content = gcd(content, (term.coeff * denom).numerator)
-    lead = max(term.e for term in op)
-    low = min(term.m for term in op if term.e == lead)
-    pivot = next(term.coeff for term in op if term.e == lead and term.m == low)
-    scale = Fraction(denom if pivot > 0 else -denom, content)
-    return [PFTerm(term.coeff * scale, term.m, term.e)
-            for term in sorted(op, key=lambda t: (-t.e, t.m))]
+    op = sorted(op, key=lambda t: (-t.e, t.m))
+    ints = common_denominator([term.coeff for term in op])[0]
+    g = gcd(*ints) if ints and ints[0] > 0 else -gcd(*ints)
+    return [PFTerm(Fraction(x // g), term.m, term.e)
+            for x, term in zip(ints, op)]
 
 
 def check_search_box(terms, max_order, max_degree):
@@ -206,21 +184,18 @@ def find_annihilator(seq, max_order, max_degree):
     """Search for one operator of D-order and t-degree at most the bounds.
 
     Solves the exact linear system over every certified position of the
-    sequence.  Returns the primitive normalized generator of a
-    one-dimensional kernel, None for an empty kernel, and raises when
-    check_search_box refuses the box or the kernel has dimension above
-    one.
+    sequence times the lcm of its denominators, on integer rows; the
+    scaling leaves the kernel unchanged.  Returns the primitive
+    normalized generator of a one-dimensional kernel, None for an empty
+    kernel, and raises when check_search_box refuses the box or the
+    kernel has dimension above one.
     """
     check_search_box(len(seq), max_order, max_degree)
     cols = [(e, m) for e in range(max_order + 1)
             for m in range(max_degree + 1)]
-    rows = []
-    for pos in range(len(seq)):
-        row = []
-        for e, m in cols:
-            d = pos - m
-            row.append(seq[d] * d ** e if d >= 0 else ZERO)
-        rows.append(row)
+    ints = common_denominator(seq)[0]
+    rows = [[ints[pos - m] * (pos - m) ** e if pos >= m else 0
+             for e, m in cols] for pos in range(len(seq))]
     basis = nullspace(rows)
     if not basis:
         return None

@@ -33,11 +33,13 @@ def accumulate(dst, items):
     return dst
 
 
-def _integer_row(row):
-    """The row times the lcm of its denominators, as plain integers."""
-    row = [Fraction(x) for x in row]
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
+def common_denominator(values):
+    """(integers, L): the values times the lcm L of their denominators;
+    a list of ints passes through untouched."""
+    if all(isinstance(x, int) for x in values):
+        return values, 1
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _rref(rows, ncols, modulus=None):
@@ -124,9 +126,8 @@ def _certified(rows, basis):
     """True when every vector is an exact kernel vector of the integer
     rows."""
     for vec in basis:
-        den = lcm(*(x.denominator for x in vec))
-        support = [(j, x.numerator * (den // x.denominator))
-                   for j, x in enumerate(vec) if x]
+        support = [(j, n) for j, n in enumerate(common_denominator(vec)[0])
+                   if n]
         if any(sum(row[j] * n for j, n in support) for row in rows):
             return False
     return True
@@ -140,7 +141,7 @@ def nullspace(mat):
     whose kernel lifts and passes the exact check gives the basis; the
     fraction-free pass gives it when none does.
     """
-    rows = [_integer_row(row) for row in mat]
+    rows = [common_denominator(row)[0] for row in mat]
     ncols = len(rows[0]) if rows else 0
     for q in _MODULI:
         residues, pivots, _ = _rref([[x % q for x in row] for row in rows],

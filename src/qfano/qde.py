@@ -19,15 +19,18 @@ the ray with a positive exponent and cross-checks it along the other
 ray; j_series runs it on all rows, identity_series on the unit row
 alone, whose equation has no left product, to high order.
 
-The exact work runs on plain integers over shared denominators, in the
-fraction-free style of Bareiss elimination: each classical matrix is an
-integer sparse matrix with adjacency lists by row and by column over one
-denominator, each ray's q-parts share one denominator, and a frame
-block is a pair (integer rows, D).  A JSeries keeps only these blocks;
-the solver and the operator pass read them.  Every frame entry carries
-a single implicit z-power, deg(row) - deg(col) + a*d1 + b*d2 below zero,
-so the Laurent structure is restored on export (frames, the coefficient
-table, the operator residual), where values become Fractions.
+The unit-row solve stores the scaled frames G_{a,b} = (a!)^d1 (b!)^d2
+F_{a,b}: both equations keep their left-hand side, the source (a-c, b-d)
+on the right gets the integer weight (a!/(a-c)!)^d1 (b!/(b-d)!)^d2 from
+tables made once per solve, and the identity entry is the
+Apery-normalized (a!)^d1 (b!)^d2 c_{a,b}.  The work runs on integers
+over shared denominators, fraction-free as in Bareiss elimination: each
+classical matrix is an integer sparse matrix with adjacency lists by row
+and by column over one denominator, each ray's q-parts share one
+denominator, and a frame block is a pair (integer rows, D).  Every frame
+entry carries a single implicit z-power, deg(row) - deg(col) + a*d1 +
+b*d2 below zero, restored on export (frames, the coefficient table, the
+operator residual), where values become Fractions.
 
 The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
@@ -38,9 +41,10 @@ of a source's J-vector once.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from qfano import opparse
+from qfano.linalg import common_denominator
 
 
 class FlatnessError(ValueError):
@@ -49,11 +53,6 @@ class FlatnessError(ValueError):
 
 class NonIntegralError(ValueError):
     """A factorially normalized coefficient is not an integer."""
-
-
-def _scaled(values, den):
-    """{key: value * den} for rationals whose denominators divide den."""
-    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}
 
 
 # A classical divisor matrix C = Cint/den: rows[i] lists the pairs
@@ -83,17 +82,19 @@ def _split_matrix(qmat):
                     classical[(i, j)] = v
                 else:
                     parts.setdefault((a, b), {})[(i, j)] = v
-    dc = lcm(*(v.denominator for v in classical.values()))
-    dq = lcm(*(v.denominator for part in parts.values()
-               for v in part.values()))
+    cints, dc = common_denominator(list(classical.values()))
+    qints, dq = common_denominator([v for part in parts.values()
+                                    for v in part.values()])
     rows = [[] for _ in range(spec.size)]
     cols = [[] for _ in range(spec.size)]
-    for (i, k), v in _scaled(classical, dc).items():
+    for (i, k), v in zip(classical, cints):
         rows[i].append((k, v))
         cols[k].append((i, v))
     degree = tuple(spec.degree(i) for i in range(spec.size))
+    qints = iter(qints)
     return (Classical(rows, cols, dc, degree),
-            ({key: _scaled(part, dq) for key, part in parts.items()}, dq))
+            ({key: {ij: next(qints) for ij in part}
+              for key, part in parts.items()}, dq))
 
 
 def _row_times(row, sparse, out):
@@ -104,25 +105,32 @@ def _row_times(row, sparse, out):
             out[j] += x * v
 
 
-def _shift_sum(blocks, parts, a, b):
-    """sum over q-parts of frame(a-c, b-d) * part, on the rows present.
-
-    Returns (R, L): integer rows R over L = lcm(D of the blocks used) *
-    the parts' denominator.
-    """
+def _shift_sum(blocks, parts, a, b, falling):
+    """sum over q-parts of frame(a-c, b-d) * part on the rows present, as
+    integer rows R over L = lcm(D of the blocks used) * the parts'
+    denominator; the source (a-c, b-d) is weighted by falling[0][a][c] *
+    falling[1][b][d], or by 1 when falling is None."""
     pint, pden = parts
-    used = [(blocks[(a - c, b - d)], part) for (c, d), part in pint.items()
-            if c <= a and d <= b]
-    den = lcm(*(fden for (_, fden), _ in used))
+    used = [(blocks[(a - c, b - d)], part, c, d)
+            for (c, d), part in pint.items() if c <= a and d <= b]
+    den = lcm(*(fden for (_, fden), _, _, _ in used))
     unit = blocks[(0, 0)][0]
     out = [[0] * len(unit[0]) for _ in unit]
-    for (rows, fden), part in used:
+    for (rows, fden), part, c, d in used:
         m = den // fden
+        if falling:
+            m *= falling[0][a][c] * falling[1][b][d]
         if m != 1:
             part = {k: m * v for k, v in part.items()}
         for row, orow in zip(rows, out):
             _row_times(row, part, orow)
     return out, den * pden
+
+
+def _falling(order, top, d):
+    """[(a!/(a-c)!)^d for c <= min(a, top)] for each a <= order."""
+    return [[prod(range(a - c + 1, a + 1)) ** d
+             for c in range(min(a, top) + 1)] for a in range(order + 1)]
 
 
 def _sylvester_solve(scale, classical, rhs):
@@ -209,15 +217,17 @@ class JSeries:
 
     blocks maps (a, b) to the frame as (integer rows, D), entry (i, j)
     being rows[i][j] / D with the z-grid implicit; the unit-row solve
-    behind identity_series keeps row one only.  The matrix parts are the
-    integer forms read by the solver: each classical part is a Classical
-    and each ray's q-parts ({(c, d): integer sparse}, den).  frames is
-    the Fraction export of the blocks.
+    behind identity_series keeps row one only, as scaled frames, with
+    the solver's weights in falling (None for unscaled frames).  The
+    matrix parts are the integer forms read by the solver: each classical
+    part is a Classical and each ray's q-parts ({(c, d): integer sparse},
+    den).  frames is the Fraction export of the blocks.
     """
 
     def __init__(self, spec, p_classical, p_parts, xi_classical, xi_parts):
         self.spec = spec
         self.blocks = {}
+        self.falling = None
         self.p_classical = p_classical
         self.p_parts = p_parts
         self.xi_classical = xi_classical
@@ -237,23 +247,30 @@ def _ray(js, a, b, along_p):
         scale, classical, parts = a, js.p_classical, js.p_parts
     else:
         scale, classical, parts = b, js.xi_classical, js.xi_parts
-    return scale, classical, _shift_sum(js.blocks, parts, a, b)
+    return scale, classical, _shift_sum(js.blocks, parts, a, b, js.falling)
 
 
-def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
+def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
     """The series with every block cut to its leading rows, over the
     indices with w1*a + w2*b <= order for weights (w1, w2) >= (1, 1).
 
     The indices below (a, b) have a lower weighted sum, so every block a
-    solve or a cross-check reads is present.
+    solve or a cross-check reads is present.  With scaled set, blocks
+    are the scaled frames (a!)^d1 (b!)^d2 F_{a,b}.
 
     Each block is built from the ray with a positive exponent and
     cross-checked against the other ray; any defect raises FlatnessError
-    with the offending index and entry.
+    with the offending index and entry of the unscaled frame.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     js = JSeries(spec, *_split_matrix(mp), *_split_matrix(mxi))
+    if scaled:
+        keys = [key for parts in (js.p_parts, js.xi_parts)
+                for key in parts[0]]
+        js.falling = [_falling(order, max((key[k] for key in keys),
+                                          default=0), d)
+                      for k, d in enumerate((spec.d1, spec.d2))]
     js.blocks[(0, 0)] = ([[int(i == j) for j in range(spec.size)]
                           for i in range(rows)], 1)
     w1, w2 = weights
@@ -267,6 +284,8 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
             defect = _route_residual(scale, classical, u, rhs)
             if defect is not None:
                 (i, j), val = defect
+                if scaled:
+                    val /= factorial(a) ** spec.d1 * factorial(b) ** spec.d2
                 raise FlatnessError(
                     "flat frame inconsistent at index (%d,%d): cross-ray "
                     "residual %s at entry (%d,%d)"
@@ -292,23 +311,23 @@ def identity_coefficients(js):
 
 
 def identity_series(mp, mxi, spec, order, weights=(1, 1)):
-    """The c_{a,b} table to high order: the frame solve on the unit row,
-    over the indices with w1*a + w2*b <= order.
+    """The table (a!)^d1 (b!)^d2 c_{a,b}, an int where integral and else a
+    Fraction, to high order: the frame solve on the unit row, over the
+    indices with w1*a + w2*b <= order.
 
     Row one closes under each ray's equation on its own, so only that
     row is solved, and every index is cross-checked along the other ray
     as in j_series; a defect raises FlatnessError.
     """
-    return identity_coefficients(_solve(mp, mxi, spec, order, 1, weights))
+    blocks = _solve(mp, mxi, spec, order, 1, weights, scaled=True).blocks
+    return {key: Fraction(rows[0][0], den) if rows[0][0] % den
+            else rows[0][0] // den for key, (rows, den) in blocks.items()}
 
 
 def apery_table(ctable, size, spec):
     """Normalize c_{i,j} by (i!)^d1 (j!)^d2; entries must come out integer."""
-    from math import factorial
-
-    out = []
+    out = [[0] * size for _ in range(size)]
     for i in range(size):
-        row = []
         for j in range(size):
             if (i, j) not in ctable:
                 raise ValueError(
@@ -320,8 +339,7 @@ def apery_table(ctable, size, spec):
                 raise NonIntegralError(
                     "normalized coefficient (%d,%d) is not an integer: %s"
                     % (i, j, val))
-            row.append(int(val))
-        out.append(row)
+            out[i][j] = int(val)
     return out
 
 

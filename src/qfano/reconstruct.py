@@ -22,6 +22,7 @@ from fractions import Fraction
 from qfano import seeds as seeds_mod
 from qfano.fixtures_io import data_lines
 from qfano.linalg import accumulate
+from qfano.opparse import parse_number
 from qfano.ring import divisor_mul, dual_basis
 
 ONE = Fraction(1)
@@ -107,11 +108,16 @@ class QuantumMatrix:
         cols = [{} for _ in range(spec.size)]
         for lineno, line in data_lines(lines):
             tok = line.split()
-            if len(tok) != 5:
-                raise ValueError("triplet line %d: expected 5 fields" % lineno)
-            row, col, a, b = (int(t) for t in tok[:4])
+            try:
+                if len(tok) != 5:
+                    raise ValueError("expected 5 fields")
+                row, col, a, b = (parse_number(t) for t in tok[:4])
+                value = parse_number(tok[4], fraction=True)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError("triplet line %d: %s"
+                                 % (lineno, exc)) from None
             accumulate(cols[col - 1].setdefault(row - 1, {}),
-                       [((a, b), Fraction(tok[4]))])
+                       [((a, b), value)])
         out = cls(spec, label)
         for j, col in enumerate(cols):
             out.set_column(j, col)

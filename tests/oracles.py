@@ -19,14 +19,18 @@ shared by all operators.  So are the seed invariants the package now
 reads off closed forms: the Schubert calculus on G(2,5) with Pieri's
 rule behind the flagship's exceptional-divisor pairing, and the
 fibre-line invariant of the pushforwards to the base behind the product
-bundles' base-ray invariant.
+bundles' base-ray invariant.  And so is the period chain over Fraction
+(hypergeometric modification, mirror multiplier, period sequence,
+regularization, operator residual and search) that the package now runs
+on integers.
 """
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import factorial, lcm, prod
 
 from qfano import qde
+from qfano.lefschetz import PFTerm, check_search_box, cut_weights, pf_normalize
 from qfano.linalg import accumulate, nullspace
 from qfano.reconstruct import ONE, QuantumMatrix, col_add_into, qp_add_into
 from qfano.ring import ZERO, make_bundle, monomial_class, zero_class
@@ -520,3 +524,92 @@ def ref_blowup_invariant(spec, alpha, beta, k):
         return ZERO
     return g25().pair(pushforward_from_divisor(spec, alpha),
                       pushforward_from_divisor(spec, beta))
+
+
+# The period chain over Fraction: the reference for the integer
+# lefschetz.regularized_periods, pf_apply and find_annihilator.
+
+def coefficient_table(atable, spec):
+    """c_{a,b} = A_{a,b} / ((a!)^d1 (b!)^d2) from the normalized table."""
+    return {(a, b): Fraction(val, factorial(a) ** spec.d1
+                             * factorial(b) ** spec.d2)
+            for (a, b), val in atable.items()}
+
+
+def hypergeometric_modify(ctable, spec, bundles, order):
+    """The cut's series in t to grade order, graded by -K_Y.(i,j) =
+    w1*i + w2*j.
+
+    d_m sums c_{i,j} * product of (u*i + v*j)! over the bundles, over
+    every (i, j) of grade m; ctable must hold every index of grade at most
+    order, and may hold more.
+    """
+    w1, w2 = cut_weights(spec, bundles)
+    out = [ZERO] * (order + 1)
+    for i in range(order // w1 + 1):
+        for j in range((order - w1 * i) // w2 + 1):
+            out[w1 * i + w2 * j] += ctable[(i, j)] * prod(
+                factorial(u * i + v * j) for (u, v) in bundles)
+    return out
+
+
+def mirror_map_correction(series):
+    """Multiplier exp(-d_1 t) removing the unit-direction shift of the cut.
+
+    Grade 1 is the whole z-weight -1 stratum; the list has the length of
+    the series.
+    """
+    out = [ONE]
+    for m in range(1, len(series)):
+        out.append(-out[-1] * series[1] / m)
+    return out
+
+
+def period_sequence(series, multiplier, terms):
+    """First `terms` coefficients of the series times the multiplier."""
+    if terms < 0:
+        raise ValueError("term count must be >= 0")
+    order = len(series) - 1
+    if terms > order + 1:
+        raise ValueError(
+            "insufficient truncation: %d terms requested but the "
+            "coefficient table reaches total degree %d; recompute with "
+            "order >= %d" % (terms, order, terms - 1))
+    return [sum((series[k] * multiplier[m - k] for k in range(m + 1)), ZERO)
+            for m in range(terms)]
+
+
+def regularize(seq):
+    """m-th term times m!."""
+    return [val * factorial(m) for m, val in enumerate(seq)]
+
+
+def ref_pf_apply(op, seq):
+    """Residual of a Fuchsian operator on a sequence, summed over
+    Fraction."""
+    out = []
+    for pos in range(len(seq)):
+        acc = ZERO
+        for term in op:
+            d = pos - term.m
+            if d >= 0:
+                acc += term.coeff * d ** term.e * seq[d]
+        out.append(acc)
+    return out
+
+
+def ref_find_annihilator(seq, max_order, max_degree):
+    """The operator search on Fraction rows, each built from the
+    sequence as it is."""
+    check_search_box(len(seq), max_order, max_degree)
+    cols = [(e, m) for e in range(max_order + 1)
+            for m in range(max_degree + 1)]
+    rows = [[seq[pos - m] * (pos - m) ** e if pos >= m else ZERO
+             for e, m in cols] for pos in range(len(seq))]
+    basis = nullspace(rows)
+    if not basis:
+        return None
+    if len(basis) > 1:
+        raise ValueError("annihilator space is %d-dimensional" % len(basis))
+    return pf_normalize([PFTerm(val, m, e)
+                         for (e, m), val in zip(cols, basis[0]) if val])

@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 from oracles import (check_flatness, check_grading, check_homogeneity,
-                     check_purity, fiber_invariant, verify_relation)
+                     check_purity, fiber_invariant, hypergeometric_modify,
+                     mirror_map_correction, period_sequence, regularize,
+                     verify_relation)
 
 from qfano import lefschetz, qde
 from qfano import reconstruct as rc
@@ -158,13 +160,19 @@ def test_criterion_06_flatness_and_homogeneity(js14):
     _verdict(6, failures)
 
 
-def test_criterion_07_period_sequence(flagship, ctable14):
+def test_criterion_07_period_sequence(flagship, matrices, ctable14):
+    # the Fraction reference chain on the frame solve's table, and the
+    # package's integer chain on the unit-row solve's normalized table
     bundles = lefschetz.parse_cut("p,xi^5")
-    series = lefschetz.hypergeometric_modify(ctable14, flagship, bundles, 14)
-    multiplier = lefschetz.mirror_map_correction(series)
-    plain = lefschetz.period_sequence(series, multiplier, 10)
-    regularized = lefschetz.regularize(plain)
+    series = hypergeometric_modify(ctable14, flagship, bundles, 14)
+    multiplier = mirror_map_correction(series)
+    plain = period_sequence(series, multiplier, 10)
+    regularized = regularize(plain)
     failures = []
+    atable = qde.identity_series(*matrices, flagship, 9)
+    if lefschetz.regularized_periods(atable, flagship, bundles,
+                                     10) != regularized:
+        failures.append("integer chain differs from the reference chain")
     if plain[2] != 5:
         failures.append("plain quadratic term is %s, expected 5" % plain[2])
     if regularized != REGULARIZED_TEN:
@@ -181,12 +189,9 @@ def test_criterion_08_pf_operator_verified_and_recovered(flagship, matrices):
     mp, mxi = matrices
     failures = []
     start = time.monotonic()
-    ctable = qde.identity_series(mp, mxi, flagship, 63)
+    atable = qde.identity_series(mp, mxi, flagship, 63)
     bundles = lefschetz.parse_cut("p,xi^5")
-    series = lefschetz.hypergeometric_modify(ctable, flagship, bundles, 63)
-    multiplier = lefschetz.mirror_map_correction(series)
-    sequence = lefschetz.regularize(
-        lefschetz.period_sequence(series, multiplier, 64))
+    sequence = lefschetz.regularized_periods(atable, flagship, bundles, 64)
     operator = lefschetz.operator_from_lines(fixture_lines("pf_operator.txt"))
     residual = lefschetz.pf_apply(operator, sequence)
     bad = [pos for pos, value in enumerate(residual) if value]

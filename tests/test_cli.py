@@ -498,6 +498,35 @@ def test_periods_bad_seed_fails_unit_row_cross_check(tmp_path):
     assert proc.stdout == ""
 
 
+# The flagship dump with its last value changed to 7, as in CI: both
+# solves fail their cross-ray check at an index whose factorial scale
+# (a!)^2 (b!)^6 is not 1, so the residual is reported unscaled.
+SCALED_FLATNESS_ERRORS = [
+    (["jfun", "--order", "4"],
+     "flat frame inconsistent at index (2,0): cross-ray residual -7 at "
+     "entry (2,10)"),
+    (["periods", "--terms", "8"],
+     "flat frame inconsistent at index (3,1): cross-ray residual -70/3 at "
+     "entry (1,10)"),
+]
+
+
+@pytest.mark.parametrize("argv,error", SCALED_FLATNESS_ERRORS,
+                         ids=["jfun", "periods"])
+def test_bad_seed_residual_bytes_where_the_scale_is_not_one(tmp_path, capsys,
+                                                            argv, error):
+    assert cli.main(["seeds", "--out", str(tmp_path / "sd")]) == 0
+    lines = (tmp_path / "sd" / "seeds.txt").read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] + " 7"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(argv + ["--seeds", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % error
+
+
 def test_reconstruct_bad_seed_writes_nothing(tmp_path):
     bad = bad_flagship_seeds(tmp_path)
     out = tmp_path / "mats"

@@ -1,4 +1,8 @@
-"""Period pipeline: cuts, mirror multiplier, sequences, Fuchsian search."""
+"""Period pipeline: cuts, mirror multiplier, sequences, Fuchsian search.
+
+The Fraction chain (hypergeometric modification, mirror multiplier,
+period sequence, regularization) lives in tests/oracles.py as the
+reference for the package's integer convolution."""
 
 import re
 from fractions import Fraction
@@ -7,6 +11,9 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (coefficient_table, hypergeometric_modify,
+                     mirror_map_correction, period_sequence, ref_find_annihilator,
+                     ref_pf_apply, regularize)
 
 from qfano import lefschetz as lf
 from qfano import qde
@@ -30,15 +37,15 @@ def flagship():
 @pytest.fixture(scope="module")
 def flagship_ctable(flagship):
     spec, mp, mxi = flagship
-    return qde.identity_series(mp, mxi, spec, 11)
+    return coefficient_table(qde.identity_series(mp, mxi, spec, 11), spec)
 
 
 @pytest.fixture(scope="module")
 def flagship_periods(flagship, flagship_ctable):
     spec = flagship[0]
-    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
-    multiplier = lf.mirror_map_correction(series)
-    return lf.period_sequence(series, multiplier, 12)
+    series = hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
+    multiplier = mirror_map_correction(series)
+    return period_sequence(series, multiplier, 12)
 
 
 def periods_fixture():
@@ -63,23 +70,23 @@ def test_parse_cut():
 
 def test_hypergeometric_modify(flagship, flagship_ctable):
     spec = flagship[0]
-    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
+    series = hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
     # -K_Y = (1,1): grade 1 is (0,1) alone and grade 2 is (1,1) + (0,2),
     # since c_{1,0} = c_{2,0} = 0
     assert series[1] == 1
     assert series[2] == 5 + F(1, 64) * 2 ** 5   # 5 * 1! * (1!)^5, c * (2!)^5
     # empty cut applies no factorial and grades by -K = (d1, d2) = (2, 6)
-    assert lf.hypergeometric_modify(flagship_ctable, spec, [], 11) == [
+    assert hypergeometric_modify(flagship_ctable, spec, [], 11) == [
         sum((c for (i, j), c in flagship_ctable.items()
              if 2 * i + 6 * j == m), F(0)) for m in range(12)]
     with pytest.raises(ValueError, match="not nef"):
-        lf.hypergeometric_modify(flagship_ctable, spec, [(-1, 0)], 11)
+        hypergeometric_modify(flagship_ctable, spec, [(-1, 0)], 11)
 
 
 def test_mirror_multiplier_is_fibre_exponential(flagship, flagship_ctable):
     spec = flagship[0]
-    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
-    multiplier = lf.mirror_map_correction(series)
+    series = hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
+    multiplier = mirror_map_correction(series)
     # only the fibre-ray stratum sits at z-weight -1, so the multiplier
     # is exp(-q2) = exp(-t)
     assert multiplier == [F((-1) ** m, factorial(m)) for m in range(12)]
@@ -88,9 +95,9 @@ def test_mirror_multiplier_is_fibre_exponential(flagship, flagship_ctable):
 def test_mirror_multiplier_trivial_without_cut():
     spec = make_bundle(1, 2)
     mp, mxi = reconstruct(spec, builtin_source(spec))
-    ctable = qde.identity_series(mp, mxi, spec, 4)
-    series = lf.hypergeometric_modify(ctable, spec, [], 4)
-    assert lf.mirror_map_correction(series) == [1, 0, 0, 0, 0]
+    ctable = coefficient_table(qde.identity_series(mp, mxi, spec, 4), spec)
+    series = hypergeometric_modify(ctable, spec, [], 4)
+    assert mirror_map_correction(series) == [1, 0, 0, 0, 0]
 
 
 def test_dilaton_shift_refused(flagship):
@@ -98,7 +105,7 @@ def test_dilaton_shift_refused(flagship):
     table = {(0, 0): F(1), (1, 0): F(5)}
     for cut in ([(2, 0)], [(3, 0)]):
         with pytest.raises(ValueError, match="dilaton shift"):
-            lf.hypergeometric_modify(table, spec, cut, 1)
+            hypergeometric_modify(table, spec, cut, 1)
 
 
 def test_period_sequence_flagship(flagship_periods):
@@ -106,23 +113,23 @@ def test_period_sequence_flagship(flagship_periods):
     assert flagship_periods[1] == 0
     assert flagship_periods[2] == 5
     assert flagship_periods[3] == 7
-    assert lf.regularize(flagship_periods)[:10] == periods_fixture()
+    assert regularize(flagship_periods)[:10] == periods_fixture()
 
 
 def test_period_sequence_edge_counts(flagship, flagship_ctable):
     spec = flagship[0]
-    series = lf.hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
-    multiplier = lf.mirror_map_correction(series)
-    assert lf.period_sequence(series, multiplier, 1) == [1]
-    assert lf.period_sequence(series, multiplier, 0) == []
+    series = hypergeometric_modify(flagship_ctable, spec, FLAGSHIP_CUT, 11)
+    multiplier = mirror_map_correction(series)
+    assert period_sequence(series, multiplier, 1) == [1]
+    assert period_sequence(series, multiplier, 0) == []
     with pytest.raises(ValueError, match="order >= 12"):
-        lf.period_sequence(series, multiplier, 13)
+        period_sequence(series, multiplier, 13)
 
 
 def test_regularize():
-    assert lf.regularize([F(1), F(0), F(5)]) == [1, 0, 10]
-    assert lf.regularize([]) == []
-    assert lf.regularize([F(1)]) == [1]
+    assert regularize([F(1), F(0), F(5)]) == [1, 0, 10]
+    assert regularize([]) == []
+    assert regularize([F(1)]) == [1]
 
 
 def test_pf_parse_and_format_roundtrip():
@@ -170,7 +177,7 @@ def test_pf_apply_basics():
 
 def test_pf_fixture_annihilates_first_terms(flagship_periods):
     op = lf.operator_from_lines(fixture_lines("pf_operator.txt"))
-    regularized = lf.regularize(flagship_periods)
+    regularized = regularize(flagship_periods)
     assert lf.pf_apply(op, regularized) == [0] * len(regularized)
 
 
@@ -227,3 +234,152 @@ def test_pf_normalize_flips_fixture_sign():
     assert normalized[0] == lf.PFTerm(F(24), 0, 4)
     assert {(-t.coeff, t.m, t.e) for t in op} == \
         {(t.coeff, t.m, t.e) for t in normalized}
+
+
+# Every valid cut of the flagship, -K = (2, 6): at most one p and at most
+# five xi keep both weights positive.
+FLAGSHIP_CUTS = ["p^%d,xi^%d" % (a, b) for a in range(2) for b in range(6)]
+
+
+@pytest.fixture(scope="module")
+def flagship_atable(flagship):
+    # every grade below 64 of every cut lies in i + j <= 63
+    spec, mp, mxi = flagship
+    return qde.identity_series(mp, mxi, spec, 63)
+
+
+def oracle_periods(atable, spec, bundles, terms):
+    """(plain, regularized) sequences of the Fraction reference chain."""
+    ctable = coefficient_table(atable, spec)
+    order = max(terms - 1, 0)
+    series = hypergeometric_modify(ctable, spec, bundles, order)
+    plain = period_sequence(series, mirror_map_correction(series), terms)
+    return plain, regularize(plain)
+
+
+def assert_chain_matches_oracle(atable, spec, bundles, terms):
+    plain, regularized = oracle_periods(atable, spec, bundles, terms)
+    got = lf.regularized_periods(atable, spec, bundles, terms)
+    assert got == regularized
+    assert [F(val, factorial(m)) for m, val in enumerate(got)] == plain
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FLAGSHIP_CUTS), st.integers(min_value=0, max_value=64))
+def test_integer_chain_matches_oracle_on_flagship_cuts(flagship,
+                                                       flagship_atable, cut,
+                                                       terms):
+    spec, bundles = flagship[0], lf.parse_cut(cut)
+    got = lf.regularized_periods(flagship_atable, spec, bundles, terms)
+    assert all(type(val) is int for val in got)
+    assert_chain_matches_oracle(flagship_atable, spec, bundles, terms)
+
+
+@pytest.mark.parametrize("cut", FLAGSHIP_CUTS)
+def test_integer_chain_matches_oracle_at_64_terms(flagship, flagship_atable,
+                                                  cut):
+    assert_chain_matches_oracle(flagship_atable, flagship[0],
+                                lf.parse_cut(cut), 64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=2, max_value=5), st.data())
+def test_integer_chain_matches_oracle_on_products(n, r, data):
+    # P^n x P^(r-1): the normalized table is all ones, -K = (n+1, r)
+    spec = make_bundle(n, r)
+    a = data.draw(st.integers(min_value=0, max_value=n), label="p")
+    b = data.draw(st.integers(min_value=0, max_value=r - 1), label="xi")
+    terms = data.draw(st.integers(min_value=0, max_value=64), label="terms")
+    atable = {(i, j): 1 for i in range(64) for j in range(64 - i)}
+    assert_chain_matches_oracle(atable, spec, [(1, 0)] * a + [(0, 1)] * b,
+                                terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 2), (2, 3), (4, 6)]), st.sampled_from(
+    [[], [(1, 0)], [(0, 1)], [(1, 0), (0, 1)], [(0, 2)], [(1, 1)]]),
+    st.integers(min_value=0, max_value=16), st.randoms(use_true_random=False))
+def test_integer_chain_matches_oracle_on_rational_tables(nr, bundles, terms,
+                                                         rng):
+    # the non-integral path: numerators over one common denominator
+    spec = make_bundle(*nr)
+    atable = {(i, j): F(rng.randint(-30, 30), rng.randint(1, 12))
+              for i in range(17) for j in range(17 - i)}
+    try:
+        lf.cut_weights(spec, bundles)
+    except ValueError:
+        with pytest.raises(ValueError, match="dilaton shift"):
+            lf.regularized_periods(atable, spec, bundles, terms)
+        return
+    assert_chain_matches_oracle(atable, spec, bundles, terms)
+
+
+def test_integer_chain_edge_counts(flagship, flagship_atable):
+    spec = flagship[0]
+    assert lf.regularized_periods(flagship_atable, spec, FLAGSHIP_CUT, 0) == []
+    assert lf.regularized_periods(flagship_atable, spec, FLAGSHIP_CUT, 1) == [1]
+    assert lf.regularized_periods(flagship_atable, spec, FLAGSHIP_CUT,
+                                  10) == periods_fixture()
+    with pytest.raises(ValueError, match="term count must be >= 0"):
+        lf.regularized_periods(flagship_atable, spec, FLAGSHIP_CUT, -1)
+    for cut in ([(2, 0)], [(3, 0)]):
+        with pytest.raises(ValueError, match="dilaton shift"):
+            lf.regularized_periods(flagship_atable, spec, cut, 8)
+
+
+pf_coeff = st.fractions(min_value=-40, max_value=40, max_denominator=9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(min_value=0, max_value=4),
+                                 st.integers(min_value=0, max_value=3)),
+                       pf_coeff.filter(bool), max_size=6),
+       st.lists(pf_coeff, max_size=12))
+def test_pf_apply_matches_fraction_reference(coeffs, seq):
+    op = [lf.PFTerm(c, m, e) for (m, e), c in sorted(coeffs.items())]
+    assert lf.pf_apply(op, seq) == ref_pf_apply(op, seq)
+
+
+def outcome(search, seq, order, degree):
+    """The search result, or the type of the error it raised."""
+    try:
+        return search(seq, order, degree)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pf_coeff.filter(bool), pf_coeff.filter(bool),
+       st.integers(min_value=5, max_value=14), st.booleans())
+def test_find_annihilator_matches_fraction_reference(scale, ratio, terms,
+                                                     factorial_weight):
+    # c * a^n has the annihilator D - a*t*D - a*t; c * a^n * n! has none
+    # of order and degree 1
+    seq = [scale * ratio ** n * (factorial(n) if factorial_weight else 1)
+           for n in range(terms)]
+    for order, degree in ((1, 1), (1, 2), (2, 1)):
+        assert outcome(lf.find_annihilator, seq, order, degree) == \
+            outcome(ref_find_annihilator, seq, order, degree)
+
+
+def test_fraction_sequences_keep_their_results(flagship_atable, flagship):
+    ones = [F(1)] * 8
+    geometric = [lf.PFTerm(F(1), 0, 1), lf.PFTerm(F(-1), 1, 1),
+                 lf.PFTerm(F(-1), 1, 0)]
+    assert lf.find_annihilator(ones, 1, 1) == ref_find_annihilator(
+        ones, 1, 1) == geometric
+    assert lf.pf_apply(geometric, ones) == ref_pf_apply(geometric, ones) \
+        == [0] * 8
+    # the flagship's 64 regularized periods, as Fractions and as ints
+    seq = lf.regularized_periods(flagship_atable, flagship[0], FLAGSHIP_CUT,
+                                 64)
+    op = lf.operator_from_lines(fixture_lines("pf_operator.txt"))
+    for values in (seq, [F(x) for x in seq]):
+        assert lf.pf_apply(op, values) == ref_pf_apply(op, values) == [0] * 64
+    assert lf.find_annihilator(seq, 4, 9) == lf.pf_normalize(op)
+    assert ref_find_annihilator([F(x) for x in seq], 4, 9) == \
+        lf.pf_normalize(op)
+    # a nonzero residual is reported exactly, in lowest terms
+    assert lf.pf_apply(op, [F(x, 3) for x in seq[:3]] + [F(1, 2)]) == \
+        ref_pf_apply(op, [F(x, 3) for x in seq[:3]] + [F(1, 2)])

@@ -50,6 +50,12 @@ def operators():
     return load_named_expressions(fixture_lines("qde_operators.txt"))
 
 
+def normalized(ctable, spec):
+    """{(a, b): (a!)^d1 (b!)^d2 c_{a,b}}, the form identity_series returns."""
+    return {(a, b): c * factorial(a) ** spec.d1 * factorial(b) ** spec.d2
+            for (a, b), c in ctable.items()}
+
+
 def apery_fixture():
     return [[int(tok) for tok in line.split(",")]
             for line in fixture_lines("apery_table_8x8.csv") if line.strip()]
@@ -66,12 +72,15 @@ def test_p1p1_coefficients_closed_form(p1p1_js):
                                  for r in (2, 3, 4, 5)])
 def test_product_bundles_closed_form(n, r):
     # P^n x P^(r-1): c_{a,b} = 1 / ((a!)^(n+1) (b!)^r) on both solver paths,
-    # and the J-series is annihilated by D1^(n+1) - q1 and D2^r - q2
+    # so the normalized table is all ones, and the J-series is annihilated
+    # by D1^(n+1) - q1 and D2^r - q2
     spec = make_bundle(n, r)
     mp, mxi = reconstruct(spec, builtin_source(spec))
     expected = {(a, b): F(1, factorial(a) ** (n + 1) * factorial(b) ** r)
                 for a in range(6) for b in range(6 - a)}
-    assert qde.identity_series(mp, mxi, spec, 5) == expected
+    ones = qde.identity_series(mp, mxi, spec, 5)
+    assert ones == normalized(expected, spec) == dict.fromkeys(expected, 1)
+    assert all(type(val) is int for val in ones.values())
     js = qde.j_series(mp, mxi, spec, 5)
     assert qde.identity_coefficients(js) == expected
     texts = ("D1^%d - q1" % (n + 1), "D2^%d - q2" % r)
@@ -88,9 +97,11 @@ def test_p1p1_vectors_match_hand_oracle(p1p1_js):
 
 def test_p1p1_row_recursion_closed_form(p1p1):
     spec, mp, mxi = p1p1
-    ctable = qde.identity_series(mp, mxi, spec, 10)
-    for (a, b), val in ctable.items():
-        assert val == F(1, (factorial(a) * factorial(b)) ** 2)
+    atable = qde.identity_series(mp, mxi, spec, 10)
+    assert len(atable) == 66
+    for (a, b), val in atable.items():
+        # c_{a,b} = 1/((a!)(b!))^2 times (a!)^2 (b!)^2
+        assert val == 1
 
 
 def test_flagship_hand_coefficients(flagship_js):
@@ -144,7 +155,25 @@ def test_apery_errors_are_typed(flagship):
 def test_row_recursion_matches_frames(flagship, flagship_js):
     spec, mp, mxi = flagship
     deep = qde.identity_series(mp, mxi, spec, 8)
-    assert deep == qde.identity_coefficients(flagship_js)
+    assert deep == normalized(qde.identity_coefficients(flagship_js), spec)
+    # the normalized flagship table is integral: the Apery table's entries
+    assert all(type(val) is int for val in deep.values())
+    assert [deep[(i, i)] for i in range(5)] == [1, 5, 73, 1445, 33001]
+
+
+@pytest.mark.parametrize("bundle", ["p1p1", "flagship"])
+def test_scaled_unit_row_is_the_factorial_multiple(request, bundle):
+    # G_{a,b} = (a!)^d1 (b!)^d2 F_{a,b} entry for entry, on the weighted
+    # index set of a cut, and rescaled rational inputs too
+    spec, mp, mxi = request.getfixturevalue(bundle)
+    for pair in ((mp, mxi), (_rescaled(spec, mp), _rescaled(spec, mxi))):
+        plain = qde._solve(*pair, spec, 12, 1, (2, 1))
+        scaled = qde._solve(*pair, spec, 12, 1, (2, 1), scaled=True)
+        assert set(plain.blocks) == set(scaled.blocks)
+        for (a, b), frame in plain.frames.items():
+            s = factorial(a) ** spec.d1 * factorial(b) ** spec.d2
+            assert scaled.frames[(a, b)] == [[s * x for x in row]
+                                             for row in frame]
 
 
 def test_flatness_and_homogeneity_pass(flagship_js):
@@ -435,8 +464,9 @@ def reference_series(request, case):
         mp, mxi = _rescaled(spec, mp), _rescaled(spec, mxi)
         return mp, mxi, qde.j_series(mp, mxi, spec, 4)
     if case == "unit-row":
+        # the scaled frames of identity_series, each source weighted
         spec, mp, mxi = request.getfixturevalue("flagship")
-        return mp, mxi, qde._solve(mp, mxi, spec, 40, 1, (2, 1))
+        return mp, mxi, qde._solve(mp, mxi, spec, 40, 1, (2, 1), scaled=True)
     spec, mp, mxi = request.getfixturevalue(case)
     return mp, mxi, request.getfixturevalue(case + "_js")
 

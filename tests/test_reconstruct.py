@@ -1,5 +1,6 @@
 """Tests for the matrix reconstruction and relation verification."""
 
+import re
 import time
 from fractions import Fraction
 from functools import cache
@@ -217,6 +218,23 @@ def test_triplet_round_trip(flagship, flagship_matrices):
         again = rc.QuantumMatrix.from_triplet_lines(
             flagship, mat.label, mat.triplet_lines())
         assert again == mat
+
+
+@pytest.mark.parametrize("field", [0, 3, 4], ids=["row", "b", "value"])
+@pytest.mark.parametrize("lit", ["1e3", "\u0663", "1_0"])
+def test_triplet_literal_outside_grammar(field, lit):
+    # int() and Fraction() read all three; the one literal reader does not
+    spec = make_bundle(1, 2)
+    lines = list(fixture_lines("p1p1_mp.triplets"))
+    lineno, line = [(n, text) for n, text in enumerate(lines, 1)
+                    if text.strip() and not text.startswith("#")][2]
+    tok = line.split()
+    tok[field] = lit
+    lines[lineno - 1] = " ".join(tok)
+    with pytest.raises(ValueError, match=re.escape(
+            "triplet line %d: bad %s %r"
+            % (lineno, "number" if field == 4 else "integer", lit))):
+        rc.QuantumMatrix.from_triplet_lines(spec, "p", lines)
 
 
 def test_triplet_grading_validation(flagship):
