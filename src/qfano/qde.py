@@ -24,13 +24,15 @@ F_{a,b}: both equations keep their left-hand side, the source (a-c, b-d)
 on the right gets the integer weight (a!/(a-c)!)^d1 (b!/(b-d)!)^d2 from
 tables made once per solve, and the identity entry is the
 Apery-normalized (a!)^d1 (b!)^d2 c_{a,b}.  The work runs on integers
-over shared denominators, fraction-free as in Bareiss elimination: each
-classical matrix is an integer sparse matrix with adjacency lists by row
-and by column over one denominator, each ray's q-parts share one
-denominator, and a frame block is a pair (integer rows, D).  Every frame
-entry carries a single implicit z-power, deg(row) - deg(col) + a*d1 +
-b*d2 below zero, restored on export (frames, the coefficient table, the
-operator residual), where values become Fractions.
+over shared denominators: each classical matrix is an integer sparse
+matrix with adjacency lists by row and by column over one denominator,
+each ray's q-parts are integer adjacency lists by row over one
+denominator, and a frame block is a pair (integer rows, D) in lowest
+terms, each entry divided as soon as it is computed (Bareiss's exact
+division).  Every frame entry carries a single implicit z-power,
+deg(row) - deg(col) + a*d1 + b*d2 below zero, restored on export
+(frames, the coefficient table, the operator residual), where values
+become Fractions.
 
 The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
@@ -69,7 +71,8 @@ def _split_matrix(qmat):
 
     Returns (classical, parts): classical is a Classical built once here
     for the solver, the residual and the operator pass, and parts =
-    ({(c, d): {(row, col): int}}, den) over (c, d) != (0, 0), with one
+    ({(c, d): [(row, [(col, int), ...]), ...]}, den) over (c, d) !=
+    (0, 0), each q-part as adjacency lists of its nonzero rows, with one
     denominator for all the q-parts.
     """
     spec = qmat.spec
@@ -77,14 +80,15 @@ def _split_matrix(qmat):
     parts = {}
     for j in range(spec.size):
         for i, qp in qmat.column(j).items():
-            for (a, b), v in qp.items():
-                if (a, b) == (0, 0):
+            for key, v in qp.items():
+                if key == (0, 0):
                     classical[(i, j)] = v
                 else:
-                    parts.setdefault((a, b), {})[(i, j)] = v
+                    parts.setdefault(key, {}).setdefault(i, []).append((j, v))
     cints, dc = common_denominator(list(classical.values()))
     qints, dq = common_denominator([v for part in parts.values()
-                                    for v in part.values()])
+                                    for prow in part.values()
+                                    for _, v in prow])
     rows = [[] for _ in range(spec.size)]
     cols = [[] for _ in range(spec.size)]
     for (i, k), v in zip(classical, cints):
@@ -93,16 +97,9 @@ def _split_matrix(qmat):
     degree = tuple(spec.degree(i) for i in range(spec.size))
     qints = iter(qints)
     return (Classical(rows, cols, dc, degree),
-            ({key: {ij: next(qints) for ij in part}
+            ({key: [(i, [(j, next(qints)) for j, _ in prow])
+                    for i, prow in part.items()]
               for key, part in parts.items()}, dq))
-
-
-def _row_times(row, sparse, out):
-    """out += row * sparse for a {(row, col): value} sparse factor."""
-    for (k, j), v in sparse.items():
-        x = row[k]
-        if x:
-            out[j] += x * v
 
 
 def _shift_sum(blocks, parts, a, b, falling):
@@ -120,10 +117,13 @@ def _shift_sum(blocks, parts, a, b, falling):
         m = den // fden
         if falling:
             m *= falling[0][a][c] * falling[1][b][d]
-        if m != 1:
-            part = {k: m * v for k, v in part.items()}
         for row, orow in zip(rows, out):
-            _row_times(row, part, orow)
+            for k, prow in part:
+                x = row[k]
+                if x:
+                    x *= m
+                    for j, v in prow:
+                        orow[j] += x * v
     return out, den * pden
 
 
@@ -134,32 +134,30 @@ def _falling(order, top, d):
 
 
 def _sylvester_solve(scale, classical, rhs):
-    """Solve scale*U + C*U - U*C = R/L for C = Cint/dc, level by level.
+    """Solve scale*U + C*U - U*C = R/L for C = Cint/dc, entry by entry.
 
     C raises degree by exactly one, so ad_C(X) = X*C - C*X carries the
     entries of level deg(row) - deg(col) = l - 1 to level l, and the
-    equation splits into U_l = (R_l/L + ad_C(U_{l-1})) / scale.  With lo
-    the lowest level of R and m = l - lo, U_l = W_l / (L*dc^m*scale^(m+1))
-    with W_l = R_l*(dc*scale)^m + ad_Cint(W_{l-1}), which needs no
-    division.  Entry (i, j) of W reads the entries (i, k) with k > j and
-    (k, j) with k < i, so one walk up the rows and down the columns of a
-    block of leading rows computes each entry once, from entries already
-    done.  Every level is then brought to the common denominator
-    L*dc^depth*scale^(depth+1), depth being the top level of the block
-    less lo, and reduced by one gcd.  Returns (integer rows, D).
+    equation splits into U_l = (R_l/L + ad_C(U_{l-1})) / scale.  Entry
+    (i, j) reads the entries (i, k) with k > j and (k, j) with k < i, so
+    one walk up the rows and down the columns of a block of leading rows
+    computes each entry once, from entries already done.  The walk keeps
+    the integers U*L*f, so an entry is (R*f*dc + ad_Cint(U*L*f)) /
+    (dc*scale), divided as soon as it is computed, with f = 1 while every
+    division is exact.  With lo the lowest level of R and m = l - lo,
+    U_l * L*dc^m*scale^(m+1) is the integer W_l = R_l*(dc*scale)^m +
+    ad_Cint(W_{l-1}) of fraction-free (Bareiss) elimination, so at the
+    first inexact division f becomes dc^depth * scale^(depth+1), depth
+    being the top level of the block less lo: the block is multiplied by
+    f once, and every later division is exact.  A block over D = L*f = 1
+    is in lowest terms, any other is reduced by one gcd.  Returns
+    (integer rows, D).
     """
     rrows, den = rhs
     deg = classical.degree
     size = len(deg)
-    lo = min((deg[i] - deg[j] for i, hrow in enumerate(rrows)
-              for j, h in enumerate(hrow) if h), default=None)
-    if lo is None:
-        return [[0] * size for _ in rrows], 1
-    depth = deg[len(rrows) - 1] - deg[0] - lo
     step = classical.den * scale
-    pw = [1]
-    for _ in range(depth):
-        pw.append(pw[-1] * step)
+    lift = classical.den
     cols = classical.cols
     w = [[0] * size for _ in rrows]
     for i, (hrow, wrow) in enumerate(zip(rrows, w)):
@@ -176,13 +174,22 @@ def _sylvester_solve(scale, classical, rhs):
                     x -= v * y
             h = hrow[j]
             if h:
-                x += h * pw[deg[i] - deg[j] - lo]
-            wrow[j] = x
-    for i, wrow in enumerate(w):
-        for j, x in enumerate(wrow):
+                x += h * lift
             if x:
-                wrow[j] = x * pw[depth + lo - deg[i] + deg[j]]
-    den *= classical.den ** depth * scale ** (depth + 1)
+                q, r = divmod(x, step)
+                if r:
+                    lo = min(deg[k] - deg[c] for k, hr in enumerate(rrows)
+                             for c, y in enumerate(hr) if y)
+                    depth = deg[len(rrows) - 1] - deg[0] - lo
+                    f = classical.den ** depth * scale ** (depth + 1)
+                    for row in w:
+                        row[:] = [y * f for y in row]
+                    lift *= f
+                    den *= f
+                    q = x * f // step
+                wrow[j] = q
+    if den == 1:
+        return w, 1
     g = gcd(den, *(x for row in w for x in row))
     return [[x // g for x in row] for row in w], den // g
 
@@ -192,9 +199,12 @@ def _route_residual(scale, classical, u, rhs):
     other ray's equation, in row-major order, as ((row, col), Fraction),
     or None.
 
-    The residual is formed on integers, scaled by D*dc*L."""
+    The residual is formed on integers, scaled by D*dc*L; it is zero at
+    once when U and R are."""
     rows, den = u
     rrows, rden = rhs
+    if not any(map(any, rows)) and not any(map(any, rrows)):
+        return None
     dc = classical.den
     fu, fr = scale * dc * rden, den * dc
     cols = classical.cols
@@ -220,8 +230,9 @@ class JSeries:
     behind identity_series keeps row one only, as scaled frames, with
     the solver's weights in falling (None for unscaled frames).  The
     matrix parts are the integer forms read by the solver: each classical
-    part is a Classical and each ray's q-parts ({(c, d): integer sparse},
-    den).  frames is the Fraction export of the blocks.
+    part is a Classical and each ray's q-parts ({(c, d): adjacency lists
+    of the nonzero rows}, den), made once per solve.  frames is the
+    Fraction export of the blocks.
     """
 
     def __init__(self, spec, p_classical, p_parts, xi_classical, xi_parts):

@@ -527,6 +527,26 @@ def test_bad_seed_residual_bytes_where_the_scale_is_not_one(tmp_path, capsys,
     assert captured.err == "error: %s\n" % error
 
 
+def test_rescaled_seed_passes_ring_checks_not_fixture(tmp_path, capsys):
+    # doubling the one base-ray seed of p1-trivial maps the ring to the
+    # one of q1 -> 2*q1: the ring checks cannot see a uniform rescaling,
+    # only the packaged fixture can
+    assert cli.main(["seeds", "--bundle", "p1-trivial",
+                     "--out", str(tmp_path / "sd")]) == 0
+    text = (tmp_path / "sd" / "seeds.txt").read_text()
+    assert "\n(1,1) (2,1) 1 0 1\n" in text
+    rescaled = tmp_path / "rescaled.txt"
+    rescaled.write_text(text.replace("\n(1,1) (2,1) 1 0 1\n",
+                                     "\n(1,1) (2,1) 1 0 2\n"))
+    argv = ["reconstruct", "--bundle", "p1-trivial", "--seeds", str(rescaled)]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert "0,2*q1,0,0" in capsys.readouterr().out.splitlines()
+    assert cli.main(argv + ["--verify-fixture"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "p matrix mismatch at entry (1,2): computed 2*q1, fixture q1")
+
+
 def test_reconstruct_bad_seed_writes_nothing(tmp_path):
     bad = bad_flagship_seeds(tmp_path)
     out = tmp_path / "mats"
@@ -718,10 +738,11 @@ def test_periods_solve_only_the_grades_of_the_cut(tmp_path, monkeypatch,
                           ).hexdigest() == digest
 
 
-# sha256 of every file these invocations write, captured from the solver
-# that kept one Fraction per frame entry (the operator search from the
-# elimination over Fraction); the exact kernels may change, these bytes
-# may not.
+# sha256 of every file these invocations write, the first three captured
+# from the solver that kept one Fraction per frame entry (the operator
+# search from the elimination over Fraction), the last three, at the
+# orders the README runs, from the solver that reduced every frame block
+# by one gcd; the exact kernels may change, these bytes may not.
 GOLDEN = [
     (("jfun", "--bundle", "flagship", "--order", "4", "--apery", "3",
       "--check-operators"),
@@ -743,11 +764,27 @@ GOLDEN = [
                      "baab41d477e2e4768231c94dcb56f7f9",
       "pf_report.txt": "220a118ad96ea2ffc5a7cee56b0080ce"
                        "5cdc4e8854c266d0a1dd1fc32617d13f"}),
+    (("jfun", "--order", "16", "--apery", "8", "--check-operators"),
+     {"apery.csv": "199066fae1cb661bd96f7be9b6889997"
+                   "44f64e3dc84d050e86efe05977210474",
+      "coefficients.csv": "564b2265bcf6c0722f9fcb2e3f951e0d"
+                          "e1564229da2006985709666d5b60d0b9",
+      "operator_report.txt": "c3aaf2c1e2622cd46aa2f5b9ca6eee75"
+                             "1887843a3347170561759699e2f19f5f"}),
+    (("periods", "--terms", "128", "--regularized", "--pf-verify"),
+     {"periods.txt": "611bd4823eaaf1f4db492fe0df63a5de"
+                     "ac717391f67eab576b7b0fbbfce7df4f",
+      "pf_report.txt": "4337a74ee36eea7baf6fa47241099c6c"
+                       "32c6e7bb3762fe0ee5fd3b23c1bef416"}),
+    (("periods", "--cut", "xi^5", "--terms", "64", "--regularized"),
+     {"periods.txt": "75f0435872ee3dd78574916322369734"
+                     "ad5083a4568da951c1262ba33c2c5f16"}),
 ]
 
 
 @pytest.mark.parametrize("argv,digests", GOLDEN,
-                         ids=["jfun", "periods", "pf-search"])
+                         ids=["jfun", "periods", "pf-search", "jfun-16",
+                              "periods-128", "periods-xi5-64"])
 def test_output_files_match_golden_bytes(tmp_path, argv, digests):
     proc = run_cli(*argv, "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr

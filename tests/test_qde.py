@@ -467,12 +467,18 @@ def reference_series(request, case):
         # the scaled frames of identity_series, each source weighted
         spec, mp, mxi = request.getfixturevalue("flagship")
         return mp, mxi, qde._solve(mp, mxi, spec, 40, 1, (2, 1), scaled=True)
+    if case == "rescaled-unit-row":
+        # the unscaled unit row of rational inputs: divisions by the scale
+        # that are not exact
+        spec, mp, mxi = request.getfixturevalue("flagship")
+        mp, mxi = _rescaled(spec, mp), _rescaled(spec, mxi)
+        return mp, mxi, qde._solve(mp, mxi, spec, 20, 1)
     spec, mp, mxi = request.getfixturevalue(case)
     return mp, mxi, request.getfixturevalue(case + "_js")
 
 
 @pytest.mark.parametrize("case", ["flagship", "p1p1", "product", "rescaled",
-                                  "unit-row"])
+                                  "unit-row", "rescaled-unit-row"])
 def test_solve_matches_neumann_reference(request, case):
     # every block, solved level by level, equals the Neumann series on
     # each ray with a positive exponent, from the same right-hand side
@@ -480,7 +486,7 @@ def test_solve_matches_neumann_reference(request, case):
     rays = {True: ref_classical(mp), False: ref_classical(mxi)}
     if case == "rescaled":
         assert rays[True][1] > 1 and rays[False][1] > 1
-    checked = 0
+    checked = inexact = 0
     for (a, b), block in js.blocks.items():
         for along_p, scale in ((True, a), (False, b)):
             if scale:
@@ -488,7 +494,12 @@ def test_solve_matches_neumann_reference(request, case):
                 assert ref_sylvester_solve(scale, rays[along_p], rhs) \
                     == block, ((a, b), along_p)
                 checked += 1
+                # D divides L unless U*L is not integral: an inexact division
+                inexact += rhs[1] % block[1] != 0
     assert checked >= len(js.blocks) - 1
+    if case == "rescaled-unit-row":
+        assert any(den > 1 for _, den in js.blocks.values())
+        assert inexact
 
 
 def test_zero_right_hand_side_gives_zero_block(flagship):
@@ -499,3 +510,10 @@ def test_zero_right_hand_side_gives_zero_block(flagship):
                            (js.xi_classical, ref_classical(mxi))):
         assert qde._sylvester_solve(2, classical, (zero, 5)) == (zero, 1)
         assert ref_sylvester_solve(2, ref, (zero, 5)) == (zero, 1)
+        assert qde._route_residual(2, classical, (zero, 1), (zero, 5)) is None
+        # a zero block against a nonzero right-hand side: the residual is
+        # -R/L, first at the first nonzero entry of R
+        rhs = [[0] * spec.size for _ in range(3)]
+        rhs[1][4], rhs[2][0] = 3, 7
+        assert qde._route_residual(2, classical, (zero, 1), (rhs, 5)) == (
+            (1, 4), F(-3, 5))
