@@ -1,24 +1,33 @@
-"""Exact linear algebra over the rationals: one dense elimination, which
-runs fraction-free on integers or on residues modulo a prime, and sparse
-accumulation.
+"""Exact linear algebra over the rationals: one dense elimination modulo
+a Fermat number, and sparse accumulation.
 
-nullspace first eliminates modulo each prime of _MODULI in turn, rebuilds
-every basis vector by rational reconstruction and certifies it by an
-exact product with the integer rows.  A certified basis is the reduced
-row echelon basis over Q entry for entry: the rank modulo a prime is at
-most the rank over Q, and a kernel vector over Q with a 1 at a column and
-support only on earlier columns makes that column free over Q too.  If a
-reconstruction or a check fails for every prime, the exact fraction-free
-pass decides.
+nullspace eliminates modulo F_k = 2^(2^k) + 1 for k = _FIRST_RUNG,
+_FIRST_RUNG + 1, ... in turn and abandons a rung at a pivot that is not
+a unit.  It rebuilds every basis vector by rational reconstruction and
+certifies it by an exact product with the integer rows.  A certified
+basis is the reduced row echelon basis over Q entry for entry: with unit
+pivots the rank modulo the rung is at most the rank over Q, and a kernel
+vector over Q with a 1 at a column and support only on earlier columns
+makes that column free over Q too.
+
+The ladder terminates.  The Fermat numbers are pairwise coprime, so only
+finitely many rungs share a factor with a minor of the matrix, and every
+other rung eliminates exactly as the elimination over Q does.  Each
+entry of the reduced basis is a quotient of minors, so reconstruction
+succeeds once sqrt(F_k/2) exceeds the Hadamard bound.  Each rung squares
+the previous modulus minus one, F_(k+1) - 1 = (F_k - 1)^2, so it has
+twice the bits, and all the failed rungs together cost about as much as
+the last one.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import count
+from math import gcd, isqrt, lcm
 
 ZERO = Fraction(0)
 
-# Mersenne primes for the modular kernel, tried in this order.
-_MODULI = (2 ** 127 - 1, 2 ** 521 - 1, 2 ** 1279 - 1)
+# Exponent k of the first Fermat number 2^(2^k) + 1 that nullspace tries.
+_FIRST_RUNG = 7
 
 
 def accumulate(dst, items):
@@ -42,55 +51,41 @@ def common_denominator(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _rref(rows, ncols, modulus=None):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows in
-    place over the first ncols columns.
+def _rref(rows, ncols, modulus):
+    """Gauss-Jordan elimination of residue rows modulo modulus in place
+    over the first ncols columns.
 
     Each pivot is the first nonzero entry at or below the current row; the
-    loop stops once every row holds a pivot.  At pivot p every other row
-    becomes (p*row - row[c]*pivot_row) // prev, where prev is the previous
-    pivot (1 at first); the division is exact because every entry is a
-    minor of the input.  Every pivot entry ends equal to one integer d, so
-    the reduced row echelon form is rows / d.  Returns (rows, pivots, d).
-
-    With a prime modulus the rows hold residues, each pivot row is scaled
-    to pivot 1 and the others become row - row[c]*pivot_row reduced, so d
-    is 1 and rows is the reduced row echelon form modulo the prime.
+    loop stops once every row holds a pivot.  The pivot row is scaled to
+    pivot 1 and every other row becomes row - row[c]*pivot_row reduced, so
+    rows ends as the reduced row echelon form modulo modulus.  Returns
+    (rows, pivots), or None at the first pivot that is not a unit.
     """
     pivots = []
-    prev = 1
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        if modulus:
-            inv = pow(p, -1, modulus)
-            prow = rows[r] = [x * inv % modulus for x in prow]
-            p = 1
+        p = rows[r][c]
+        if gcd(p, modulus) != 1:
+            return None
+        inv = pow(p, -1, modulus)
+        prow = rows[r] = [x * inv % modulus for x in rows[r]]
         for i, row in enumerate(rows):
-            if i == r:
-                continue
             f = row[c]
-            if f and modulus:
+            if f and i != r:
                 rows[i] = [(a - f * b) % modulus for a, b in zip(row, prow)]
-            elif f:
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-            elif p != prev:
-                rows[i] = [p * a // prev for a in row]
-        prev = p
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots, prev
+    return rows, pivots
 
 
 def _rational(x, modulus):
-    """The fraction n/d with n = d*x modulo the prime and |n|, d at most
+    """The fraction n/d with n = d*x modulo modulus and |n|, d at most
     sqrt(modulus/2), by the extended Euclidean algorithm, or None."""
     bound = isqrt(modulus // 2)
     r0, r1, t0, t1 = modulus, x, 0, 1
@@ -102,10 +97,10 @@ def _rational(x, modulus):
     return Fraction(r1, t1)
 
 
-def _echelon_basis(rows, pivots, ncols, entry):
-    """One kernel vector per free column of reduced echelon rows, with
-    entry(x) the value at a pivot column whose row holds x at the free
-    column; None as soon as entry returns None."""
+def _echelon_basis(rows, pivots, ncols, modulus):
+    """One kernel vector per free column of reduced echelon rows modulo
+    modulus, each entry rebuilt by rational reconstruction; None as soon
+    as one does not rebuild."""
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -114,7 +109,7 @@ def _echelon_basis(rows, pivots, ncols, entry):
         vec[fc] = Fraction(1)
         for row, pc in zip(rows, pivots):
             if row[fc]:
-                val = entry(row[fc])
+                val = _rational(modulus - row[fc], modulus)
                 if val is None:
                     return None
                 vec[pc] = val
@@ -137,18 +132,16 @@ def nullspace(mat):
     """Exact right nullspace basis of a rectangular matrix of Fractions.
 
     Returns a list of basis vectors (lists of Fractions), one per free
-    column of the reduced row echelon form.  The first prime of _MODULI
-    whose kernel lifts and passes the exact check gives the basis; the
-    fraction-free pass gives it when none does.
+    column of the reduced row echelon form: the first rung of the Fermat
+    ladder whose kernel lifts and passes the exact check gives it.
     """
     rows = [common_denominator(row)[0] for row in mat]
     ncols = len(rows[0]) if rows else 0
-    for q in _MODULI:
-        residues, pivots, _ = _rref([[x % q for x in row] for row in rows],
-                                    ncols, q)
-        basis = _echelon_basis(residues, pivots, ncols,
-                               lambda x: _rational(q - x, q))
+    for k in count(_FIRST_RUNG):
+        q = 2 ** 2 ** k + 1
+        echelon = _rref([[x % q for x in row] for row in rows], ncols, q)
+        if echelon is None:
+            continue
+        basis = _echelon_basis(*echelon, ncols, q)
         if basis is not None and _certified(rows, basis):
             return basis
-    rows, pivots, d = _rref(rows, ncols)
-    return _echelon_basis(rows, pivots, ncols, lambda x: Fraction(-x, d))

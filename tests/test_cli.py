@@ -358,6 +358,16 @@ def test_periods_pf_search_reports_no_hit():
     assert "no annihilator within order 1, degree 1" in proc.stdout
 
 
+def test_periods_pf_search_refuses_multi_rung_kernel():
+    # the 128x65 kernel lifts only at the second rung of linalg's ladder
+    proc = run_cli("periods", "--terms", "128", "--regularized",
+                   "--pf-search", "4,12")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: annihilator space is 4-dimensional at order 4, degree 12; "
+        "the sequence does not pin one operator\n")
+
+
 def test_periods_pf_search_bad_bounds():
     proc = run_cli("periods", "--terms", "8", "--pf-search", "4")
     assert proc.returncode == 2

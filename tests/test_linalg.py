@@ -228,41 +228,44 @@ def test_large_entries_match_fraction_reference():
     assert matmul(sq, inv) == identity(8)
 
 
-Q127, Q521, Q1279 = linalg._MODULI
-
-
-def eliminations(monkeypatch, mat, moduli=None):
-    """nullspace(mat) and the modulus of every elimination it ran, None
-    for the exact pass; moduli replaces the ladder when given."""
+def eliminations(monkeypatch, mat, first=None):
+    """nullspace(mat) and the Fermat exponent k of every rung
+    2^(2^k) + 1 it eliminated modulo; first replaces the first rung when
+    given."""
     seen = []
     rref = linalg._rref
 
-    def spy(rows, ncols, modulus=None):
-        seen.append(modulus)
+    def spy(rows, ncols, modulus):
+        seen.append((modulus.bit_length() - 1).bit_length() - 1)
         return rref(rows, ncols, modulus)
 
     monkeypatch.setattr(linalg, "_rref", spy)
-    if moduli is not None:
-        monkeypatch.setattr(linalg, "_MODULI", moduli)
+    if first is not None:
+        monkeypatch.setattr(linalg, "_FIRST_RUNG", first)
     return nullspace(mat), seen
 
 
-# (matrix, eliminations run): a kernel the first prime certifies; a pivot
-# entry 2*(2^127 - 1) that vanishes modulo the first prime, so the rank
-# drops there and its extra kernel vector fails the exact check; entries
-# of 80 bits, beyond the first prime's reconstruction bound of 63 bits;
-# and entries of 700 bits, beyond every prime of the ladder.
+F7 = 2 ** 128 + 1
+P7 = 59649589127497217  # the smaller prime factor of F7
+
+# (matrix, rungs run): a kernel the first rung certifies; a pivot entry
+# 2*F7 that vanishes modulo F7, so the rank drops there and its extra
+# kernel vector fails the exact check, and whose kernel entry 1/F7 is
+# beyond the reconstruction bound of F8; a pivot 3*P7 that is not a unit
+# modulo F7; entries of 80 bits, beyond F7's reconstruction bound of 63
+# bits; and entries of 700 bits, within reach of F11 alone.
 MODULAR_CASES = [
-    ([[2, 4, F(1, 3)], [1, 0, -5], [3, 4, F(-14, 3)]], [Q127]),
-    ([[2 * Q127, 3, 1], [0, 1, 1], [0, 2, 2]], [Q127, Q521]),
-    ([[2 ** 80 + 1, 3 ** 50], [0, 0]], [Q127, Q521]),
-    ([[2 ** 700 + 1, 3 ** 440]], [Q127, Q521, Q1279, None]),
+    ([[2, 4, F(1, 3)], [1, 0, -5], [3, 4, F(-14, 3)]], [7]),
+    ([[2 * F7, 3, 1], [0, 1, 1], [0, 2, 2]], [7, 8, 9]),
+    ([[3 * P7, 3, 1], [0, 1, 1], [0, 2, 2]], [7, 8]),
+    ([[2 ** 80 + 1, 3 ** 50], [0, 0]], [7, 8]),
+    ([[2 ** 700 + 1, 3 ** 440]], [7, 8, 9, 10, 11]),
 ]
 
 
 @pytest.mark.parametrize("mat,path", MODULAR_CASES,
-                         ids=["first-prime", "rank-drop", "second-prime",
-                              "exact-pass"])
+                         ids=["first-rung", "rank-drop", "zero-divisor",
+                              "second-rung", "fifth-rung"])
 def test_nullspace_modular_ladder(monkeypatch, mat, path):
     basis, seen = eliminations(monkeypatch, mat)
     assert seen == path
@@ -271,17 +274,19 @@ def test_nullspace_modular_ladder(monkeypatch, mat, path):
     assert_kernel(mat, basis, len(mat[0]))
 
 
-def test_nullspace_exact_pass_after_short_ladder(monkeypatch):
-    mat = MODULAR_CASES[2][0]
-    basis, seen = eliminations(monkeypatch, mat, (Q127,))
-    assert seen == [Q127, None]
-    assert basis == ref_nullspace(mat) == [[F(-3 ** 50, 2 ** 80 + 1), F(1)]]
+def test_nullspace_abandons_composite_rung(monkeypatch):
+    # 641 divides F5, so the pivot 2*641 is no unit there; F6 certifies.
+    mat = [[2 * 641, 3, 1], [0, 1, 1], [0, 2, 2]]
+    basis, seen = eliminations(monkeypatch, mat, 5)
+    assert seen == [5, 6]
+    assert basis == ref_nullspace(mat) == [[F(1, 641), F(-1), F(1)]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_nullspace_tiny_primes_match_fraction_reference(mat):
-    # Primes this small drop the rank and miss reconstructions often; the
+    # Rungs this small, from F0 = 3 through the composite
+    # F5 = 641*6700417, drop the rank and miss reconstructions often; the
     # exact check must still let only the reduced echelon basis through.
-    with mock.patch.object(linalg, "_MODULI", (5, 7, 11)):
+    with mock.patch.object(linalg, "_FIRST_RUNG", 0):
         assert nullspace(mat) == ref_nullspace(mat)
