@@ -1,23 +1,32 @@
 """Exact linear algebra over the rationals: one dense elimination modulo
-a Fermat number, and sparse accumulation.
+Fermat numbers, and sparse accumulation.
 
 nullspace eliminates modulo F_k = 2^(2^k) + 1 for k = _FIRST_RUNG,
 _FIRST_RUNG + 1, ... in turn and abandons a rung at a pivot that is not
-a unit.  It rebuilds every basis vector by rational reconstruction and
-certifies it by an exact product with the integer rows.  A certified
-basis is the reduced row echelon basis over Q entry for entry: with unit
-pivots the rank modulo the rung is at most the rank over Q, and a kernel
-vector over Q with a 1 at a column and support only on earlier columns
-makes that column free over Q too.
+a unit.  Each rung that finishes has a key: its rank, then its pivot
+columns.  A rung with a worse key than the best so far is skipped, one
+with a better key replaces the kept residues, and one with an equal key
+is combined with them by the Chinese remainder theorem.  After each kept
+rung nullspace rebuilds every basis vector by rational reconstruction
+modulo the product of the kept rungs and certifies it by an exact
+product with the integer rows.  A certified basis is the reduced row
+echelon basis over Q entry for entry: with unit pivots the rank modulo
+the rung is at most the rank over Q, and a kernel vector over Q with a 1
+at a column and support only on earlier columns makes that column free
+over Q too.
 
 The ladder terminates.  The Fermat numbers are pairwise coprime, so only
 finitely many rungs share a factor with a minor of the matrix, and every
-other rung eliminates exactly as the elimination over Q does.  Each
+other rung, a lucky one, eliminates exactly as the elimination over Q
+does.  Unit pivots keep every prefix of the columns at a rank no higher
+than over Q, so a lucky rung has the best possible key: higher rank
+first, then the lexicographically smaller pivot list.  Once one arrives
+only lucky rungs are combined, all of them holding the residues of the
+same reduced form over Q, so the product is at least that rung.  Each
 entry of the reduced basis is a quotient of minors, so reconstruction
-succeeds once sqrt(F_k/2) exceeds the Hadamard bound.  Each rung squares
-the previous modulus minus one, F_(k+1) - 1 = (F_k - 1)^2, so it has
-twice the bits, and all the failed rungs together cost about as much as
-the last one.
+succeeds once the square root of half the product exceeds the Hadamard
+bound.  The ladder therefore stops no later than at the first lucky rung
+that reaches the bound on its own.
 """
 
 from fractions import Fraction
@@ -52,18 +61,26 @@ def common_denominator(values):
 
 
 def _rref(rows, ncols, modulus):
-    """Gauss-Jordan elimination of residue rows modulo modulus in place
+    """Reduced row echelon form of residue rows modulo modulus, in place
     over the first ncols columns.
 
-    Each pivot is the first nonzero entry at or below the current row; the
-    loop stops once every row holds a pivot.  The pivot row is scaled to
-    pivot 1 and every other row becomes row - row[c]*pivot_row reduced, so
-    rows ends as the reduced row echelon form modulo modulus.  Returns
-    (rows, pivots), or None at the first pivot that is not a unit.
+    The forward pass takes each pivot as the first nonzero entry at or
+    below the current row, scales the pivot row to pivot 1 and clears the
+    column in the rows below it, on the columns from the pivot on; it
+    stops once every row holds a pivot.  It reduces a column of the rows
+    below only when it reaches that column: each update subtracts a
+    product of two residues, so an entry stays below ncols * modulus^2 in
+    size.  The backward pass goes from the last pivot to the first and
+    clears each pivot column above its pivot, updating only the free
+    columns to its right, since the pivot row is zero on every other
+    column there.  Returns (rows, pivots), or None at the first pivot that
+    is not a unit.
     """
     pivots = []
     r = 0
     for c in range(ncols):
+        for row in rows[r:]:
+            row[c] %= modulus
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
@@ -72,15 +89,25 @@ def _rref(rows, ncols, modulus):
         if gcd(p, modulus) != 1:
             return None
         inv = pow(p, -1, modulus)
-        prow = rows[r] = [x * inv % modulus for x in rows[r]]
-        for i, row in enumerate(rows):
+        tail = rows[r][c:] = [x * inv % modulus for x in rows[r][c:]]
+        for row in rows[r + 1:]:
             f = row[c]
-            if f and i != r:
-                rows[i] = [(a - f * b) % modulus for a, b in zip(row, prow)]
+            if f:
+                row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
+    free = [c for c in range(ncols) if c not in pivots]
+    for r in reversed(range(len(pivots))):
+        pc, prow = pivots[r], rows[r]
+        right = [(c, prow[c]) for c in free if c > pc and prow[c]]
+        for row in rows[:r]:
+            f = row[pc]
+            if f:
+                row[pc] = 0
+                for c, b in right:
+                    row[c] = (row[c] - f * b) % modulus
     return rows, pivots
 
 
@@ -132,16 +159,28 @@ def nullspace(mat):
     """Exact right nullspace basis of a rectangular matrix of Fractions.
 
     Returns a list of basis vectors (lists of Fractions), one per free
-    column of the reduced row echelon form: the first rung of the Fermat
-    ladder whose kernel lifts and passes the exact check gives it.
+    column of the reduced row echelon form: the first basis that lifts
+    from the kept rungs of the Fermat ladder and passes the exact check.
     """
     rows = [common_denominator(row)[0] for row in mat]
     ncols = len(rows[0]) if rows else 0
+    best = None
     for k in count(_FIRST_RUNG):
         q = 2 ** 2 ** k + 1
         echelon = _rref([[x % q for x in row] for row in rows], ncols, q)
         if echelon is None:
             continue
-        basis = _echelon_basis(*echelon, ncols, q)
+        residues, pivots = echelon
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, kept, m = key, residues, q
+        elif key > best:
+            continue
+        else:
+            u = pow(m, -1, q)
+            kept = [[x + m * ((y - x) * u % q) for x, y in zip(xs, ys)]
+                    for xs, ys in zip(kept, residues)]
+            m *= q
+        basis = _echelon_basis(kept, pivots, ncols, m)
         if basis is not None and _certified(rows, basis):
             return basis

@@ -359,7 +359,7 @@ def test_periods_pf_search_reports_no_hit():
 
 
 def test_periods_pf_search_refuses_multi_rung_kernel():
-    # the 128x65 kernel lifts only at the second rung of linalg's ladder
+    # the 128x65 kernel lifts only from F7 and F8 combined by CRT
     proc = run_cli("periods", "--terms", "128", "--regularized",
                    "--pf-search", "4,12")
     assert proc.returncode == 2

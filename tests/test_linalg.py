@@ -5,15 +5,16 @@ the nullspace of [A | -I], against the elimination over Fraction.
 """
 
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import invert
 
 from qfano import linalg
-from qfano.linalg import accumulate, nullspace
+from qfano.linalg import accumulate, common_denominator, nullspace
 
 F = Fraction
 
@@ -35,6 +36,33 @@ def ref_rref(rows, ncols):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+# Reference: the Gauss-Jordan pass modulo a modulus that linalg._rref
+# ran before its forward pass and back-substitution, updating every other
+# row on every column at each pivot.
+def ref_rref_mod(rows, ncols, modulus):
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        if gcd(p, modulus) != 1:
+            return None
+        inv = pow(p, -1, modulus)
+        prow = rows[r] = [x * inv % modulus for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(a - f * b) % modulus for a, b in zip(row, prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -205,6 +233,18 @@ def test_invert_matches_fraction_reference(mat):
     assert all_fractions(inv)
 
 
+@settings(max_examples=150, deadline=None)
+@example(12, [[2, 1], [3, 0]])
+@given(st.sampled_from([101, 12]), rational_matrices())
+def test_rref_matches_gauss_jordan_reference(modulus, mat):
+    # Modulo 101 zero pivots and row swaps are common; modulo 12 nonzero
+    # pivots that are not units are, and both passes return None there.
+    rows = [[x % modulus for x in common_denominator(row)[0]] for row in mat]
+    ncols = len(rows[0]) if rows else 0
+    expected = ref_rref_mod([list(row) for row in rows], ncols, modulus)
+    assert linalg._rref(rows, ncols, modulus) == expected
+
+
 def big_matrix(nrows, ncols, salt):
     # Deterministic signed entries of 200-240 bits.
     return [[(pow(3, 150 + 7 * i + 3 * j + salt, 2 ** 241) - 2 ** 240)
@@ -231,12 +271,14 @@ def test_large_entries_match_fraction_reference():
 def eliminations(monkeypatch, mat, first=None):
     """nullspace(mat) and the Fermat exponent k of every rung
     2^(2^k) + 1 it eliminated modulo; first replaces the first rung when
-    given."""
+    given.  A ladder that climbs past F12 fails at once instead of running
+    on with ever larger rungs."""
     seen = []
     rref = linalg._rref
 
     def spy(rows, ncols, modulus):
         seen.append((modulus.bit_length() - 1).bit_length() - 1)
+        assert seen[-1] <= 12, seen
         return rref(rows, ncols, modulus)
 
     monkeypatch.setattr(linalg, "_rref", spy)
@@ -246,26 +288,39 @@ def eliminations(monkeypatch, mat, first=None):
 
 
 F7 = 2 ** 128 + 1
+F8 = 2 ** 256 + 1
 P7 = 59649589127497217  # the smaller prime factor of F7
 
 # (matrix, rungs run): a kernel the first rung certifies; a pivot entry
 # 2*F7 that vanishes modulo F7, so the rank drops there and its extra
 # kernel vector fails the exact check, and whose kernel entry 1/F7 is
-# beyond the reconstruction bound of F8; a pivot 3*P7 that is not a unit
-# modulo F7; entries of 80 bits, beyond F7's reconstruction bound of 63
-# bits; and entries of 700 bits, within reach of F11 alone.
+# beyond the reconstruction bound of F8 alone; a pivot 3*P7 that is not a
+# unit modulo F7; entries of 80 bits, beyond F7's reconstruction bound of
+# 63 bits; entries of 700 bits, which F11 alone reaches and F7*F8*F9*F10
+# (1924 bits) reaches too; entries of 151 bits, beyond F8 alone (128
+# bits) but within F7*F8 (192 bits), so only CRT across the two rungs
+# stops at F8; a pivot F7 that vanishes modulo F7 at the same rank but
+# a later pivot column, so F7 is replaced by F8, whose bound misses the
+# entry -1/F7 alone, and F8*F9 (384 bits) reaches the entry -3^233 (370
+# bits), where combining F7's residue 0 for it would need F10; and a
+# pivot F8, which is 2 modulo F7 and vanishes modulo F8, so that worse
+# rung is skipped and F9 is combined with F7.
 MODULAR_CASES = [
     ([[2, 4, F(1, 3)], [1, 0, -5], [3, 4, F(-14, 3)]], [7]),
     ([[2 * F7, 3, 1], [0, 1, 1], [0, 2, 2]], [7, 8, 9]),
     ([[3 * P7, 3, 1], [0, 1, 1], [0, 2, 2]], [7, 8]),
     ([[2 ** 80 + 1, 3 ** 50], [0, 0]], [7, 8]),
-    ([[2 ** 700 + 1, 3 ** 440]], [7, 8, 9, 10, 11]),
+    ([[2 ** 700 + 1, 3 ** 440]], [7, 8, 9, 10]),
+    ([[2 ** 150 + 1, 3 ** 94]], [7, 8]),
+    ([[1, 0, 0, 3 ** 233], [0, 1, 0, 1], [0, 0, F7, 1]], [7, 8, 9]),
+    ([[F8, 1, 0], [0, 0, 1]], [7, 8, 9]),
 ]
 
 
 @pytest.mark.parametrize("mat,path", MODULAR_CASES,
                          ids=["first-rung", "rank-drop", "zero-divisor",
-                              "second-rung", "fifth-rung"])
+                              "second-rung", "fifth-rung", "crt",
+                              "unlucky-pivots", "worse-rung"])
 def test_nullspace_modular_ladder(monkeypatch, mat, path):
     basis, seen = eliminations(monkeypatch, mat)
     assert seen == path
