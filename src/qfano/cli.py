@@ -18,12 +18,15 @@ from qfano.opparse import parse_number
 from qfano.reconstruct import (QuantumMatrix, check_commutativity,
                                check_three_point_symmetry, reconstruct)
 from qfano.ring import bundle_key, load_bundle_config, make_bundle
-from qfano.schubert import FLAGSHIP
+from qfano.schubert import FLAGSHIP, is_flagship
 
 BUILTIN_BUNDLES = {
     "flagship": FLAGSHIP,
     "p1-trivial": (1, 2, ()),
 }
+
+# The cut whose operator pf_operator.txt packages, on the flagship.
+FLAGSHIP_CUT = "p,xi^5"
 
 # Packaged reference matrices by bundle spec (n, r, padded Chern tuple).
 FIXTURE_MATRICES = {
@@ -160,6 +163,11 @@ def cmd_jfun(args):
                        % (args.apery, corner, corner, 2 * corner))
     spec = _bundle(args)
     if args.check_operators is not None:
+        if args.check_operators == "" and not is_flagship(spec):
+            raise CliError(
+                "the packaged operators hold for the flagship only; "
+                "--check-operators needs a FILE for bundle %r"
+                % args.bundle)
         lines, where = _operator_file(args.check_operators,
                                       "qde_operators.txt")
         parsed = load_named_expressions(lines, where, qde.parse_operator)
@@ -203,6 +211,14 @@ def cmd_periods(args):
     bundles = lefschetz.parse_cut(args.cut)
     weights = lefschetz.cut_weights(spec, bundles)
     if args.pf_verify is not None:
+        if args.pf_verify == "" and not (
+                is_flagship(spec)
+                and sorted(bundles) == sorted(
+                    lefschetz.parse_cut(FLAGSHIP_CUT))):
+            raise CliError(
+                "the packaged operator holds for the flagship cut %s only; "
+                "--pf-verify needs a FILE for bundle %r, cut %r"
+                % (FLAGSHIP_CUT, args.bundle, args.cut))
         lines, where = _operator_file(args.pf_verify, "pf_operator.txt")
         op = lefschetz.operator_from_lines(lines, where)
         if not op:
@@ -297,22 +313,25 @@ def build_parser():
                         "table")
     p.add_argument("--check-operators", nargs="?", const="", metavar="FILE",
                    help="verify annihilating operators from a name = "
-                        "expression file (packaged set when FILE omitted)")
+                        "expression file (the packaged flagship set when "
+                        "FILE is omitted)")
     p.set_defaults(func=cmd_jfun)
 
     p = sub.add_parser("periods",
                        help="period sequence of a nef complete-intersection "
                             "cut")
     common(p)
-    p.add_argument("--cut", default="p,xi^5",
-                   help='line bundles of the cut (default "p,xi^5")')
+    p.add_argument("--cut", default=FLAGSHIP_CUT,
+                   help='line bundles of the cut (default "%s")'
+                        % FLAGSHIP_CUT)
     p.add_argument("--terms", type=_integer, default=10,
                    help="number of sequence terms (default 10)")
     p.add_argument("--regularized", action="store_true",
                    help="multiply term m by m!")
     p.add_argument("--pf-verify", nargs="?", const="", metavar="FILE",
-                   help="apply an operator file to the sequence (packaged "
-                        "operator when FILE omitted)")
+                   help="apply an operator file to the sequence (the "
+                        "packaged operator of the flagship cut %s when "
+                        "FILE is omitted)" % FLAGSHIP_CUT)
     p.add_argument("--pf-search", metavar="ORDER,DEGREE",
                    help="search for an annihilating operator within the "
                         "bounds")

@@ -1,7 +1,11 @@
 """Exact linear algebra over the rationals: one dense elimination modulo
 Fermat numbers, and sparse accumulation.
 
-nullspace eliminates modulo F_k = 2^(2^k) + 1 for k = _FIRST_RUNG,
+nullspace runs the ladder below on the first ncols rows of a matrix and
+checks their basis exactly on the other rows; only when that check fails
+does the ladder run on all rows.  The rows beyond the rank of a tall
+matrix would only end as zero rows of the elimination.
+The ladder eliminates modulo F_k = 2^(2^k) + 1 for k = _FIRST_RUNG,
 _FIRST_RUNG + 1, ... in turn and abandons a rung at a pivot that is not
 a unit.  Each rung that finishes has a key: its rank, then its pivot
 columns.  A rung with a worse key than the best so far is skipped, one
@@ -155,15 +159,9 @@ def _certified(rows, basis):
     return True
 
 
-def nullspace(mat):
-    """Exact right nullspace basis of a rectangular matrix of Fractions.
-
-    Returns a list of basis vectors (lists of Fractions), one per free
-    column of the reduced row echelon form: the first basis that lifts
-    from the kept rungs of the Fermat ladder and passes the exact check.
-    """
-    rows = [common_denominator(row)[0] for row in mat]
-    ncols = len(rows[0]) if rows else 0
+def _ladder(rows, ncols):
+    """The first basis of the integer rows' kernel that lifts from the kept
+    rungs of the Fermat ladder and passes the exact check on those rows."""
     best = None
     for k in count(_FIRST_RUNG):
         q = 2 ** 2 ** k + 1
@@ -184,3 +182,20 @@ def nullspace(mat):
         basis = _echelon_basis(kept, pivots, ncols, m)
         if basis is not None and _certified(rows, basis):
             return basis
+
+
+def nullspace(mat):
+    """Exact right nullspace basis of a rectangular matrix of Fractions.
+
+    Returns a list of basis vectors (lists of Fractions), one per free
+    column of the reduced row echelon form.  The ladder runs on the first
+    ncols rows; when their basis also passes the exact check on the other
+    rows, the two kernels are equal and so are their reduced echelon
+    bases.  Otherwise the ladder runs again on all rows.
+    """
+    rows = [common_denominator(row)[0] for row in mat]
+    ncols = len(rows[0]) if rows else 0
+    basis = _ladder(rows[:ncols], ncols)
+    if not _certified(rows[ncols:], basis):
+        basis = _ladder(rows, ncols)
+    return basis

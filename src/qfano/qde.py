@@ -29,10 +29,12 @@ matrix with adjacency lists by row and by column over one denominator,
 each ray's q-parts are integer adjacency lists by row over one
 denominator, and a frame block is a pair (integer rows, D) in lowest
 terms, each entry divided as soon as it is computed (Bareiss's exact
-division).  Every frame entry carries a single implicit z-power,
-deg(row) - deg(col) + a*d1 + b*d2 below zero, restored on export
-(frames, the coefficient table, the operator residual), where values
-become Fractions.
+division).  Zeros and unit denominators cost nothing: a zero block is
+neither walked nor read as a source, and a denominator of 1 enters no
+lcm, multiplies nothing and drops out of the residual.  Every frame
+entry carries a single implicit z-power, deg(row) - deg(col) + a*d1 +
+b*d2 below zero, restored on export (frames, the coefficient table, the
+operator residual), where values become Fractions.
 
 The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
@@ -104,13 +106,18 @@ def _split_matrix(qmat):
 
 def _shift_sum(blocks, parts, a, b, falling):
     """sum over q-parts of frame(a-c, b-d) * part on the rows present, as
-    integer rows R over L = lcm(D of the blocks used) * the parts'
+    integer rows R over L = lcm(D of the sources used) * the parts'
     denominator; the source (a-c, b-d) is weighted by falling[0][a][c] *
-    falling[1][b][d], or by 1 when falling is None."""
+    falling[1][b][d], or by 1 when falling is None.  A source missing from
+    blocks is zero and is skipped, and only the D that are not 1 enter
+    the lcm."""
     pint, pden = parts
-    used = [(blocks[(a - c, b - d)], part, c, d)
-            for (c, d), part in pint.items() if c <= a and d <= b]
-    den = lcm(*(fden for (_, fden), _, _, _ in used))
+    used = []
+    for (c, d), part in pint.items():
+        source = blocks.get((a - c, b - d))
+        if source is not None:
+            used.append((source, part, c, d))
+    den = lcm(*(fden for (_, fden), _, _, _ in used if fden != 1))
     unit = blocks[(0, 0)][0]
     out = [[0] * len(unit[0]) for _ in unit]
     for (rows, fden), part, c, d in used:
@@ -163,18 +170,18 @@ def _sylvester_solve(scale, classical, rhs):
     for i, (hrow, wrow) in enumerate(zip(rrows, w)):
         below = classical.rows[i]
         for j in range(size - 1, -1, -1):
-            x = 0
+            x = hrow[j]
+            if x and lift != 1:
+                x *= lift
             for k, v in cols[j]:
                 y = wrow[k]
                 if y:
                     x += y * v
-            for k, v in below:
-                y = w[k][j]
-                if y:
-                    x -= v * y
-            h = hrow[j]
-            if h:
-                x += h * lift
+            if below:
+                for k, v in below:
+                    y = w[k][j]
+                    if y:
+                        x -= v * y
             if x:
                 q, r = divmod(x, step)
                 if r:
@@ -199,14 +206,16 @@ def _route_residual(scale, classical, u, rhs):
     other ray's equation, in row-major order, as ((row, col), Fraction),
     or None.
 
-    The residual is formed on integers, scaled by D*dc*L; it is zero at
-    once when U and R are."""
+    The residual is formed on integers, scaled by D*dc*L, with the one
+    product scale*U when D = L = dc = 1; it is zero at once when U and R
+    are."""
     rows, den = u
     rrows, rden = rhs
     if not any(map(any, rows)) and not any(map(any, rrows)):
         return None
     dc = classical.den
     fu, fr = scale * dc * rden, den * dc
+    ones = fr == rden == 1
     cols = classical.cols
     for i, (urow, hrow) in enumerate(zip(rows, rrows)):
         below = classical.rows[i]
@@ -214,9 +223,10 @@ def _route_residual(scale, classical, u, rhs):
             y = 0
             for k, v in cols[j]:
                 y += urow[k] * v
-            for k, v in below:
-                y -= v * rows[k][j]
-            val = fu * x - rden * y - fr * h
+            if below:
+                for k, v in below:
+                    y -= v * rows[k][j]
+            val = fu * x - y - h if ones else fu * x - rden * y - fr * h
             if val:
                 return (i, j), Fraction(val, den * dc * rden)
     return None
@@ -251,16 +261,6 @@ class JSeries:
                 for key, (rows, den) in self.blocks.items()}
 
 
-def _ray(js, a, b, along_p):
-    """(scale, classical, rhs) of one divisor-ray equation at index (a, b),
-    with the right-hand side built from the blocks below (a, b)."""
-    if along_p:
-        scale, classical, parts = a, js.p_classical, js.p_parts
-    else:
-        scale, classical, parts = b, js.xi_classical, js.xi_parts
-    return scale, classical, _shift_sum(js.blocks, parts, a, b, js.falling)
-
-
 def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
     """The series with every block cut to its leading rows, over the
     indices with w1*a + w2*b <= order for weights (w1, w2) >= (1, 1).
@@ -271,7 +271,11 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
 
     Each block is built from the ray with a positive exponent and
     cross-checked against the other ray; any defect raises FlatnessError
-    with the offending index and entry of the unscaled frame.
+    with the offending index and entry of the unscaled frame.  scale*U +
+    C*U - U*C is invertible for scale >= 1, so a right-hand side with no
+    nonzero entry gives the zero block (zeros, 1) without a walk.  Only
+    the nonzero blocks enter the map the shift sums read, so a zero
+    source costs them nothing.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
@@ -282,17 +286,27 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
         js.falling = [_falling(order, max((key[k] for key in keys),
                                           default=0), d)
                       for k, d in enumerate((spec.d1, spec.d2))]
-    js.blocks[(0, 0)] = ([[int(i == j) for j in range(spec.size)]
-                          for i in range(rows)], 1)
+    live = {(0, 0): ([[int(i == j) for j in range(spec.size)]
+                      for i in range(rows)], 1)}
+    js.blocks.update(live)
+    rays = ((js.p_classical, js.p_parts), (js.xi_classical, js.xi_parts))
     w1, w2 = weights
     for total in range(1, order + 1):
         for a in range(total, -1, -1):
             b = total - a
             if w1 * a + w2 * b > order:
                 continue
-            u = _sylvester_solve(*_ray(js, a, b, a >= 1))
-            scale, classical, rhs = _ray(js, a, b, a < 1)
-            defect = _route_residual(scale, classical, u, rhs)
+            key = (a, b)
+            along = 0 if a else 1
+            (classical, parts), other = rays[along], rays[1 - along]
+            rhs = _shift_sum(live, parts, a, b, js.falling)
+            if any(map(any, rhs[0])):
+                u = live[key] = _sylvester_solve(key[along], classical, rhs)
+            else:
+                u = [[0] * spec.size for _ in range(rows)], 1
+            defect = _route_residual(
+                key[1 - along], other[0], u,
+                _shift_sum(live, other[1], a, b, js.falling))
             if defect is not None:
                 (i, j), val = defect
                 if scaled:
@@ -301,7 +315,7 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
                     "flat frame inconsistent at index (%d,%d): cross-ray "
                     "residual %s at entry (%d,%d)"
                     % (a, b, val, i + 1, j + 1))
-            js.blocks[(a, b)] = u
+            js.blocks[key] = u
     return js
 
 

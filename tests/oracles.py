@@ -4,7 +4,9 @@ The package never calls these.  Each one re-derives, from the finished
 object alone, a property that the code enforces while building it:
 QuantumMatrix.set_column refuses misgraded and impure entries, and the
 frame solve sets the origin block to the identity and cross-checks
-every index along the other divisor ray.  The quantum ring relations
+every index along the other divisor ray.  ray rebuilds one divisor-ray
+equation at an index from every block below it, zero blocks included,
+where the solve reads only the nonzero ones.  The quantum ring relations
 are checked here as well, read off the z-free terms of the packaged
 annihilating operators.
 
@@ -46,6 +48,17 @@ def vector(js, a, b):
              else {}) for i, row in enumerate(rows)]
 
 
+def ray(js, a, b, along_p):
+    """(scale, classical, rhs) of one divisor-ray equation at index (a, b),
+    with the right-hand side built from every block below (a, b)."""
+    if along_p:
+        scale, classical, parts = a, js.p_classical, js.p_parts
+    else:
+        scale, classical, parts = b, js.xi_classical, js.xi_parts
+    return scale, classical, qde._shift_sum(js.blocks, parts, a, b,
+                                            js.falling)
+
+
 def check_flatness(js):
     """Cross-verify every frame against both divisor-ray equations.
 
@@ -53,7 +66,7 @@ def check_flatness(js):
     """
     for (a, b) in sorted(js.blocks):
         for along_p in (True, False):
-            scale, classical, rhs = qde._ray(js, a, b, along_p)
+            scale, classical, rhs = ray(js, a, b, along_p)
             defect = qde._route_residual(scale, classical, js.blocks[(a, b)],
                                          rhs)
             if defect is not None:

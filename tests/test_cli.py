@@ -618,6 +618,17 @@ EARLY_REFUSALS = [
      "{file}: operator 'A' is zero"),
     (JFUN + ["--check-operators", "{file}"], "A = D1\nA = D2\n",
      "{file}:2: duplicate name 'A'"),
+    # the packaged operators belong to the flagship and its cut p,xi^5
+    (["jfun", "--bundle", "p1-trivial", "--order", "4",
+      "--check-operators"], None,
+     "the packaged operators hold for the flagship only; "
+     "--check-operators needs a FILE for bundle 'p1-trivial'"),
+    (PERIODS + ["--bundle", "p1-trivial", "--cut", "", "--pf-verify"], None,
+     "the packaged operator holds for the flagship cut p,xi^5 only; "
+     "--pf-verify needs a FILE for bundle 'p1-trivial', cut ''"),
+    (PERIODS + ["--cut", "xi^5", "--pf-verify"], None,
+     "the packaged operator holds for the flagship cut p,xi^5 only; "
+     "--pf-verify needs a FILE for bundle 'flagship', cut 'xi^5'"),
 ]
 
 
@@ -625,7 +636,9 @@ EARLY_REFUSALS = [
     "argv,body,error", EARLY_REFUSALS,
     ids=["search-abc", "search-one-bound", "search-negative",
          "search-underdetermined", "verify-zero", "verify-bad-atom",
-         "verify-missing", "check-empty", "check-zero", "check-duplicate"])
+         "verify-missing", "check-empty", "check-zero", "check-duplicate",
+         "check-packaged-other-bundle", "verify-packaged-other-bundle",
+         "verify-packaged-other-cut"])
 def test_refused_options_exit_before_solving(tmp_path, monkeypatch, capsys,
                                              argv, body, error):
     monkeypatch.setattr(qde, "identity_series", refuse_to_solve)

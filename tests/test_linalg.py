@@ -329,6 +329,20 @@ def test_nullspace_modular_ladder(monkeypatch, mat, path):
     assert_kernel(mat, basis, len(mat[0]))
 
 
+@pytest.mark.parametrize("mat,path,expected", [
+    # the leading 3x3 block has the kernel of the whole matrix: one ladder
+    ([[1, 1, 0], [0, 0, 1], [0, 0, 0], [2, 2, 1]], [7], [[-1, 1, 0]]),
+    # the leading 3x3 block has rank 1 and the last row cuts its kernel
+    # down, so its basis fails on that row and the ladder runs on all rows
+    ([[1, 1, 0], [2, 2, 0], [3, 3, 0], [0, 0, 1]], [7, 7], [[-1, 1, 0]]),
+], ids=["leading-rows", "all-rows"])
+def test_nullspace_leading_rows_first(monkeypatch, mat, path, expected):
+    basis, seen = eliminations(monkeypatch, mat)
+    assert seen == path
+    assert basis == ref_nullspace(mat) == expected
+    assert_kernel(mat, basis, 3)
+
+
 def test_nullspace_abandons_composite_rung(monkeypatch):
     # 641 divides F5, so the pivot 2*641 is no unit there; F6 certifies.
     mat = [[2 * 641, 3, 1], [0, 1, 1], [0, 2, 2]]

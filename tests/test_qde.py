@@ -7,8 +7,8 @@ from math import factorial, gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (check_flatness, check_homogeneity, ref_apply_operator,
-                     vector)
+from oracles import (check_flatness, check_homogeneity, ray,
+                     ref_apply_operator, vector)
 
 from qfano import qde
 from qfano.fixtures_io import fixture_lines, load_named_expressions
@@ -487,16 +487,26 @@ def test_solve_matches_neumann_reference(request, case):
     if case == "rescaled":
         assert rays[True][1] > 1 and rays[False][1] > 1
     checked = inexact = 0
+    # solved blocks by their sources on the solving ray: all zero, or some
+    # zero and some not, since the solve skips the zero ones
+    sources = {(True,): 0, (False,): 0, (False, True): 0}
     for (a, b), block in js.blocks.items():
         for along_p, scale in ((True, a), (False, b)):
             if scale:
-                rhs = qde._ray(js, a, b, along_p)[2]
+                rhs = ray(js, a, b, along_p)[2]
                 assert ref_sylvester_solve(scale, rays[along_p], rhs) \
                     == block, ((a, b), along_p)
                 checked += 1
                 # D divides L unless U*L is not integral: an inexact division
                 inexact += rhs[1] % block[1] != 0
+        parts = (js.p_parts if a else js.xi_parts)[0]
+        kinds = {any(map(any, js.blocks[(a - c, b - d)][0]))
+                 for c, d in parts if c <= a and d <= b}
+        if kinds:
+            sources[tuple(sorted(kinds))] += 1
     assert checked >= len(js.blocks) - 1
+    if case == "unit-row":
+        assert sources[(False,)] and sources[(False, True)], sources
     if case == "rescaled-unit-row":
         assert any(den > 1 for _, den in js.blocks.values())
         assert inexact
