@@ -17,24 +17,33 @@ solved in one pass from the lowest level upward, and any block of
 leading frame rows closes under it.  One loop solves every index along
 the ray with a positive exponent and cross-checks it along the other
 ray; j_series runs it on all rows, identity_series on the unit row
-alone, whose equation has no left product, to high order.
+alone, to high order.
+
+A block of leading frame rows is one flat integer vector w over one
+denominator D, in lowest terms, entry (i, j) at i*n + j for n basis
+elements.  Every block, the unit row and the full frames alike, solves
+the one row equation s*w - w*A = r, where A is the matrix of the
+two-sided action U -> U*C - C*U on flat blocks (on the unit row, whose
+equation has no left product, A is C itself).  A is lifted once per
+solve into integer adjacency lists over the classical denominator, one
+per entry, together with each entry's level and the walk order (rows
+ascending, columns descending); each ray's q-parts are lifted to the
+same indexing, as integer lists from a source entry to its targets
+over one denominator.  So the solve is one flat walk and the
+cross-check one flat residual, each entry divided as soon as it is
+computed (Bareiss's exact division).  Zeros and unit denominators cost
+nothing: a zero block is neither walked nor read as a source, and a
+denominator of 1 enters no lcm, multiplies nothing and drops out of
+the residual.
 
 The unit-row solve stores the scaled frames G_{a,b} = (a!)^d1 (b!)^d2
 F_{a,b}: both equations keep their left-hand side, the source (a-c, b-d)
 on the right gets the integer weight (a!/(a-c)!)^d1 (b!/(b-d)!)^d2 from
 tables made once per solve, and the identity entry is the
-Apery-normalized (a!)^d1 (b!)^d2 c_{a,b}.  The work runs on integers
-over shared denominators: each classical matrix is an integer sparse
-matrix with adjacency lists by row and by column over one denominator,
-each ray's q-parts are integer adjacency lists by row over one
-denominator, and a frame block is a pair (integer rows, D) in lowest
-terms, each entry divided as soon as it is computed (Bareiss's exact
-division).  Zeros and unit denominators cost nothing: a zero block is
-neither walked nor read as a source, and a denominator of 1 enters no
-lcm, multiplies nothing and drops out of the residual.  Every frame
-entry carries a single implicit z-power, deg(row) - deg(col) + a*d1 +
-b*d2 below zero, restored on export (frames, the coefficient table, the
-operator residual), where values become Fractions.
+Apery-normalized (a!)^d1 (b!)^d2 c_{a,b}.  Every frame entry carries a
+single implicit z-power, deg(row) - deg(col) + a*d1 + b*d2 below zero,
+restored on export (frames, the coefficient table, the operator
+residual), where values become Fractions.
 
 The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
@@ -45,6 +54,7 @@ of a source's J-vector once.
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress
 from math import factorial, gcd, lcm, prod
 
 from qfano import opparse
@@ -60,27 +70,39 @@ class NonIntegralError(ValueError):
 
 
 # A classical divisor matrix C = Cint/den: rows[i] lists the pairs
-# (k, Cint[i][k]) of row i, cols[j] the pairs (k, Cint[k][j]) of column
-# j, and degree[i] is the degree of basis element i.  C raises degree by
-# exactly one (set_column enforces the grading), so deg(k) = deg(i) - 1
-# in rows[i] and deg(k) = deg(j) + 1 in cols[j]; the solver's walk order
-# relies on it.
-Classical = namedtuple("Classical", "rows cols den degree")
+# (k, Cint[i][k]) of row i and cols[j] the pairs (k, Cint[k][j]) of
+# column j.  C raises degree by exactly one (set_column enforces the
+# grading), so deg(k) = deg(i) - 1 in rows[i] and deg(k) = deg(j) + 1 in
+# cols[j]; the walk order of a Ray relies on it.
+Classical = namedtuple("Classical", "rows cols den")
+
+# One ray's row equation s*w - w*A = r on flat blocks of leading frame
+# rows, entry (i, j) at i*size + j, with A = Aint/den the action U ->
+# U*C - C*U of the classical matrix C = Cint/den.  adj[p] lists the
+# pairs (q, Aint[q][p]): for p = (i, j), q = (i, k) with Cint[k][j] and
+# q = (k, j) with -Cint[i][k], where k > j and k < i by the grading.
+# walk lists (p, adj[p]) rows ascending and columns descending, so each
+# entry reads entries already walked; level[p] is deg(i) - deg(j) and
+# top the highest level.  parts = ({(c, d): [(p, [(t, int), ...]), ...]},
+# den) lifts each q-part to the flat indices: the source entry p = (i,
+# k) adds to the entries t = (i, j) of its row, over one denominator for
+# all the q-parts.
+Ray = namedtuple("Ray", "size den adj walk level top parts")
 
 
-def _split_matrix(qmat):
-    """Split a QuantumMatrix into its classical part and its q-parts.
+def _split_matrix(qmat, rows):
+    """Split a QuantumMatrix into its classical part and its q-parts, and
+    lift both to flat blocks of `rows` leading frame rows.
 
-    Returns (classical, parts): classical is a Classical built once here
-    for the solver, the residual and the operator pass, and parts =
-    ({(c, d): [(row, [(col, int), ...]), ...]}, den) over (c, d) !=
-    (0, 0), each q-part as adjacency lists of its nonzero rows, with one
-    denominator for all the q-parts.
+    Returns (classical, ray), both built once per solve: classical is the
+    Classical read by the operator pass, and ray the Ray read by the
+    solver.
     """
     spec = qmat.spec
+    size = spec.size
     classical = {}
     parts = {}
-    for j in range(spec.size):
+    for j in range(size):
         for i, qp in qmat.column(j).items():
             for key, v in qp.items():
                 if key == (0, 0):
@@ -91,46 +113,62 @@ def _split_matrix(qmat):
     qints, dq = common_denominator([v for part in parts.values()
                                     for prow in part.values()
                                     for _, v in prow])
-    rows = [[] for _ in range(spec.size)]
-    cols = [[] for _ in range(spec.size)]
+    starts = range(0, rows * size, size)
+    crows = [[] for _ in range(size)]
+    ccols = [[] for _ in range(size)]
+    adj = [[] for _ in range(rows * size)]
     for (i, k), v in zip(classical, cints):
-        rows[i].append((k, v))
-        cols[k].append((i, v))
-    degree = tuple(spec.degree(i) for i in range(spec.size))
+        crows[i].append((k, v))
+        ccols[k].append((i, v))
+        for r in starts:
+            adj[r + k].append((r + i, v))
+        if i < rows:
+            for j in range(size):
+                adj[i * size + j].append((k * size + j, -v))
+    degree = tuple(spec.degree(i) for i in range(size))
+    level = [di - dj for di in degree[:rows] for dj in degree]
     qints = iter(qints)
-    return (Classical(rows, cols, dc, degree),
-            ({key: [(i, [(j, next(qints)) for j, _ in prow])
-                    for i, prow in part.items()]
-              for key, part in parts.items()}, dq))
+    lifted = {}
+    for key, part in parts.items():
+        part = [(k, [(j, next(qints)) for j, _ in prow])
+                for k, prow in part.items()]
+        lifted[key] = [(r + k, [(r + j, v) for j, v in prow] if r else prow)
+                       for r in starts for k, prow in part]
+    ray = Ray(size, dc, adj,
+              [(p, adj[p]) for r in starts
+               for p in range(r + size - 1, r - 1, -1)],
+              level, max(level), (lifted, dq))
+    return Classical(crows, ccols, dc), ray
 
 
-def _shift_sum(blocks, parts, a, b, falling):
-    """sum over q-parts of frame(a-c, b-d) * part on the rows present, as
-    integer rows R over L = lcm(D of the sources used) * the parts'
-    denominator; the source (a-c, b-d) is weighted by falling[0][a][c] *
-    falling[1][b][d], or by 1 when falling is None.  A source missing from
-    blocks is zero and is skipped, and only the D that are not 1 enter
-    the lcm."""
+def _shift_sum(live, parts, a, b, falling):
+    """sum over q-parts of frame(a-c, b-d) * part, as a flat integer
+    vector over L = lcm(D of the sources used) * the parts' denominator;
+    the source (a-c, b-d) is read from the grid live[a-c][b-d] (None for
+    a zero block, which is skipped) and weighted by falling[0][a][c] *
+    falling[1][b][d], or by 1 when falling is None.  Only the D that are
+    not 1 enter the lcm."""
     pint, pden = parts
     used = []
+    den = 1
     for (c, d), part in pint.items():
-        source = blocks.get((a - c, b - d))
-        if source is not None:
-            used.append((source, part, c, d))
-    den = lcm(*(fden for (_, fden), _, _, _ in used if fden != 1))
-    unit = blocks[(0, 0)][0]
-    out = [[0] * len(unit[0]) for _ in unit]
-    for (rows, fden), part, c, d in used:
+        if c <= a and d <= b:
+            source = live[a - c][b - d]
+            if source is not None:
+                used.append((source, part, c, d))
+                if source[1] != 1:
+                    den = lcm(den, source[1])
+    out = [0] * len(live[0][0][0])
+    for (vec, fden), part, c, d in used:
         m = den // fden
         if falling:
             m *= falling[0][a][c] * falling[1][b][d]
-        for row, orow in zip(rows, out):
-            for k, prow in part:
-                x = row[k]
-                if x:
-                    x *= m
-                    for j, v in prow:
-                        orow[j] += x * v
+        for p, targets in part:
+            x = vec[p]
+            if x:
+                x *= m
+                for t, v in targets:
+                    out[t] += x * v
     return out, den * pden
 
 
@@ -140,125 +178,106 @@ def _falling(order, top, d):
              for c in range(min(a, top) + 1)] for a in range(order + 1)]
 
 
-def _sylvester_solve(scale, classical, rhs):
-    """Solve scale*U + C*U - U*C = R/L for C = Cint/dc, entry by entry.
+def _sylvester_solve(scale, ray, rhs):
+    """Solve the row equation scale*w - w*A = r/L for A = Aint/dc, entry
+    by entry along ray.walk.
 
-    C raises degree by exactly one, so ad_C(X) = X*C - C*X carries the
-    entries of level deg(row) - deg(col) = l - 1 to level l, and the
-    equation splits into U_l = (R_l/L + ad_C(U_{l-1})) / scale.  Entry
-    (i, j) reads the entries (i, k) with k > j and (k, j) with k < i, so
-    one walk up the rows and down the columns of a block of leading rows
-    computes each entry once, from entries already done.  The walk keeps
-    the integers U*L*f, so an entry is (R*f*dc + ad_Cint(U*L*f)) /
-    (dc*scale), divided as soon as it is computed, with f = 1 while every
-    division is exact.  With lo the lowest level of R and m = l - lo,
-    U_l * L*dc^m*scale^(m+1) is the integer W_l = R_l*(dc*scale)^m +
-    ad_Cint(W_{l-1}) of fraction-free (Bareiss) elimination, so at the
+    A raises the level of an entry by exactly one, so the equation
+    splits into w_l = (r_l/L + (w*A)_l) / scale over the levels l, and
+    the walk reaches each entry after every entry it reads.  The walk
+    keeps the integers w*L*f, so an entry is (r*f*dc + (w*L*f)*Aint) /
+    (dc*scale), divided as soon as it is computed, with f = 1 while
+    every division is exact.  With lo the lowest level of r and m = l -
+    lo, w_l * L*dc^m*scale^(m+1) is the integer W_l = r_l*(dc*scale)^m +
+    (W_{l-1}*Aint)_l of fraction-free (Bareiss) elimination, so at the
     first inexact division f becomes dc^depth * scale^(depth+1), depth
     being the top level of the block less lo: the block is multiplied by
     f once, and every later division is exact.  A block over D = L*f = 1
-    is in lowest terms, any other is reduced by one gcd.  Returns
-    (integer rows, D).
+    is in lowest terms, any other is reduced by one gcd.  Returns (flat
+    integer vector, D).
     """
-    rrows, den = rhs
-    deg = classical.degree
-    size = len(deg)
-    step = classical.den * scale
-    lift = classical.den
-    cols = classical.cols
-    w = [[0] * size for _ in rrows]
-    for i, (hrow, wrow) in enumerate(zip(rrows, w)):
-        below = classical.rows[i]
-        for j in range(size - 1, -1, -1):
-            x = hrow[j]
-            if x and lift != 1:
-                x *= lift
-            for k, v in cols[j]:
-                y = wrow[k]
-                if y:
-                    x += y * v
-            if below:
-                for k, v in below:
-                    y = w[k][j]
-                    if y:
-                        x -= v * y
-            if x:
-                q, r = divmod(x, step)
-                if r:
-                    lo = min(deg[k] - deg[c] for k, hr in enumerate(rrows)
-                             for c, y in enumerate(hr) if y)
-                    depth = deg[len(rrows) - 1] - deg[0] - lo
-                    f = classical.den ** depth * scale ** (depth + 1)
-                    for row in w:
-                        row[:] = [y * f for y in row]
-                    lift *= f
-                    den *= f
-                    q = x * f // step
-                wrow[j] = q
+    r, den = rhs
+    step = ray.den * scale
+    lift = ray.den
+    w = [0] * len(r)
+    for p, adj in ray.walk:
+        x = r[p]
+        if x and lift != 1:
+            x *= lift
+        for q, v in adj:
+            y = w[q]
+            if y:
+                x += y * v
+        if x:
+            quo, rem = divmod(x, step)
+            if rem:
+                depth = ray.top - min(compress(ray.level, r))
+                f = ray.den ** depth * scale ** (depth + 1)
+                w = [y * f for y in w]
+                lift *= f
+                den *= f
+                quo = x * f // step
+            w[p] = quo
     if den == 1:
         return w, 1
-    g = gcd(den, *(x for row in w for x in row))
-    return [[x // g for x in row] for row in w], den // g
+    g = gcd(den, *w)
+    return [x // g for x in w], den // g
 
 
-def _route_residual(scale, classical, u, rhs):
-    """First nonzero entry of scale*U + C*U - U*C - R/L, the defect of the
-    other ray's equation, in row-major order, as ((row, col), Fraction),
-    or None.
+def _route_residual(scale, ray, u, rhs):
+    """First nonzero entry of scale*w - w*A - r/L, the defect of the other
+    ray's equation, in row-major order, as ((row, col), Fraction), or
+    None.
 
     The residual is formed on integers, scaled by D*dc*L, with the one
-    product scale*U when D = L = dc = 1; it is zero at once when U and R
+    product scale*w when D = L = dc = 1; it is zero at once when w and r
     are."""
-    rows, den = u
-    rrows, rden = rhs
-    if not any(map(any, rows)) and not any(map(any, rrows)):
+    w, den = u
+    r, rden = rhs
+    if not any(w) and not any(r):
         return None
-    dc = classical.den
+    dc = ray.den
     fu, fr = scale * dc * rden, den * dc
     ones = fr == rden == 1
-    cols = classical.cols
-    for i, (urow, hrow) in enumerate(zip(rows, rrows)):
-        below = classical.rows[i]
-        for j, (x, h) in enumerate(zip(urow, hrow)):
-            y = 0
-            for k, v in cols[j]:
-                y += urow[k] * v
-            if below:
-                for k, v in below:
-                    y -= v * rows[k][j]
-            val = fu * x - y - h if ones else fu * x - rden * y - fr * h
-            if val:
-                return (i, j), Fraction(val, den * dc * rden)
+    for p, (x, h, adj) in enumerate(zip(w, r, ray.adj)):
+        y = 0
+        for q, v in adj:
+            y += w[q] * v
+        val = fu * x - y - h if ones else fu * x - rden * y - fr * h
+        if val:
+            return divmod(p, ray.size), Fraction(val, den * dc * rden)
     return None
 
 
 class JSeries:
     """Flat frames of the quantum differential system up to a total order.
 
-    blocks maps (a, b) to the frame as (integer rows, D), entry (i, j)
-    being rows[i][j] / D with the z-grid implicit; the unit-row solve
-    behind identity_series keeps row one only, as scaled frames, with
-    the solver's weights in falling (None for unscaled frames).  The
-    matrix parts are the integer forms read by the solver: each classical
-    part is a Classical and each ray's q-parts ({(c, d): adjacency lists
-    of the nonzero rows}, den), made once per solve.  frames is the
-    Fraction export of the blocks.
+    blocks maps (a, b) to the frame as (flat integer vector, D), entry
+    (i, j) being vec[i*n + j] / D with the z-grid implicit; the unit-row
+    solve behind identity_series keeps row one only, as scaled frames,
+    with the solver's weights in falling (None for unscaled frames).  The
+    matrix parts are the integer forms, made once per solve: each
+    classical part is a Classical, read by the operator pass, and each
+    ray is a Ray, read by the solver.  frames is the Fraction export of
+    the blocks.
     """
 
-    def __init__(self, spec, p_classical, p_parts, xi_classical, xi_parts):
+    def __init__(self, spec, p_classical, p_ray, xi_classical, xi_ray):
         self.spec = spec
         self.blocks = {}
         self.falling = None
         self.p_classical = p_classical
-        self.p_parts = p_parts
+        self.p_ray = p_ray
         self.xi_classical = xi_classical
-        self.xi_parts = xi_parts
+        self.xi_ray = xi_ray
 
     @property
     def frames(self):
         """{(a, b): Fraction matrix}, exported afresh on every read."""
-        return {key: [[Fraction(x, den) for x in row] for row in rows]
-                for key, (rows, den) in self.blocks.items()}
+        n = self.spec.size
+        return {key: [[Fraction(x, den) for x in vec[i:i + n]]
+                      for i in range(0, len(vec), n)]
+                for key, (vec, den) in self.blocks.items()}
 
 
 def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
@@ -271,26 +290,26 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
 
     Each block is built from the ray with a positive exponent and
     cross-checked against the other ray; any defect raises FlatnessError
-    with the offending index and entry of the unscaled frame.  scale*U +
-    C*U - U*C is invertible for scale >= 1, so a right-hand side with no
+    with the offending index and entry of the unscaled frame.  scale*w -
+    w*A is invertible for scale >= 1, so a right-hand side with no
     nonzero entry gives the zero block (zeros, 1) without a walk.  Only
-    the nonzero blocks enter the map the shift sums read, so a zero
+    the nonzero blocks enter the grid the shift sums read, so a zero
     source costs them nothing.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    js = JSeries(spec, *_split_matrix(mp), *_split_matrix(mxi))
+    js = JSeries(spec, *_split_matrix(mp, rows), *_split_matrix(mxi, rows))
     if scaled:
-        keys = [key for parts in (js.p_parts, js.xi_parts)
-                for key in parts[0]]
+        keys = [key for ray in (js.p_ray, js.xi_ray) for key in ray.parts[0]]
         js.falling = [_falling(order, max((key[k] for key in keys),
                                           default=0), d)
                       for k, d in enumerate((spec.d1, spec.d2))]
-    live = {(0, 0): ([[int(i == j) for j in range(spec.size)]
-                      for i in range(rows)], 1)}
-    js.blocks.update(live)
-    rays = ((js.p_classical, js.p_parts), (js.xi_classical, js.xi_parts))
     w1, w2 = weights
+    live = [[None] * (order // w2 + 1) for _ in range(order // w1 + 1)]
+    live[0][0] = js.blocks[(0, 0)] = (
+        [int(p % spec.size == p // spec.size)
+         for p in range(rows * spec.size)], 1)
+    rays = (js.p_ray, js.xi_ray)
     for total in range(1, order + 1):
         for a in range(total, -1, -1):
             b = total - a
@@ -298,15 +317,15 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
                 continue
             key = (a, b)
             along = 0 if a else 1
-            (classical, parts), other = rays[along], rays[1 - along]
-            rhs = _shift_sum(live, parts, a, b, js.falling)
-            if any(map(any, rhs[0])):
-                u = live[key] = _sylvester_solve(key[along], classical, rhs)
+            ray, other = rays[along], rays[1 - along]
+            rhs = _shift_sum(live, ray.parts, a, b, js.falling)
+            if any(rhs[0]):
+                u = live[a][b] = _sylvester_solve(key[along], ray, rhs)
             else:
-                u = [[0] * spec.size for _ in range(rows)], 1
+                u = [0] * len(rhs[0]), 1
             defect = _route_residual(
-                key[1 - along], other[0], u,
-                _shift_sum(live, other[1], a, b, js.falling))
+                key[1 - along], other, u,
+                _shift_sum(live, other.parts, a, b, js.falling))
             if defect is not None:
                 (i, j), val = defect
                 if scaled:
@@ -331,8 +350,8 @@ def j_series(mp, mxi, spec, order):
 
 def identity_coefficients(js):
     """The table c_{a,b}: identity component of J at its forced z-power."""
-    return {key: Fraction(rows[0][0], den)
-            for key, (rows, den) in js.blocks.items()}
+    return {key: Fraction(vec[0], den)
+            for key, (vec, den) in js.blocks.items()}
 
 
 def identity_series(mp, mxi, spec, order, weights=(1, 1)):
@@ -345,8 +364,8 @@ def identity_series(mp, mxi, spec, order, weights=(1, 1)):
     as in j_series; a defect raises FlatnessError.
     """
     blocks = _solve(mp, mxi, spec, order, 1, weights, scaled=True).blocks
-    return {key: Fraction(rows[0][0], den) if rows[0][0] % den
-            else rows[0][0] // den for key, (rows, den) in blocks.items()}
+    return {key: Fraction(vec[0], den) if vec[0] % den
+            else vec[0] // den for key, (vec, den) in blocks.items()}
 
 
 def apery_table(ctable, size, spec):
@@ -431,8 +450,8 @@ def apply_operator(ops, js):
     """
     spec = js.spec
     sums = [{key: {} for key in js.blocks} for _ in ops]
-    for (s, u), (rows, den) in js.blocks.items():
-        chains = {(0, 0): ([row[0] for row in rows], den)}
+    for (s, u), (vec, den) in js.blocks.items():
+        chains = {(0, 0): (vec[0::spec.size], den)}
         for op, targets in zip(ops, sums):
             for t in op:
                 groups = targets.get((s + t.q1, u + t.q2))

@@ -43,20 +43,18 @@ def vector(js, a, b):
     """J at Novikov index (a, b): one Laurent dict per basis component."""
     spec = js.spec
     w = a * spec.d1 + b * spec.d2
-    rows, den = js.blocks[(a, b)]
-    return [({-spec.degree(i) - w: Fraction(row[0], den)} if row[0]
-             else {}) for i, row in enumerate(rows)]
+    vec, den = js.blocks[(a, b)]
+    return [({-spec.degree(i) - w: Fraction(x, den)} if x else {})
+            for i, x in enumerate(vec[0::spec.size])]
 
 
 def ray(js, a, b, along_p):
-    """(scale, classical, rhs) of one divisor-ray equation at index (a, b),
-    with the right-hand side built from every block below (a, b)."""
-    if along_p:
-        scale, classical, parts = a, js.p_classical, js.p_parts
-    else:
-        scale, classical, parts = b, js.xi_classical, js.xi_parts
-    return scale, classical, qde._shift_sum(js.blocks, parts, a, b,
-                                            js.falling)
+    """(scale, ray, rhs) of one divisor-ray equation at index (a, b),
+    with the right-hand side built from every block below (a, b), zero
+    blocks included: the grid it reads holds no None."""
+    scale, flat = (a, js.p_ray) if along_p else (b, js.xi_ray)
+    grid = [[js.blocks[(s, u)] for u in range(b + 1)] for s in range(a + 1)]
+    return scale, flat, qde._shift_sum(grid, flat.parts, a, b, js.falling)
 
 
 def check_flatness(js):
@@ -66,9 +64,8 @@ def check_flatness(js):
     """
     for (a, b) in sorted(js.blocks):
         for along_p in (True, False):
-            scale, classical, rhs = ray(js, a, b, along_p)
-            defect = qde._route_residual(scale, classical, js.blocks[(a, b)],
-                                         rhs)
+            scale, flat, rhs = ray(js, a, b, along_p)
+            defect = qde._route_residual(scale, flat, js.blocks[(a, b)], rhs)
             if defect is not None:
                 (i, j), val = defect
                 return ("index (%d,%d): residual %s at entry (%d,%d)"
@@ -82,8 +79,8 @@ def check_homogeneity(js):
     Returns None, or a diagnostic for the first violation.
     """
     spec = js.spec
-    identity = [[int(i == j) for j in range(spec.size)]
-                for i in range(spec.size)]
+    identity = [int(i == j) for i in range(spec.size)
+                for j in range(spec.size)]
     if js.blocks[(0, 0)] != (identity, 1):
         return "frame at index (0,0) is not the identity"
     for (a, b) in sorted(js.blocks):
@@ -126,8 +123,8 @@ def ref_apply_operator(op, js):
             s, u = a - t.q1, b - t.q2
             if s < 0 or u < 0:
                 continue
-            rows, den = js.blocks[(s, u)]
-            vec = [row[0] for row in rows]
+            vec, den = js.blocks[(s, u)]
+            vec = vec[0::size]
             for _ in range(t.d1):
                 vec, den = _ref_cup(vec, den, js.p_classical, s)
             for _ in range(t.d2):

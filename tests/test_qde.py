@@ -184,8 +184,8 @@ def test_flatness_and_homogeneity_pass(flagship_js):
 def test_flatness_detects_tampering(flagship):
     spec, mp, mxi = flagship
     js = qde.j_series(mp, mxi, spec, 2)
-    # entry (5,3) of the integer block at index (1,0)
-    js.blocks[(1, 0)][0][4][2] += 1
+    # entry (5,3) of the flat integer block at index (1,0)
+    js.blocks[(1, 0)][0][4 * spec.size + 2] += 1
     report = check_flatness(js)
     assert report is not None and "(1,0)" in report
 
@@ -194,7 +194,8 @@ def test_homogeneity_detects_non_identity_origin(p1p1):
     spec, mp, mxi = p1p1
     js = qde.j_series(mp, mxi, spec, 1)
     assert check_homogeneity(js) is None
-    js.blocks[(0, 0)][0][1][0] = 1
+    # entry (2,1) of the flat identity block
+    js.blocks[(0, 0)][0][spec.size] = 1
     assert check_homogeneity(js) == (
         "frame at index (0,0) is not the identity")
 
@@ -210,8 +211,11 @@ def test_corrupted_matrix_fails_flat(flagship):
         for key in qp:
             if key != (0, 0):
                 qp[key] *= 2
-    with pytest.raises(qde.FlatnessError, match="flat frame inconsistent"):
+    with pytest.raises(qde.FlatnessError) as err:
         qde.j_series(mp, bad, spec, 2)
+    assert str(err.value) == (
+        "flat frame inconsistent at index (0,1): cross-ray residual 1 at "
+        "entry (2,1)")
 
 
 def test_parse_operator_basics():
@@ -477,12 +481,18 @@ def reference_series(request, case):
     return mp, mxi, request.getfixturevalue(case + "_js")
 
 
+def rows_of(vec, size):
+    """A flat block, or a flat right-hand side, as its list of rows."""
+    return [vec[i:i + size] for i in range(0, len(vec), size)]
+
+
 @pytest.mark.parametrize("case", ["flagship", "p1p1", "product", "rescaled",
                                   "unit-row", "rescaled-unit-row"])
 def test_solve_matches_neumann_reference(request, case):
     # every block, solved level by level, equals the Neumann series on
     # each ray with a positive exponent, from the same right-hand side
     mp, mxi, js = reference_series(request, case)
+    size = js.spec.size
     rays = {True: ref_classical(mp), False: ref_classical(mxi)}
     if case == "rescaled":
         assert rays[True][1] > 1 and rays[False][1] > 1
@@ -490,17 +500,18 @@ def test_solve_matches_neumann_reference(request, case):
     # solved blocks by their sources on the solving ray: all zero, or some
     # zero and some not, since the solve skips the zero ones
     sources = {(True,): 0, (False,): 0, (False, True): 0}
-    for (a, b), block in js.blocks.items():
+    for (a, b), (vec, den) in js.blocks.items():
         for along_p, scale in ((True, a), (False, b)):
             if scale:
-                rhs = ray(js, a, b, along_p)[2]
-                assert ref_sylvester_solve(scale, rays[along_p], rhs) \
-                    == block, ((a, b), along_p)
+                rvec, rden = ray(js, a, b, along_p)[2]
+                assert ref_sylvester_solve(
+                    scale, rays[along_p], (rows_of(rvec, size), rden)) \
+                    == (rows_of(vec, size), den), ((a, b), along_p)
                 checked += 1
                 # D divides L unless U*L is not integral: an inexact division
-                inexact += rhs[1] % block[1] != 0
-        parts = (js.p_parts if a else js.xi_parts)[0]
-        kinds = {any(map(any, js.blocks[(a - c, b - d)][0]))
+                inexact += rden % den != 0
+        parts = (js.p_ray if a else js.xi_ray).parts[0]
+        kinds = {any(js.blocks[(a - c, b - d)][0])
                  for c, d in parts if c <= a and d <= b}
         if kinds:
             sources[tuple(sorted(kinds))] += 1
@@ -512,18 +523,53 @@ def test_solve_matches_neumann_reference(request, case):
         assert inexact
 
 
+def test_lifted_row_equation_is_the_two_sided_action(flagship):
+    # on a full-frame block with entries at every level, the flat
+    # residual on each ray is scale*U + C*U - U*C - R, with the action
+    # taken from ref_commutator: it vanishes for R equal to the reference
+    # value and, for R off by one at an entry, names that entry.  The
+    # block is made up, no entry zero, so no solve is involved
+    spec, mp, mxi = flagship
+    size = spec.size
+    vec, den = [(37 * p) % 23 - 11 or 5 for p in range(size * size)], 9
+    levels = {spec.degree(i) - spec.degree(j)
+              for i in range(size) for j in range(size)}
+    assert {spec.degree(p // size) - spec.degree(p % size)
+            for p, x in enumerate(vec) if x} == levels
+    u = rows_of(vec, size)
+    for qmat in (mp, mxi):
+        flat = qde._split_matrix(qmat, size)[1]
+        cint, dc = ref_classical(qmat)
+        scale = 3
+        # R = (scale*U + C*U - U*C) * D*dc as integers, over L = D*dc
+        comm = ref_commutator(cint, u)
+        ref = [scale * dc * x - y for urow, crow in zip(u, comm)
+               for x, y in zip(urow, crow)]
+        rden = den * dc
+        assert qde._route_residual(scale, flat, (vec, den), (ref, rden)) \
+            is None
+        for p in (0, 7 * size + 3, len(vec) - 1):
+            off = list(ref)
+            off[p] -= 1
+            assert qde._route_residual(scale, flat, (vec, den),
+                                       (off, rden)) == (
+                divmod(p, size), F(1, rden))
+
+
 def test_zero_right_hand_side_gives_zero_block(flagship):
     spec, mp, mxi = flagship
-    js = qde.j_series(mp, mxi, spec, 0)
-    zero = [[0] * spec.size for _ in range(3)]
-    for classical, ref in ((js.p_classical, ref_classical(mp)),
-                           (js.xi_classical, ref_classical(mxi))):
-        assert qde._sylvester_solve(2, classical, (zero, 5)) == (zero, 1)
-        assert ref_sylvester_solve(2, ref, (zero, 5)) == (zero, 1)
-        assert qde._route_residual(2, classical, (zero, 1), (zero, 5)) is None
+    size = spec.size
+    zero = [0] * (3 * size)
+    for qmat in (mp, mxi):
+        flat = qde._split_matrix(qmat, 3)[1]
+        ref = ref_classical(qmat)
+        assert qde._sylvester_solve(2, flat, (zero, 5)) == (zero, 1)
+        assert ref_sylvester_solve(2, ref, (rows_of(zero, size), 5)) == (
+            rows_of(zero, size), 1)
+        assert qde._route_residual(2, flat, (zero, 1), (zero, 5)) is None
         # a zero block against a nonzero right-hand side: the residual is
         # -R/L, first at the first nonzero entry of R
-        rhs = [[0] * spec.size for _ in range(3)]
-        rhs[1][4], rhs[2][0] = 3, 7
-        assert qde._route_residual(2, classical, (zero, 1), (rhs, 5)) == (
+        rhs = [0] * (3 * size)
+        rhs[size + 4], rhs[2 * size] = 3, 7
+        assert qde._route_residual(2, flat, (zero, 1), (rhs, 5)) == (
             (1, 4), F(-3, 5))
