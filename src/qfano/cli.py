@@ -184,7 +184,7 @@ def cmd_jfun(args):
               for (a, b), val in sorted(ctable.items())]
     outputs = [("coefficients.csv", "\n".join(lines) + "\n")]
     if args.apery:
-        table = qde.apery_table(ctable, args.apery, spec)
+        table = qde.apery_table(js, args.apery)
         outputs.append(("apery.csv",
                         "\n".join(",".join(str(x) for x in row)
                                   for row in table) + "\n"))

@@ -36,14 +36,14 @@ nothing: a zero block is neither walked nor read as a source, and a
 denominator of 1 enters no lcm, multiplies nothing and drops out of
 the residual.
 
-The unit-row solve stores the scaled frames G_{a,b} = (a!)^d1 (b!)^d2
-F_{a,b}: both equations keep their left-hand side, the source (a-c, b-d)
-on the right gets the integer weight (a!/(a-c)!)^d1 (b!/(b-d)!)^d2 from
-tables made once per solve, and the identity entry is the
-Apery-normalized (a!)^d1 (b!)^d2 c_{a,b}.  Every frame entry carries a
-single implicit z-power, deg(row) - deg(col) + a*d1 + b*d2 below zero,
-restored on export (frames, the coefficient table, the operator
-residual), where values become Fractions.
+Every block, full frames and unit row alike, is stored as the scaled
+frame G_{a,b} = (a!)^d1 (b!)^d2 F_{a,b}: both equations keep their
+left-hand side, the source (a-c, b-d) on the right gets the integer
+weight (a!/(a-c)!)^d1 (b!/(b-d)!)^d2 from tables made once per solve,
+and the identity entry is the Apery-normalized (a!)^d1 (b!)^d2 c_{a,b}.
+Every entry carries a single implicit z-power, deg(row) - deg(col) +
+a*d1 + b*d2 below zero; the exports (frames, the coefficient table, the
+operator residual) restore it and divide by (a!)^d1 (b!)^d2.
 
 The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
@@ -58,7 +58,7 @@ from itertools import compress
 from math import factorial, gcd, lcm, prod
 
 from qfano import opparse
-from qfano.linalg import common_denominator
+from qfano.linalg import accumulate, common_denominator
 
 
 class FlatnessError(ValueError):
@@ -70,11 +70,10 @@ class NonIntegralError(ValueError):
 
 
 # A classical divisor matrix C = Cint/den: rows[i] lists the pairs
-# (k, Cint[i][k]) of row i and cols[j] the pairs (k, Cint[k][j]) of
-# column j.  C raises degree by exactly one (set_column enforces the
-# grading), so deg(k) = deg(i) - 1 in rows[i] and deg(k) = deg(j) + 1 in
-# cols[j]; the walk order of a Ray relies on it.
-Classical = namedtuple("Classical", "rows cols den")
+# (k, Cint[i][k]) of row i.  C raises degree by exactly one (set_column
+# enforces the grading), so deg(k) = deg(i) - 1 in rows[i]; the walk
+# order of a Ray relies on it.
+Classical = namedtuple("Classical", "rows den")
 
 # One ray's row equation s*w - w*A = r on flat blocks of leading frame
 # rows, entry (i, j) at i*size + j, with A = Aint/den the action U ->
@@ -115,11 +114,9 @@ def _split_matrix(qmat, rows):
                                     for _, v in prow])
     starts = range(0, rows * size, size)
     crows = [[] for _ in range(size)]
-    ccols = [[] for _ in range(size)]
     adj = [[] for _ in range(rows * size)]
     for (i, k), v in zip(classical, cints):
         crows[i].append((k, v))
-        ccols[k].append((i, v))
         for r in starts:
             adj[r + k].append((r + i, v))
         if i < rows:
@@ -138,7 +135,7 @@ def _split_matrix(qmat, rows):
               [(p, adj[p]) for r in starts
                for p in range(r + size - 1, r - 1, -1)],
               level, max(level), (lifted, dq))
-    return Classical(crows, ccols, dc), ray
+    return Classical(crows, dc), ray
 
 
 def _shift_sum(live, parts, a, b, falling):
@@ -146,8 +143,7 @@ def _shift_sum(live, parts, a, b, falling):
     vector over L = lcm(D of the sources used) * the parts' denominator;
     the source (a-c, b-d) is read from the grid live[a-c][b-d] (None for
     a zero block, which is skipped) and weighted by falling[0][a][c] *
-    falling[1][b][d], or by 1 when falling is None.  Only the D that are
-    not 1 enter the lcm."""
+    falling[1][b][d].  Only the D that are not 1 enter the lcm."""
     pint, pden = parts
     used = []
     den = 1
@@ -160,9 +156,7 @@ def _shift_sum(live, parts, a, b, falling):
                     den = lcm(den, source[1])
     out = [0] * len(live[0][0][0])
     for (vec, fden), part, c, d in used:
-        m = den // fden
-        if falling:
-            m *= falling[0][a][c] * falling[1][b][d]
+        m = den // fden * falling[0][a][c] * falling[1][b][d]
         for p, targets in part:
             x = vec[p]
             if x:
@@ -252,41 +246,46 @@ def _route_residual(scale, ray, u, rhs):
 class JSeries:
     """Flat frames of the quantum differential system up to a total order.
 
-    blocks maps (a, b) to the frame as (flat integer vector, D), entry
-    (i, j) being vec[i*n + j] / D with the z-grid implicit; the unit-row
-    solve behind identity_series keeps row one only, as scaled frames,
-    with the solver's weights in falling (None for unscaled frames).  The
-    matrix parts are the integer forms, made once per solve: each
-    classical part is a Classical, read by the operator pass, and each
-    ray is a Ray, read by the solver.  frames is the Fraction export of
-    the blocks.
+    blocks maps (a, b) to the scaled frame G_{a,b} as (flat integer
+    vector, D), entry (i, j) being vec[i*n + j] / D with the z-grid
+    implicit; the unit-row solve behind identity_series keeps row one
+    only, and an export divides each block by weight(a, b).  The matrix
+    parts are the integer forms, made once per solve: each classical
+    part is a Classical, read by the operator pass, and each ray is a
+    Ray, read by the solver.  frames is the Fraction export of the
+    blocks.
     """
 
     def __init__(self, spec, p_classical, p_ray, xi_classical, xi_ray):
         self.spec = spec
         self.blocks = {}
-        self.falling = None
         self.p_classical = p_classical
         self.p_ray = p_ray
         self.xi_classical = xi_classical
         self.xi_ray = xi_ray
 
+    def weight(self, a, b):
+        """(a!)^d1 (b!)^d2, the scale of the stored block at (a, b)."""
+        return factorial(a) ** self.spec.d1 * factorial(b) ** self.spec.d2
+
     @property
     def frames(self):
-        """{(a, b): Fraction matrix}, exported afresh on every read."""
+        """{(a, b): Fraction matrix F_{a,b}}, exported on every read."""
         n = self.spec.size
-        return {key: [[Fraction(x, den) for x in vec[i:i + n]]
-                      for i in range(0, len(vec), n)]
-                for key, (vec, den) in self.blocks.items()}
+        out = {}
+        for key, (vec, den) in self.blocks.items():
+            den *= self.weight(*key)
+            out[key] = [[Fraction(x, den) for x in vec[i:i + n]]
+                        for i in range(0, len(vec), n)]
+        return out
 
 
-def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
+def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
     """The series with every block cut to its leading rows, over the
     indices with w1*a + w2*b <= order for weights (w1, w2) >= (1, 1).
 
     The indices below (a, b) have a lower weighted sum, so every block a
-    solve or a cross-check reads is present.  With scaled set, blocks
-    are the scaled frames (a!)^d1 (b!)^d2 F_{a,b}.
+    solve or a cross-check reads is present.
 
     Each block is built from the ray with a positive exponent and
     cross-checked against the other ray; any defect raises FlatnessError
@@ -298,12 +297,11 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    js = JSeries(spec, *_split_matrix(mp, rows), *_split_matrix(mxi, rows))
-    if scaled:
-        keys = [key for ray in (js.p_ray, js.xi_ray) for key in ray.parts[0]]
-        js.falling = [_falling(order, max((key[k] for key in keys),
-                                          default=0), d)
-                      for k, d in enumerate((spec.d1, spec.d2))]
+    p, xi = _split_matrix(mp, rows), _split_matrix(mxi, rows)
+    keys = [key for _, ray in (p, xi) for key in ray.parts[0]]
+    falling = [_falling(order, max((key[k] for key in keys), default=0), d)
+               for k, d in enumerate((spec.d1, spec.d2))]
+    js = JSeries(spec, *p, *xi)
     w1, w2 = weights
     live = [[None] * (order // w2 + 1) for _ in range(order // w1 + 1)]
     live[0][0] = js.blocks[(0, 0)] = (
@@ -318,22 +316,20 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1), scaled=False):
             key = (a, b)
             along = 0 if a else 1
             ray, other = rays[along], rays[1 - along]
-            rhs = _shift_sum(live, ray.parts, a, b, js.falling)
+            rhs = _shift_sum(live, ray.parts, a, b, falling)
             if any(rhs[0]):
                 u = live[a][b] = _sylvester_solve(key[along], ray, rhs)
             else:
                 u = [0] * len(rhs[0]), 1
             defect = _route_residual(
                 key[1 - along], other, u,
-                _shift_sum(live, other.parts, a, b, js.falling))
+                _shift_sum(live, other.parts, a, b, falling))
             if defect is not None:
                 (i, j), val = defect
-                if scaled:
-                    val /= factorial(a) ** spec.d1 * factorial(b) ** spec.d2
                 raise FlatnessError(
                     "flat frame inconsistent at index (%d,%d): cross-ray "
                     "residual %s at entry (%d,%d)"
-                    % (a, b, val, i + 1, j + 1))
+                    % (a, b, val / js.weight(a, b), i + 1, j + 1))
             js.blocks[key] = u
     return js
 
@@ -350,7 +346,7 @@ def j_series(mp, mxi, spec, order):
 
 def identity_coefficients(js):
     """The table c_{a,b}: identity component of J at its forced z-power."""
-    return {key: Fraction(vec[0], den)
+    return {key: Fraction(vec[0], den * js.weight(*key))
             for key, (vec, den) in js.blocks.items()}
 
 
@@ -363,27 +359,27 @@ def identity_series(mp, mxi, spec, order, weights=(1, 1)):
     row is solved, and every index is cross-checked along the other ray
     as in j_series; a defect raises FlatnessError.
     """
-    blocks = _solve(mp, mxi, spec, order, 1, weights, scaled=True).blocks
+    blocks = _solve(mp, mxi, spec, order, 1, weights).blocks
     return {key: Fraction(vec[0], den) if vec[0] % den
             else vec[0] // den for key, (vec, den) in blocks.items()}
 
 
-def apery_table(ctable, size, spec):
-    """Normalize c_{i,j} by (i!)^d1 (j!)^d2; entries must come out integer."""
+def apery_table(js, size):
+    """The size x size table (i!)^d1 (j!)^d2 c_{i,j}, read off the stored
+    identity entries; entries must come out integer."""
     out = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
-            if (i, j) not in ctable:
+            if (i, j) not in js.blocks:
                 raise ValueError(
                     "coefficient table does not reach (%d,%d); recompute "
                     "with order >= %d" % (i, j, i + j))
-            val = ctable[(i, j)] * factorial(i) ** spec.d1 \
-                * factorial(j) ** spec.d2
-            if val.denominator != 1:
+            vec, den = js.blocks[(i, j)]
+            if vec[0] % den:
                 raise NonIntegralError(
                     "normalized coefficient (%d,%d) is not an integer: %s"
-                    % (i, j, val))
-            out[i][j] = int(val)
+                    % (i, j, Fraction(vec[0], den)))
+            out[i][j] = vec[0] // den
     return out
 
 
@@ -397,16 +393,14 @@ def parse_operator(text):
 
     Term factors commute textually; the result is read in normal order
     (coefficient times q- and z-powers on the left, derivations on the
-    right).  Zero-coefficient terms are dropped, so "0" parses to the
-    empty operator.
+    right).  Like terms merge in order of first appearance and drop out
+    when they cancel, so "0" and "D1 - D1" parse to the empty operator.
     """
-    terms = []
+    terms = {}
     for chunk in opparse.split_terms(text):
         coeff, pw = opparse.parse_term(chunk, _OP_ATOMS)
-        if coeff:
-            terms.append(OpTerm(coeff, pw["q1"], pw["q2"], pw["z"],
-                                pw["D1"], pw["D2"]))
-    return terms
+        accumulate(terms, [(tuple(pw[atom] for atom in _OP_ATOMS), coeff)])
+    return [OpTerm(coeff, *powers) for powers, coeff in terms.items()]
 
 
 def _cup(vec, den, classical, shift):
@@ -422,16 +416,18 @@ def _cup(vec, den, classical, shift):
 
 
 def _chain(chains, k, l, js, s, u):
-    """D1^k D2^l on the first column of source (s, u), memoized in chains
-    as an extension of D1^k D2^(l-1), or of D1^(k-1) when l = 0."""
-    if (k, l) not in chains:
-        if l:
-            chains[(k, l)] = _cup(*_chain(chains, k, l - 1, js, s, u),
-                                  js.xi_classical, u)
-        else:
-            chains[(k, l)] = _cup(*_chain(chains, k - 1, 0, js, s, u),
-                                  js.p_classical, s)
-    return chains[(k, l)]
+    """D1^k D2^l on the first column of source (s, u), memoized in chains;
+    each chain missing there extends D1^k D2^(l-1), or D1^(k-1) when l =
+    0, and is built in a loop from the longest chain present."""
+    missing = []
+    while (k, l) not in chains:
+        missing.append((k, l))
+        k, l = (k, l - 1) if l else (k - 1, 0)
+    col = chains[(k, l)]
+    for k, l in reversed(missing):
+        col = chains[(k, l)] = (_cup(*col, js.xi_classical, u) if l
+                                else _cup(*col, js.p_classical, s))
+    return col
 
 
 def apply_operator(ops, js):
@@ -451,7 +447,7 @@ def apply_operator(ops, js):
     spec = js.spec
     sums = [{key: {} for key in js.blocks} for _ in ops]
     for (s, u), (vec, den) in js.blocks.items():
-        chains = {(0, 0): (vec[0::spec.size], den)}
+        chains = {(0, 0): (vec[0::spec.size], den * js.weight(s, u))}
         for op, targets in zip(ops, sums):
             for t in op:
                 groups = targets.get((s + t.q1, u + t.q2))

@@ -44,6 +44,8 @@ def vector(js, a, b):
     spec = js.spec
     w = a * spec.d1 + b * spec.d2
     vec, den = js.blocks[(a, b)]
+    # the stored block is (a!)^d1 (b!)^d2 times the frame
+    den *= factorial(a) ** spec.d1 * factorial(b) ** spec.d2
     return [({-spec.degree(i) - w: Fraction(x, den)} if x else {})
             for i, x in enumerate(vec[0::spec.size])]
 
@@ -51,10 +53,15 @@ def vector(js, a, b):
 def ray(js, a, b, along_p):
     """(scale, ray, rhs) of one divisor-ray equation at index (a, b),
     with the right-hand side built from every block below (a, b), zero
-    blocks included: the grid it reads holds no None."""
+    blocks included: the grid it reads holds no None.  The source
+    (a-c, b-d) is weighted by (a!/(a-c)!)^d1 (b!/(b-d)!)^d2 from tables
+    made here, independently of the solver's."""
     scale, flat = (a, js.p_ray) if along_p else (b, js.xi_ray)
     grid = [[js.blocks[(s, u)] for u in range(b + 1)] for s in range(a + 1)]
-    return scale, flat, qde._shift_sum(grid, flat.parts, a, b, js.falling)
+    falling = [[[prod(range(x - c + 1, x + 1)) ** d for c in range(x + 1)]
+                for x in range(max(a, b) + 1)]
+               for d in (js.spec.d1, js.spec.d2)]
+    return scale, flat, qde._shift_sum(grid, flat.parts, a, b, falling)
 
 
 def check_flatness(js):
@@ -96,26 +103,37 @@ def check_homogeneity(js):
     return None
 
 
+def ref_classical(qmat):
+    """(integer {(row, col): value}, dc) of the classical part of a matrix,
+    read off its columns."""
+    entries = {(i, j): qp[(0, 0)] for j in range(qmat.spec.size)
+               for i, qp in qmat.column(j).items() if qp.get((0, 0))}
+    dc = lcm(*(v.denominator for v in entries.values()))
+    return {key: int(v * dc) for key, v in entries.items()}, dc
+
+
 def _ref_cup(vec, den, classical, shift):
-    """(classical cup + shift * z) on vec / den, read by columns."""
-    dc = classical.den
+    """(classical cup + shift * z) on vec / den, entry by entry from the
+    ref_classical form of the matrix."""
+    cint, dc = classical
     out = [shift * dc * x for x in vec]
-    for k, col in enumerate(classical.cols):
+    for (i, k), v in cint.items():
         x = vec[k]
         if x:
-            for i, v in col:
-                out[i] += v * x
+            out[i] += v * x
     return out, den * dc
 
 
-def ref_apply_operator(op, js):
+def ref_apply_operator(op, js, mp, mxi):
     """One operator's residual, built term by term: each term rebuilds its
-    own derivative chain on its source's first column, and the terms are
-    summed per target and sigma over the lcm of their denominators.
-    Returns {(a, b): vector of Laurent dicts} as qde.apply_operator does
-    for one operator."""
+    own derivative chain on its source's first column, unscaled by the
+    source's (s!)^d1 (u!)^d2, with the classical parts of mp and mxi, and
+    the terms are summed per target and sigma over the lcm of their
+    denominators.  Returns {(a, b): vector of Laurent dicts} as
+    qde.apply_operator does for one operator."""
     spec = js.spec
     size = spec.size
+    cp, cxi = ref_classical(mp), ref_classical(mxi)
     residual = {}
     for (a, b) in js.blocks:
         groups = {}
@@ -125,10 +143,11 @@ def ref_apply_operator(op, js):
                 continue
             vec, den = js.blocks[(s, u)]
             vec = vec[0::size]
+            den *= factorial(s) ** spec.d1 * factorial(u) ** spec.d2
             for _ in range(t.d1):
-                vec, den = _ref_cup(vec, den, js.p_classical, s)
+                vec, den = _ref_cup(vec, den, cp, s)
             for _ in range(t.d2):
-                vec, den = _ref_cup(vec, den, js.xi_classical, u)
+                vec, den = _ref_cup(vec, den, cxi, u)
             sigma = t.d1 + t.d2 + t.z - s * spec.d1 - u * spec.d2
             groups.setdefault(sigma, []).append(
                 (vec, den * t.coeff.denominator, t.coeff.numerator))

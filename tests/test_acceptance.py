@@ -114,8 +114,8 @@ def test_criterion_03_structural_checks(matrices):
     _verdict(3, failures)
 
 
-def test_criterion_04_apery_table(flagship, ctable14):
-    table = qde.apery_table(ctable14, 8, flagship)
+def test_criterion_04_apery_table(js14):
+    table = qde.apery_table(js14, 8)
     reference = [[int(cell) for cell in line.split(",")]
                  for line in fixture_lines("apery_table_8x8.csv")
                  if line.strip() and not line.startswith("#")]

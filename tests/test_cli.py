@@ -269,8 +269,9 @@ def test_jfun_check_operators_builds_each_chain_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("body,error", [
     ("# no operators here\n\n", "no operators"),
-    ("A = 0\nB = D1 - q1\n", "operator 'A' is zero")],
-    ids=["no-operators", "zero-operator"])
+    ("A = 0\nB = D1 - q1\n", "operator 'A' is zero"),
+    ("a = D1 - D1\n", "operator 'a' is zero")],
+    ids=["no-operators", "zero-operator", "cancelling-operator"])
 def test_jfun_check_operators_refuses_empty_check(tmp_path, body, error):
     ops = tmp_path / "ops.txt"
     ops.write_text(body)
@@ -281,6 +282,22 @@ def test_jfun_check_operators_refuses_empty_check(tmp_path, body, error):
     assert proc.stdout == ""
     assert proc.stderr == "error: %s: %s\n" % (ops, error)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("power,index", [("D1^1200", "(1,0)"),
+                                         ("D2^1200", "(0,1)")])
+def test_jfun_check_operators_high_power(tmp_path, power, index):
+    # a derivative chain of 1200 cups is built in a loop, not one call
+    # deep per D-power, and its residual is reported like any other
+    ops = tmp_path / "high.ops"
+    ops.write_text("a = %s\n" % power)
+    out = tmp_path / "jf"
+    proc = run_cli("jfun", "--order", "2", "--check-operators", str(ops),
+                   "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    report = (out / "operator_report.txt").read_text()
+    assert report.startswith("a: residual nonzero at index %s" % index)
 
 
 def test_periods_pf_verify_refuses_zero_operator(tmp_path):

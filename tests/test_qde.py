@@ -2,13 +2,14 @@
 
 import re
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from types import SimpleNamespace
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (check_flatness, check_homogeneity, ray,
-                     ref_apply_operator, vector)
+                     ref_apply_operator, ref_classical, vector)
 
 from qfano import qde
 from qfano.fixtures_io import fixture_lines, load_named_expressions
@@ -71,18 +72,24 @@ def test_p1p1_coefficients_closed_form(p1p1_js):
 @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4)
                                  for r in (2, 3, 4, 5)])
 def test_product_bundles_closed_form(n, r):
-    # P^n x P^(r-1): c_{a,b} = 1 / ((a!)^(n+1) (b!)^r) on both solver paths,
-    # so the normalized table is all ones, and the J-series is annihilated
-    # by D1^(n+1) - q1 and D2^r - q2
+    # P^n x P^(r-1): c_{a,b} = 1 / ((a!)^(n+1) (b!)^r) on the unit row and
+    # on full frames, so the normalized table is all ones, and the
+    # J-series is annihilated by D1^(n+1) - q1 and D2^r - q2; p1-trivial
+    # (P^1 x P^1) runs to order 30, where the full frames carry factorial
+    # weights of about 200 bits
     spec = make_bundle(n, r)
     mp, mxi = reconstruct(spec, builtin_source(spec))
+    order = 30 if (n, r) == (1, 2) else 5
     expected = {(a, b): F(1, factorial(a) ** (n + 1) * factorial(b) ** r)
-                for a in range(6) for b in range(6 - a)}
-    ones = qde.identity_series(mp, mxi, spec, 5)
+                for a in range(order + 1) for b in range(order + 1 - a)}
+    ones = qde.identity_series(mp, mxi, spec, order)
     assert ones == normalized(expected, spec) == dict.fromkeys(expected, 1)
     assert all(type(val) is int for val in ones.values())
-    js = qde.j_series(mp, mxi, spec, 5)
+    js = qde.j_series(mp, mxi, spec, order)
     assert qde.identity_coefficients(js) == expected
+    assert {key: frame[0][0] for key, frame in js.frames.items()} == expected
+    size = order // 2 + 1
+    assert qde.apery_table(js, size) == [[1] * size] * size
     texts = ("D1^%d - q1" % (n + 1), "D2^%d - q2" % r)
     reports = qde.check_operator([qde.parse_operator(t) for t in texts], js)
     assert reports == [None, None], texts
@@ -116,7 +123,7 @@ def test_flagship_hand_coefficients(flagship_js):
 
 def test_flagship_apery_corner(flagship, flagship_js):
     spec = flagship[0]
-    table = qde.apery_table(qde.identity_coefficients(flagship_js), 4, spec)
+    table = qde.apery_table(flagship_js, 4)
     expected = [row[:4] for row in apery_fixture()[:4]]
     assert table == expected
 
@@ -130,25 +137,30 @@ def test_apery_fixture_structure():
             assert (table[i][j] == 0) == (i > 2 * j)
 
 
-def test_apery_rejects_non_integer(flagship):
-    spec = flagship[0]
+def stored(table):
+    """A stand-in series whose stored identity entries are the given
+    (a!)^d1 (b!)^d2 c_{a,b}, as one-entry blocks."""
+    return SimpleNamespace(blocks={key: ([val.numerator], val.denominator)
+                                   for key, val in table.items()})
+
+
+def test_apery_rejects_non_integer():
     with pytest.raises(ValueError, match="not an integer"):
-        qde.apery_table({(0, 0): F(1, 3)}, 1, spec)
+        qde.apery_table(stored({(0, 0): F(1, 3)}), 1)
 
 
-def test_apery_reports_missing_order(flagship):
-    spec = flagship[0]
+def test_apery_reports_missing_order():
     with pytest.raises(ValueError, match="order >= 3"):
-        qde.apery_table({(0, 0): F(1), (0, 1): F(1), (1, 0): F(0),
-                         (1, 1): F(5), (0, 2): F(1, 64), (2, 0): F(0)}, 3, spec)
+        qde.apery_table(stored({(0, 0): F(1), (0, 1): F(1), (1, 0): F(0),
+                                (1, 1): F(5), (0, 2): F(1), (2, 0): F(0)}), 3)
 
 
-def test_apery_errors_are_typed(flagship):
-    spec = flagship[0]
-    with pytest.raises(qde.NonIntegralError):
-        qde.apery_table({(0, 0): F(1, 3)}, 1, spec)
+def test_apery_errors_are_typed():
+    with pytest.raises(qde.NonIntegralError, match=re.escape(
+            "normalized coefficient (0,0) is not an integer: 1/3")):
+        qde.apery_table(stored({(0, 0): F(1, 3)}), 1)
     with pytest.raises(ValueError) as err:
-        qde.apery_table({(0, 0): F(1)}, 2, spec)
+        qde.apery_table(stored({(0, 0): F(1)}), 2)
     assert not isinstance(err.value, qde.NonIntegralError)
 
 
@@ -162,18 +174,19 @@ def test_row_recursion_matches_frames(flagship, flagship_js):
 
 
 @pytest.mark.parametrize("bundle", ["p1p1", "flagship"])
-def test_scaled_unit_row_is_the_factorial_multiple(request, bundle):
-    # G_{a,b} = (a!)^d1 (b!)^d2 F_{a,b} entry for entry, on the weighted
-    # index set of a cut, and rescaled rational inputs too
+def test_unit_row_is_row_one_of_the_frames(request, bundle):
+    # the unit-row solve stores row one of the full-frame solve, block for
+    # block, on the weighted index set of a cut, and for rescaled
+    # rational inputs too
     spec, mp, mxi = request.getfixturevalue(bundle)
     for pair in ((mp, mxi), (_rescaled(spec, mp), _rescaled(spec, mxi))):
-        plain = qde._solve(*pair, spec, 12, 1, (2, 1))
-        scaled = qde._solve(*pair, spec, 12, 1, (2, 1), scaled=True)
-        assert set(plain.blocks) == set(scaled.blocks)
-        for (a, b), frame in plain.frames.items():
-            s = factorial(a) ** spec.d1 * factorial(b) ** spec.d2
-            assert scaled.frames[(a, b)] == [[s * x for x in row]
-                                             for row in frame]
+        row = qde._solve(*pair, spec, 12, 1, (2, 1))
+        full = qde._solve(*pair, spec, 12, spec.size, (2, 1))
+        assert set(row.blocks) == set(full.blocks)
+        for key, (vec, den) in full.blocks.items():
+            rvec, rden = row.blocks[key]
+            assert [F(x, rden) for x in rvec] == [
+                F(x, den) for x in vec[:spec.size]], key
 
 
 def test_flatness_and_homogeneity_pass(flagship_js):
@@ -220,6 +233,13 @@ def test_corrupted_matrix_fails_flat(flagship):
 
 def test_parse_operator_basics():
     assert qde.parse_operator("0") == []
+    # like terms merge; a term that cancels is dropped, and comes back
+    # at the end if a later term revives it
+    assert qde.parse_operator("D1 - D1") == []
+    assert qde.parse_operator("D1*q1 + z - q1*D1 + 1/2*z") == [
+        qde.OpTerm(F(3, 2), 0, 0, 1, 0, 0)]
+    assert qde.parse_operator("D2 + q2 + 2*D2 - 3*D2 + D2") == [
+        qde.OpTerm(F(1), 0, 1, 0, 0, 0), qde.OpTerm(F(1), 0, 0, 0, 0, 1)]
     op = qde.parse_operator("D1*D2^7 - 2*D2^8 + 5*q2*D1^2")
     assert op[0] == qde.OpTerm(F(1), 0, 0, 0, 1, 7)
     assert op[1] == qde.OpTerm(F(-2), 0, 0, 0, 0, 8)
@@ -264,8 +284,16 @@ def test_parse_operator_round_trip(terms, data):
         # Factors commute textually, so any order must parse the same.
         factors = data.draw(st.permutations(factors))
         chunks.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+    # like terms merge in the order of their first appearance, and a sum
+    # that cancels drops its term
+    merged = {}
+    for coeff, *powers in terms:
+        key = tuple(powers)
+        merged[key] = merged.get(key, 0) + coeff
+        if not merged[key]:
+            del merged[key]
     assert qde.parse_operator(" ".join(chunks)) == [
-        qde.OpTerm(*term) for term in terms]
+        qde.OpTerm(coeff, *powers) for powers, coeff in merged.items()]
 
 
 def test_operator_fixture_term_counts(operators):
@@ -293,21 +321,23 @@ def test_nonannihilating_operator_reported(flagship_js):
     assert report is not None and "index (0,0)" in report
 
 
-# the first three leave a residual, the third with two sigma groups at one
-# target; the last one's q-shifts lie beyond both series
+# the first three leave a residual, the third (whose like terms merge to
+# D1*D2) with two sigma groups at one target; the last one's q-shifts lie
+# beyond both series
 NON_ANNIHILATING = ("D1", "z*D2^3 + 2/3*q1*D1^2 - q2",
-                    "D1*D2 - D2*D1 + 5*z^2*q1", "q1^5*q2^5*D1 - 3*q2^9")
+                    "2*D1*D2 - D2*D1 + 5*z^2*q1", "q1^5*q2^5*D1 - 3*q2^9")
 
 
 @pytest.mark.parametrize("series", ["flagship_js", "p1p1_js"])
 def test_one_pass_matches_per_operator_oracle(request, series, operators):
     js = request.getfixturevalue(series)
+    _, mp, mxi = request.getfixturevalue(series.removesuffix("_js"))
     texts = [operators[name] for name in sorted(operators)]
     ops = [qde.parse_operator(text) for text in texts + list(NON_ANNIHILATING)]
     residuals = qde.apply_operator(ops, js)
     assert len(residuals) == len(ops)
     for text, op, res in zip(texts + list(NON_ANNIHILATING), ops, residuals):
-        assert res == ref_apply_operator(op, js), text
+        assert res == ref_apply_operator(op, js, mp, mxi), text
     for res in residuals[-4:-1]:
         assert any(any(vec) for vec in res.values())
     assert not any(any(vec) for vec in residuals[-1].values())
@@ -399,15 +429,6 @@ def test_rational_inputs_rescale_frames(request, bundle):
         (a, b): LAMBDA ** a * MU ** b * c for (a, b), c in deep.items()}
 
 
-def ref_classical(qmat):
-    """(integer {(row, col): value}, dc) of the classical part of a matrix,
-    read off its columns."""
-    entries = {(i, j): qp[(0, 0)] for j in range(qmat.spec.size)
-               for i, qp in qmat.column(j).items() if qp.get((0, 0))}
-    dc = lcm(*(v.denominator for v in entries.values()))
-    return {key: int(v * dc) for key, v in entries.items()}, dc
-
-
 def ref_commutator(cint, u):
     """U*C - C*U on a block of leading frame rows.
 
@@ -468,12 +489,11 @@ def reference_series(request, case):
         mp, mxi = _rescaled(spec, mp), _rescaled(spec, mxi)
         return mp, mxi, qde.j_series(mp, mxi, spec, 4)
     if case == "unit-row":
-        # the scaled frames of identity_series, each source weighted
+        # the unit row of identity_series on the index set of a cut
         spec, mp, mxi = request.getfixturevalue("flagship")
-        return mp, mxi, qde._solve(mp, mxi, spec, 40, 1, (2, 1), scaled=True)
+        return mp, mxi, qde._solve(mp, mxi, spec, 40, 1, (2, 1))
     if case == "rescaled-unit-row":
-        # the unscaled unit row of rational inputs: divisions by the scale
-        # that are not exact
+        # the unit row of rational inputs: blocks over D > 1
         spec, mp, mxi = request.getfixturevalue("flagship")
         mp, mxi = _rescaled(spec, mp), _rescaled(spec, mxi)
         return mp, mxi, qde._solve(mp, mxi, spec, 20, 1)
@@ -518,9 +538,11 @@ def test_solve_matches_neumann_reference(request, case):
     assert checked >= len(js.blocks) - 1
     if case == "unit-row":
         assert sources[(False,)] and sources[(False, True)], sources
+    if case == "rescaled":
+        # full frames of rational inputs meet divisions that are not exact
+        assert inexact
     if case == "rescaled-unit-row":
         assert any(den > 1 for _, den in js.blocks.values())
-        assert inexact
 
 
 def test_lifted_row_equation_is_the_two_sided_action(flagship):
