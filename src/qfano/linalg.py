@@ -1,5 +1,6 @@
 """Exact linear algebra over the rationals: one dense elimination modulo
-Fermat numbers, and sparse accumulation.
+Fermat numbers, and sparse accumulation into maps and into columns of
+q-polynomials.
 
 nullspace runs the ladder below on the first ncols rows of a matrix and
 checks their basis exactly on the other rows; only when that check fails
@@ -52,6 +53,19 @@ def accumulate(dst, items):
             dst[key] = value
         elif key in dst:
             del dst[key]
+    return dst
+
+
+def col_add_into(dst, src, scale=1, shift=(0, 0)):
+    """dst += scale * q1^s q2^t * src, with shift = (s, t), for columns
+    {row: {(a, b): value}}, dropping cancelled terms and emptied rows.
+    Returns dst."""
+    s, t = shift
+    for row, qp in src.items():
+        if not accumulate(dst.setdefault(row, {}),
+                          (((a + s, b + t), scale * v)
+                           for (a, b), v in qp.items())):
+            del dst[row]
     return dst
 
 

@@ -16,14 +16,16 @@ def parse_number(text, fraction=False):
     optional -, ASCII digits and, when fraction is set, optionally / and
     more ASCII digits.
 
-    Returns an int, or a Fraction when fraction is set.  Anything else
-    raises ValueError; a zero denominator raises ZeroDivisionError.
+    Returns an int, or a Fraction when fraction is set.  Anything else,
+    a zero denominator included, raises ValueError naming the literal.
     """
     parts = (text[1:] if text[:1] == "-" else text).split("/")
     if len(parts) > 1 + fraction or not all(
             part.isascii() and part.isdigit() for part in parts):
         raise ValueError("bad %s %r" % ("number" if fraction else "integer",
                                          text))
+    if len(parts) == 2 and not int(parts[1]):
+        raise ValueError("zero denominator in %r" % text)
     return Fraction(text) if fraction else int(text)
 
 
@@ -66,7 +68,7 @@ def parse_term(term, names):
         if factor[0].isdigit():
             try:
                 coeff *= parse_number(factor, fraction=True)
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 raise ValueError("bad coefficient %r in term %r" % (factor, term))
             continue
         name, caret, power = factor.partition("^")

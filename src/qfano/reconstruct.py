@@ -21,27 +21,11 @@ from fractions import Fraction
 
 from qfano import seeds as seeds_mod
 from qfano.fixtures_io import data_lines
-from qfano.linalg import accumulate
+from qfano.linalg import col_add_into
 from qfano.opparse import parse_number
 from qfano.ring import divisor_mul, dual_basis
 
 ONE = Fraction(1)
-
-
-def qp_add_into(dst, src, scale=ONE, shift=(0, 0)):
-    """dst += scale * q^shift * src, dropping cancelled terms."""
-    s, t = shift
-    return accumulate(dst, (((a + s, b + t), scale * v)
-                            for (a, b), v in src.items()))
-
-
-def col_add_into(dst, src, scale=ONE, shift=(0, 0)):
-    for row, qp in src.items():
-        tgt = dst.setdefault(row, {})
-        qp_add_into(tgt, qp, scale, shift)
-        if not tgt:
-            del dst[row]
-    return dst
 
 
 class QuantumMatrix:
@@ -113,11 +97,10 @@ class QuantumMatrix:
                     raise ValueError("expected 5 fields")
                 row, col, a, b = (parse_number(t) for t in tok[:4])
                 value = parse_number(tok[4], fraction=True)
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ValueError("triplet line %d: %s"
                                  % (lineno, exc)) from None
-            accumulate(cols[col - 1].setdefault(row - 1, {}),
-                       [((a, b), value)])
+            col_add_into(cols[col - 1], {row - 1: {(a, b): value}})
         out = cls(spec, label)
         for j, col in enumerate(cols):
             out.set_column(j, col)
@@ -166,21 +149,10 @@ def p_lemma_step(mp, mxi, spec, d, k):
     """Fill the p-matrix column of p^k xi^(d-k) from lower columns."""
     target = spec.position(k, d - k)
     prev = spec.position(k, d - 1 - k)
-    col_p_prev = mp.column(prev)
-    col_xi_prev = mxi.column(prev)
-    t1 = mxi.apply(col_p_prev)
-    w = {}
-    col_add_into(w, col_xi_prev)
-    qp_add_into(w.setdefault(target, {}), {(0, 0): ONE}, scale=Fraction(-1))
-    if not w.get(target):
-        w.pop(target, None)
-    else:
-        if (0, 0) in w.get(target, {}):
-            raise AssertionError(
-                "xi column of degree %d lacks the expected leading term" % (d - 1))
-    t2 = mp.apply(w)
-    col = t1
-    col_add_into(col, t2, scale=Fraction(-1))
+    # w = xi * prev - target: the classical term cancels the target row,
+    # so p * w reads only filled columns
+    w = col_add_into({target: {(0, 0): -1}}, mxi.column(prev))
+    col = col_add_into(mxi.apply(mp.column(prev)), mp.apply(w), -1)
     mp.set_column(target, col)
 
 
@@ -188,14 +160,14 @@ def xi_column_from_p(spec, p_col, k, b0):
     """The xi-matrix column of p^k xi^b0 implied by the p-matrix column."""
     col = {row: {(0, 0): c}
            for row, c in divisor_mul(spec, "xi", k, b0).items()}
+    # the three kinds of terms sit at disjoint q-powers: (0, 0), (0, 1)
+    # and a, b >= 1
     if b0 == spec.r - 1:
-        qp_add_into(col.setdefault(spec.position(k, 0), {}), {(0, 1): ONE})
+        col.setdefault(spec.position(k, 0), {})[(0, 1)] = ONE
     for row, qp in p_col.items():
-        accumulate(col.setdefault(row, {}),
-                   (((a, b), v * Fraction(b, a)) for (a, b), v in qp.items()
-                    if a >= 1 and b >= 1))
-    for row in [r for r, qp in col.items() if not qp]:
-        del col[row]
+        for (a, b), v in qp.items():
+            if a >= 1 and b >= 1:
+                col.setdefault(row, {})[(a, b)] = v * Fraction(b, a)
     return col
 
 
@@ -231,8 +203,8 @@ def check_three_point_symmetry(mat):
     G and M D = D (G M) D, so M D is symmetric exactly when G M is.
     """
     size = mat.spec.size
-    md_cols = [mat.apply({k: {(0, 0): c} for k, c in enumerate(row) if c})
-                 for row in dual_basis(mat.spec)]
+    md_cols = [mat.apply({k: {(0, 0): c} for k, c in phi.items()})
+               for phi in dual_basis(mat.spec)]
     for i in range(size):
         for j in range(i + 1, size):
             if md_cols[j].get(i, {}) != md_cols[i].get(j, {}):

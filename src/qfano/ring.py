@@ -2,9 +2,10 @@
 
 H*(X) = Q[p, xi] / (p^(n+1), xi^r + c_1 p xi^(r-1) + ... + c_r p^r)
 with p the hyperplane pullback and xi the relative hyperplane class
-(subspace convention).  Classes are dense Fraction vectors over the
-monomial basis p^k xi^(d-k), ordered by total degree ascending and then
-p-power descending.  Divisor products and the dual basis are closed forms.
+(subspace convention).  A class is a sparse map {position: Fraction} over
+the monomial basis p^k xi^(d-k), ordered by total degree ascending and
+then p-power descending; it stores no zero.  Divisor products and the
+dual basis are closed forms.
 """
 
 from fractions import Fraction
@@ -12,7 +13,6 @@ from fractions import Fraction
 from qfano.fixtures_io import data_lines, read_lines
 from qfano.opparse import parse_number
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -111,17 +111,6 @@ def basis_index(spec, d, k):
     return spec.position(k, d - k) + 1
 
 
-def zero_class(spec):
-    return [ZERO] * spec.size
-
-
-def monomial_class(spec, a, b):
-    """Basis vector for the monomial p^a xi^b."""
-    vec = zero_class(spec)
-    vec[spec.position(a, b)] = ONE
-    return vec
-
-
 def divisor_mul(spec, label, a, b):
     """Cup product of the divisor p or xi (label) with p^a xi^b.
 
@@ -142,17 +131,12 @@ def divisor_mul(spec, label, a, b):
 
 
 def dual_basis(spec):
-    """Row i gives the Poincare dual phi^i in basis coordinates.
+    """Row i is the Poincare dual phi^i as a class.
 
     By the projection formula and c(E) s(E) = 1, the dual of p^a xi^b is
     sum_(i=0)^min(a, r-1-b) c_i p^(n-a+i) xi^(r-1-b-i), with c_0 = 1.
     """
     chern = (1,) + spec.chern
-    dual = []
-    for a, b in spec.basis:
-        row = zero_class(spec)
-        for i in range(min(a, spec.r - 1 - b) + 1):
-            row[spec.position(spec.n - a + i, spec.r - 1 - b - i)] = \
-                Fraction(chern[i])
-        dual.append(row)
-    return dual
+    return [{spec.position(spec.n - a + i, spec.r - 1 - b - i): Fraction(c)
+             for i, c in enumerate(chern[:min(a, spec.r - 1 - b) + 1]) if c}
+            for a, b in spec.basis]

@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from qfano import schubert
 from qfano.fixtures_io import data_lines, read_lines
-from qfano.linalg import accumulate
+from qfano.linalg import col_add_into
 from qfano.opparse import parse_number
-from qfano.ring import basis_index, divisor_mul, dual_basis, monomial_class
+from qfano.ring import basis_index, divisor_mul, dual_basis
 
 ZERO = Fraction(0)
 
@@ -40,8 +40,8 @@ def seed_key(spec, i, j, a):
 
 
 def _support(spec, x):
-    """(a, b, coefficient) for each nonzero entry of a dense class."""
-    return [spec.basis[i] + (c,) for i, c in enumerate(x) if c]
+    """(a, b, coefficient) for each entry of a class."""
+    return [spec.basis[i] + (c,) for i, c in x.items()]
 
 
 def blowup_invariant(spec, alpha, beta, k):
@@ -77,7 +77,8 @@ def product_invariant(spec, alpha, beta, k):
     if k >= 2:
         return ZERO
     n, r = spec.n, spec.r
-    return sum((alpha[spec.position(n, b)] * beta[spec.position(n, r - 1 - b)]
+    return sum((alpha.get(spec.position(n, b), ZERO)
+                * beta.get(spec.position(n, r - 1 - b), ZERO)
                 for b in range(r)), ZERO)
 
 
@@ -138,7 +139,7 @@ def load_seeds(path, spec):
                     "fibre and mixed classes are computed internally")
             table.set(basis_index(spec, da, ka) - 1,
                       basis_index(spec, db, kb) - 1, a, value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
     return table
 
@@ -154,8 +155,7 @@ def builtin_source(spec):
             "no builtin seed source for this spec; provide a seed table")
     table = SeedTable(spec)
     for i, j, k in demanded_invariants(spec):
-        table.set(i, j, k, invariant(spec, monomial_class(spec, *spec.basis[i]),
-                                     monomial_class(spec, *spec.basis[j]), k))
+        table.set(i, j, k, invariant(spec, {i: 1}, {j: 1}, k))
     return table
 
 
@@ -191,25 +191,13 @@ def seed_columns(spec, table):
         raise ValueError(
             "mixed curve class (1,1) passes the dimension filter; "
             "its seeds are outside the reconstruction's scope")
-    dual = dual_basis(spec)
-    base_terms = {}
+    dual = [{row: {(0, 0): c} for row, c in phi.items()}
+            for phi in dual_basis(spec)]
+    cols = {i: {row: {(0, 0): c}
+                for row, c in divisor_mul(spec, "p", a, b).items()}
+            for i, (a, b) in enumerate(spec.basis) if a + b <= spec.n}
     for i, j, k in demanded_invariants(spec):
-        base_terms.setdefault(i, []).append((j, k))
-    cols = {}
-    for ci, (a0, b0) in enumerate(spec.basis):
-        if a0 + b0 > spec.n:
-            continue
-        col = {row: {(0, 0): c}
-               for row, c in divisor_mul(spec, "p", a0, b0).items()}
-        for j, k in base_terms.get(ci, ()):
-            val = table.pure_base(ci, j, k)
-            if not val:
-                continue
-            for row, c in enumerate(dual[j]):
-                if c and not accumulate(col.setdefault(row, {}),
-                                        [((k, 0), k * val * c)]):
-                    del col[row]
-        cols[ci] = col
+        col_add_into(cols[i], dual[j], k * table.pure_base(i, j, k), (k, 0))
     return cols
 
 

@@ -15,7 +15,9 @@ kept here as references: the cup product with recursive reduction, the
 Segre numbers and the integral over X, the Poincare pairing as a Gram
 matrix of integrals and the dual basis as its inverse, the three-point
 symmetry checked on that Gram matrix, and the degree <= n xi-matrix
-columns from fibre-line invariants.  So is the operator
+columns from fibre-line invariants.  They read classes as dense vectors
+over the basis, where the package keeps sparse {position: value} maps;
+dense_class and sparse_class convert between the two.  So is the operator
 residual built term by term, which the package now builds in one pass
 shared by all operators.  So are the seed invariants the package now
 reads off closed forms: the Schubert calculus on G(2,5) with Pieri's
@@ -33,10 +35,12 @@ from math import factorial, lcm, prod
 
 from qfano import qde
 from qfano.lefschetz import PFTerm, check_search_box, cut_weights, pf_normalize
-from qfano.linalg import accumulate, nullspace
-from qfano.reconstruct import ONE, QuantumMatrix, col_add_into, qp_add_into
-from qfano.ring import ZERO, make_bundle, monomial_class, zero_class
+from qfano.linalg import accumulate, col_add_into, nullspace
+from qfano.reconstruct import ONE, QuantumMatrix
+from qfano.ring import make_bundle
 from qfano.schubert import is_flagship
+
+ZERO = Fraction(0)
 
 
 def vector(js, a, b):
@@ -271,8 +275,9 @@ def gram_three_point_symmetry(mat):
     def paired(i, j):
         out = {}
         for row, qp in mat.column(i).items():
-            if gram[row][j]:
-                qp_add_into(out, qp, scale=gram[row][j])
+            g = gram[row][j]
+            if g:
+                accumulate(out, ((key, g * v) for key, v in qp.items()))
         return out
 
     for i in range(size):
@@ -280,6 +285,31 @@ def gram_three_point_symmetry(mat):
             if paired(i, j) != paired(j, i):
                 return (i, j)
     return None
+
+
+def zero_class(spec):
+    """The zero class as a dense vector over the basis."""
+    return [ZERO] * spec.size
+
+
+def monomial_class(spec, a, b):
+    """Dense basis vector of the monomial p^a xi^b."""
+    vec = zero_class(spec)
+    vec[spec.position(a, b)] = ONE
+    return vec
+
+
+def dense_class(spec, x):
+    """A {position: value} class as a dense vector over the basis."""
+    vec = zero_class(spec)
+    for pos, c in x.items():
+        vec[pos] = c
+    return vec
+
+
+def sparse_class(vec):
+    """A dense class as a {position: value} map without zeros."""
+    return {pos: c for pos, c in enumerate(vec) if c}
 
 
 def integrate(spec, x):

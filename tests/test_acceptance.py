@@ -11,14 +11,14 @@ from fractions import Fraction
 import pytest
 from oracles import (check_flatness, check_grading, check_homogeneity,
                      check_purity, fiber_invariant, hypergeometric_modify,
-                     mirror_map_correction, period_sequence, regularize,
-                     verify_relation)
+                     mirror_map_correction, monomial_class, period_sequence,
+                     regularize, sparse_class, verify_relation)
 
 from qfano import lefschetz, qde
 from qfano import reconstruct as rc
 from qfano import seeds as seedlib
 from qfano.fixtures_io import (fixture_lines, load_named_expressions)
-from qfano.ring import dual_basis, make_bundle, monomial_class
+from qfano.ring import dual_basis, make_bundle
 
 REGULARIZED_TEN = [1, 0, 10, 42, 414, 3300, 29890, 275940, 2608270, 25305000]
 APERY_DIAGONAL = [1, 5, 73, 1445, 33001, 819005, 21460825, 584307365]
@@ -223,7 +223,9 @@ def test_criterion_10_seed_oracle_consistency(flagship, fixture_matrices):
     spec = flagship
     rng = random.Random(20260818)
     failures = []
+    # dense classes for the fibre oracle, sparse ones for the package
     classes = [monomial_class(spec, a, b) for (a, b) in spec.basis]
+    sparse = [sparse_class(x) for x in classes]
     for _ in range(30):
         i = rng.randrange(spec.size)
         j = rng.randrange(spec.size)
@@ -231,7 +233,7 @@ def test_criterion_10_seed_oracle_consistency(flagship, fixture_matrices):
         if fiber_invariant(spec, classes[i], classes[j], k):
             failures.append("fiber invariant (%d,%d) k=%d nonzero"
                             % (i, j, k))
-        if seedlib.blowup_invariant(spec, classes[i], classes[j], k):
+        if seedlib.blowup_invariant(spec, sparse[i], sparse[j], k):
             failures.append("base-ray invariant (%d,%d) k=%d nonzero"
                             % (i, j, k))
     fiber_sum = spec.dim - 1 + spec.d2
@@ -245,17 +247,17 @@ def test_criterion_10_seed_oracle_consistency(flagship, fixture_matrices):
             failures.append("fiber invariant nonzero off dimension "
                             "at (%d,%d)" % (i, j))
         if total != base_sum and seedlib.blowup_invariant(
-                spec, classes[i], classes[j], 1):
+                spec, sparse[i], sparse[j], 1):
             failures.append("base-ray invariant nonzero off dimension "
                             "at (%d,%d)" % (i, j))
     hand = seedlib.blowup_invariant(
-        spec, monomial_class(spec, 4, 0), monomial_class(spec, 2, 4), 1)
+        spec, {spec.position(4, 0): 1}, {spec.position(2, 4): 1}, 1)
     if hand != 2:
         failures.append("pairing of p^4 with p^2 xi^4 is %s, expected 2"
                         % hand)
     mp_fixture, _ = fixture_matrices
     col = spec.position(4, 0)
-    p4 = monomial_class(spec, 4, 0)
+    p4 = {col: 1}
     for i in range(spec.size):
         expected = seedlib.blowup_invariant(spec, p4, dual_basis(spec)[i], 1)
         got = mp_fixture.entry(i, col).get((1, 0), Fraction(0))

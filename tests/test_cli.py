@@ -1,15 +1,22 @@
 """End-to-end checks of the command line via subprocess."""
 
 import hashlib
+import io
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qfano import cli, qde
+from qfano import cli, qde, seeds
 from qfano.fixtures_io import fixture_lines
+from qfano.ring import make_bundle
 
 
 def run_cli(*argv):
@@ -119,17 +126,20 @@ def test_bundle_config_literal_outside_grammar(tmp_path, capsys, body, error):
     assert captured.err == "error: %s:%s\n" % (cfg, error)
 
 
-# Each line is read as the dump's `(2,2) (8,4) 1 0 2` by int() and
-# Fraction(); seed values take digits and digits/digits, fields digits.
+# Each line but the last is read as the dump's `(2,2) (8,4) 1 0 2` by
+# int() and Fraction(); seed values take digits and digits/digits with a
+# nonzero denominator, fields digits.
 @pytest.mark.parametrize("line,error", [
     ("(2,2) (8,4) 1 0 2e0", "bad number '2e0'"),
     ("(2,2) (8,4) 1 0 2.0", "bad number '2.0'"),
     ("(2,2) (8,4) 1 0 \u0662", "bad number '\u0662'"),
     ("(2,2) (8,4) 0_1 0 2", "bad integer '0_1'"),
     ("(2,2) (8,4) +1 0 2", "bad integer '+1'"),
-    ("(\u0662,2) (8,4) 1 0 2", "bad integer '\u0662'")],
+    ("(\u0662,2) (8,4) 1 0 2", "bad integer '\u0662'"),
+    ("(2,2) (8,4) 1 0 1/0", "zero denominator in '1/0'")],
     ids=["exponent-value", "decimal-value", "arabic-indic-value",
-         "underscore-multiple", "plus-multiple", "arabic-indic-degree"])
+         "underscore-multiple", "plus-multiple", "arabic-indic-degree",
+         "zero-denominator-value"])
 def test_seed_literal_outside_grammar(tmp_path, capsys, line, error):
     out = tmp_path / "sd"
     assert cli.main(["seeds", "--out", str(out)]) == 0
@@ -144,6 +154,42 @@ def test_seed_literal_outside_grammar(tmp_path, capsys, line, error):
     assert status == 2
     assert captured.out == ""
     assert captured.err == "error: %s:4: %s\n" % (path, error)
+
+
+# A bundle spec within make_bundle's ranges, and a seed value.
+SPECS = st.tuples(st.integers(1, 3), st.integers(2, 4),
+                  st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+SEED_VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPECS, st.data())
+def test_random_bundle_and_seed_table_never_raise(key, data):
+    # every valid spec with any seed table over the demanded invariants:
+    # each command succeeds, reports a mismatch or refuses the input
+    n, r, chern = key
+    try:
+        spec = make_bundle(n, r, chern[:r])
+    except ValueError:
+        assume(False)
+    values = {}
+    lines = []
+    for i, j, k in seeds.demanded_invariants(spec):
+        pair = (min(i, j), max(i, j), k)
+        if pair not in values:
+            values[pair] = data.draw(SEED_VALUES, label=str(pair))
+        lines.append("%s %s" % (seeds.seed_key(spec, i, j, k), values[pair]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, table = Path(tmp, "bundle.cfg"), Path(tmp, "seeds.txt")
+        cfg.write_text("n = %d\nr = %d\nchern = %s\n"
+                       % (n, r, " ".join(map(str, spec.chern))))
+        table.write_text("".join(line + "\n" for line in lines))
+        common = ["--bundle", str(cfg), "--seeds", str(table)]
+        for argv in (["reconstruct"], ["seeds"], ["jfun", "--order", "3"],
+                     ["periods", "--cut", "", "--terms", "6"]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                status = cli.main(argv + common)
+            assert status in (0, 1, 2), argv
 
 
 # Each option that reads a file, given {file}.

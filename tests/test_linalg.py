@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from oracles import invert
 
 from qfano import linalg
-from qfano.linalg import accumulate, common_denominator, nullspace
+from qfano.linalg import (accumulate, col_add_into, common_denominator,
+                          nullspace)
 
 F = Fraction
 
@@ -121,6 +122,14 @@ def test_accumulate_merges_and_drops_cancelled_keys():
                            ("c", F(-3)), ("d", F(0))])
     assert out is dst
     assert dst == {"b": F(3)}
+
+
+def test_col_add_into_scales_shifts_and_drops_emptied_rows():
+    dst = {0: {(1, 0): F(2)}, 1: {(0, 0): F(1)}}
+    src = {0: {(0, 0): F(1)}, 1: {(0, 0): F(1)}, 2: {(0, 1): F(1, 2)}}
+    out = col_add_into(dst, src, scale=-2, shift=(1, 0))
+    assert out is dst
+    assert dst == {1: {(0, 0): F(1), (1, 0): F(-2)}, 2: {(1, 1): F(-1)}}
 
 
 def test_invert_returns_true_inverse():

@@ -10,14 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (check_grading, check_purity, classical, classical_mul,
                      fibre_xi_seed_columns, gram_three_point_symmetry,
-                     pairing_matrix, set_q_zero, verify_relation)
+                     monomial_class, pairing_matrix, set_q_zero,
+                     verify_relation)
 
 from qfano import qde
 from qfano import reconstruct as rc
 from qfano import seeds as seeds_mod
 from qfano.fixtures_io import fixture_lines, load_named_expressions
 from qfano.linalg import accumulate
-from qfano.ring import basis_index, make_bundle, monomial_class
+from qfano.ring import basis_index, make_bundle
 
 
 @pytest.fixture(scope="module")

@@ -12,16 +12,18 @@ from oracles import (
     Grassmannian,
     add,
     g25,
+    monomial_class,
     pushforward_from_divisor,
     qstar_segre,
     ref_blowup_invariant,
     scale,
     sigma,
+    sparse_class,
 )
 
 from qfano import seeds
 from qfano.linalg import accumulate
-from qfano.ring import make_bundle, monomial_class
+from qfano.ring import make_bundle
 from qfano.schubert import FLAGSHIP, divisor_pairing, is_flagship
 
 
@@ -322,7 +324,8 @@ def test_closed_form_matches_pieri_on_monomial_pairs(flagship, k):
     values = set()
     for x in classes:
         for y in classes:
-            got = seeds.blowup_invariant(flagship, x, y, k)
+            got = seeds.blowup_invariant(
+                flagship, sparse_class(x), sparse_class(y), k)
             assert got == ref_blowup_invariant(flagship, x, y, k), \
                 (k, x.index(1), y.index(1))
             values.add(got)
@@ -339,5 +342,6 @@ DENSE_OVER_ONE = st.builds(
 @settings(max_examples=100, deadline=None)
 @given(DENSE_OVER_ONE, DENSE_OVER_ONE)
 def test_closed_form_matches_pieri_on_dense_classes(flagship, x, y):
-    assert seeds.blowup_invariant(flagship, x, y, 1) == \
+    assert seeds.blowup_invariant(
+        flagship, sparse_class(x), sparse_class(y), 1) == \
         ref_blowup_invariant(flagship, x, y, 1)
