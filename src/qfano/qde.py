@@ -49,7 +49,9 @@ The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
 coefficient table c_{a,b}.  All operators share one pass over the
 series by source index, which builds each derivative chain D1^k D2^l
-of a source's J-vector once.
+of a source's J-vector once.  This lift is the only integer form of C:
+its first n adjacency lists are the columns of C, and the cups of the
+operator pass read them there.
 """
 
 from collections import namedtuple
@@ -69,18 +71,15 @@ class NonIntegralError(ValueError):
     """A factorially normalized coefficient is not an integer."""
 
 
-# A classical divisor matrix C = Cint/den: rows[i] lists the pairs
-# (k, Cint[i][k]) of row i.  C raises degree by exactly one (set_column
-# enforces the grading), so deg(k) = deg(i) - 1 in rows[i]; the walk
-# order of a Ray relies on it.
-Classical = namedtuple("Classical", "rows den")
-
 # One ray's row equation s*w - w*A = r on flat blocks of leading frame
 # rows, entry (i, j) at i*size + j, with A = Aint/den the action U ->
 # U*C - C*U of the classical matrix C = Cint/den.  adj[p] lists the
 # pairs (q, Aint[q][p]): for p = (i, j), q = (i, k) with Cint[k][j] and
-# q = (k, j) with -Cint[i][k], where k > j and k < i by the grading.
-# walk lists (p, adj[p]) rows ascending and columns descending, so each
+# q = (k, j) with -Cint[i][k].  C raises degree by exactly one
+# (set_column enforces the grading), so k > j and k < i; in particular
+# row 0 of C is zero, and the first size lists are the columns of C,
+# adj[k] = [(i, Cint[i][k]), ...], which the operator pass reads.  walk
+# lists (p, adj[p]) rows ascending and columns descending, so each
 # entry reads entries already walked; level[p] is deg(i) - deg(j) and
 # top the highest level.  parts = ({(c, d): [(p, [(t, int), ...]), ...]},
 # den) lifts each q-part to the flat indices: the source entry p = (i,
@@ -90,13 +89,9 @@ Ray = namedtuple("Ray", "size den adj walk level top parts")
 
 
 def _split_matrix(qmat, rows):
-    """Split a QuantumMatrix into its classical part and its q-parts, and
-    lift both to flat blocks of `rows` leading frame rows.
-
-    Returns (classical, ray), both built once per solve: classical is the
-    Classical read by the operator pass, and ray the Ray read by the
-    solver.
-    """
+    """The Ray of a QuantumMatrix: its classical part and its q-parts
+    lifted to flat blocks of `rows` leading frame rows, built once per
+    solve."""
     spec = qmat.spec
     size = spec.size
     classical = {}
@@ -113,10 +108,8 @@ def _split_matrix(qmat, rows):
                                     for prow in part.values()
                                     for _, v in prow])
     starts = range(0, rows * size, size)
-    crows = [[] for _ in range(size)]
     adj = [[] for _ in range(rows * size)]
     for (i, k), v in zip(classical, cints):
-        crows[i].append((k, v))
         for r in starts:
             adj[r + k].append((r + i, v))
         if i < rows:
@@ -131,11 +124,10 @@ def _split_matrix(qmat, rows):
                 for k, prow in part.items()]
         lifted[key] = [(r + k, [(r + j, v) for j, v in prow] if r else prow)
                        for r in starts for k, prow in part]
-    ray = Ray(size, dc, adj,
-              [(p, adj[p]) for r in starts
-               for p in range(r + size - 1, r - 1, -1)],
-              level, max(level), (lifted, dq))
-    return Classical(crows, dc), ray
+    return Ray(size, dc, adj,
+               [(p, adj[p]) for r in starts
+                for p in range(r + size - 1, r - 1, -1)],
+               level, max(level), (lifted, dq))
 
 
 def _shift_sum(live, parts, a, b, falling):
@@ -249,19 +241,16 @@ class JSeries:
     blocks maps (a, b) to the scaled frame G_{a,b} as (flat integer
     vector, D), entry (i, j) being vec[i*n + j] / D with the z-grid
     implicit; the unit-row solve behind identity_series keeps row one
-    only, and an export divides each block by weight(a, b).  The matrix
-    parts are the integer forms, made once per solve: each classical
-    part is a Classical, read by the operator pass, and each ray is a
-    Ray, read by the solver.  frames is the Fraction export of the
-    blocks.
+    only, and an export divides each block by weight(a, b).  p_ray and
+    xi_ray are the integer forms of the two matrices, made once per
+    solve and read by the solver and the operator pass alike.  frames is
+    the Fraction export of the blocks.
     """
 
-    def __init__(self, spec, p_classical, p_ray, xi_classical, xi_ray):
+    def __init__(self, spec, p_ray, xi_ray):
         self.spec = spec
         self.blocks = {}
-        self.p_classical = p_classical
         self.p_ray = p_ray
-        self.xi_classical = xi_classical
         self.xi_ray = xi_ray
 
     def weight(self, a, b):
@@ -297,17 +286,16 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    p, xi = _split_matrix(mp, rows), _split_matrix(mxi, rows)
-    keys = [key for _, ray in (p, xi) for key in ray.parts[0]]
+    js = JSeries(spec, _split_matrix(mp, rows), _split_matrix(mxi, rows))
+    rays = (js.p_ray, js.xi_ray)
+    keys = [key for ray in rays for key in ray.parts[0]]
     falling = [_falling(order, max((key[k] for key in keys), default=0), d)
                for k, d in enumerate((spec.d1, spec.d2))]
-    js = JSeries(spec, *p, *xi)
     w1, w2 = weights
     live = [[None] * (order // w2 + 1) for _ in range(order // w1 + 1)]
     live[0][0] = js.blocks[(0, 0)] = (
         [int(p % spec.size == p // spec.size)
          for p in range(rows * spec.size)], 1)
-    rays = (js.p_ray, js.xi_ray)
     for total in range(1, order + 1):
         for a in range(total, -1, -1):
             b = total - a
@@ -403,15 +391,15 @@ def parse_operator(text):
     return [OpTerm(coeff, *powers) for powers, coeff in terms.items()]
 
 
-def _cup(vec, den, classical, shift):
-    """(classical cup + shift * z) on the first column vec / den."""
-    dc = classical.den
-    out = []
-    for x, row in zip(vec, classical.rows):
-        x *= shift * dc
-        for k, v in row:
-            x += v * vec[k]
-        out.append(x)
+def _cup(vec, den, ray, shift):
+    """(classical cup + shift * z) on the first column vec / den, with C
+    read column by column from ray.adj."""
+    dc = ray.den
+    out = [shift * dc * x for x in vec]
+    for x, col in zip(vec, ray.adj):
+        if x:
+            for i, v in col:
+                out[i] += v * x
     return out, den * dc
 
 
@@ -425,8 +413,8 @@ def _chain(chains, k, l, js, s, u):
         k, l = (k, l - 1) if l else (k - 1, 0)
     col = chains[(k, l)]
     for k, l in reversed(missing):
-        col = chains[(k, l)] = (_cup(*col, js.xi_classical, u) if l
-                                else _cup(*col, js.p_classical, s))
+        col = chains[(k, l)] = (_cup(*col, js.xi_ray, u) if l
+                                else _cup(*col, js.p_ray, s))
     return col
 
 

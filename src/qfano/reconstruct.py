@@ -39,14 +39,11 @@ class QuantumMatrix:
         self.cols = [None] * spec.size
 
     def set_column(self, j, col):
+        """Store col as given: callers pass no zero term and no empty row."""
         spec = self.spec
         dcol = spec.degree(j)
-        clean = {}
         for row, qp in col.items():
-            keep = {k: v for k, v in qp.items() if v}
-            if not keep:
-                continue
-            for (a, b) in keep:
+            for (a, b) in qp:
                 if spec.degree(row) != dcol + 1 - a * spec.d1 - b * spec.d2:
                     raise ValueError(
                         "grading violated at entry (%d,%d) term q1^%d q2^%d"
@@ -59,8 +56,7 @@ class QuantumMatrix:
                     raise ValueError(
                         "pure-q1 term in the xi matrix at (%d,%d)"
                         % (row + 1, j + 1))
-            clean[row] = keep
-        self.cols[j] = clean
+        self.cols[j] = col
 
     def column(self, j):
         if self.cols[j] is None:

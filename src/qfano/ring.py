@@ -101,7 +101,10 @@ def load_bundle_config(path):
     missing = [k for k in ("n", "r") if k not in data]
     if missing:
         raise ValueError("%s: missing keys: %s" % (path, ", ".join(missing)))
-    return make_bundle(data["n"][0], data["r"][0], data.get("chern", []))
+    try:
+        return make_bundle(data["n"][0], data["r"][0], data.get("chern", []))
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def basis_index(spec, d, k):

@@ -236,6 +236,29 @@ def set_q_zero(mat):
     return out
 
 
+LAMBDA, MU = Fraction(1, 2), Fraction(3, 5)
+
+
+def basis_scale(k):
+    return ONE if k == 0 else Fraction(k + 2, 3)
+
+
+def rescaled(spec, mat):
+    """Entry (i,j) at q1^c q2^d times LAMBDA^c MU^d s_j/s_i, s_k being
+    basis_scale(k): q -> (LAMBDA q1, MU q2) with the basis rescaled by s.
+    Both the classical entries and the q-parts become non-integral; a
+    rescaled pair stays flat and commuting, but the dual basis no longer
+    fits it, so its three-point symmetry check fails."""
+    out = QuantumMatrix(spec, mat.label)
+    for j in range(spec.size):
+        out.set_column(j, {
+            i: {(c, d): v * LAMBDA ** c * MU ** d
+                * basis_scale(j) / basis_scale(i)
+                for (c, d), v in qp.items()}
+            for i, qp in mat.column(j).items()})
+    return out
+
+
 @cache
 def segre(spec):
     """Segre numbers s_0..s_n of E: s(E) = 1/c(E) truncated at p^n."""

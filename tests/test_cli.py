@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import rescaled
 
 from qfano import cli, qde, seeds
 from qfano.fixtures_io import fixture_lines
+from qfano.reconstruct import reconstruct
 from qfano.ring import make_bundle
 
 
@@ -105,6 +107,24 @@ def test_bad_bundle_config_names_line_and_key(tmp_path):
     assert proc.returncode == 2
     assert "%s:1: n must be an integer, got 'x'" % cfg in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("body,error", [
+    ("n = 1\nr = 2\nchern = 0 0 0\n", "got 3 Chern coefficients for rank 2"),
+    ("n = 0\nr = 2\n", "base dimension must satisfy n >= 1"),
+    ("n = 1\nr = 1\n", "rank must satisfy r >= 2"),
+    ("n = 1\nr = 2\nchern = -9\n",
+     "assumption violated: r + 1 + c_1 = -6 <= 0")],
+    ids=["too-many-chern", "n-zero", "r-one", "negative-c1"])
+def test_bundle_config_refused_by_make_bundle_names_file(tmp_path, capsys,
+                                                         body, error):
+    # the keys parse, but the bundle they describe is refused
+    cfg = tmp_path / "bundle.cfg"
+    cfg.write_text(body)
+    assert cli.main(["reconstruct", "--bundle", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: %s\n" % (cfg, error)
 
 
 # Each config body is read as the flagship by int(); the grammar of every
@@ -618,6 +638,19 @@ def test_rescaled_seed_passes_ring_checks_not_fixture(tmp_path, capsys):
     assert cli.main(argv + ["--verify-fixture"]) == 1
     assert capsys.readouterr().out.splitlines()[0] == (
         "p matrix mismatch at entry (1,2): computed 2*q1, fixture q1")
+
+
+@pytest.mark.parametrize("bundle,spot", [("flagship", "(1,4)"),
+                                         ("p1-trivial", "(1,3)")])
+def test_basis_rescaled_pair_reaches_symmetry_check(bundle, spot):
+    # the pair rescaled by q -> (LAMBDA q1, MU q2) and a basis change
+    # commutes, so the structure check decides on its symmetry half,
+    # which no seed table reaches
+    spec = make_bundle(*cli.BUILTIN_BUNDLES[bundle])
+    mp, mxi = reconstruct(spec, seeds.builtin_source(spec))
+    assert cli._structure_defect(mp, mxi) is None
+    assert cli._structure_defect(rescaled(spec, mp), rescaled(spec, mxi)) \
+        == "p matrix three-point symmetry check fails at entry " + spot
 
 
 def test_reconstruct_bad_seed_writes_nothing(tmp_path):

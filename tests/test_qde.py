@@ -8,8 +8,9 @@ from math import factorial, gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (check_flatness, check_homogeneity, ray,
-                     ref_apply_operator, ref_classical, vector)
+from oracles import (LAMBDA, MU, basis_scale, check_flatness,
+                     check_homogeneity, ray, ref_apply_operator,
+                     ref_classical, rescaled, vector)
 
 from qfano import qde
 from qfano.fixtures_io import fixture_lines, load_named_expressions
@@ -44,6 +45,19 @@ def flagship():
 def flagship_js(flagship):
     spec, mp, mxi = flagship
     return qde.j_series(mp, mxi, spec, 8)
+
+
+@pytest.fixture(scope="module")
+def flagship_rescaled(flagship):
+    # rational inputs: the classical denominator of each ray is > 1
+    spec, mp, mxi = flagship
+    return spec, rescaled(spec, mp), rescaled(spec, mxi)
+
+
+@pytest.fixture(scope="module")
+def flagship_rescaled_js(flagship_rescaled):
+    spec, mp, mxi = flagship_rescaled
+    return qde.j_series(mp, mxi, spec, 4)
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +193,7 @@ def test_unit_row_is_row_one_of_the_frames(request, bundle):
     # block, on the weighted index set of a cut, and for rescaled
     # rational inputs too
     spec, mp, mxi = request.getfixturevalue(bundle)
-    for pair in ((mp, mxi), (_rescaled(spec, mp), _rescaled(spec, mxi))):
+    for pair in ((mp, mxi), (rescaled(spec, mp), rescaled(spec, mxi))):
         row = qde._solve(*pair, spec, 12, 1, (2, 1))
         full = qde._solve(*pair, spec, 12, spec.size, (2, 1))
         assert set(row.blocks) == set(full.blocks)
@@ -328,10 +342,13 @@ NON_ANNIHILATING = ("D1", "z*D2^3 + 2/3*q1*D1^2 - q2",
                     "2*D1*D2 - D2*D1 + 5*z^2*q1", "q1^5*q2^5*D1 - 3*q2^9")
 
 
-@pytest.mark.parametrize("series", ["flagship_js", "p1p1_js"])
+@pytest.mark.parametrize("series", ["flagship_js", "p1p1_js",
+                                    "flagship_rescaled_js"])
 def test_one_pass_matches_per_operator_oracle(request, series, operators):
     js = request.getfixturevalue(series)
     _, mp, mxi = request.getfixturevalue(series.removesuffix("_js"))
+    if series == "flagship_rescaled_js":
+        assert js.p_ray.den > 1 and js.xi_ray.den > 1
     texts = [operators[name] for name in sorted(operators)]
     ops = [qde.parse_operator(text) for text in texts + list(NON_ANNIHILATING)]
     residuals = qde.apply_operator(ops, js)
@@ -385,32 +402,13 @@ def test_identity_series_cross_checks_unit_row(flagship):
         qde.identity_series(mp, bad, spec, 6)
 
 
-LAMBDA, MU = F(1, 2), F(3, 5)
-
-
-def _basis_scale(k):
-    return F(1) if k == 0 else F(k + 2, 3)
-
-
-def _rescaled(spec, mat):
-    """Entry (i,j) at q1^c q2^d times LAMBDA^c MU^d s_j/s_i."""
-    out = QuantumMatrix(spec, mat.label)
-    for j in range(spec.size):
-        out.set_column(j, {
-            i: {(c, d): v * LAMBDA ** c * MU ** d
-                * _basis_scale(j) / _basis_scale(i)
-                for (c, d), v in qp.items()}
-            for i, qp in mat.column(j).items()})
-    return out
-
-
 @pytest.mark.parametrize("bundle", ["p1p1", "flagship"])
 def test_rational_inputs_rescale_frames(request, bundle):
     # q -> (LAMBDA q1, MU q2) with the basis rescaled by s: both the
     # classical entries and the q-parts become non-integral, and the
     # frames transform as LAMBDA^a MU^b S^-1 F S
     spec, mp, mxi = request.getfixturevalue(bundle)
-    mp2, mxi2 = _rescaled(spec, mp), _rescaled(spec, mxi)
+    mp2, mxi2 = rescaled(spec, mp), rescaled(spec, mxi)
     terms = [(key, v) for mat in (mp2, mxi2) for j in range(spec.size)
              for qp in mat.column(j).values() for key, v in qp.items()]
     assert any(v.denominator != 1 for key, v in terms if key == (0, 0))
@@ -421,7 +419,7 @@ def test_rational_inputs_rescale_frames(request, bundle):
     for (a, b), frame in js.frames.items():
         factor = LAMBDA ** a * MU ** b
         assert js2.frames[(a, b)] == [
-            [factor * x * _basis_scale(j) / _basis_scale(i)
+            [factor * x * basis_scale(j) / basis_scale(i)
              for j, x in enumerate(row)] for i, row in enumerate(frame)]
     assert check_flatness(js2) is None
     deep = qde.identity_series(mp, mxi, spec, 10)
@@ -484,19 +482,16 @@ def reference_series(request, case):
         spec = make_bundle(2, 4)
         mp, mxi = reconstruct(spec, builtin_source(spec))
         return mp, mxi, qde.j_series(mp, mxi, spec, 6)
-    if case == "rescaled":
-        spec, mp, mxi = request.getfixturevalue("flagship")
-        mp, mxi = _rescaled(spec, mp), _rescaled(spec, mxi)
-        return mp, mxi, qde.j_series(mp, mxi, spec, 4)
     if case == "unit-row":
         # the unit row of identity_series on the index set of a cut
         spec, mp, mxi = request.getfixturevalue("flagship")
         return mp, mxi, qde._solve(mp, mxi, spec, 40, 1, (2, 1))
     if case == "rescaled-unit-row":
         # the unit row of rational inputs: blocks over D > 1
-        spec, mp, mxi = request.getfixturevalue("flagship")
-        mp, mxi = _rescaled(spec, mp), _rescaled(spec, mxi)
+        spec, mp, mxi = request.getfixturevalue("flagship_rescaled")
         return mp, mxi, qde._solve(mp, mxi, spec, 20, 1)
+    if case == "rescaled":
+        case = "flagship_rescaled"
     spec, mp, mxi = request.getfixturevalue(case)
     return mp, mxi, request.getfixturevalue(case + "_js")
 
@@ -560,7 +555,7 @@ def test_lifted_row_equation_is_the_two_sided_action(flagship):
             for p, x in enumerate(vec) if x} == levels
     u = rows_of(vec, size)
     for qmat in (mp, mxi):
-        flat = qde._split_matrix(qmat, size)[1]
+        flat = qde._split_matrix(qmat, size)
         cint, dc = ref_classical(qmat)
         scale = 3
         # R = (scale*U + C*U - U*C) * D*dc as integers, over L = D*dc
@@ -583,7 +578,7 @@ def test_zero_right_hand_side_gives_zero_block(flagship):
     size = spec.size
     zero = [0] * (3 * size)
     for qmat in (mp, mxi):
-        flat = qde._split_matrix(qmat, 3)[1]
+        flat = qde._split_matrix(qmat, 3)
         ref = ref_classical(qmat)
         assert qde._sylvester_solve(2, flat, (zero, 5)) == (zero, 1)
         assert ref_sylvester_solve(2, ref, (rows_of(zero, size), 5)) == (
