@@ -191,7 +191,8 @@ def cmd_jfun(args):
     status = 0
     if args.check_operators is not None:
         report = []
-        failures = qde.check_operator([parsed[n] for n in sorted(parsed)], js)
+        failures = qde.check_operator([parsed[n] for n in sorted(parsed)],
+                                      mp, mxi, args.order)
         for name, failure in zip(sorted(parsed), failures):
             if failure is None:
                 report.append("%s: residual zero at all %d indices"

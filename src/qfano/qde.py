@@ -42,16 +42,22 @@ left-hand side, the source (a-c, b-d) on the right gets the integer
 weight (a!/(a-c)!)^d1 (b!/(b-d)!)^d2 from tables made once per solve,
 and the identity entry is the Apery-normalized (a!)^d1 (b!)^d2 c_{a,b}.
 Every entry carries a single implicit z-power, deg(row) - deg(col) +
-a*d1 + b*d2 below zero; the exports (frames, the coefficient table, the
-operator residual) restore it and divide by (a!)^d1 (b!)^d2.
+a*d1 + b*d2 below zero; the exports (frames, the coefficient table)
+restore it and divide by (a!)^d1 (b!)^d2.
 
 The J-vector at index (a,b) is the first frame column, component i at
 z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
-coefficient table c_{a,b}.  All operators share one pass over the
-series by source index, which builds each derivative chain D1^k D2^l
-of a source's J-vector once.  This lift is the only integer form of C:
-its first n adjacency lists are the columns of C, and the cups of the
-operator pass read them there.
+coefficient table c_{a,b}.
+
+Operators are checked on the matrices alone, in the quantum D-module:
+with nabla_k = z q_k d/dq_k + M_k, L annihilates J exactly when w =
+L(nabla) * 1 vanishes.  The frames satisfy (C_k + z q_k d/dq_k) F = F
+nabla_k, so L on the J-series leaves F*w; F_{0,0} = I and every other
+F_beta moves an index up, so w and F*w, cut at one order, share their
+first nonzero index and its components.  The premise is flatness
+through that order, which the frame solve checks.  The check lifts M_k
+in the column action of the whole matrix, a Ray only the q-parts in
+the row action over flat indices.
 """
 
 from collections import namedtuple
@@ -76,15 +82,12 @@ class NonIntegralError(ValueError):
 # U*C - C*U of the classical matrix C = Cint/den.  adj[p] lists the
 # pairs (q, Aint[q][p]): for p = (i, j), q = (i, k) with Cint[k][j] and
 # q = (k, j) with -Cint[i][k].  C raises degree by exactly one
-# (set_column enforces the grading), so k > j and k < i; in particular
-# row 0 of C is zero, and the first size lists are the columns of C,
-# adj[k] = [(i, Cint[i][k]), ...], which the operator pass reads.  walk
-# lists (p, adj[p]) rows ascending and columns descending, so each
-# entry reads entries already walked; level[p] is deg(i) - deg(j) and
-# top the highest level.  parts = ({(c, d): [(p, [(t, int), ...]), ...]},
-# den) lifts each q-part to the flat indices: the source entry p = (i,
-# k) adds to the entries t = (i, j) of its row, over one denominator for
-# all the q-parts.
+# (set_column enforces the grading), so k > j and k < i.  walk lists
+# (p, adj[p]) rows ascending and columns descending, so each entry reads
+# entries already walked; level[p] is deg(i) - deg(j) and top the
+# highest level.  parts = ({(c, d): [(p, [(t, int), ...]), ...]}, den)
+# lifts each q-part to the flat indices: the source entry p = (i, k)
+# adds to the entries t = (i, j) of its row, over one denominator.
 Ray = namedtuple("Ray", "size den adj walk level top parts")
 
 
@@ -241,17 +244,12 @@ class JSeries:
     blocks maps (a, b) to the scaled frame G_{a,b} as (flat integer
     vector, D), entry (i, j) being vec[i*n + j] / D with the z-grid
     implicit; the unit-row solve behind identity_series keeps row one
-    only, and an export divides each block by weight(a, b).  p_ray and
-    xi_ray are the integer forms of the two matrices, made once per
-    solve and read by the solver and the operator pass alike.  frames is
-    the Fraction export of the blocks.
+    only, and an export divides each block by weight(a, b).
     """
 
-    def __init__(self, spec, p_ray, xi_ray):
+    def __init__(self, spec):
         self.spec = spec
         self.blocks = {}
-        self.p_ray = p_ray
-        self.xi_ray = xi_ray
 
     def weight(self, a, b):
         """(a!)^d1 (b!)^d2, the scale of the stored block at (a, b)."""
@@ -286,8 +284,8 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    js = JSeries(spec, _split_matrix(mp, rows), _split_matrix(mxi, rows))
-    rays = (js.p_ray, js.xi_ray)
+    js = JSeries(spec)
+    rays = (_split_matrix(mp, rows), _split_matrix(mxi, rows))
     keys = [key for ray in rays for key in ray.parts[0]]
     falling = [_falling(order, max((key[k] for key in keys), default=0), d)
                for k, d in enumerate((spec.d1, spec.d2))]
@@ -323,12 +321,8 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
 
 
 def j_series(mp, mxi, spec, order):
-    """Solve the system for all frames with a + b <= order.
-
-    Each frame is built from the ray with a positive exponent and
-    cross-checked against the other ray; any defect raises
-    FlatnessError with the offending index and entry.
-    """
+    """Solve the system for all frames with a + b <= order, each built
+    along one ray and cross-checked along the other (FlatnessError)."""
     return _solve(mp, mxi, spec, order, spec.size)
 
 
@@ -391,89 +385,83 @@ def parse_operator(text):
     return [OpTerm(coeff, *powers) for powers, coeff in terms.items()]
 
 
-def _cup(vec, den, ray, shift):
-    """(classical cup + shift * z) on the first column vec / den, with C
-    read column by column from ray.adj."""
-    dc = ray.den
-    out = [shift * dc * x for x in vec]
-    for x, col in zip(vec, ray.adj):
-        if x:
-            for i, v in col:
-                out[i] += v * x
-    return out, den * dc
+def _lift(qmat, along, where):
+    """nabla_k = z q_k d/dq_k + M_k, along = k - 1, on chain vectors over
+    where = {(a, b, i): position}, as (lists, den): entry p adds int/den
+    times itself to each (t, int) of list p.  z-powers are implicit, so
+    z q_k d/dq_k multiplies by the index along ray k."""
+    columns = [qmat.column(j).items() for j in range(qmat.spec.size)]
+    den = lcm(*(v.denominator for col in columns for _, qp in col
+                for v in qp.values()))
+    cols = [[(i, c, d, v.numerator * (den // v.denominator))
+             for i, qp in col for (c, d), v in qp.items()] for col in columns]
+    adj = []
+    for (a, b, j), p in where.items():
+        s = (a, b)[along]
+        adj.append([(p, s * den)] if s else [])
+        for i, c, d, v in cols[j]:
+            t = where.get((a + c, b + d, i))
+            if t is not None:
+                adj[p].append((t, v))
+    return adj, den
 
 
-def _chain(chains, k, l, js, s, u):
-    """D1^k D2^l on the first column of source (s, u), memoized in chains;
-    each chain missing there extends D1^k D2^(l-1), or D1^(k-1) when l =
-    0, and is built in a loop from the longest chain present."""
-    missing = []
-    while (k, l) not in chains:
-        missing.append((k, l))
-        k, l = (k, l - 1) if l else (k - 1, 0)
-    col = chains[(k, l)]
-    for k, l in reversed(missing):
-        col = chains[(k, l)] = (_cup(*col, js.xi_ray, u) if l
-                                else _cup(*col, js.p_ray, s))
-    return col
+def _nabla(chain, lift):
+    """One step nabla_k on a chain vector (flat integer vector, D)."""
+    (vec, den), (adj, dm) = chain, lift
+    out = [0] * len(vec)
+    for x, targets in compress(zip(vec, adj), vec):
+        for t, v in targets:
+            out[t] += v * x
+    if dm == 1:
+        return out, den
+    g = gcd(den * dm, *out)
+    return [x // g for x in out], den * dm // g
 
 
-def apply_operator(ops, js):
-    """Apply parsed operators to the J-series in one pass over the sources.
+def check_operator(ops, mp, mxi, order):
+    """Per operator L, None if w = L(nabla) * 1 vanishes at every index
+    (a, b) with a + b <= order, else a diagnostic naming the first
+    nonzero index and component of w and its z-terms.
 
-    The derivation along ray k acts on the (a, b) coefficient as the
-    classical divisor cup plus (index along ray k) * z; q-powers shift
-    the source index.  Every divisor action raises degree by one, so a
-    term whose source is (s, u) lands on component i at the single
-    exponent sigma - deg(i), sigma = d1 + d2 + z - s*spec.d1 - u*spec.d2
-    over its powers.  A source's chains serve the terms of every operator
-    and are dropped before the next source; terms are summed per target
-    and sigma on integer first columns.  Returns, per operator, {(a, b):
-    vector of Laurent dicts} over every index of the series; each one is
-    exact because operators only shift indices downward.
+    Each chain D1^k D2^l * 1 is built once for all operators, over the
+    entries (a, b, i) in lexicographic order.  Its entries all have
+    weight k + l, so a term's z-power d1 + d2 + z - a*spec.d1 - b*spec.d2
+    - deg(i) is read at the source index (a, b) of the chain entry.  A
+    flat system's J-series residual F*w shares that report (module
+    docstring): callers check flatness through order first (j_series).
     """
-    spec = js.spec
-    sums = [{key: {} for key in js.blocks} for _ in ops]
-    for (s, u), (vec, den) in js.blocks.items():
-        chains = {(0, 0): (vec[0::spec.size], den * js.weight(s, u))}
-        for op, targets in zip(ops, sums):
-            for t in op:
-                groups = targets.get((s + t.q1, u + t.q2))
-                if groups is None:
-                    continue
-                vec, d = _chain(chains, t.d1, t.d2, js, s, u)
-                d *= t.coeff.denominator
-                sigma = t.d1 + t.d2 + t.z - s * spec.d1 - u * spec.d2
-                acc = groups.setdefault(sigma, [[0] * len(vec), d])
-                m = lcm(acc[1], d)
-                if m != acc[1]:
-                    acc[:] = [m // acc[1] * x for x in acc[0]], m
-                g, total = t.coeff.numerator * (m // d), acc[0]
-                for i, y in enumerate(vec):
-                    if y:
-                        total[i] += g * y
-        # blocks ascend in a + b: every source of (s, u) came before it
-        for targets in sums:
-            groups, out = targets[(s, u)], [{} for _ in range(spec.size)]
-            for sigma, (total, tden) in groups.items():
-                for i, x in enumerate(total):
-                    if x:
-                        out[i][sigma - spec.degree(i)] = Fraction(x, tden)
-            targets[(s, u)] = out
-    return sums
-
-
-def check_operator(ops, js):
-    """Per operator, None if it annihilates the series at every index,
-    else a diagnostic naming the first surviving component."""
+    spec = mp.spec
+    cells = [(a, b, i) for a in range(order + 1)
+             for b in range(order + 1 - a) for i in range(spec.size)]
+    where = {cell: p for p, cell in enumerate(cells)}
+    lifts = (_lift(mp, 0, where), _lift(mxi, 1, where))
+    chains = {(0, 0): ([int(not p) for p in range(len(cells))], 1)}
+    # D1^k D2^l extends D1^k D2^(l-1), or D1^(k-1) when l = 0
+    for k, l in {(t.d1, t.d2) for op in ops for t in op}:
+        for x, y in [(x, 0) for x in range(k + 1)] + [
+                (k, y) for y in range(l + 1)]:
+            if (x, y) not in chains:
+                chains[(x, y)] = _nabla(
+                    chains[(x, y - 1) if y else (x - 1, 0)], lifts[bool(y)])
     reports = []
-    for res in apply_operator(ops, js):
-        hit = next(((key, i, comp) for key in sorted(res)
-                    for i, comp in enumerate(res[key]) if comp), None)
+    for op in ops:
+        used = [(t, chains[(t.d1, t.d2)]) for t in op]
+        den = lcm(*(d * t.coeff.denominator for t, (_, d) in used))
+        w = {}
+        for t, (vec, d) in used:
+            m = t.coeff.numerator * (den // (d * t.coeff.denominator))
+            for (a, b, i), x in compress(zip(cells, vec), vec):
+                if a + b + t.q1 + t.q2 <= order:
+                    key = (a + t.q1, b + t.q2, i, t.d1 + t.d2 + t.z
+                           - a * spec.d1 - b * spec.d2 - spec.degree(i))
+                    w[key] = w.get(key, 0) + m * x
+        hit = min((key[:3] for key, x in w.items() if x), default=None)
         if hit:
-            (a, b), i, comp = hit
-            terms = ", ".join("%s*z^%d" % (comp[e], e) for e in sorted(comp))
-            hit = ("residual nonzero at index (%d,%d), component %d: %s"
-                   % (a, b, i + 1, terms))
+            hit = "residual nonzero at index (%d,%d), component %d: %s" % (
+                hit[0], hit[1], hit[2] + 1, ", ".join(
+                    "%s*z^%d" % (Fraction(x, den), key[3])
+                    for key, x in sorted(w.items())
+                    if key[:3] == hit and x))
         reports.append(hit)
     return reports

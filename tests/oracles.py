@@ -6,9 +6,10 @@ QuantumMatrix.set_column refuses misgraded and impure entries, and the
 frame solve sets the origin block to the identity and cross-checks
 every index along the other divisor ray.  ray rebuilds one divisor-ray
 equation at an index from every block below it, zero blocks included,
-where the solve reads only the nonzero ones.  The quantum ring relations
-are checked here as well, read off the z-free terms of the packaged
-annihilating operators.
+where the solve reads only the nonzero ones; rays lifts the two divisor
+matrices for it with the solver's own _split_matrix.  The quantum ring
+relations are checked here as well, read off the z-free terms of the
+packaged annihilating operators.
 
 The general ring computations the package replaced by closed forms are
 kept here as references: the cup product with recursive reduction, the
@@ -18,12 +19,14 @@ symmetry checked on that Gram matrix, and the degree <= n xi-matrix
 columns from fibre-line invariants.  They read classes as dense vectors
 over the basis, where the package keeps sparse {position: value} maps;
 dense_class and sparse_class convert between the two.  So is the operator
-residual built term by term, which the package now builds in one pass
-shared by all operators.  So are the seed invariants the package now
-reads off closed forms: the Schubert calculus on G(2,5) with Pieri's
-rule behind the flagship's exceptional-divisor pairing, and the
-fibre-line invariant of the pushforwards to the base behind the product
-bundles' base-ray invariant.  And so is the period chain over Fraction
+residual on the J-series, built term by term from the frames: it is the
+reference for the package's check, which sends the class 1 through the
+quantum D-module of the two matrices and reads no frame.  So are the
+seed invariants the package now reads off closed forms: the Schubert
+calculus on G(2,5) with Pieri's rule behind the flagship's
+exceptional-divisor pairing, and the fibre-line invariant of the
+pushforwards to the base behind the product bundles' base-ray
+invariant.  And so is the period chain over Fraction
 (hypergeometric modification, mirror multiplier, period sequence,
 regularization, operator residual and search) that the package now runs
 on integers.
@@ -54,13 +57,21 @@ def vector(js, a, b):
             for i, x in enumerate(vec[0::spec.size])]
 
 
-def ray(js, a, b, along_p):
+def rays(js, mp, mxi):
+    """{along_p: Ray} of mp and mxi, lifted to the rows of js's blocks."""
+    rows = len(js.blocks[(0, 0)][0]) // js.spec.size
+    return {True: qde._split_matrix(mp, rows),
+            False: qde._split_matrix(mxi, rows)}
+
+
+def ray(js, lifted, a, b, along_p):
     """(scale, ray, rhs) of one divisor-ray equation at index (a, b),
-    with the right-hand side built from every block below (a, b), zero
-    blocks included: the grid it reads holds no None.  The source
-    (a-c, b-d) is weighted by (a!/(a-c)!)^d1 (b!/(b-d)!)^d2 from tables
-    made here, independently of the solver's."""
-    scale, flat = (a, js.p_ray) if along_p else (b, js.xi_ray)
+    lifted being rays(js, mp, mxi), with the right-hand side built from
+    every block below (a, b), zero blocks included: the grid it reads
+    holds no None.  The source (a-c, b-d) is weighted by (a!/(a-c)!)^d1
+    (b!/(b-d)!)^d2 from tables made here, independently of the
+    solver's."""
+    scale, flat = (a if along_p else b), lifted[along_p]
     grid = [[js.blocks[(s, u)] for u in range(b + 1)] for s in range(a + 1)]
     falling = [[[prod(range(x - c + 1, x + 1)) ** d for c in range(x + 1)]
                 for x in range(max(a, b) + 1)]
@@ -68,14 +79,16 @@ def ray(js, a, b, along_p):
     return scale, flat, qde._shift_sum(grid, flat.parts, a, b, falling)
 
 
-def check_flatness(js):
-    """Cross-verify every frame against both divisor-ray equations.
+def check_flatness(js, mp, mxi):
+    """Cross-verify every frame against both divisor-ray equations of mp
+    and mxi.
 
     Returns None, or a diagnostic for the first failing index.
     """
+    lifted = rays(js, mp, mxi)
     for (a, b) in sorted(js.blocks):
         for along_p in (True, False):
-            scale, flat, rhs = ray(js, a, b, along_p)
+            scale, flat, rhs = ray(js, lifted, a, b, along_p)
             defect = qde._route_residual(scale, flat, js.blocks[(a, b)], rhs)
             if defect is not None:
                 (i, j), val = defect
@@ -133,8 +146,9 @@ def ref_apply_operator(op, js, mp, mxi):
     own derivative chain on its source's first column, unscaled by the
     source's (s!)^d1 (u!)^d2, with the classical parts of mp and mxi, and
     the terms are summed per target and sigma over the lcm of their
-    denominators.  Returns {(a, b): vector of Laurent dicts} as
-    qde.apply_operator does for one operator."""
+    denominators.  Returns {(a, b): vector of Laurent dicts}, exact at
+    every index of the series since operators only shift indices
+    upward."""
     spec = js.spec
     size = spec.size
     cp, cxi = ref_classical(mp), ref_classical(mxi)
@@ -169,6 +183,21 @@ def ref_apply_operator(op, js, mp, mxi):
                     acc[i][sigma - spec.degree(i)] = Fraction(x, den)
         residual[(a, b)] = acc
     return residual
+
+
+def ref_check_operator(op, js, mp, mxi):
+    """None if ref_apply_operator leaves no residual at any index, else
+    its first nonzero component in (index, component) order, with its
+    z-terms, worded as qde.check_operator words a report."""
+    res = ref_apply_operator(op, js, mp, mxi)
+    hit = next(((key, i, comp) for key in sorted(res)
+                for i, comp in enumerate(res[key]) if comp), None)
+    if hit is None:
+        return None
+    (a, b), i, comp = hit
+    return ("residual nonzero at index (%d,%d), component %d: %s"
+            % (a, b, i + 1,
+               ", ".join("%s*z^%d" % (comp[e], e) for e in sorted(comp))))
 
 
 def verify_relation(mp, mxi, op):

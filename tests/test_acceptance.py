@@ -134,7 +134,7 @@ def test_criterion_04_apery_table(js14):
     _verdict(4, failures)
 
 
-def test_criterion_05_operators_annihilate(js14):
+def test_criterion_05_operators_annihilate(js14, matrices):
     named = load_named_expressions(fixture_lines("qde_operators.txt"))
     failures = []
     reach = max(a + b for (a, b) in js14.frames)
@@ -142,16 +142,16 @@ def test_criterion_05_operators_annihilate(js14):
         failures.append("series reaches only total order %d" % reach)
     names = sorted(named)
     reports = qde.check_operator([qde.parse_operator(named[name])
-                                  for name in names], js14)
+                                  for name in names], *matrices, 14)
     for name, bad in zip(names, reports):
         if bad is not None:
             failures.append("%s: %s" % (name, bad))
     _verdict(5, failures)
 
 
-def test_criterion_06_flatness_and_homogeneity(js14):
+def test_criterion_06_flatness_and_homogeneity(js14, matrices):
     failures = []
-    bad = check_flatness(js14)
+    bad = check_flatness(js14, *matrices)
     if bad is not None:
         failures.append("flatness: %s" % bad)
     bad = check_homogeneity(js14)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from oracles import rescaled
 
 from qfano import cli, qde, seeds
-from qfano.fixtures_io import fixture_lines
+from qfano.fixtures_io import fixture_lines, load_named_expressions
 from qfano.reconstruct import reconstruct
 from qfano.ring import make_bundle
 
@@ -272,12 +272,33 @@ def test_jfun_check_operators_builtin_set():
         assert "%s: residual zero at all 15 indices" % name in proc.stdout
 
 
+MIXED_OPS = (
+    "annihilator_3 = 5*D1^3*D2^3 - 5*D1^2*D2^4 + 3*D1*D2^5 - D2^6 "
+    "+ 5*q1*D1*D2^3 - 10*q1*D2^4 + q2\n"
+    "fails = D1^5 - 2/3*z*D1^5 + 3/7*q1*D1^5\n")
+
+
 def test_jfun_check_operators_reports_failure(tmp_path):
-    ops = tmp_path / "bad.ops"
-    ops.write_text("not_annihilating = D1\n")
-    proc = run_cli("jfun", "--order", "2", "--check-operators", str(ops))
-    assert proc.returncode == 1
-    assert "not_annihilating: residual nonzero" in proc.stdout
+    # whole report lines, recorded from the check on the J-series frames
+    fails = "fails: residual nonzero at index (1,0), component 2: " \
+        "-1*z^2, 2/3*z^3"
+    annihilator_4 = load_named_expressions(
+        fixture_lines("qde_operators.txt"))["annihilator_4"]
+    cases = [
+        ("flagship", 2, MIXED_OPS, 1, fails),
+        ("flagship", 8, MIXED_OPS, 1, fails),
+        ("p1-trivial", 8, "x = D1^2 - q1\ny = D2^2 - q2\nw = D1*D2 - q1\n",
+         1, "w: residual nonzero at index (0,0), component 4: 1*z^0"),
+        # the only defect lies beyond --order, so the check passes
+        ("flagship", 4, "bad = %s + q1^9*q2^9\n" % annihilator_4, 0,
+         "bad: residual zero at all 15 indices")]
+    ops = tmp_path / "check.ops"
+    for bundle, order, body, status, line in cases:
+        ops.write_text(body)
+        proc = run_cli("jfun", "--bundle", bundle, "--order", str(order),
+                       "--check-operators", str(ops))
+        assert (proc.returncode, proc.stderr) == (status, ""), line
+        assert line in proc.stdout.splitlines()
 
 
 def test_jfun_check_operators_rejects_duplicate_name(tmp_path):
@@ -317,20 +338,20 @@ def test_jfun_check_operators_bad_line_names_file(tmp_path, body, error):
 
 
 def test_jfun_check_operators_builds_each_chain_once(tmp_path, monkeypatch):
-    # 812 distinct (source index, k, l) chains at order 6; one chain per
-    # operator term would cost 3286 passes
+    # 29 distinct chains D1^k D2^l * 1 serve the four packaged operators;
+    # one chain per operator term would cost 141 steps
     passes = []
-    cup = qde._cup
+    nabla = qde._nabla
 
     def spy(*args):
         passes.append(None)
-        return cup(*args)
+        return nabla(*args)
 
-    monkeypatch.setattr(qde, "_cup", spy)
+    monkeypatch.setattr(qde, "_nabla", spy)
     status = cli.main(["jfun", "--order", "6", "--apery", "4",
                        "--check-operators", "--out", str(tmp_path)])
     assert status == 0
-    assert len(passes) == 812
+    assert len(passes) == 29
 
 
 @pytest.mark.parametrize("body,error", [
@@ -350,20 +371,23 @@ def test_jfun_check_operators_refuses_empty_check(tmp_path, body, error):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("power,index", [("D1^1200", "(1,0)"),
-                                         ("D2^1200", "(0,1)")])
-def test_jfun_check_operators_high_power(tmp_path, power, index):
-    # a derivative chain of 1200 cups is built in a loop, not one call
-    # deep per D-power, and its residual is reported like any other
+@pytest.mark.parametrize("body,line", [
+    ("a = D1^1200",
+     "a: residual nonzero at index (1,0), component 2: -1*z^1197"),
+    ("b = D2^1200",
+     "b: residual nonzero at index (0,1), component 1: 1*z^1194")],
+    ids=["D1^1200-(1,0)", "D2^1200-(0,1)"])
+def test_jfun_check_operators_high_power(tmp_path, body, line):
+    # a chain of 1200 steps is built in a loop, not one call deep per
+    # D-power, and its residual is reported like any other
     ops = tmp_path / "high.ops"
-    ops.write_text("a = %s\n" % power)
+    ops.write_text(body + "\n")
     out = tmp_path / "jf"
     proc = run_cli("jfun", "--order", "2", "--check-operators", str(ops),
                    "--out", str(out))
     assert proc.returncode == 1
     assert proc.stderr == ""
-    report = (out / "operator_report.txt").read_text()
-    assert report.startswith("a: residual nonzero at index %s" % index)
+    assert (out / "operator_report.txt").read_text() == line + "\n"
 
 
 def test_periods_pf_verify_refuses_zero_operator(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (LAMBDA, MU, basis_scale, check_flatness,
-                     check_homogeneity, ray, ref_apply_operator,
+                     check_homogeneity, ray, rays, ref_check_operator,
                      ref_classical, rescaled, vector)
 
 from qfano import qde
@@ -105,7 +105,8 @@ def test_product_bundles_closed_form(n, r):
     size = order // 2 + 1
     assert qde.apery_table(js, size) == [[1] * size] * size
     texts = ("D1^%d - q1" % (n + 1), "D2^%d - q2" % r)
-    reports = qde.check_operator([qde.parse_operator(t) for t in texts], js)
+    reports = qde.check_operator([qde.parse_operator(t) for t in texts],
+                                 mp, mxi, order)
     assert reports == [None, None], texts
 
 
@@ -203,8 +204,9 @@ def test_unit_row_is_row_one_of_the_frames(request, bundle):
                 F(x, den) for x in vec[:spec.size]], key
 
 
-def test_flatness_and_homogeneity_pass(flagship_js):
-    assert check_flatness(flagship_js) is None
+def test_flatness_and_homogeneity_pass(flagship, flagship_js):
+    _, mp, mxi = flagship
+    assert check_flatness(flagship_js, mp, mxi) is None
     assert check_homogeneity(flagship_js) is None
 
 
@@ -213,7 +215,7 @@ def test_flatness_detects_tampering(flagship):
     js = qde.j_series(mp, mxi, spec, 2)
     # entry (5,3) of the flat integer block at index (1,0)
     js.blocks[(1, 0)][0][4 * spec.size + 2] += 1
-    report = check_flatness(js)
+    report = check_flatness(js, mp, mxi)
     assert report is not None and "(1,0)" in report
 
 
@@ -317,21 +319,24 @@ def test_operator_fixture_term_counts(operators):
                       "annihilator_3": 7, "annihilator_4": 12}
 
 
-def test_operators_annihilate_flagship(flagship_js, operators):
+def test_operators_annihilate_flagship(flagship, operators):
+    _, mp, mxi = flagship
     names = sorted(operators)
     ops = [qde.parse_operator(operators[name]) for name in names]
-    reports = qde.check_operator(ops, flagship_js)
+    reports = qde.check_operator(ops, mp, mxi, 8)
     assert dict(zip(names, reports)) == dict.fromkeys(names)
 
 
-def test_operators_annihilate_p1p1_diagonal_relation(p1p1_js):
+def test_operators_annihilate_p1p1_diagonal_relation(p1p1):
     # D1^2 - q1 and D2^2 - q2 generate the annihilator for the product
+    _, mp, mxi = p1p1
     ops = [qde.parse_operator(text) for text in ("D1^2 - q1", "D2^2 - q2")]
-    assert qde.check_operator(ops, p1p1_js) == [None, None]
+    assert qde.check_operator(ops, mp, mxi, 6) == [None, None]
 
 
-def test_nonannihilating_operator_reported(flagship_js):
-    [report] = qde.check_operator([qde.parse_operator("D1")], flagship_js)
+def test_nonannihilating_operator_reported(flagship):
+    _, mp, mxi = flagship
+    [report] = qde.check_operator([qde.parse_operator("D1")], mp, mxi, 8)
     assert report is not None and "index (0,0)" in report
 
 
@@ -342,28 +347,53 @@ NON_ANNIHILATING = ("D1", "z*D2^3 + 2/3*q1*D1^2 - q2",
                     "2*D1*D2 - D2*D1 + 5*z^2*q1", "q1^5*q2^5*D1 - 3*q2^9")
 
 
+def series_order(js):
+    return max(a + b for a, b in js.blocks)
+
+
 @pytest.mark.parametrize("series", ["flagship_js", "p1p1_js",
                                     "flagship_rescaled_js"])
 def test_one_pass_matches_per_operator_oracle(request, series, operators):
+    # the check in the D-module, with its chains shared by all operators,
+    # reports what each operator leaves on the J-series cut at the same
+    # order, term by term, byte for byte
     js = request.getfixturevalue(series)
     _, mp, mxi = request.getfixturevalue(series.removesuffix("_js"))
     if series == "flagship_rescaled_js":
-        assert js.p_ray.den > 1 and js.xi_ray.den > 1
+        assert qde._lift(mp, 0, {})[1] > 1 and qde._lift(mxi, 1, {})[1] > 1
     texts = [operators[name] for name in sorted(operators)]
     ops = [qde.parse_operator(text) for text in texts + list(NON_ANNIHILATING)]
-    residuals = qde.apply_operator(ops, js)
-    assert len(residuals) == len(ops)
-    for text, op, res in zip(texts + list(NON_ANNIHILATING), ops, residuals):
-        assert res == ref_apply_operator(op, js, mp, mxi), text
-    for res in residuals[-4:-1]:
-        assert any(any(vec) for vec in res.values())
-    assert not any(any(vec) for vec in residuals[-1].values())
+    reports = qde.check_operator(ops, mp, mxi, series_order(js))
+    assert len(reports) == len(ops)
+    for text, op, report in zip(texts + list(NON_ANNIHILATING), ops, reports):
+        assert report == ref_check_operator(op, js, mp, mxi), text
+    assert None not in reports[-4:-1]
+    assert reports[-1] is None
 
 
-def test_unit_fibre_derivation_action(p1p1_js):
-    [res] = qde.apply_operator([qde.parse_operator("D2")], p1p1_js)
+random_term = st.builds(
+    qde.OpTerm,
+    st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool),
+    *[st.integers(min_value=0, max_value=hi) for hi in (2, 2, 2, 4, 4)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2),
+       st.lists(random_term, min_size=1, max_size=5))
+def test_one_pass_matches_oracle_on_random_operators(
+        flagship, flagship_js, p1p1, p1p1_js, flagship_rescaled,
+        flagship_rescaled_js, pick, op):
+    (_, mp, mxi), js = ((flagship, flagship_js), (p1p1, p1p1_js),
+                        (flagship_rescaled, flagship_rescaled_js))[pick]
+    assert qde.check_operator([op], mp, mxi, series_order(js)) == [
+        ref_check_operator(op, js, mp, mxi)]
+
+
+def test_unit_fibre_derivation_action(p1p1):
     # at the origin index: xi cup the unit, sitting at z^0
-    assert res[(0, 0)] == [{}, {}, {0: 1}, {}]
+    _, mp, mxi = p1p1
+    assert qde.check_operator([qde.parse_operator("D2")], mp, mxi, 6) == [
+        "residual nonzero at index (0,0), component 3: 1*z^0"]
 
 
 def test_order_zero_series(flagship):
@@ -371,7 +401,7 @@ def test_order_zero_series(flagship):
     js = qde.j_series(mp, mxi, spec, 0)
     assert set(js.frames) == {(0, 0)}
     assert qde.identity_coefficients(js) == {(0, 0): 1}
-    assert check_flatness(js) is None
+    assert check_flatness(js, mp, mxi) is None
 
 
 def test_negative_order_rejected(flagship):
@@ -421,7 +451,7 @@ def test_rational_inputs_rescale_frames(request, bundle):
         assert js2.frames[(a, b)] == [
             [factor * x * basis_scale(j) / basis_scale(i)
              for j, x in enumerate(row)] for i, row in enumerate(frame)]
-    assert check_flatness(js2) is None
+    assert check_flatness(js2, mp2, mxi2) is None
     deep = qde.identity_series(mp, mxi, spec, 10)
     assert qde.identity_series(mp2, mxi2, spec, 10) == {
         (a, b): LAMBDA ** a * MU ** b * c for (a, b), c in deep.items()}
@@ -508,9 +538,10 @@ def test_solve_matches_neumann_reference(request, case):
     # each ray with a positive exponent, from the same right-hand side
     mp, mxi, js = reference_series(request, case)
     size = js.spec.size
-    rays = {True: ref_classical(mp), False: ref_classical(mxi)}
+    classical = {True: ref_classical(mp), False: ref_classical(mxi)}
+    lifted = rays(js, mp, mxi)
     if case == "rescaled":
-        assert rays[True][1] > 1 and rays[False][1] > 1
+        assert classical[True][1] > 1 and classical[False][1] > 1
     checked = inexact = 0
     # solved blocks by their sources on the solving ray: all zero, or some
     # zero and some not, since the solve skips the zero ones
@@ -518,14 +549,14 @@ def test_solve_matches_neumann_reference(request, case):
     for (a, b), (vec, den) in js.blocks.items():
         for along_p, scale in ((True, a), (False, b)):
             if scale:
-                rvec, rden = ray(js, a, b, along_p)[2]
+                rvec, rden = ray(js, lifted, a, b, along_p)[2]
                 assert ref_sylvester_solve(
-                    scale, rays[along_p], (rows_of(rvec, size), rden)) \
+                    scale, classical[along_p], (rows_of(rvec, size), rden)) \
                     == (rows_of(vec, size), den), ((a, b), along_p)
                 checked += 1
                 # D divides L unless U*L is not integral: an inexact division
                 inexact += rden % den != 0
-        parts = (js.p_ray if a else js.xi_ray).parts[0]
+        parts = lifted[bool(a)].parts[0]
         kinds = {any(js.blocks[(a - c, b - d)][0])
                  for c, d in parts if c <= a and d <= b}
         if kinds:
