@@ -15,8 +15,8 @@ from qfano import lefschetz, qde
 from qfano import seeds as seedlib
 from qfano.fixtures_io import fixture_lines, load_named_expressions, read_lines
 from qfano.opparse import parse_number
-from qfano.reconstruct import (QuantumMatrix, check_commutativity,
-                               check_three_point_symmetry, reconstruct)
+from qfano.reconstruct import (QuantumMatrix, check_three_point_symmetry,
+                               flatness_defect, reconstruct)
 from qfano.ring import bundle_key, load_bundle_config, make_bundle
 from qfano.schubert import FLAGSHIP, is_flagship
 
@@ -75,11 +75,11 @@ def _structure_defect(mp, mxi):
     """The first failed ring check on a reconstructed pair, or None.
 
     set_column already enforces grading and purity; a wrong seed shows
-    up as a non-commuting pair or a non-symmetric three-point pairing.
+    up as a non-flat pair or a non-symmetric three-point pairing.
     """
-    j = check_commutativity(mp, mxi)
-    if j is not None:
-        return "commutativity check fails at column %d" % (j + 1)
+    bad = flatness_defect(mp, mxi)
+    if bad is not None:
+        return bad
     for mat in (mp, mxi):
         spot = check_three_point_symmetry(mat)
         if spot is not None:

@@ -15,9 +15,25 @@ strictly lower triangular: the commutator with P moves a frame entry
 from level deg(row) - deg(col) to the next level up, each equation is
 solved in one pass from the lowest level upward, and any block of
 leading frame rows closes under it.  One loop solves every index along
-the ray with a positive exponent and cross-checks it along the other
-ray; j_series runs it on all rows, identity_series on the unit row
-alone, to high order.
+one ray, the base ray where a >= 1 and the fibre ray on a = 0;
+j_series runs it on all rows, identity_series on the unit row alone,
+to high order.
+
+One ray suffices for a flat pair, which the solve checks first on the
+matrices (reconstruct.flatness_defect): [M_1, M_2] = 0 and q1 d/dq1 M_2
+= q2 d/dq2 M_1, for M_1 = M_p and M_2 = M_xi.  Let E_k = D_k F be the
+residual of ray k, D_k X = q_k d/dq_k X + C_k X - X M_k with C_k the
+classical part of M_k.  Then
+
+    D_1 E_2 - D_2 E_1 = F ([M_2, M_1] + q2 d/dq2 M_1 - q1 d/dq1 M_2)
+                        + [C_1, C_2] F = 0.
+
+By construction E_1 = 0 where a >= 1 and E_2 = 0 on a = 0.  M_1 has no
+pure-q2 part, so on a = 0 D_1 E_2 = [C_1, E_2] = 0, and D_2 E_1 = 0
+gives b*E_1 + [C_2, E_1] = (E_1 at lower b) * parts; C_2 is nilpotent,
+so b + [C_2, .] is invertible for b >= 1 and E_1 = 0 by induction on b.
+Then D_1 E_2 = 0 gives E_2 = 0 by induction on a.  C_k is strictly
+lower triangular, so this holds on any block of leading rows.
 
 A block of leading frame rows is one flat integer vector w over one
 denominator D, in lowest terms, entry (i, j) at i*n + j for n basis
@@ -29,12 +45,11 @@ solve into integer adjacency lists over the classical denominator, one
 per entry, together with each entry's level and the walk order (rows
 ascending, columns descending); each ray's q-parts are lifted to the
 same indexing, as integer lists from a source entry to its targets
-over one denominator.  So the solve is one flat walk and the
-cross-check one flat residual, each entry divided as soon as it is
-computed (Bareiss's exact division).  Zeros and unit denominators cost
-nothing: a zero block is neither walked nor read as a source, and a
-denominator of 1 enters no lcm, multiplies nothing and drops out of
-the residual.
+over one denominator.  So the solve is one flat walk, each entry
+divided as soon as it is computed (Bareiss's exact division).  Zeros
+and unit denominators cost nothing: a zero block is neither walked nor
+read as a source, and a denominator of 1 enters no lcm and multiplies
+nothing.
 
 Every block, full frames and unit row alike, is stored as the scaled
 frame G_{a,b} = (a!)^d1 (b!)^d2 F_{a,b}: both equations keep their
@@ -54,8 +69,8 @@ with nabla_k = z q_k d/dq_k + M_k, L annihilates J exactly when w =
 L(nabla) * 1 vanishes.  The frames satisfy (C_k + z q_k d/dq_k) F = F
 nabla_k, so L on the J-series leaves F*w; F_{0,0} = I and every other
 F_beta moves an index up, so w and F*w, cut at one order, share their
-first nonzero index and its components.  The premise is flatness
-through that order, which the frame solve checks.  The check lifts M_k
+first nonzero index and its components.  The premise is flatness,
+which the frame solve checks on the matrices.  The check lifts M_k
 in the column action of the whole matrix, a Ray only the q-parts in
 the row action over flat indices.
 """
@@ -67,10 +82,11 @@ from math import factorial, gcd, lcm, prod
 
 from qfano import opparse
 from qfano.linalg import accumulate, common_denominator
+from qfano.reconstruct import flatness_defect
 
 
 class FlatnessError(ValueError):
-    """The two divisor-ray recursions disagree; the system is not flat."""
+    """The matrix pair fails flatness_defect; the system is not flat."""
 
 
 class NonIntegralError(ValueError):
@@ -79,16 +95,16 @@ class NonIntegralError(ValueError):
 
 # One ray's row equation s*w - w*A = r on flat blocks of leading frame
 # rows, entry (i, j) at i*size + j, with A = Aint/den the action U ->
-# U*C - C*U of the classical matrix C = Cint/den.  adj[p] lists the
-# pairs (q, Aint[q][p]): for p = (i, j), q = (i, k) with Cint[k][j] and
-# q = (k, j) with -Cint[i][k].  C raises degree by exactly one
-# (set_column enforces the grading), so k > j and k < i.  walk lists
-# (p, adj[p]) rows ascending and columns descending, so each entry reads
+# U*C - C*U of the classical matrix C = Cint/den.  walk lists the pairs
+# (p, adj) rows ascending and columns descending, adj holding the pairs
+# (q, Aint[q][p]): for p = (i, j), q = (i, k) with Cint[k][j] and q =
+# (k, j) with -Cint[i][k].  C raises degree by exactly one (set_column
+# enforces the grading), so k > j and k < i, and each entry reads
 # entries already walked; level[p] is deg(i) - deg(j) and top the
 # highest level.  parts = ({(c, d): [(p, [(t, int), ...]), ...]}, den)
 # lifts each q-part to the flat indices: the source entry p = (i, k)
 # adds to the entries t = (i, j) of its row, over one denominator.
-Ray = namedtuple("Ray", "size den adj walk level top parts")
+Ray = namedtuple("Ray", "den walk level top parts")
 
 
 def _split_matrix(qmat, rows):
@@ -127,8 +143,7 @@ def _split_matrix(qmat, rows):
                 for k, prow in part.items()]
         lifted[key] = [(r + k, [(r + j, v) for j, v in prow] if r else prow)
                        for r in starts for k, prow in part]
-    return Ray(size, dc, adj,
-               [(p, adj[p]) for r in starts
+    return Ray(dc, [(p, adj[p]) for r in starts
                 for p in range(r + size - 1, r - 1, -1)],
                level, max(level), (lifted, dq))
 
@@ -213,31 +228,6 @@ def _sylvester_solve(scale, ray, rhs):
     return [x // g for x in w], den // g
 
 
-def _route_residual(scale, ray, u, rhs):
-    """First nonzero entry of scale*w - w*A - r/L, the defect of the other
-    ray's equation, in row-major order, as ((row, col), Fraction), or
-    None.
-
-    The residual is formed on integers, scaled by D*dc*L, with the one
-    product scale*w when D = L = dc = 1; it is zero at once when w and r
-    are."""
-    w, den = u
-    r, rden = rhs
-    if not any(w) and not any(r):
-        return None
-    dc = ray.den
-    fu, fr = scale * dc * rden, den * dc
-    ones = fr == rden == 1
-    for p, (x, h, adj) in enumerate(zip(w, r, ray.adj)):
-        y = 0
-        for q, v in adj:
-            y += w[q] * v
-        val = fu * x - y - h if ones else fu * x - rden * y - fr * h
-        if val:
-            return divmod(p, ray.size), Fraction(val, den * dc * rden)
-    return None
-
-
 class JSeries:
     """Flat frames of the quantum differential system up to a total order.
 
@@ -269,21 +259,21 @@ class JSeries:
 
 def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
     """The series with every block cut to its leading rows, over the
-    indices with w1*a + w2*b <= order for weights (w1, w2) >= (1, 1).
+    indices with w1*a + w2*b <= order for weights (w1, w2) >= (1, 1);
+    the indices below (a, b) have a lower weighted sum.
 
-    The indices below (a, b) have a lower weighted sum, so every block a
-    solve or a cross-check reads is present.
-
-    Each block is built from the ray with a positive exponent and
-    cross-checked against the other ray; any defect raises FlatnessError
-    with the offending index and entry of the unscaled frame.  scale*w -
-    w*A is invertible for scale >= 1, so a right-hand side with no
-    nonzero entry gives the zero block (zeros, 1) without a walk.  Only
-    the nonzero blocks enter the grid the shift sums read, so a zero
-    source costs them nothing.
+    A pair that fails flatness_defect raises FlatnessError with its
+    message before any solve; each block is then built from one ray
+    alone (module docstring).  scale*w - w*A is invertible for scale >=
+    1, so a right-hand side with no nonzero entry gives the zero block
+    (zeros, 1) without a walk.  Only the nonzero blocks enter the grid
+    the shift sums read, so a zero source costs them nothing.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
+    defect = flatness_defect(mp, mxi)
+    if defect is not None:
+        raise FlatnessError(defect)
     js = JSeries(spec)
     rays = (_split_matrix(mp, rows), _split_matrix(mxi, rows))
     keys = [key for ray in rays for key in ray.parts[0]]
@@ -299,30 +289,19 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
             b = total - a
             if w1 * a + w2 * b > order:
                 continue
-            key = (a, b)
-            along = 0 if a else 1
-            ray, other = rays[along], rays[1 - along]
+            ray = rays[0 if a else 1]
             rhs = _shift_sum(live, ray.parts, a, b, falling)
             if any(rhs[0]):
-                u = live[a][b] = _sylvester_solve(key[along], ray, rhs)
+                js.blocks[(a, b)] = live[a][b] = _sylvester_solve(
+                    a or b, ray, rhs)
             else:
-                u = [0] * len(rhs[0]), 1
-            defect = _route_residual(
-                key[1 - along], other, u,
-                _shift_sum(live, other.parts, a, b, falling))
-            if defect is not None:
-                (i, j), val = defect
-                raise FlatnessError(
-                    "flat frame inconsistent at index (%d,%d): cross-ray "
-                    "residual %s at entry (%d,%d)"
-                    % (a, b, val / js.weight(a, b), i + 1, j + 1))
-            js.blocks[key] = u
+                js.blocks[(a, b)] = [0] * len(rhs[0]), 1
     return js
 
 
 def j_series(mp, mxi, spec, order):
     """Solve the system for all frames with a + b <= order, each built
-    along one ray and cross-checked along the other (FlatnessError)."""
+    along one ray; a pair that is not flat raises FlatnessError."""
     return _solve(mp, mxi, spec, order, spec.size)
 
 
@@ -338,8 +317,8 @@ def identity_series(mp, mxi, spec, order, weights=(1, 1)):
     indices with w1*a + w2*b <= order.
 
     Row one closes under each ray's equation on its own, so only that
-    row is solved, and every index is cross-checked along the other ray
-    as in j_series; a defect raises FlatnessError.
+    row is solved, each index along one ray as in j_series; a pair that
+    is not flat raises FlatnessError.
     """
     blocks = _solve(mp, mxi, spec, order, 1, weights).blocks
     return {key: Fraction(vec[0], den) if vec[0] % den
@@ -429,7 +408,7 @@ def check_operator(ops, mp, mxi, order):
     weight k + l, so a term's z-power d1 + d2 + z - a*spec.d1 - b*spec.d2
     - deg(i) is read at the source index (a, b) of the chain entry.  A
     flat system's J-series residual F*w shares that report (module
-    docstring): callers check flatness through order first (j_series).
+    docstring): callers check flatness first (j_series).
     """
     spec = mp.spec
     cells = [(a, b, i) for a in range(order + 1)

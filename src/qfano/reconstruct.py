@@ -181,13 +181,24 @@ def reconstruct(spec, source):
     return mp, mxi
 
 
-def check_commutativity(mp, mxi):
-    """First basis index where p * (xi * phi_j) != xi * (p * phi_j), if any."""
-    for j in range(mp.spec.size):
-        left = mp.apply(mxi.column(j))
-        right = mxi.apply(mp.column(j))
-        if left != right:
-            return j
+def flatness_defect(mp, mxi):
+    """None if nabla_k = z q_k d/dq_k + M_k is flat, else its first defect.
+
+    Flatness is [M_p, M_xi] = 0, checked column by column, and q1 d/dq1
+    M_xi = q2 d/dq2 M_p, checked term by term: a*M_xi[(a, b)] =
+    b*M_p[(a, b)] at each entry, columns first.
+    """
+    size = mp.spec.size
+    for j in range(size):
+        if mp.apply(mxi.column(j)) != mxi.apply(mp.column(j)):
+            return "commutativity check fails at column %d" % (j + 1)
+    for j in range(size):
+        for i in range(size):
+            p, xi = mp.entry(i, j), mxi.entry(i, j)
+            for a, b in sorted(p.keys() | xi.keys()):
+                if a * xi.get((a, b), 0) != b * p.get((a, b), 0):
+                    return ("q1 d/dq1 M_xi != q2 d/dq2 M_p at entry (%d,%d), "
+                            "term q1^%d q2^%d" % (i + 1, j + 1, a, b))
     return None
 
 

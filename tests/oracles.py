@@ -3,13 +3,16 @@
 The package never calls these.  Each one re-derives, from the finished
 object alone, a property that the code enforces while building it:
 QuantumMatrix.set_column refuses misgraded and impure entries, and the
-frame solve sets the origin block to the identity and cross-checks
-every index along the other divisor ray.  ray rebuilds one divisor-ray
-equation at an index from every block below it, zero blocks included,
-where the solve reads only the nonzero ones; rays lifts the two divisor
-matrices for it with the solver's own _split_matrix.  The quantum ring
-relations are checked here as well, read off the z-free terms of the
-packaged annihilating operators.
+frame solve sets the origin block to the identity, checks flatness on
+the two matrices and then solves each index along one divisor ray.
+check_flatness checks every index against both rays' equations with
+ref_route_residual, where the solve relies on the check on the
+matrices.  ray rebuilds one divisor-ray equation at an index from
+every block below it, zero blocks included, where the solve reads only
+the nonzero ones; rays lifts the two divisor matrices for it with the
+solver's own _split_matrix.  The quantum ring relations are checked
+here as well, read off the z-free terms of the packaged annihilating
+operators.
 
 The general ring computations the package replaced by closed forms are
 kept here as references: the cup product with recursive reduction, the
@@ -79,6 +82,32 @@ def ray(js, lifted, a, b, along_p):
     return scale, flat, qde._shift_sum(grid, flat.parts, a, b, falling)
 
 
+def ref_route_residual(scale, ray, u, rhs, size):
+    """First nonzero entry of scale*w - w*A - r/L, the defect of one
+    ray's equation on a block of rows of width size, in row-major order,
+    as ((row, col), Fraction), or None.
+
+    The residual is formed on integers, scaled by D*dc*L, with the one
+    product scale*w when D = L = dc = 1; it is zero at once when w and r
+    are.  The adjacency of entry p is read off the walk."""
+    w, den = u
+    r, rden = rhs
+    if not any(w) and not any(r):
+        return None
+    dc = ray.den
+    fu, fr = scale * dc * rden, den * dc
+    ones = fr == rden == 1
+    adjs = dict(ray.walk)
+    for p, (x, h) in enumerate(zip(w, r)):
+        y = 0
+        for q, v in adjs[p]:
+            y += w[q] * v
+        val = fu * x - y - h if ones else fu * x - rden * y - fr * h
+        if val:
+            return divmod(p, size), Fraction(val, den * dc * rden)
+    return None
+
+
 def check_flatness(js, mp, mxi):
     """Cross-verify every frame against both divisor-ray equations of mp
     and mxi.
@@ -89,7 +118,8 @@ def check_flatness(js, mp, mxi):
     for (a, b) in sorted(js.blocks):
         for along_p in (True, False):
             scale, flat, rhs = ray(js, lifted, a, b, along_p)
-            defect = qde._route_residual(scale, flat, js.blocks[(a, b)], rhs)
+            defect = ref_route_residual(scale, flat, js.blocks[(a, b)], rhs,
+                                        js.spec.size)
             if defect is not None:
                 (i, j), val = defect
                 return ("index (%d,%d): residual %s at entry (%d,%d)"

@@ -96,9 +96,9 @@ def test_criterion_02_ring_relations_hold(matrices):
 def test_criterion_03_structural_checks(matrices):
     mp, mxi = matrices
     failures = []
-    bad = rc.check_commutativity(mp, mxi)
+    bad = rc.flatness_defect(mp, mxi)
     if bad is not None:
-        failures.append("products do not commute at column %d" % bad)
+        failures.append("pair not flat: %s" % bad)
     for mat in (mp, mxi):
         spot = check_grading(mat)
         if spot is not None:

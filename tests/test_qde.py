@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (LAMBDA, MU, basis_scale, check_flatness,
                      check_homogeneity, ray, rays, ref_check_operator,
-                     ref_classical, rescaled, vector)
+                     ref_classical, ref_route_residual, rescaled, vector)
 
 from qfano import qde
 from qfano.fixtures_io import fixture_lines, load_named_expressions
+from qfano.linalg import col_add_into
 from qfano.reconstruct import QuantumMatrix, reconstruct
 from qfano.ring import make_bundle
 from qfano.seeds import builtin_source
@@ -242,9 +243,49 @@ def test_corrupted_matrix_fails_flat(flagship):
                 qp[key] *= 2
     with pytest.raises(qde.FlatnessError) as err:
         qde.j_series(mp, bad, spec, 2)
-    assert str(err.value) == (
-        "flat frame inconsistent at index (0,1): cross-ray residual 1 at "
-        "entry (2,1)")
+    assert str(err.value) == "commutativity check fails at column 20"
+
+
+def with_p_added_to_xi(spec, mp, mxi):
+    """M_xi + M_p, written into the stored columns past set_column's
+    purity check: the pair still commutes, but q1 d/dq1 M_xi no longer
+    equals q2 d/dq2 M_p."""
+    bad = QuantumMatrix(spec, "xi")
+    for j in range(spec.size):
+        bad.set_column(j, {row: dict(qp) for row, qp in mxi.column(j).items()})
+        col_add_into(bad.column(j), mp.column(j))
+    return bad
+
+
+@pytest.mark.parametrize("bundle,entry", [("flagship", "(2,4)"),
+                                          ("p1p1", "(1,2)")])
+def test_commuting_pair_fails_derivative_half(request, bundle, entry):
+    spec, mp, mxi = request.getfixturevalue(bundle)
+    bad = with_p_added_to_xi(spec, mp, mxi)
+    error = ("q1 d/dq1 M_xi != q2 d/dq2 M_p at entry %s, term q1^1 q2^0"
+             % entry)
+    for solve in (qde.j_series, qde.identity_series):
+        with pytest.raises(qde.FlatnessError) as err:
+            solve(mp, bad, spec, 4)
+        assert str(err.value) == error
+
+
+def test_one_shift_sum_per_solved_index(flagship, monkeypatch):
+    # each index past the origin is built from one ray's shift sum alone
+    spec, mp, mxi = flagship
+    calls = []
+    shift_sum = qde._shift_sum
+
+    def spy(*args):
+        calls.append(args[2:4])
+        return shift_sum(*args)
+
+    monkeypatch.setattr(qde, "_shift_sum", spy)
+    qde.identity_series(mp, mxi, spec, 63)
+    assert len(calls) == 2079 == len(set(calls))
+    calls.clear()
+    js = qde.j_series(mp, mxi, spec, 6)
+    assert len(calls) == 27 == len(js.blocks) - 1
 
 
 def test_parse_operator_basics():
@@ -427,8 +468,7 @@ def test_identity_series_cross_checks_unit_row(flagship):
             if key != (0, 0):
                 qp[key] *= 2
     with pytest.raises(qde.FlatnessError,
-                       match=r"index \(1,1\): cross-ray residual 1 at "
-                             r"entry \(1,6\)"):
+                       match=r"^commutativity check fails at column 20$"):
         qde.identity_series(mp, bad, spec, 6)
 
 
@@ -594,14 +634,13 @@ def test_lifted_row_equation_is_the_two_sided_action(flagship):
         ref = [scale * dc * x - y for urow, crow in zip(u, comm)
                for x, y in zip(urow, crow)]
         rden = den * dc
-        assert qde._route_residual(scale, flat, (vec, den), (ref, rden)) \
-            is None
+        assert ref_route_residual(scale, flat, (vec, den), (ref, rden),
+                                  size) is None
         for p in (0, 7 * size + 3, len(vec) - 1):
             off = list(ref)
             off[p] -= 1
-            assert qde._route_residual(scale, flat, (vec, den),
-                                       (off, rden)) == (
-                divmod(p, size), F(1, rden))
+            assert ref_route_residual(scale, flat, (vec, den), (off, rden),
+                                      size) == (divmod(p, size), F(1, rden))
 
 
 def test_zero_right_hand_side_gives_zero_block(flagship):
@@ -614,10 +653,11 @@ def test_zero_right_hand_side_gives_zero_block(flagship):
         assert qde._sylvester_solve(2, flat, (zero, 5)) == (zero, 1)
         assert ref_sylvester_solve(2, ref, (rows_of(zero, size), 5)) == (
             rows_of(zero, size), 1)
-        assert qde._route_residual(2, flat, (zero, 1), (zero, 5)) is None
+        assert ref_route_residual(2, flat, (zero, 1), (zero, 5), size) \
+            is None
         # a zero block against a nonzero right-hand side: the residual is
         # -R/L, first at the first nonzero entry of R
         rhs = [0] * (3 * size)
         rhs[size + 4], rhs[2 * size] = 3, 7
-        assert qde._route_residual(2, flat, (zero, 1), (rhs, 5)) == (
+        assert ref_route_residual(2, flat, (zero, 1), (rhs, 5), size) == (
             (1, 4), F(-3, 5))

@@ -141,7 +141,7 @@ def test_classical_relation_at_q_zero(flagship_matrices):
 
 def test_structural_invariants(flagship_matrices):
     mp, mxi = flagship_matrices
-    assert rc.check_commutativity(mp, mxi) is None
+    assert rc.flatness_defect(mp, mxi) is None
     assert check_grading(mp) is None
     assert check_grading(mxi) is None
     assert check_purity(mp) is None
