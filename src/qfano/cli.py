@@ -212,6 +212,9 @@ def cmd_periods(args):
     bundles = lefschetz.parse_cut(args.cut)
     weights = lefschetz.cut_weights(spec, bundles)
     if args.pf_verify is not None:
+        if not args.terms:
+            raise CliError("--pf-verify with --terms 0 has no position to "
+                           "certify")
         if args.pf_verify == "" and not (
                 is_flagship(spec)
                 and sorted(bundles) == sorted(

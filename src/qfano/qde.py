@@ -40,16 +40,16 @@ denominator D, in lowest terms, entry (i, j) at i*n + j for n basis
 elements.  Every block, the unit row and the full frames alike, solves
 the one row equation s*w - w*A = r, where A is the matrix of the
 two-sided action U -> U*C - C*U on flat blocks (on the unit row, whose
-equation has no left product, A is C itself).  A is lifted once per
-solve into integer adjacency lists over the classical denominator, one
-per entry, together with each entry's level and the walk order (rows
-ascending, columns descending); each ray's q-parts are lifted to the
-same indexing, as integer lists from a source entry to its targets
-over one denominator.  So the solve is one flat walk, each entry
-divided as soon as it is computed (Bareiss's exact division).  Zeros
-and unit denominators cost nothing: a zero block is neither walked nor
-read as a source, and a denominator of 1 enters no lcm and multiplies
-nothing.
+equation has no left product, A is C itself).  Each matrix has one
+integer form, _lift, every term over one denominator; a solve reads A
+from its classical terms as integer adjacency lists, one per entry,
+together with each entry's level and the walk order (rows ascending,
+columns descending), and the q-parts from its other terms, as integer
+lists from a source entry to its targets.  So the solve is one flat
+walk, each entry divided as soon as it is computed (Bareiss's exact
+division).  Zeros and unit denominators cost nothing: a zero block is
+neither walked nor read as a source, and a denominator of 1 enters no
+lcm and multiplies nothing.
 
 Every block, full frames and unit row alike, is stored as the scaled
 frame G_{a,b} = (a!)^d1 (b!)^d2 F_{a,b}: both equations keep their
@@ -70,9 +70,9 @@ L(nabla) * 1 vanishes.  The frames satisfy (C_k + z q_k d/dq_k) F = F
 nabla_k, so L on the J-series leaves F*w; F_{0,0} = I and every other
 F_beta moves an index up, so w and F*w, cut at one order, share their
 first nonzero index and its components.  The premise is flatness,
-which the frame solve checks on the matrices.  The check lifts M_k
-in the column action of the whole matrix, a Ray only the q-parts in
-the row action over flat indices.
+which the frame solve checks on the matrices.  The check reads the
+same _lift as the solve, in the column action on sparse chains where
+the solve reads it in the row action on flat blocks.
 """
 
 from collections import namedtuple
@@ -81,7 +81,7 @@ from itertools import compress
 from math import factorial, gcd, lcm, prod
 
 from qfano import opparse
-from qfano.linalg import accumulate, common_denominator
+from qfano.linalg import accumulate
 from qfano.reconstruct import flatness_defect
 
 
@@ -95,69 +95,70 @@ class NonIntegralError(ValueError):
 
 # One ray's row equation s*w - w*A = r on flat blocks of leading frame
 # rows, entry (i, j) at i*size + j, with A = Aint/den the action U ->
-# U*C - C*U of the classical matrix C = Cint/den.  walk lists the pairs
-# (p, adj) rows ascending and columns descending, adj holding the pairs
-# (q, Aint[q][p]): for p = (i, j), q = (i, k) with Cint[k][j] and q =
-# (k, j) with -Cint[i][k].  C raises degree by exactly one (set_column
-# enforces the grading), so k > j and k < i, and each entry reads
-# entries already walked; level[p] is deg(i) - deg(j) and top the
-# highest level.  parts = ({(c, d): [(p, [(t, int), ...]), ...]}, den)
-# lifts each q-part to the flat indices: the source entry p = (i, k)
-# adds to the entries t = (i, j) of its row, over one denominator.
+# U*C - C*U of the classical matrix C = Cint/den, den being the one
+# denominator of the matrix's _lift.  walk lists the pairs (p, adj) rows
+# ascending and columns descending, adj holding the pairs (q,
+# Aint[q][p]): for p = (i, j), q = (i, k) with Cint[k][j] and q = (k, j)
+# with -Cint[i][k].  C raises degree by exactly one (set_column enforces
+# the grading), so k > j and k < i, and each entry reads entries already
+# walked; level[p] is deg(i) - deg(j) and top the highest level.  parts
+# = {(c, d): [(p, [(t, int), ...]), ...]} lifts each q-part, over the
+# same den, to the flat indices: the source entry p = (i, k) adds to the
+# entries t = (i, j) of its row.
 Ray = namedtuple("Ray", "den walk level top parts")
 
 
+def _lift(qmat):
+    """The one integer form of a QuantumMatrix, (columns, den): columns[j]
+    lists (i, c, d, int) for the q1^c q2^d term int/den of entry (i, j),
+    den being the lcm of every term's denominator."""
+    columns = [qmat.column(j).items() for j in range(qmat.spec.size)]
+    den = lcm(*(v.denominator for col in columns for _, qp in col
+                for v in qp.values()))
+    return [[(i, c, d, v.numerator * (den // v.denominator))
+             for i, qp in col for (c, d), v in qp.items()]
+            for col in columns], den
+
+
 def _split_matrix(qmat, rows):
-    """The Ray of a QuantumMatrix: its classical part and its q-parts
-    lifted to flat blocks of `rows` leading frame rows, built once per
-    solve."""
-    spec = qmat.spec
-    size = spec.size
-    classical = {}
-    parts = {}
-    for j in range(size):
-        for i, qp in qmat.column(j).items():
-            for key, v in qp.items():
-                if key == (0, 0):
-                    classical[(i, j)] = v
-                else:
-                    parts.setdefault(key, {}).setdefault(i, []).append((j, v))
-    cints, dc = common_denominator(list(classical.values()))
-    qints, dq = common_denominator([v for part in parts.values()
-                                    for prow in part.values()
-                                    for _, v in prow])
+    """The Ray of a QuantumMatrix, read off its _lift and built once per
+    solve: the (0, 0) terms fill the two-sided classical action on flat
+    blocks of `rows` leading frame rows, the others the q-parts in the
+    row action."""
+    size = qmat.spec.size
+    columns, den = _lift(qmat)
     starts = range(0, rows * size, size)
     adj = [[] for _ in range(rows * size)]
-    for (i, k), v in zip(classical, cints):
-        for r in starts:
-            adj[r + k].append((r + i, v))
-        if i < rows:
-            for j in range(size):
-                adj[i * size + j].append((k * size + j, -v))
-    degree = tuple(spec.degree(i) for i in range(size))
+    parts = {}
+    for k, col in enumerate(columns):
+        for i, c, d, v in col:
+            if c or d:
+                parts.setdefault((c, d), {}).setdefault(i, []).append((k, v))
+                continue
+            for r in starts:
+                adj[r + k].append((r + i, v))
+            if i < rows:
+                for j in range(size):
+                    adj[i * size + j].append((k * size + j, -v))
+    degree = tuple(map(qmat.spec.degree, range(size)))
     level = [di - dj for di in degree[:rows] for dj in degree]
-    qints = iter(qints)
-    lifted = {}
-    for key, part in parts.items():
-        part = [(k, [(j, next(qints)) for j, _ in prow])
-                for k, prow in part.items()]
-        lifted[key] = [(r + k, [(r + j, v) for j, v in prow] if r else prow)
-                       for r in starts for k, prow in part]
-    return Ray(dc, [(p, adj[p]) for r in starts
-                for p in range(r + size - 1, r - 1, -1)],
-               level, max(level), (lifted, dq))
+    lifted = {key: [(r + k, [(r + j, v) for j, v in prow] if r else prow)
+                    for r in starts for k, prow in part.items()]
+              for key, part in parts.items()}
+    return Ray(den, [(p, adj[p]) for r in starts
+                     for p in range(r + size - 1, r - 1, -1)],
+               level, max(level), lifted)
 
 
-def _shift_sum(live, parts, a, b, falling):
-    """sum over q-parts of frame(a-c, b-d) * part, as a flat integer
-    vector over L = lcm(D of the sources used) * the parts' denominator;
+def _shift_sum(live, ray, a, b, falling):
+    """sum over the ray's q-parts of frame(a-c, b-d) * part, as a flat
+    integer vector over L = lcm(D of the sources used) * ray.den;
     the source (a-c, b-d) is read from the grid live[a-c][b-d] (None for
     a zero block, which is skipped) and weighted by falling[0][a][c] *
     falling[1][b][d].  Only the D that are not 1 enter the lcm."""
-    pint, pden = parts
     used = []
     den = 1
-    for (c, d), part in pint.items():
+    for (c, d), part in ray.parts.items():
         if c <= a and d <= b:
             source = live[a - c][b - d]
             if source is not None:
@@ -173,7 +174,7 @@ def _shift_sum(live, parts, a, b, falling):
                 x *= m
                 for t, v in targets:
                     out[t] += x * v
-    return out, den * pden
+    return out, den * ray.den
 
 
 def _falling(order, top, d):
@@ -276,7 +277,7 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
         raise FlatnessError(defect)
     js = JSeries(spec)
     rays = (_split_matrix(mp, rows), _split_matrix(mxi, rows))
-    keys = [key for ray in rays for key in ray.parts[0]]
+    keys = [key for ray in rays for key in ray.parts]
     falling = [_falling(order, max((key[k] for key in keys), default=0), d)
                for k, d in enumerate((spec.d1, spec.d2))]
     w1, w2 = weights
@@ -290,7 +291,7 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
             if w1 * a + w2 * b > order:
                 continue
             ray = rays[0 if a else 1]
-            rhs = _shift_sum(live, ray.parts, a, b, falling)
+            rhs = _shift_sum(live, ray, a, b, falling)
             if any(rhs[0]):
                 js.blocks[(a, b)] = live[a][b] = _sylvester_solve(
                     a or b, ray, rhs)
@@ -364,38 +365,25 @@ def parse_operator(text):
     return [OpTerm(coeff, *powers) for powers, coeff in terms.items()]
 
 
-def _lift(qmat, along, where):
-    """nabla_k = z q_k d/dq_k + M_k, along = k - 1, on chain vectors over
-    where = {(a, b, i): position}, as (lists, den): entry p adds int/den
-    times itself to each (t, int) of list p.  z-powers are implicit, so
-    z q_k d/dq_k multiplies by the index along ray k."""
-    columns = [qmat.column(j).items() for j in range(qmat.spec.size)]
-    den = lcm(*(v.denominator for col in columns for _, qp in col
-                for v in qp.values()))
-    cols = [[(i, c, d, v.numerator * (den // v.denominator))
-             for i, qp in col for (c, d), v in qp.items()] for col in columns]
-    adj = []
-    for (a, b, j), p in where.items():
+def _nabla(chain, lift, along, order):
+    """One step nabla_k, along = k - 1, on a chain ({(a, b, i): int}, D)
+    of the entries with a + b <= order, M_k read from its _lift: z q_k
+    d/dq_k multiplies an entry by its index along ray k (z-powers are
+    implicit) and column j of M_k carries it to the entries it reaches
+    within the order.  No zero is stored, and a lift with den > 1 costs
+    one gcd."""
+    (vec, den), (columns, dm) = chain, lift
+    out = {}
+    for (a, b, j), x in vec.items():
         s = (a, b)[along]
-        adj.append([(p, s * den)] if s else [])
-        for i, c, d, v in cols[j]:
-            t = where.get((a + c, b + d, i))
-            if t is not None:
-                adj[p].append((t, v))
-    return adj, den
-
-
-def _nabla(chain, lift):
-    """One step nabla_k on a chain vector (flat integer vector, D)."""
-    (vec, den), (adj, dm) = chain, lift
-    out = [0] * len(vec)
-    for x, targets in compress(zip(vec, adj), vec):
-        for t, v in targets:
-            out[t] += v * x
-    if dm == 1:
-        return out, den
-    g = gcd(den * dm, *out)
-    return [x // g for x in out], den * dm // g
+        if s:
+            out[a, b, j] = out.get((a, b, j), 0) + s * dm * x
+        for i, c, d, v in columns[j]:
+            if a + b + c + d <= order:
+                key = a + c, b + d, i
+                out[key] = out.get(key, 0) + v * x
+    g = gcd(den * dm, *out.values()) if dm > 1 else 1
+    return {key: x // g for key, x in out.items() if x}, den * dm // g
 
 
 def check_operator(ops, mp, mxi, order):
@@ -403,26 +391,25 @@ def check_operator(ops, mp, mxi, order):
     (a, b) with a + b <= order, else a diagnostic naming the first
     nonzero index and component of w and its z-terms.
 
-    Each chain D1^k D2^l * 1 is built once for all operators, over the
-    entries (a, b, i) in lexicographic order.  Its entries all have
-    weight k + l, so a term's z-power d1 + d2 + z - a*spec.d1 - b*spec.d2
-    - deg(i) is read at the source index (a, b) of the chain entry.  A
+    Each chain D1^k D2^l * 1 is built once for all operators, as a
+    sparse map over the entries (a, b, i) it reaches, so its cost
+    follows the chain and not the order.  Its entries all have weight
+    k + l, so a term's z-power d1 + d2 + z - a*spec.d1 - b*spec.d2 -
+    deg(i) is read at the source index (a, b) of the chain entry.  A
     flat system's J-series residual F*w shares that report (module
     docstring): callers check flatness first (j_series).
     """
     spec = mp.spec
-    cells = [(a, b, i) for a in range(order + 1)
-             for b in range(order + 1 - a) for i in range(spec.size)]
-    where = {cell: p for p, cell in enumerate(cells)}
-    lifts = (_lift(mp, 0, where), _lift(mxi, 1, where))
-    chains = {(0, 0): ([int(not p) for p in range(len(cells))], 1)}
+    lifts = (_lift(mp), _lift(mxi))
+    chains = {(0, 0): ({(0, 0, 0): 1}, 1)}
     # D1^k D2^l extends D1^k D2^(l-1), or D1^(k-1) when l = 0
     for k, l in {(t.d1, t.d2) for op in ops for t in op}:
         for x, y in [(x, 0) for x in range(k + 1)] + [
                 (k, y) for y in range(l + 1)]:
             if (x, y) not in chains:
                 chains[(x, y)] = _nabla(
-                    chains[(x, y - 1) if y else (x - 1, 0)], lifts[bool(y)])
+                    chains[(x, y - 1) if y else (x - 1, 0)], lifts[y > 0],
+                    y > 0, order)
     reports = []
     for op in ops:
         used = [(t, chains[(t.d1, t.d2)]) for t in op]
@@ -430,7 +417,7 @@ def check_operator(ops, mp, mxi, order):
         w = {}
         for t, (vec, d) in used:
             m = t.coeff.numerator * (den // (d * t.coeff.denominator))
-            for (a, b, i), x in compress(zip(cells, vec), vec):
+            for (a, b, i), x in vec.items():
                 if a + b + t.q1 + t.q2 <= order:
                     key = (a + t.q1, b + t.q2, i, t.d1 + t.d2 + t.z
                            - a * spec.d1 - b * spec.d2 - spec.degree(i))

@@ -33,8 +33,14 @@ invariant.  And so is the period chain over Fraction
 (hypergeometric modification, mirror multiplier, period sequence,
 regularization, operator residual and search) that the package now runs
 on integers.
+
+One oracle shares no code with the package at all: laurent_period, the
+classical period of a mirror Laurent polynomial, whose m-th term is the
+constant term of f^m.  For toric P(E) it equals the regularized quantum
+period of the empty cut.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
@@ -79,7 +85,7 @@ def ray(js, lifted, a, b, along_p):
     falling = [[[prod(range(x - c + 1, x + 1)) ** d for c in range(x + 1)]
                 for x in range(max(a, b) + 1)]
                for d in (js.spec.d1, js.spec.d2)]
-    return scale, flat, qde._shift_sum(grid, flat.parts, a, b, falling)
+    return scale, flat, qde._shift_sum(grid, flat, a, b, falling)
 
 
 def ref_route_residual(scale, ray, u, rhs, size):
@@ -754,3 +760,20 @@ def ref_find_annihilator(seq, max_order, max_degree):
         raise ValueError("annihilator space is %d-dimensional" % len(basis))
     return pf_normalize([PFTerm(val, m, e)
                          for (e, m), val in zip(cols, basis[0]) if val])
+
+
+def laurent_period(monomials, terms):
+    """[constant term of f^m for m < terms], f the sum of the Laurent
+    monomials whose exponent vectors are listed: a Counter over exponent
+    vectors, multiplied by f once per term."""
+    zero = (0,) * len(monomials[0])
+    walk = Counter({zero: 1})
+    out = []
+    for _ in range(terms):
+        out.append(walk[zero])
+        step = Counter()
+        for e, x in walk.items():
+            for m in monomials:
+                step[tuple(u + v for u, v in zip(e, m))] += x
+        walk = step
+    return out

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import rescaled
+from oracles import laurent_period, rescaled
 
 from qfano import cli, qde, seeds
 from qfano.fixtures_io import fixture_lines, load_named_expressions
@@ -571,6 +571,65 @@ def test_periods_product_bundles_closed_form(tmp_path, capsys, n, r, cut):
         str(v) for v in projective_product_periods(dims, 13)]
 
 
+# Mirror Laurent polynomials by the exponent vectors of their monomials:
+# x + 1/x + y + 1/y for P^1 x P^1, and x + y + z + 1/z + z/(xy) for
+# Bl_pt P^3 = P(O + O(-1)) over P^2
+P1P1_MIRROR = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+BLPT_P3_MIRROR = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (-1, -1, 1)]
+
+
+def test_laurent_period_of_p1p1_is_squared_binomials():
+    # the oracle alone: the constant term of (x + 1/x + y + 1/y)^(2k) is
+    # binom(2k,k)^2, and odd powers have none
+    assert laurent_period(P1P1_MIRROR, 12) == [
+        0 if m % 2 else (factorial(m) // factorial(m // 2) ** 2) ** 2
+        for m in range(12)]
+
+
+def empty_cut_periods(capsys, argv, terms):
+    status = cli.main(["periods", "--cut", "", "--regularized", "--terms",
+                       str(terms)] + argv)
+    assert status == 0
+    return [int(line) for line in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_periods_empty_cut_is_mirror_period_p1p1(capsys):
+    got = empty_cut_periods(capsys, ["--bundle", "p1-trivial"], 12)
+    assert got == laurent_period(P1P1_MIRROR, 12)
+    assert got[:5] == [1, 0, 4, 0, 36] and got[-2:] == [63504, 0]
+
+
+def test_periods_empty_cut_is_mirror_period_blpt_p3(tmp_path, capsys):
+    # Bl_pt P^3 has no builtin seeds: its one nonzero seed is the line in
+    # the exceptional plane, written into a table of the demanded keys
+    cfg = tmp_path / "blpt.cfg"
+    cfg.write_text("n = 2\nr = 2\nchern = -1 0\n")
+    spec = make_bundle(2, 2, (-1, 0))
+    keys = [seeds.seed_key(spec, i, j, k)
+            for i, j, k in seeds.demanded_invariants(spec) if i <= j]
+    assert len(keys) == 5
+    table = tmp_path / "blpt.seeds"
+    table.write_text("".join("%s %d\n" % (key, key == "(2,2) (2,2) 1 0")
+                             for key in keys))
+    got = empty_cut_periods(
+        capsys, ["--bundle", str(cfg), "--seeds", str(table)], 13)
+    assert got == laurent_period(BLPT_P3_MIRROR, 13)
+    assert got[:5] == [1, 0, 2, 0, 30] and got[-1] == 1784244
+
+
+def test_mirror_period_rejects_bumped_seed(tmp_path, capsys):
+    # the seed of value 1 raised to 2 passes every ring check, so
+    # reconstruct accepts it; only the mirror period sees the defect
+    table = tmp_path / "bumped.seeds"
+    table.write_text("(1,1) (2,1) 1 0 2\n(1,0) (2,1) 1 0 0\n")
+    argv = ["--bundle", "p1-trivial", "--seeds", str(table)]
+    assert cli.main(["reconstruct"] + argv) == 0
+    capsys.readouterr()
+    got = empty_cut_periods(capsys, argv, 12)
+    assert got[:5] == [1, 0, 6, 0, 78]
+    assert got != laurent_period(P1P1_MIRROR, 12)
+
+
 def test_seeds_dump_drives_reconstruction(tmp_path):
     out = tmp_path / "sd"
     proc = run_cli("seeds", "--bundle", "flagship", "--out", str(out))
@@ -747,6 +806,11 @@ EARLY_REFUSALS = [
     (PERIODS + ["--cut", "xi^5", "--pf-verify"], None,
      "the packaged operator holds for the flagship cut p,xi^5 only; "
      "--pf-verify needs a FILE for bundle 'flagship', cut 'xi^5'"),
+    # no term, so no position for the operator to annihilate
+    (PERIODS + ["--terms", "0", "--pf-verify"], None,
+     "--pf-verify with --terms 0 has no position to certify"),
+    (PERIODS + ["--terms", "0", "--pf-verify", "{file}"], "D - t\n",
+     "--pf-verify with --terms 0 has no position to certify"),
 ]
 
 
@@ -756,7 +820,8 @@ EARLY_REFUSALS = [
          "search-underdetermined", "verify-zero", "verify-bad-atom",
          "verify-missing", "check-empty", "check-zero", "check-duplicate",
          "check-packaged-other-bundle", "verify-packaged-other-bundle",
-         "verify-packaged-other-cut"])
+         "verify-packaged-other-cut", "verify-no-terms-packaged",
+         "verify-no-terms-file"])
 def test_refused_options_exit_before_solving(tmp_path, monkeypatch, capsys,
                                              argv, body, error):
     monkeypatch.setattr(qde, "identity_series", refuse_to_solve)

@@ -401,7 +401,7 @@ def test_one_pass_matches_per_operator_oracle(request, series, operators):
     js = request.getfixturevalue(series)
     _, mp, mxi = request.getfixturevalue(series.removesuffix("_js"))
     if series == "flagship_rescaled_js":
-        assert qde._lift(mp, 0, {})[1] > 1 and qde._lift(mxi, 1, {})[1] > 1
+        assert qde._lift(mp)[1] > 1 and qde._lift(mxi)[1] > 1
     texts = [operators[name] for name in sorted(operators)]
     ops = [qde.parse_operator(text) for text in texts + list(NON_ANNIHILATING)]
     reports = qde.check_operator(ops, mp, mxi, series_order(js))
@@ -435,6 +435,51 @@ def test_unit_fibre_derivation_action(p1p1):
     _, mp, mxi = p1p1
     assert qde.check_operator([qde.parse_operator("D2")], mp, mxi, 6) == [
         "residual nonzero at index (0,0), component 3: 1*z^0"]
+
+
+@pytest.mark.parametrize("bundle", ["flagship", "p1p1", "flagship_rescaled"])
+def test_nabla_keeps_sparse_chains_within_the_order(request, bundle):
+    # each step along either ray stores no zero, no index beyond the
+    # order, and a chain in lowest terms; nabla never lowers a + b, so
+    # the chain cut at every step is the uncut chain cut once at the end
+    _, mp, mxi = request.getfixturevalue(bundle)
+    order = 2
+    for along, qmat in enumerate((mp, mxi)):
+        lift = qde._lift(qmat)
+        cut = full = ({(0, 0, 0): 1}, 1)
+        for _ in range(10):
+            cut = qde._nabla(cut, lift, along, order)
+            full = qde._nabla(full, lift, along, 99)
+            vec, den = cut
+            assert vec and all(vec.values())
+            assert all(a + b <= order for a, b, _ in vec)
+            assert gcd(den, *vec.values()) == 1
+            assert {key: F(x, den) for key, x in vec.items()} == {
+                (a, b, i): F(x, full[1]) for (a, b, i), x in full[0].items()
+                if a + b <= order}
+        assert any(a + b > order for a, b, _ in full[0])
+
+
+def test_check_operator_chains_do_not_grow_with_order(
+        flagship, operators, monkeypatch):
+    # the packaged operators' chains reach no index above a + b = 3, so
+    # the check builds the same 29 sparse chains at orders 16 and 30
+    _, mp, mxi = flagship
+    ops = [qde.parse_operator(operators[name]) for name in sorted(operators)]
+    nabla = qde._nabla
+    chains = {}
+    for order in (16, 30):
+        steps = chains[order] = []
+
+        def spy(*args, steps=steps):
+            steps.append(nabla(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(qde, "_nabla", spy)
+        assert qde.check_operator(ops, mp, mxi, order) == [None] * len(ops)
+    assert chains[16] == chains[30]
+    assert len(chains[16]) == 29
+    assert max(a + b for vec, _ in chains[16] for a, b, _ in vec) == 3
 
 
 def test_order_zero_series(flagship):
@@ -596,7 +641,7 @@ def test_solve_matches_neumann_reference(request, case):
                 checked += 1
                 # D divides L unless U*L is not integral: an inexact division
                 inexact += rden % den != 0
-        parts = lifted[bool(a)].parts[0]
+        parts = lifted[bool(a)].parts
         kinds = {any(js.blocks[(a - c, b - d)][0])
                  for c, d in parts if c <= a and d <= b}
         if kinds:
