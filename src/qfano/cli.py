@@ -212,9 +212,6 @@ def cmd_periods(args):
     bundles = lefschetz.parse_cut(args.cut)
     weights = lefschetz.cut_weights(spec, bundles)
     if args.pf_verify is not None:
-        if not args.terms:
-            raise CliError("--pf-verify with --terms 0 has no position to "
-                           "certify")
         if args.pf_verify == "" and not (
                 is_flagship(spec)
                 and sorted(bundles) == sorted(
@@ -227,6 +224,9 @@ def cmd_periods(args):
         op = lefschetz.operator_from_lines(lines, where)
         if not op:
             raise CliError("%s: operator is zero" % where)
+        if args.terms <= lefschetz.pf_first_position(op):
+            raise CliError("--pf-verify with --terms %d has no position to "
+                           "certify" % args.terms)
     if args.pf_search:
         try:
             search_order, search_degree = (

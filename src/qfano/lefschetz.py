@@ -26,6 +26,7 @@ primitive integer generator of a one-dimensional kernel.
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import count
 from math import comb, gcd
 
 from qfano import opparse
@@ -153,6 +154,15 @@ def pf_apply(op, seq):
                 for c, t in zip(coeffs, op) if pos >= t.m)
             for pos in range(len(seq))]
     return [Fraction(x, den * cden) if x else 0 for x in sums]
+
+
+def pf_first_position(op):
+    """The least position d whose residual reads the sequence: some t-power
+    m <= d has its terms sum coeff * (d - m)^e to nonzero.  Before it, 0
+    always.  A t-power's k terms vanish at no more than k points x >= 0."""
+    return min(m + next(x for x in count()
+                        if sum(t.coeff * x ** t.e for t in op if t.m == m))
+               for m in {t.m for t in op})
 
 
 def pf_normalize(op):

@@ -6,10 +6,10 @@ k*d1 <= deg(gamma) + 1; by the divisor axiom they fix the p-matrix
 column of gamma, and every xi-matrix column follows from its p column
 (reconstruct.xi_column_from_p).  These invariants form one finite
 SeedTable, read from a seed file by load_seeds or filled by
-builtin_source from a closed form, zero for every multiple k >= 2 of the
-base ray:
+builtin_source from a closed form in the basis positions (i, j, k) of
+<phi_i, phi_j> on k times the base ray, zero for every k >= 2:
 
-  * blowup_invariant  - the flagship: both classes pushed from the
+  * blowup_invariant  - the flagship: phi_i and phi_j pushed from the
                         exceptional divisor to G(2,5) and paired there
                         (schubert.divisor_pairing);
   * product_invariant - all Chern coefficients zero: on P^n x P^(r-1)
@@ -26,8 +26,6 @@ from qfano.linalg import col_add_into
 from qfano.opparse import parse_number
 from qfano.ring import basis_index, divisor_mul, dual_basis
 
-ZERO = Fraction(0)
-
 
 class MissingSeedError(ValueError):
     """A demanded seed invariant is not in the seed table."""
@@ -39,47 +37,32 @@ def seed_key(spec, i, j, a):
     return "(%d,%d) (%d,%d) %d 0" % (ai + bi, ai, aj + bj, aj, a)
 
 
-def _support(spec, x):
-    """(a, b, coefficient) for each entry of a class."""
-    return [spec.basis[i] + (c,) for i, c in x.items()]
+def blowup_invariant(spec, i, j, k):
+    """Two-point invariant <phi_i, phi_j> of k times the base ray, flagship.
 
-
-def blowup_invariant(spec, alpha, beta, k):
-    """Two-point invariant of k times the base ray, flagship geometry.
-
-    Zero for k >= 2; for k = 1 the Grassmannian pairing of the two
+    Zero for k >= 2; for k = 1 the Grassmannian pairing of the two basis
     classes pushed from the exceptional divisor to G(2,5).
     """
     if not schubert.is_flagship(spec):
         raise ValueError("blow-up seed geometry is flagship-specific")
     if k < 1:
         raise ValueError("multiplicity must be >= 1")
-    if k >= 2:
-        return ZERO
-    right = _support(spec, beta)
-    return sum((x * y * schubert.divisor_pairing(a, b, c, d)
-                for a, b, x in _support(spec, alpha)
-                for c, d, y in right), ZERO)
+    (a, b), (c, d) = spec.basis[i], spec.basis[j]
+    return schubert.divisor_pairing(a, b, c, d) if k == 1 else 0
 
 
-def product_invariant(spec, alpha, beta, k):
-    """Base-ray invariant for an all-zero-Chern (product) bundle.
+def product_invariant(spec, i, j, k):
+    """Base-ray invariant <phi_i, phi_j> for an all-zero-Chern bundle.
 
-    On X = P^n x P^(r-1) one line of the base ray meets p^n xi^b and
-    p^n xi^d, once, when b + d = r - 1: the line through two points of
-    P^n.  So the k = 1 invariant is the sum over b of
-    alpha[p^n xi^b] beta[p^n xi^(r-1-b)], and k >= 2 gives zero.
+    On X = P^n x P^(r-1) the k = 1 invariant counts the line through two
+    points of P^n: 1 for p^n xi^b, p^n xi^d with b + d = r - 1, else 0.
     """
     if any(spec.chern):
         raise ValueError("product seed geometry needs all Chern coefficients zero")
     if k < 1:
         raise ValueError("multiplicity must be >= 1")
-    if k >= 2:
-        return ZERO
-    n, r = spec.n, spec.r
-    return sum((alpha.get(spec.position(n, b), ZERO)
-                * beta.get(spec.position(n, r - 1 - b), ZERO)
-                for b in range(r)), ZERO)
+    (a, b), (c, d) = spec.basis[i], spec.basis[j]
+    return int(k == 1 and a == c == spec.n and b + d == spec.r - 1)
 
 
 class SeedTable:
@@ -155,7 +138,7 @@ def builtin_source(spec):
             "no builtin seed source for this spec; provide a seed table")
     table = SeedTable(spec)
     for i, j, k in demanded_invariants(spec):
-        table.set(i, j, k, invariant(spec, {i: 1}, {j: 1}, k))
+        table.set(i, j, k, invariant(spec, i, j, k))
     return table
 
 

@@ -20,8 +20,8 @@ Segre numbers and the integral over X, the Poincare pairing as a Gram
 matrix of integrals and the dual basis as its inverse, the three-point
 symmetry checked on that Gram matrix, and the degree <= n xi-matrix
 columns from fibre-line invariants.  They read classes as dense vectors
-over the basis, where the package keeps sparse {position: value} maps;
-dense_class and sparse_class convert between the two.  So is the operator
+over the basis, where the package keeps sparse {position: value} maps,
+which dense_class spreads out.  So is the operator
 residual on the J-series, built term by term from the frames: it is the
 reference for the package's check, which sends the class 1 through the
 quantum D-module of the two matrices and reads no frame.  So are the
@@ -37,7 +37,8 @@ on integers.
 One oracle shares no code with the package at all: laurent_period, the
 classical period of a mirror Laurent polynomial, whose m-th term is the
 constant term of f^m.  For toric P(E) it equals the regularized quantum
-period of the empty cut.
+period of the empty cut, with f summed over the rays of the fan that
+toric_mirror builds.
 """
 
 from collections import Counter
@@ -393,11 +394,6 @@ def dense_class(spec, x):
     for pos, c in x.items():
         vec[pos] = c
     return vec
-
-
-def sparse_class(vec):
-    """A dense class as a {position: value} map without zeros."""
-    return {pos: c for pos, c in enumerate(vec) if c}
 
 
 def integrate(spec, x):
@@ -777,3 +773,15 @@ def laurent_period(monomials, terms):
                 step[tuple(u + v for u, v in zip(e, m))] += x
         walk = step
     return out
+
+
+def toric_mirror(n, a):
+    """The rays of the fan of P(O + O(a_1) + ... + O(a_(r-1))) over P^n,
+    as the exponent vectors of its mirror Laurent polynomial: e_1..e_n,
+    f_1..f_(r-1), (-1,...,-1, a) and (0,...,0, -1,...,-1).  A spec with
+    chern = -1 0 is a = (1,); one with no Chern coefficient is a = 0."""
+    a = tuple(a)
+    dim = n + len(a)
+    units = [tuple(int(col == row) for col in range(dim))
+             for row in range(dim)]
+    return units + [(-1,) * n + a, (0,) * n + (-1,) * len(a)]

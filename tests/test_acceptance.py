@@ -12,7 +12,7 @@ import pytest
 from oracles import (check_flatness, check_grading, check_homogeneity,
                      check_purity, fiber_invariant, hypergeometric_modify,
                      mirror_map_correction, monomial_class, period_sequence,
-                     regularize, sparse_class, verify_relation)
+                     regularize, verify_relation)
 
 from qfano import lefschetz, qde
 from qfano import reconstruct as rc
@@ -223,9 +223,8 @@ def test_criterion_10_seed_oracle_consistency(flagship, fixture_matrices):
     spec = flagship
     rng = random.Random(20260818)
     failures = []
-    # dense classes for the fibre oracle, sparse ones for the package
+    # dense classes for the fibre oracle, basis positions for the package
     classes = [monomial_class(spec, a, b) for (a, b) in spec.basis]
-    sparse = [sparse_class(x) for x in classes]
     for _ in range(30):
         i = rng.randrange(spec.size)
         j = rng.randrange(spec.size)
@@ -233,7 +232,7 @@ def test_criterion_10_seed_oracle_consistency(flagship, fixture_matrices):
         if fiber_invariant(spec, classes[i], classes[j], k):
             failures.append("fiber invariant (%d,%d) k=%d nonzero"
                             % (i, j, k))
-        if seedlib.blowup_invariant(spec, sparse[i], sparse[j], k):
+        if seedlib.blowup_invariant(spec, i, j, k):
             failures.append("base-ray invariant (%d,%d) k=%d nonzero"
                             % (i, j, k))
     fiber_sum = spec.dim - 1 + spec.d2
@@ -246,20 +245,19 @@ def test_criterion_10_seed_oracle_consistency(flagship, fixture_matrices):
                 spec, classes[i], classes[j], 1):
             failures.append("fiber invariant nonzero off dimension "
                             "at (%d,%d)" % (i, j))
-        if total != base_sum and seedlib.blowup_invariant(
-                spec, sparse[i], sparse[j], 1):
+        if total != base_sum and seedlib.blowup_invariant(spec, i, j, 1):
             failures.append("base-ray invariant nonzero off dimension "
                             "at (%d,%d)" % (i, j))
     hand = seedlib.blowup_invariant(
-        spec, {spec.position(4, 0): 1}, {spec.position(2, 4): 1}, 1)
+        spec, spec.position(4, 0), spec.position(2, 4), 1)
     if hand != 2:
         failures.append("pairing of p^4 with p^2 xi^4 is %s, expected 2"
                         % hand)
     mp_fixture, _ = fixture_matrices
     col = spec.position(4, 0)
-    p4 = {col: 1}
     for i in range(spec.size):
-        expected = seedlib.blowup_invariant(spec, p4, dual_basis(spec)[i], 1)
+        expected = sum(c * seedlib.blowup_invariant(spec, col, k, 1)
+                       for k, c in dual_basis(spec)[i].items())
         got = mp_fixture.entry(i, col).get((1, 0), Fraction(0))
         if got != expected:
             failures.append("column %d row %d: matrix has %s, oracle %s"

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import laurent_period, rescaled
+from oracles import laurent_period, rescaled, toric_mirror
 
 from qfano import cli, qde, seeds
 from qfano.fixtures_io import fixture_lines, load_named_expressions
@@ -452,6 +452,14 @@ def test_periods_pf_verify_regularized():
     assert "annihilates all 12 certified positions" in proc.stdout
 
 
+def test_periods_pf_verify_first_certified_position():
+    # position 2 is the first whose packaged residual reads the sequence
+    proc = run_cli("periods", "--terms", "3", "--regularized",
+                   "--pf-verify")
+    assert proc.returncode == 0
+    assert "operator annihilates all 3 certified positions" in proc.stdout
+
+
 def test_periods_pf_verify_plain_sequence_fails():
     proc = run_cli("periods", "--terms", "12", "--pf-verify")
     assert proc.returncode == 1
@@ -586,35 +594,75 @@ def test_laurent_period_of_p1p1_is_squared_binomials():
         for m in range(12)]
 
 
-def empty_cut_periods(capsys, argv, terms):
-    status = cli.main(["periods", "--cut", "", "--regularized", "--terms",
+def regularized_periods(capsys, argv, terms, cut=""):
+    status = cli.main(["periods", "--cut", cut, "--regularized", "--terms",
                        str(terms)] + argv)
     assert status == 0
     return [int(line) for line in capsys.readouterr().out.splitlines()[1:]]
 
 
 def test_periods_empty_cut_is_mirror_period_p1p1(capsys):
-    got = empty_cut_periods(capsys, ["--bundle", "p1-trivial"], 12)
+    got = regularized_periods(capsys, ["--bundle", "p1-trivial"], 12)
     assert got == laurent_period(P1P1_MIRROR, 12)
     assert got[:5] == [1, 0, 4, 0, 36] and got[-2:] == [63504, 0]
 
 
+def blpt_argv(tmp_path, n):
+    """--bundle and --seeds of Bl_pt P^(n+1) = P(O + O(-1)) over P^n: the
+    one nonzero seed is the line in the exceptional P^n, written into a
+    table of the five demanded keys."""
+    cfg = tmp_path / "blpt.cfg"
+    cfg.write_text("n = %d\nr = 2\nchern = -1 0\n" % n)
+    spec = make_bundle(n, 2, (-1, 0))
+    line = (spec.position(n, 0),) * 2 + (1,)
+    demanded = [key for key in seeds.demanded_invariants(spec)
+                if key[0] <= key[1]]
+    assert len(demanded) == 5
+    table = tmp_path / "blpt.seeds"
+    table.write_text("".join("%s %d\n" % (seeds.seed_key(spec, *key),
+                                          key == line)
+                             for key in demanded))
+    return ["--bundle", str(cfg), "--seeds", str(table)]
+
+
 def test_periods_empty_cut_is_mirror_period_blpt_p3(tmp_path, capsys):
     # Bl_pt P^3 has no builtin seeds: its one nonzero seed is the line in
-    # the exceptional plane, written into a table of the demanded keys
-    cfg = tmp_path / "blpt.cfg"
-    cfg.write_text("n = 2\nr = 2\nchern = -1 0\n")
-    spec = make_bundle(2, 2, (-1, 0))
-    keys = [seeds.seed_key(spec, i, j, k)
-            for i, j, k in seeds.demanded_invariants(spec) if i <= j]
-    assert len(keys) == 5
-    table = tmp_path / "blpt.seeds"
-    table.write_text("".join("%s %d\n" % (key, key == "(2,2) (2,2) 1 0")
-                             for key in keys))
-    got = empty_cut_periods(
-        capsys, ["--bundle", str(cfg), "--seeds", str(table)], 13)
+    # the exceptional plane
+    got = regularized_periods(capsys, blpt_argv(tmp_path, 2), 13)
+    assert "(2,2) (2,2) 1 0 1\n" in (tmp_path / "blpt.seeds").read_text()
     assert got == laurent_period(BLPT_P3_MIRROR, 13)
     assert got[:5] == [1, 0, 2, 0, 30] and got[-1] == 1784244
+
+
+def test_toric_mirror_builds_the_recorded_fans():
+    assert sorted(toric_mirror(1, (0,))) == sorted(P1P1_MIRROR)
+    assert sorted(toric_mirror(2, (1,))) == sorted(BLPT_P3_MIRROR)
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3)
+                                 for r in (2, 3, 4)])
+def test_periods_empty_cut_is_mirror_period_products(tmp_path, capsys,
+                                                     n, r):
+    cfg = tmp_path / "product.cfg"
+    cfg.write_text("n = %d\nr = %d\n" % (n, r))
+    got = regularized_periods(capsys, ["--bundle", str(cfg)], 10)
+    assert got == laurent_period(toric_mirror(n, (0,) * (r - 1)), 10)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_periods_empty_cut_is_mirror_period_blpt(tmp_path, capsys, n):
+    got = regularized_periods(capsys, blpt_argv(tmp_path, n), 14)
+    assert got == laurent_period(toric_mirror(n, (1,)), 14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_periods_nef_cut_of_blpt_is_projective_space(tmp_path, capsys, n):
+    # cutting Bl_pt P^(n+1) by xi leaves P^n: ((n+1)k)!/(k!)^(n+1) at
+    # m = (n+1)k and zero elsewhere
+    got = regularized_periods(capsys, blpt_argv(tmp_path, n), 13, cut="xi")
+    assert got == [0 if m % (n + 1) else
+                   factorial(m) // factorial(m // (n + 1)) ** (n + 1)
+                   for m in range(13)]
 
 
 def test_mirror_period_rejects_bumped_seed(tmp_path, capsys):
@@ -625,7 +673,7 @@ def test_mirror_period_rejects_bumped_seed(tmp_path, capsys):
     argv = ["--bundle", "p1-trivial", "--seeds", str(table)]
     assert cli.main(["reconstruct"] + argv) == 0
     capsys.readouterr()
-    got = empty_cut_periods(capsys, argv, 12)
+    got = regularized_periods(capsys, argv, 12)
     assert got[:5] == [1, 0, 6, 0, 78]
     assert got != laurent_period(P1P1_MIRROR, 12)
 
@@ -811,6 +859,12 @@ EARLY_REFUSALS = [
      "--pf-verify with --terms 0 has no position to certify"),
     (PERIODS + ["--terms", "0", "--pf-verify", "{file}"], "D - t\n",
      "--pf-verify with --terms 0 has no position to certify"),
+    # the packaged operator's residual is zero at positions 0 and 1 for
+    # every sequence, so two terms certify nothing
+    (PERIODS + ["--terms", "1", "--pf-verify"], None,
+     "--pf-verify with --terms 1 has no position to certify"),
+    (PERIODS + ["--terms", "2", "--pf-verify"], None,
+     "--pf-verify with --terms 2 has no position to certify"),
 ]
 
 
@@ -821,7 +875,8 @@ EARLY_REFUSALS = [
          "verify-missing", "check-empty", "check-zero", "check-duplicate",
          "check-packaged-other-bundle", "verify-packaged-other-bundle",
          "verify-packaged-other-cut", "verify-no-terms-packaged",
-         "verify-no-terms-file"])
+         "verify-no-terms-file", "verify-one-term-packaged",
+         "verify-two-terms-packaged"])
 def test_refused_options_exit_before_solving(tmp_path, monkeypatch, capsys,
                                              argv, body, error):
     monkeypatch.setattr(qde, "identity_series", refuse_to_solve)

@@ -175,6 +175,29 @@ def test_pf_apply_basics():
     assert lf.pf_apply(geom, [F(1)] * 6) == [0] * 6
 
 
+def test_pf_first_position():
+    # every residual before it is zero whatever the sequence; some unit
+    # sequence leaves a nonzero residual at it
+    packaged = lf.operator_from_lines(fixture_lines("pf_operator.txt"))
+    assert lf.pf_apply(packaged, [F(12345)]) == [0]
+    assert lf.pf_apply(packaged, [F(7), F(99)]) == [0, 0]
+    cases = [(packaged, 2)] + [
+        (lf.parse_pf_operator(text), first)
+        for text, first in (("1", 0), ("D", 1), ("D - t", 1),
+                            ("t^2*D", 3), ("D^2 - t^3", 1), ("D^2 - D", 2),
+                            ("t*D^2 - t*D + t^5", 3))]
+    for op, first in cases:
+        assert lf.pf_first_position(op) == first
+        # the residual is linear in the sequence: unit sequences span it
+        residuals = [lf.pf_apply(op, [F(int(pos == j))
+                                      for pos in range(first + 1)])
+                     for j in range(first + 1)]
+        assert all(res[:first] == [0] * first for res in residuals)
+        assert any(res[first] for res in residuals)
+    # one step per t-power, not per position
+    assert lf.pf_first_position(lf.parse_pf_operator("t^100000*D")) == 100001
+
+
 def test_pf_fixture_annihilates_first_terms(flagship_periods):
     op = lf.operator_from_lines(fixture_lines("pf_operator.txt"))
     regularized = regularize(flagship_periods)

@@ -18,7 +18,6 @@ from oracles import (
     ref_blowup_invariant,
     scale,
     sigma,
-    sparse_class,
 )
 
 from qfano import seeds
@@ -322,12 +321,10 @@ def test_divisor_pairing_values():
 def test_closed_form_matches_pieri_on_monomial_pairs(flagship, k):
     classes = [monomial_class(flagship, a, b) for a, b in flagship.basis]
     values = set()
-    for x in classes:
-        for y in classes:
-            got = seeds.blowup_invariant(
-                flagship, sparse_class(x), sparse_class(y), k)
-            assert got == ref_blowup_invariant(flagship, x, y, k), \
-                (k, x.index(1), y.index(1))
+    for i, x in enumerate(classes):
+        for j, y in enumerate(classes):
+            got = seeds.blowup_invariant(flagship, i, j, k)
+            assert got == ref_blowup_invariant(flagship, x, y, k), (k, i, j)
             values.add(got)
     assert values == ({0, 1, 2, 5} if k == 1 else {0})
 
@@ -342,6 +339,6 @@ DENSE_OVER_ONE = st.builds(
 @settings(max_examples=100, deadline=None)
 @given(DENSE_OVER_ONE, DENSE_OVER_ONE)
 def test_closed_form_matches_pieri_on_dense_classes(flagship, x, y):
-    assert seeds.blowup_invariant(
-        flagship, sparse_class(x), sparse_class(y), 1) == \
-        ref_blowup_invariant(flagship, x, y, 1)
+    pairing = sum(x[i] * y[j] * seeds.blowup_invariant(flagship, i, j, 1)
+                  for i in range(flagship.size) for j in range(flagship.size))
+    assert pairing == ref_blowup_invariant(flagship, x, y, 1)

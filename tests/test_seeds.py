@@ -5,8 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import (fiber_invariant, monomial_class, ref_product_invariant,
-                     sparse_class)
+from oracles import fiber_invariant, monomial_class, ref_product_invariant
 
 from qfano import cli, seeds
 from qfano.reconstruct import reconstruct
@@ -21,11 +20,6 @@ def flagship():
 @pytest.fixture(scope="module")
 def p1p1():
     return make_bundle(1, 2)
-
-
-def mono(spec, a, b):
-    """The monomial p^a xi^b as the package's sparse class."""
-    return {spec.position(a, b): 1}
 
 
 def test_fiber_multiplicity_two_vanishes(flagship):
@@ -54,8 +48,8 @@ def test_blowup_oracle_values(flagship):
         ((3, 0), (2, 5), 5),
     ]
     for (aa, ba), (ab, bb), want in cases:
-        got = seeds.blowup_invariant(
-            flagship, mono(flagship, aa, ba), mono(flagship, ab, bb), 1)
+        got = seeds.blowup_invariant(flagship, flagship.position(aa, ba),
+                                     flagship.position(ab, bb), 1)
         assert got == want, ((aa, ba), (ab, bb))
 
 
@@ -64,28 +58,28 @@ def test_blowup_vanishing_and_symmetry(flagship):
     for _ in range(25):
         i = rng.randrange(flagship.size)
         j = rng.randrange(flagship.size)
-        a = mono(flagship, *flagship.basis[i])
-        b = mono(flagship, *flagship.basis[j])
-        assert seeds.blowup_invariant(flagship, a, b, 2) == 0
-        assert (seeds.blowup_invariant(flagship, a, b, 1)
-                == seeds.blowup_invariant(flagship, b, a, 1))
+        assert seeds.blowup_invariant(flagship, i, j, 2) == 0
+        assert (seeds.blowup_invariant(flagship, i, j, 1)
+                == seeds.blowup_invariant(flagship, j, i, 1))
         if flagship.degree(i) + flagship.degree(j) != flagship.dim + 1:
-            assert seeds.blowup_invariant(flagship, a, b, 1) == 0
+            assert seeds.blowup_invariant(flagship, i, j, 1) == 0
 
 
 def test_blowup_rejects_other_bundles(p1p1):
     with pytest.raises(ValueError):
-        seeds.blowup_invariant(p1p1, mono(p1p1, 1, 0), mono(p1p1, 1, 1), 1)
+        seeds.blowup_invariant(p1p1, p1p1.position(1, 0),
+                               p1p1.position(1, 1), 1)
 
 
 def test_product_invariant(p1p1):
-    assert seeds.product_invariant(p1p1, mono(p1p1, 1, 0), mono(p1p1, 1, 1), 1) == 1
-    assert seeds.product_invariant(p1p1, mono(p1p1, 1, 0), mono(p1p1, 1, 1), 2) == 0
-    assert seeds.product_invariant(p1p1, mono(p1p1, 0, 1), mono(p1p1, 1, 1), 1) == 0
+    pos = p1p1.position
+    assert seeds.product_invariant(p1p1, pos(1, 0), pos(1, 1), 1) == 1
+    assert seeds.product_invariant(p1p1, pos(1, 0), pos(1, 1), 2) == 0
+    assert seeds.product_invariant(p1p1, pos(0, 1), pos(1, 1), 1) == 0
     twisted = make_bundle(4, 6, [-3, 5, -5])
     with pytest.raises(ValueError):
-        seeds.product_invariant(twisted, mono(twisted, 1, 0),
-                                mono(twisted, 1, 1), 1)
+        seeds.product_invariant(twisted, twisted.position(1, 0),
+                                twisted.position(1, 1), 1)
 
 
 def test_product_invariant_closed_form():
@@ -94,11 +88,10 @@ def test_product_invariant_closed_form():
     for n in range(1, 5):
         for r in range(2, 6):
             spec = make_bundle(n, r)
-            for a, b in spec.basis:
-                for c, d in spec.basis:
+            for i, (a, b) in enumerate(spec.basis):
+                for j, (c, d) in enumerate(spec.basis):
                     want = int(a == c == n and b + d == r - 1)
-                    assert seeds.product_invariant(
-                        spec, mono(spec, a, b), mono(spec, c, d), 1) == want, \
+                    assert seeds.product_invariant(spec, i, j, 1) == want, \
                         (n, r, (a, b), (c, d))
 
 
@@ -109,21 +102,18 @@ def test_product_invariant_matches_swapped_fibre_oracle(n):
     for r in range(2, 7):
         spec = make_bundle(n, r)
         classes = [monomial_class(spec, a, b) for a, b in spec.basis]
-        for x in classes:
-            for y in classes:
-                assert seeds.product_invariant(
-                    spec, sparse_class(x), sparse_class(y), 1) == \
-                    ref_product_invariant(spec, x, y, 1), \
-                    (n, r, x.index(1), y.index(1))
-        assert seeds.product_invariant(
-            spec, sparse_class(x), sparse_class(x), 2) == \
+        for i, x in enumerate(classes):
+            for j, y in enumerate(classes):
+                assert seeds.product_invariant(spec, i, j, 1) == \
+                    ref_product_invariant(spec, x, y, 1), (n, r, i, j)
+        assert seeds.product_invariant(spec, i, i, 2) == \
             ref_product_invariant(spec, x, x, 2) == 0
 
 
 def test_builtin_invariants_refuse_multiplicity_zero(flagship, p1p1):
     for spec, invariant in ((flagship, seeds.blowup_invariant),
                             (p1p1, seeds.product_invariant)):
-        one = mono(spec, 0, 0)
+        one = spec.position(0, 0)
         with pytest.raises(ValueError, match="multiplicity must be >= 1"):
             invariant(spec, one, one, 0)
 
@@ -133,9 +123,8 @@ def test_builtin_source_dispatch(flagship, p1p1):
                             (p1p1, seeds.product_invariant)):
         table = seeds.builtin_source(spec)
         for i, j, k in seeds.demanded_invariants(spec):
-            assert table.pure_base(i, j, k) == invariant(
-                spec, mono(spec, *spec.basis[i]), mono(spec, *spec.basis[j]),
-                k), (i, j, k)
+            assert table.pure_base(i, j, k) == invariant(spec, i, j, k), \
+                (i, j, k)
     other = make_bundle(3, 2, [1])
     with pytest.raises(ValueError):
         seeds.builtin_source(other)
