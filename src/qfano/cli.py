@@ -88,6 +88,24 @@ def _structure_defect(mp, mxi):
     return None
 
 
+_CHUNK = 10 ** 1000
+
+
+def _decimal(x):
+    """str(x) for an int or a Fraction of any length.  str refuses an int
+    of more digits than sys.get_int_max_str_digits() (4300 by default),
+    and raising that limit would reach everything else in the process, so
+    the digits are written in chunks of 1000."""
+    if x.denominator != 1:
+        return "%s/%s" % (_decimal(x.numerator), _decimal(x.denominator))
+    n = abs(x.numerator)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append("%01000d" % low)
+    return "-" * (x < 0) + str(n) + "".join(reversed(chunks))
+
+
 def _operator_file(arg, fixture):
     """(lines, where) of an operator option: the packaged fixture when
     FILE is omitted, else the named file; parse errors cite `where`."""
@@ -251,7 +269,7 @@ def cmd_periods(args):
                           % len(seq))
         else:
             report.append("operator residual %s at position %d"
-                          % (residual[bad], bad))
+                          % (_decimal(residual[bad]), bad))
             status = 1
     if args.pf_search:
         found = lefschetz.find_annihilator(seq, search_order, search_degree)

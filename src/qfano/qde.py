@@ -15,9 +15,9 @@ strictly lower triangular: the commutator with P moves a frame entry
 from level deg(row) - deg(col) to the next level up, each equation is
 solved in one pass from the lowest level upward, and any block of
 leading frame rows closes under it.  One loop solves every index along
-one ray, the base ray where a >= 1 and the fibre ray on a = 0;
-j_series runs it on all rows, identity_series on the unit row alone,
-to high order.
+one ray, the fibre ray where b >= 1 and the base ray on b = 0 (on the
+flagship M_xi's q-parts are the sparser); j_series runs it on all rows,
+identity_series on the unit row alone, to high order.
 
 One ray suffices for a flat pair, which the solve checks first on the
 matrices (reconstruct.flatness_defect): [M_1, M_2] = 0 and q1 d/dq1 M_2
@@ -28,12 +28,16 @@ classical part of M_k.  Then
     D_1 E_2 - D_2 E_1 = F ([M_2, M_1] + q2 d/dq2 M_1 - q1 d/dq1 M_2)
                         + [C_1, C_2] F = 0.
 
-By construction E_1 = 0 where a >= 1 and E_2 = 0 on a = 0.  M_1 has no
-pure-q2 part, so on a = 0 D_1 E_2 = [C_1, E_2] = 0, and D_2 E_1 = 0
-gives b*E_1 + [C_2, E_1] = (E_1 at lower b) * parts; C_2 is nilpotent,
-so b + [C_2, .] is invertible for b >= 1 and E_1 = 0 by induction on b.
-Then D_1 E_2 = 0 gives E_2 = 0 by induction on a.  C_k is strictly
-lower triangular, so this holds on any block of leading rows.
+By construction E_2 = 0 where b >= 1 and E_1 = 0 on b = 0.  The
+derivative half at b = 0 reads a*M_2[(a, 0)] = 0, so M_2 has no pure-q1
+part, by flatness alone.  So on b = 0 D_2 E_1 = [C_2, E_1] = 0, hence
+D_1 E_2 = 0 there: a*E_2 + [C_1, E_2] = (E_2 at lower a, b = 0) *
+parts, C_1 is nilpotent, so a + [C_1, .] is invertible for a >= 1, and
+E_2 = 0 on b = 0 by induction on a (at the origin F = I and E_2 = 0).
+So E_2 vanishes everywhere, and D_2 E_1 = D_1 E_2 = 0 gives b*E_1 +
+[C_2, E_1] = (E_1 at lower b) * parts, so E_1 = 0 by induction on b.
+C_k is strictly lower triangular, so this holds on any block of leading
+rows.
 
 A block of leading frame rows is one flat integer vector w over one
 denominator D, in lowest terms, entry (i, j) at i*n + j for n basis
@@ -41,15 +45,15 @@ elements.  Every block, the unit row and the full frames alike, solves
 the one row equation s*w - w*A = r, where A is the matrix of the
 two-sided action U -> U*C - C*U on flat blocks (on the unit row, whose
 equation has no left product, A is C itself).  Each matrix has one
-integer form, _lift, every term over one denominator; a solve reads A
-from its classical terms as integer adjacency lists, one per entry,
-together with each entry's level and the walk order (rows ascending,
-columns descending), and the q-parts from its other terms, as integer
-lists from a source entry to its targets.  So the solve is one flat
-walk, each entry divided as soon as it is computed (Bareiss's exact
-division).  Zeros and unit denominators cost nothing: a zero block is
-neither walked nor read as a source, and a denominator of 1 enters no
-lcm and multiplies nothing.
+integer form, QuantumMatrix.lift, every term over one denominator; a
+solve reads A from its classical terms as integer adjacency lists, one
+per entry, together with each entry's level and the walk order (rows
+ascending, columns descending), and the q-parts from its other terms,
+as integer lists from a source entry to its targets.  So the solve is
+one flat walk, each entry divided as soon as it is computed (Bareiss's
+exact division).  Zeros and unit denominators cost nothing: a zero
+block is neither walked nor read as a source, and a denominator of 1
+enters no lcm and multiplies nothing.
 
 Every block, full frames and unit row alike, is stored as the scaled
 frame G_{a,b} = (a!)^d1 (b!)^d2 F_{a,b}: both equations keep their
@@ -71,7 +75,7 @@ nabla_k, so L on the J-series leaves F*w; F_{0,0} = I and every other
 F_beta moves an index up, so w and F*w, cut at one order, share their
 first nonzero index and its components.  The premise is flatness,
 which the frame solve checks on the matrices.  The check reads the
-same _lift as the solve, in the column action on sparse chains where
+same lift as the solve, in the column action on sparse chains where
 the solve reads it in the row action on flat blocks.
 """
 
@@ -96,7 +100,7 @@ class NonIntegralError(ValueError):
 # One ray's row equation s*w - w*A = r on flat blocks of leading frame
 # rows, entry (i, j) at i*size + j, with A = Aint/den the action U ->
 # U*C - C*U of the classical matrix C = Cint/den, den being the one
-# denominator of the matrix's _lift.  walk lists the pairs (p, adj) rows
+# denominator of the matrix's lift.  walk lists the pairs (p, adj) rows
 # ascending and columns descending, adj holding the pairs (q,
 # Aint[q][p]): for p = (i, j), q = (i, k) with Cint[k][j] and q = (k, j)
 # with -Cint[i][k].  C raises degree by exactly one (set_column enforces
@@ -108,25 +112,13 @@ class NonIntegralError(ValueError):
 Ray = namedtuple("Ray", "den walk level top parts")
 
 
-def _lift(qmat):
-    """The one integer form of a QuantumMatrix, (columns, den): columns[j]
-    lists (i, c, d, int) for the q1^c q2^d term int/den of entry (i, j),
-    den being the lcm of every term's denominator."""
-    columns = [qmat.column(j).items() for j in range(qmat.spec.size)]
-    den = lcm(*(v.denominator for col in columns for _, qp in col
-                for v in qp.values()))
-    return [[(i, c, d, v.numerator * (den // v.denominator))
-             for i, qp in col for (c, d), v in qp.items()]
-            for col in columns], den
-
-
 def _split_matrix(qmat, rows):
-    """The Ray of a QuantumMatrix, read off its _lift and built once per
+    """The Ray of a QuantumMatrix, read off its lift and built once per
     solve: the (0, 0) terms fill the two-sided classical action on flat
     blocks of `rows` leading frame rows, the others the q-parts in the
     row action."""
     size = qmat.spec.size
-    columns, den = _lift(qmat)
+    columns, den = qmat.lift()
     starts = range(0, rows * size, size)
     adj = [[] for _ in range(rows * size)]
     parts = {}
@@ -290,11 +282,11 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
             b = total - a
             if w1 * a + w2 * b > order:
                 continue
-            ray = rays[0 if a else 1]
+            ray = rays[1 if b else 0]
             rhs = _shift_sum(live, ray, a, b, falling)
             if any(rhs[0]):
                 js.blocks[(a, b)] = live[a][b] = _sylvester_solve(
-                    a or b, ray, rhs)
+                    b or a, ray, rhs)
             else:
                 js.blocks[(a, b)] = [0] * len(rhs[0]), 1
     return js
@@ -367,7 +359,7 @@ def parse_operator(text):
 
 def _nabla(chain, lift, along, order):
     """One step nabla_k, along = k - 1, on a chain ({(a, b, i): int}, D)
-    of the entries with a + b <= order, M_k read from its _lift: z q_k
+    of the entries with a + b <= order, M_k read from its lift: z q_k
     d/dq_k multiplies an entry by its index along ray k (z-powers are
     implicit) and column j of M_k carries it to the entries it reaches
     within the order.  No zero is stored, and a lift with den > 1 costs
@@ -400,7 +392,7 @@ def check_operator(ops, mp, mxi, order):
     docstring): callers check flatness first (j_series).
     """
     spec = mp.spec
-    lifts = (_lift(mp), _lift(mxi))
+    lifts = (mp.lift(), mxi.lift())
     chains = {(0, 0): ({(0, 0, 0): 1}, 1)}
     # D1^k D2^l extends D1^k D2^(l-1), or D1^(k-1) when l = 0
     for k, l in {(t.d1, t.d2) for op in ops for t in op}:

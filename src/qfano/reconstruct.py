@@ -18,6 +18,7 @@ filled column by column in basis order:
 """
 
 from fractions import Fraction
+from math import lcm
 
 from qfano import seeds as seeds_mod
 from qfano.fixtures_io import data_lines
@@ -65,6 +66,17 @@ class QuantumMatrix:
 
     def entry(self, i, j):
         return self.column(j).get(i, {})
+
+    def lift(self):
+        """The one integer form of the matrix, (columns, den): columns[j]
+        lists (i, c, d, int) for the q1^c q2^d term int/den of entry (i,
+        j), den being the lcm of every term's denominator."""
+        columns = [self.column(j).items() for j in range(self.spec.size)]
+        den = lcm(*(v.denominator for col in columns for _, qp in col
+                    for v in qp.values()))
+        return [[(i, c, d, v.numerator * (den // v.denominator))
+                 for i, qp in col for (c, d), v in qp.items()]
+                for col in columns], den
 
     def apply(self, vec):
         """Matrix times a column vector {row: QPoly} over the q-polynomials."""
@@ -181,24 +193,37 @@ def reconstruct(spec, source):
     return mp, mxi
 
 
+def _column_product(columns, col):
+    """The lifted column `columns * col` as {(i, c, d): int} with no zero,
+    for two lifts: the q-powers of the terms add."""
+    out = {}
+    for k, c, d, v in col:
+        for i, c2, d2, u in columns[k]:
+            key = i, c + c2, d + d2
+            out[key] = out.get(key, 0) + u * v
+    return {key: x for key, x in out.items() if x}
+
+
 def flatness_defect(mp, mxi):
     """None if nabla_k = z q_k d/dq_k + M_k is flat, else its first defect.
 
     Flatness is [M_p, M_xi] = 0, checked column by column, and q1 d/dq1
     M_xi = q2 d/dq2 M_p, checked term by term: a*M_xi[(a, b)] =
-    b*M_p[(a, b)] at each entry, columns first.
+    b*M_p[(a, b)] at each entry, columns first.  Both halves read the
+    lifts M_p = P/dp and M_xi = X/dx: the commutator compares the integer
+    columns of P*X and X*P, the derivative half a*x*dp with b*p*dx.
     """
-    size = mp.spec.size
-    for j in range(size):
-        if mp.apply(mxi.column(j)) != mxi.apply(mp.column(j)):
+    (pcols, dp), (xcols, dx) = mp.lift(), mxi.lift()
+    for j, (pcol, xcol) in enumerate(zip(pcols, xcols)):
+        if _column_product(pcols, xcol) != _column_product(xcols, pcol):
             return "commutativity check fails at column %d" % (j + 1)
-    for j in range(size):
-        for i in range(size):
-            p, xi = mp.entry(i, j), mxi.entry(i, j)
-            for a, b in sorted(p.keys() | xi.keys()):
-                if a * xi.get((a, b), 0) != b * p.get((a, b), 0):
-                    return ("q1 d/dq1 M_xi != q2 d/dq2 M_p at entry (%d,%d), "
-                            "term q1^%d q2^%d" % (i + 1, j + 1, a, b))
+    for j, (pcol, xcol) in enumerate(zip(pcols, xcols)):
+        p = {(i, a, b): v for i, a, b, v in pcol}
+        xi = {(i, a, b): v for i, a, b, v in xcol}
+        for i, a, b in sorted(p.keys() | xi.keys()):
+            if a * xi.get((i, a, b), 0) * dp != b * p.get((i, a, b), 0) * dx:
+                return ("q1 d/dq1 M_xi != q2 d/dq2 M_p at entry (%d,%d), "
+                        "term q1^%d q2^%d" % (i + 1, j + 1, a, b))
     return None
 
 

@@ -7,10 +7,12 @@ frame solve sets the origin block to the identity, checks flatness on
 the two matrices and then solves each index along one divisor ray.
 check_flatness checks every index against both rays' equations with
 ref_route_residual, where the solve relies on the check on the
-matrices.  ray rebuilds one divisor-ray equation at an index from
-every block below it, zero blocks included, where the solve reads only
-the nonzero ones; rays lifts the two divisor matrices for it with the
-solver's own _split_matrix.  The quantum ring relations are checked
+matrices; ref_flatness_defect is that check on Fraction q-polynomials,
+where the package compares integer products of the two lifts.  ray
+rebuilds one divisor-ray equation at an index from every block below
+it, zero blocks included, where the solve reads only the nonzero ones;
+rays lifts the two divisor matrices for it with the solver's own
+_split_matrix.  The quantum ring relations are checked
 here as well, read off the z-free terms of the packaged annihilating
 operators.
 
@@ -131,6 +133,24 @@ def check_flatness(js, mp, mxi):
                 (i, j), val = defect
                 return ("index (%d,%d): residual %s at entry (%d,%d)"
                         % (a, b, val, i + 1, j + 1))
+    return None
+
+
+def ref_flatness_defect(mp, mxi):
+    """reconstruct.flatness_defect on Fraction q-polynomials: the
+    commutator column by column through QuantumMatrix.apply, then a*M_xi =
+    b*M_p at each term, columns first; the same texts."""
+    size = mp.spec.size
+    for j in range(size):
+        if mp.apply(mxi.column(j)) != mxi.apply(mp.column(j)):
+            return "commutativity check fails at column %d" % (j + 1)
+    for j in range(size):
+        for i in range(size):
+            p, xi = mp.entry(i, j), mxi.entry(i, j)
+            for a, b in sorted(p.keys() | xi.keys()):
+                if a * xi.get((a, b), 0) != b * p.get((a, b), 0):
+                    return ("q1 d/dq1 M_xi != q2 d/dq2 M_p at entry (%d,%d), "
+                            "term q1^%d q2^%d" % (i + 1, j + 1, a, b))
     return None
 
 

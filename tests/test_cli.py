@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -464,6 +465,20 @@ def test_periods_pf_verify_plain_sequence_fails():
     proc = run_cli("periods", "--terms", "12", "--pf-verify")
     assert proc.returncode == 1
     assert "operator residual" in proc.stdout
+
+
+def test_periods_pf_verify_prints_a_long_residual_in_full(tmp_path):
+    # the sequence reads 1, 0, 5, 7, so the first nonzero residual is
+    # (2^100000 - 3*2^99999)*5 at position 2: 30104 digits, more than str
+    # writes under the default limit; Decimal writes them independently
+    op = tmp_path / "long.op"
+    op.write_text("D^100000 - 3*D^99999\n")
+    proc = run_cli("periods", "--terms", "4", "--pf-verify", str(op))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    digits = str(Decimal(-5 * 2 ** 99999))
+    assert len(digits) == 30105
+    assert "operator residual %s at position 2\n" % digits in proc.stdout
 
 
 def test_periods_pf_search_reports_no_hit():

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (LAMBDA, MU, basis_scale, check_flatness,
                      check_homogeneity, ray, rays, ref_check_operator,
-                     ref_classical, ref_route_residual, rescaled, vector)
+                     ref_classical, ref_flatness_defect, ref_route_residual,
+                     rescaled, vector)
 
 from qfano import qde
 from qfano.fixtures_io import fixture_lines, load_named_expressions
 from qfano.linalg import col_add_into
-from qfano.reconstruct import QuantumMatrix, reconstruct
+from qfano.reconstruct import QuantumMatrix, flatness_defect, reconstruct
 from qfano.ring import make_bundle
 from qfano.seeds import builtin_source
 
@@ -258,7 +259,8 @@ def with_p_added_to_xi(spec, mp, mxi):
 
 
 @pytest.mark.parametrize("bundle,entry", [("flagship", "(2,4)"),
-                                          ("p1p1", "(1,2)")])
+                                          ("p1p1", "(1,2)"),
+                                          ("flagship_rescaled", "(2,4)")])
 def test_commuting_pair_fails_derivative_half(request, bundle, entry):
     spec, mp, mxi = request.getfixturevalue(bundle)
     bad = with_p_added_to_xi(spec, mp, mxi)
@@ -270,22 +272,83 @@ def test_commuting_pair_fails_derivative_half(request, bundle, entry):
         assert str(err.value) == error
 
 
-def test_one_shift_sum_per_solved_index(flagship, monkeypatch):
-    # each index past the origin is built from one ray's shift sum alone
-    spec, mp, mxi = flagship
-    calls = []
-    shift_sum = qde._shift_sum
+def with_term_doubled(qmat, j):
+    """A copy of qmat with the first quantum term of column j doubled;
+    grading and purity survive."""
+    out = QuantumMatrix(qmat.spec, qmat.label)
+    for k in range(qmat.spec.size):
+        out.set_column(k, {row: dict(qp)
+                           for row, qp in qmat.column(k).items()})
+    terms = sorted((row, key) for row, qp in out.column(j).items()
+                   for key in qp if key != (0, 0))
+    if terms:
+        row, key = terms[0]
+        out.column(j)[row][key] *= 2
+    return out
 
-    def spy(*args):
+
+@pytest.mark.parametrize("bundle", ["flagship", "p1p1", "flagship_rescaled"])
+def test_flatness_on_the_lifts_matches_fraction_reference(request, bundle):
+    # the check on the integer lifts returns the text of the check on
+    # Fraction q-polynomials: on the flat pair, with one quantum term of
+    # one column doubled, and with M_p added to M_xi; the rescaled pair
+    # has lift denominators > 1, and they differ
+    spec, mp, mxi = request.getfixturevalue(bundle)
+    dp, dx = mp.lift()[1], mxi.lift()[1]
+    if bundle == "flagship_rescaled":
+        assert dp > 1 and dx > 1 and dp != dx
+    else:
+        assert (dp, dx) == (1, 1)
+    pairs = [(mp, mxi), (mp, with_p_added_to_xi(spec, mp, mxi))]
+    for j in range(spec.size):
+        pairs += [(with_term_doubled(mp, j), mxi),
+                  (mp, with_term_doubled(mxi, j))]
+    reports = [flatness_defect(*pair) for pair in pairs]
+    assert reports == [ref_flatness_defect(*pair) for pair in pairs]
+    assert reports[0] is None
+    assert reports[1].startswith("q1 d/dq1 M_xi != q2 d/dq2 M_p")
+    assert any(report and report.startswith("commutativity")
+               for report in reports[2:])
+
+
+def test_one_shift_sum_per_solved_index(flagship, monkeypatch):
+    # each index past the origin is built from one ray's shift sum alone,
+    # and solved on the xi ray with scale b where b >= 1, on the p ray
+    # with scale a on b = 0
+    spec, mp, mxi = flagship
+    labels, calls, solves = {}, [], []
+    split, shift_sum, solve = (qde._split_matrix, qde._shift_sum,
+                               qde._sylvester_solve)
+
+    def split_spy(qmat, rows):
+        ray = split(qmat, rows)
+        labels[id(ray)] = qmat.label
+        return ray
+
+    def shift_sum_spy(*args):
         calls.append(args[2:4])
         return shift_sum(*args)
 
-    monkeypatch.setattr(qde, "_shift_sum", spy)
+    def solve_spy(scale, ray, rhs):
+        solves.append((calls[-1], labels[id(ray)], scale))
+        return solve(scale, ray, rhs)
+
+    monkeypatch.setattr(qde, "_split_matrix", split_spy)
+    monkeypatch.setattr(qde, "_shift_sum", shift_sum_spy)
+    monkeypatch.setattr(qde, "_sylvester_solve", solve_spy)
     qde.identity_series(mp, mxi, spec, 63)
     assert len(calls) == 2079 == len(set(calls))
+    rows_solves = list(solves)
     calls.clear()
+    solves.clear()
     js = qde.j_series(mp, mxi, spec, 6)
     assert len(calls) == 27 == len(js.blocks) - 1
+    # the unit row of the flagship is zero on b = 0 past the origin; the
+    # full frames are not
+    assert all(b for (_, b), _, _ in rows_solves)
+    assert {b > 0 for (_, b), _, _ in solves} == {False, True}
+    for (a, b), label, scale in rows_solves + solves:
+        assert (label, scale) == (("xi", b) if b else ("p", a)), (a, b)
 
 
 def test_parse_operator_basics():
@@ -401,7 +464,7 @@ def test_one_pass_matches_per_operator_oracle(request, series, operators):
     js = request.getfixturevalue(series)
     _, mp, mxi = request.getfixturevalue(series.removesuffix("_js"))
     if series == "flagship_rescaled_js":
-        assert qde._lift(mp)[1] > 1 and qde._lift(mxi)[1] > 1
+        assert mp.lift()[1] > 1 and mxi.lift()[1] > 1
     texts = [operators[name] for name in sorted(operators)]
     ops = [qde.parse_operator(text) for text in texts + list(NON_ANNIHILATING)]
     reports = qde.check_operator(ops, mp, mxi, series_order(js))
@@ -445,7 +508,7 @@ def test_nabla_keeps_sparse_chains_within_the_order(request, bundle):
     _, mp, mxi = request.getfixturevalue(bundle)
     order = 2
     for along, qmat in enumerate((mp, mxi)):
-        lift = qde._lift(qmat)
+        lift = qmat.lift()
         cut = full = ({(0, 0, 0): 1}, 1)
         for _ in range(10):
             cut = qde._nabla(cut, lift, along, order)
