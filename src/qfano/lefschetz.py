@@ -12,9 +12,11 @@ exponential is the mirror reparametrization; multiplying the series
 sum d_m t^m by exp(-d_1 t) gives the period sequence, and the regularized
 sequence (m-th term times m!), the one an operator in D = t d/dt
 annihilates, is the binomial convolution r_m = sum_k C(m,k) E_k
-(-E_1)^(m-k) of E_m = m! d_m.  On the Apery-normalized table of
-qde.identity_series, E_m sums integers times multinomial coefficients,
-so the whole chain runs on integers.
+(-E_1)^(m-k) of E_m = m! d_m, run by the Pascal rule with one multiply
+by E_1 per step.  On the Apery-normalized table of qde.identity_series,
+E_m sums integers times multinomial coefficients, so the whole chain
+runs on integers; a unit-ray bundle p or xi multiplies by 1 and costs
+nothing.
 
 Operators are lists of terms coeff * t^m * D^e.  Applied to a sequence,
 the term sends position d to coeff * d^e at position d + m, so every
@@ -27,7 +29,7 @@ primitive integer generator of a one-dimensional kernel.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import count
-from math import comb, gcd
+from math import gcd
 
 from qfano import opparse
 from qfano.fixtures_io import data_lines
@@ -76,9 +78,13 @@ def regularized_periods(atable, spec, bundles, terms):
     table A_{i,j} = (i!)^d1 (j!)^d2 c_{i,j} at every grade below terms.
 
     E_m sums A_{i,j} m!/((i!)^w1 (j!)^w2) times (u*i + v*j)!/((i!)^u
-    (j!)^v) per bundle over the grade m.  Numerators over the lcm L of the
-    table's denominators give E'_m = L*E_m, and r_m = sum_k C(m,k) E'_k
-    L^k (-E'_1)^(m-k) / L^(m+1), a Fraction unless L = 1.
+    (j!)^v) per bundle over the grade m; the unit-ray bundles (1,0),
+    (0,1) and the trivial (0,0) have factor 1 and are skipped.  Numerators
+    over the lcm L of the table's denominators give E'_m = L*E_m, and
+    r_m = sum_k C(m,k) E'_k L^k (-E'_1)^(m-k) / L^(m+1), a Fraction
+    unless L = 1.  The binomial sum runs by the Pascal rule: from
+    row[k] = E'_k L^k, each step row[k] <- row[k+1] - E'_1 row[k] leaves
+    the numerator of r_m in row[0] after m steps.
     """
     w1, w2 = cut_weights(spec, bundles)
     if terms < 0:
@@ -87,8 +93,9 @@ def regularized_periods(atable, spec, bundles, terms):
     keys = [(i, j) for i in range(top // w1 + 1)
             for j in range((top - w1 * i) // w2 + 1)]
     nums, den = common_denominator([atable[key] for key in keys])
-    fact = [1]
-    for k in range(1, max(spec.d1, spec.d2) * top + 1):
+    bundles = [(u, v) for u, v in bundles if u + v > 1]
+    fact = [1]  # up to top, and u*i + v*j <= max(u, v)*top per bundle
+    for k in range(1, max([1] + [max(b) for b in bundles]) * top + 1):
         fact.append(fact[-1] * k)
     series = [0] * terms
     for (i, j), x in zip(keys, nums):
@@ -98,9 +105,13 @@ def regularized_periods(atable, spec, bundles, terms):
             for u, v in bundles:
                 x *= fact[u * i + v * j] // (fact[i] ** u * fact[j] ** v)
             series[m] += x
-    shift = [(-series[1] if terms > 1 else 0) ** k for k in range(terms)]
-    out = [sum(comb(m, k) * series[k] * den ** k * shift[m - k]
-               for k in range(m + 1)) for m in range(terms)]
+    row = [x * den ** k for k, x in enumerate(series)]
+    e1 = series[1] if terms > 1 else 0
+    out = []
+    for m in range(terms):
+        out.append(row[0])
+        for k in range(terms - m - 1):
+            row[k] = row[k + 1] - e1 * row[k]
     return out if den == 1 else [Fraction(x, den ** (m + 1))
                                  for m, x in enumerate(out)]
 
@@ -147,11 +158,16 @@ def format_pf_operator(op):
 
 def pf_apply(op, seq):
     """Residual of the operator on a truncated sequence, position-exact,
-    summed on integers over one common denominator: 0 or a Fraction."""
+    summed on integers over one common denominator: 0 or a Fraction.
+    The terms group by t-power m; each group's D-polynomial is evaluated
+    once at k = pos - m and multiplies ints[k] once."""
     coeffs, cden = common_denominator([term.coeff for term in op])
     ints, den = common_denominator(seq)
-    sums = [sum(c * (pos - t.m) ** t.e * ints[pos - t.m]
-                for c, t in zip(coeffs, op) if pos >= t.m)
+    groups = {}
+    for c, t in zip(coeffs, op):
+        groups.setdefault(t.m, []).append((c, t.e))
+    sums = [sum(ints[pos - m] * sum(c * (pos - m) ** e for c, e in poly)
+                for m, poly in groups.items() if pos >= m)
             for pos in range(len(seq))]
     return [Fraction(x, den * cden) if x else 0 for x in sums]
 
@@ -204,8 +220,11 @@ def find_annihilator(seq, max_order, max_degree):
     cols = [(e, m) for e in range(max_order + 1)
             for m in range(max_degree + 1)]
     ints = common_denominator(seq)[0]
-    rows = [[ints[pos - m] * (pos - m) ** e if pos >= m else 0
-             for e, m in cols] for pos in range(len(seq))]
+    powers = [ints]  # powers[e][k] = ints[k] * k^e
+    for _ in range(max_order):
+        powers.append([x * k for k, x in enumerate(powers[-1])])
+    rows = [[powers[e][pos - m] if pos >= m else 0 for e, m in cols]
+            for pos in range(len(seq))]
     basis = nullspace(rows)
     if not basis:
         return None

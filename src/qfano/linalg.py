@@ -84,15 +84,16 @@ def _rref(rows, ncols, modulus):
 
     The forward pass takes each pivot as the first nonzero entry at or
     below the current row, scales the pivot row to pivot 1 and clears the
-    column in the rows below it, on the columns from the pivot on; it
-    stops once every row holds a pivot.  It reduces a column of the rows
-    below only when it reaches that column: each update subtracts a
-    product of two residues, so an entry stays below ncols * modulus^2 in
-    size.  The backward pass goes from the last pivot to the first and
-    clears each pivot column above its pivot, updating only the free
-    columns to its right, since the pivot row is zero on every other
-    column there.  Returns (rows, pivots), or None at the first pivot that
-    is not a unit.
+    column in the rows below it, on the columns from the pivot on, or only
+    on the pivot row's nonzero columns when fewer than a third of those
+    are nonzero; it stops once every row holds a pivot.  It reduces a
+    column of the rows below only when it reaches that column: each
+    update subtracts a product of two residues, so an entry stays below
+    ncols * modulus^2 in size.  The backward pass goes from the last pivot
+    to the first and clears each pivot column above its pivot, updating
+    only the free columns to its right, since the pivot row is zero on
+    every other column there.  Returns (rows, pivots), or None at the
+    first pivot that is not a unit.
     """
     pivots = []
     r = 0
@@ -108,10 +109,15 @@ def _rref(rows, ncols, modulus):
             return None
         inv = pow(p, -1, modulus)
         tail = rows[r][c:] = [x * inv % modulus for x in rows[r][c:]]
+        nonzero = [(j, b) for j, b in enumerate(tail, c) if b]
+        dense = 3 * len(nonzero) >= len(tail)
         for row in rows[r + 1:]:
             f = row[c]
-            if f:
+            if f and dense:
                 row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
+            elif f:
+                for j, b in nonzero:
+                    row[j] -= f * b
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -4,6 +4,7 @@ The Fraction chain (hypergeometric modification, mirror multiplier,
 period sequence, regularization) lives in tests/oracles.py as the
 reference for the package's integer convolution."""
 
+import random
 import re
 from fractions import Fraction
 from math import factorial
@@ -303,6 +304,33 @@ def test_integer_chain_matches_oracle_at_64_terms(flagship, flagship_atable,
                                                   cut):
     assert_chain_matches_oracle(flagship_atable, flagship[0],
                                 lf.parse_cut(cut), 64)
+
+
+def test_integer_chain_matches_oracle_at_128_terms(flagship):
+    # the Pascal-rule convolution with E'_1 = 24 and L = 1, far past 64
+    spec, mp, mxi = flagship
+    atable = qde.identity_series(mp, mxi, spec, 127)
+    assert_chain_matches_oracle(atable, spec, FLAGSHIP_CUT, 128)
+
+
+@pytest.mark.parametrize("nr, bundles, e1_zero", [
+    ((2, 3), [(0, 2)], False),                # -K_Y = (3, 1)
+    ((2, 3), [(1, 1)], True),                 # -K_Y = (2, 2)
+    ((4, 6), [(1, 1), (0, 4)], False),        # -K_Y = (4, 1)
+    ((4, 6), [(1, 1), (0, 2), (1, 0)], True),  # -K_Y = (3, 3)
+])
+def test_integer_chain_matches_oracle_on_rational_tables_at_48_terms(
+        nr, bundles, e1_zero):
+    # denominators above 1 scale row[k] by L^k; with every entry nonzero,
+    # E'_1 = 0 exactly when no index has grade 1
+    spec = make_bundle(*nr)
+    rng = random.Random(repr((nr, bundles)))
+    atable = {(i, j): F(rng.choice([-1, 1]) * rng.randint(1, 30),
+                        rng.randint(1, 12))
+              for i in range(48) for j in range(48 - i)}
+    assert max(x.denominator for x in atable.values()) > 1
+    assert (1 not in lf.cut_weights(spec, bundles)) == e1_zero
+    assert_chain_matches_oracle(atable, spec, bundles, 48)
 
 
 @settings(max_examples=40, deadline=None)

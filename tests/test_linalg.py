@@ -13,9 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import invert
 
-from qfano import linalg
+from qfano import linalg, qde
+from qfano.lefschetz import parse_cut, regularized_periods
 from qfano.linalg import (accumulate, col_add_into, common_denominator,
                           nullspace)
+from qfano.reconstruct import reconstruct
+from qfano.ring import make_bundle
+from qfano.seeds import builtin_source
 
 F = Fraction
 
@@ -252,6 +256,89 @@ def test_rref_matches_gauss_jordan_reference(modulus, mat):
     ncols = len(rows[0]) if rows else 0
     expected = ref_rref_mod([list(row) for row in rows], ncols, modulus)
     assert linalg._rref(rows, ncols, modulus) == expected
+
+
+class SliceLog(list):
+    """A row that logs the start column of each slice assignment to it.
+    At a pivot column c, _rref scales the pivot row by one slice
+    assignment from c, and a dense update writes one more to each row
+    below that is nonzero at c; a sparse update writes single entries."""
+
+    def __init__(self, values, log):
+        super().__init__(values)
+        self.log = log
+
+    def __setitem__(self, key, value):
+        if isinstance(key, slice):
+            self.log.append(key.start)
+        super().__setitem__(key, value)
+
+
+def logged_rref(rows, ncols, modulus):
+    """_rref on rows that log their slice assignments, and the log."""
+    log = []
+    return linalg._rref([SliceLog(row, log) for row in rows], ncols,
+                        modulus), log
+
+
+@st.composite
+def staircase_matrices(draw):
+    """Integer matrices whose leading rows hold one or two nonzeros at
+    increasing columns, the first at column 0, above rows that are dense
+    from column 0 on: the pivot rows that _rref updates sparsely."""
+    ncols = draw(st.integers(min_value=4, max_value=10))
+    nonzero = st.integers(min_value=1, max_value=9)
+    starts = draw(st.lists(st.integers(min_value=1, max_value=ncols - 1),
+                           max_size=2, unique=True))
+    rows = []
+    for c in [0] + sorted(starts):
+        row = [0] * ncols
+        row[c] = draw(nonzero)
+        if c < ncols - 1 and draw(st.booleans()):
+            row[draw(st.integers(min_value=c + 1,
+                                 max_value=ncols - 1))] = draw(nonzero)
+        rows.append(row)
+    dense = st.tuples(nonzero, st.lists(
+        st.integers(min_value=-9, max_value=9),
+        min_size=ncols - 1, max_size=ncols - 1))
+    return rows + [[x] + rest for x, rest in
+                   draw(st.lists(dense, min_size=1, max_size=6))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([101, 12]), staircase_matrices())
+def test_rref_sparse_pivot_rows_match_gauss_jordan_reference(modulus, mat):
+    rows = [[x % modulus for x in row] for row in mat]
+    ncols = len(rows[0])
+    expected = ref_rref_mod([list(row) for row in rows], ncols, modulus)
+    got, log = logged_rref(rows, ncols, modulus)
+    assert got == expected
+    # the first pivot row is row 0; held sparse, it is the only row
+    # written from column 0 on, though the dense rows below are nonzero
+    # there
+    if got is not None and 3 * sum(map(bool, rows[0])) < ncols:
+        assert log.count(0) == 1
+
+
+def test_rref_flagship_operator_search_rows():
+    # the rows of the 64-term order-4 degree-9 search, built directly:
+    # positions 0 and 1 hold a single nonzero, at columns (0,0) and (0,1)
+    spec = make_bundle(4, 6, [-3, 5, -5])
+    mp, mxi = reconstruct(spec, builtin_source(spec))
+    seq = regularized_periods(qde.identity_series(mp, mxi, spec, 63), spec,
+                              parse_cut("p,xi^5"), 64)
+    cols = [(e, m) for e in range(5) for m in range(10)]
+    rows = [[seq[pos - m] * (pos - m) ** e % F7 if pos >= m else 0
+             for e, m in cols] for pos in range(64)]
+    assert [sum(map(bool, row)) for row in rows[:2]] == [1, 1]
+    expected = ref_rref_mod([list(row) for row in rows], 50, F7)
+    got, log = logged_rref(rows, 50, F7)
+    assert got == expected
+    assert got[1][:2] == [0, 1]
+    # the first two pivots wrote no dense update to the rows below,
+    # 61 of them nonzero in column 1
+    assert sum(bool(row[1]) for row in rows[2:]) == 61
+    assert log.count(0) == log.count(1) == 1
 
 
 def big_matrix(nrows, ncols, salt):
