@@ -26,7 +26,10 @@ def parse_number(text, fraction=False):
                                          text))
     if len(parts) == 2 and not int(parts[1]):
         raise ValueError("zero denominator in %r" % text)
-    return Fraction(text) if fraction else int(text)
+    if not fraction:
+        return int(text)
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 def split_terms(text):

@@ -17,7 +17,10 @@ solved in one pass from the lowest level upward, and any block of
 leading frame rows closes under it.  One loop solves every index along
 one ray, the fibre ray where b >= 1 and the base ray on b = 0 (on the
 flagship M_xi's q-parts are the sparser); j_series runs it on all rows,
-identity_series on the unit row alone, to high order.
+identity_series on the unit row alone, to high order.  The loop yields
+each block as it is solved and keeps it only while a later index can
+read it; j_series collects every block, identity_series reads entry 0
+of each and keeps none.
 
 One ray suffices for a flat pair, which the solve checks first on the
 matrices (reconstruct.flatness_defect): [M_1, M_2] = 0 and q1 d/dq1 M_2
@@ -157,7 +160,7 @@ def _shift_sum(live, ray, a, b, falling):
                 used.append((source, part, c, d))
                 if source[1] != 1:
                     den = lcm(den, source[1])
-    out = [0] * len(live[0][0][0])
+    out = [0] * len(ray.level)
     for (vec, fden), part, c, d in used:
         m = den // fden * falling[0][a][c] * falling[1][b][d]
         for p, targets in part:
@@ -226,8 +229,8 @@ class JSeries:
 
     blocks maps (a, b) to the scaled frame G_{a,b} as (flat integer
     vector, D), entry (i, j) being vec[i*n + j] / D with the z-grid
-    implicit; the unit-row solve behind identity_series keeps row one
-    only, and an export divides each block by weight(a, b).
+    implicit, every block of the solve's stream kept; an export divides
+    each block by weight(a, b).
     """
 
     def __init__(self, spec):
@@ -251,33 +254,42 @@ class JSeries:
 
 
 def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
-    """The series with every block cut to its leading rows, over the
-    indices with w1*a + w2*b <= order for weights (w1, w2) >= (1, 1);
-    the indices below (a, b) have a lower weighted sum.
+    """Yield ((a, b), block) for every block cut to its leading rows, in
+    solve order, over the indices with w1*a + w2*b <= order for weights
+    (w1, w2) >= (1, 1); the indices below (a, b) have a lower weighted
+    sum.
 
     A pair that fails flatness_defect raises FlatnessError with its
     message before any solve; each block is then built from one ray
     alone (module docstring).  scale*w - w*A is invertible for scale >=
     1, so a right-hand side with no nonzero entry gives the zero block
     (zeros, 1) without a walk.  Only the nonzero blocks enter the grid
-    the shift sums read, so a zero source costs them nothing.
+    the shift sums read, so a zero source costs them nothing, and only
+    while a later index can read them: a source lies at most span =
+    max(c + d) over the q-parts of both rays anti-diagonals below its
+    target, so the grid drops anti-diagonal total - span - 1 before the
+    solve of anti-diagonal total.  The grid holds at most span + 1
+    anti-diagonals; a caller that keeps every block collects the stream.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     defect = flatness_defect(mp, mxi)
     if defect is not None:
         raise FlatnessError(defect)
-    js = JSeries(spec)
     rays = (_split_matrix(mp, rows), _split_matrix(mxi, rows))
     keys = [key for ray in rays for key in ray.parts]
+    span = max((c + d for c, d in keys), default=0)
     falling = [_falling(order, max((key[k] for key in keys), default=0), d)
                for k, d in enumerate((spec.d1, spec.d2))]
     w1, w2 = weights
-    live = [[None] * (order // w2 + 1) for _ in range(order // w1 + 1)]
-    live[0][0] = js.blocks[(0, 0)] = (
-        [int(p % spec.size == p // spec.size)
-         for p in range(rows * spec.size)], 1)
+    live = [[None] * (order + 1) for _ in range(order + 1)]
+    live[0][0] = block = ([int(p % spec.size == p // spec.size)
+                           for p in range(rows * spec.size)], 1)
+    yield (0, 0), block
     for total in range(1, order + 1):
+        gone = total - span - 1
+        for a in range(gone + 1):
+            live[a][gone - a] = None
         for a in range(total, -1, -1):
             b = total - a
             if w1 * a + w2 * b > order:
@@ -285,17 +297,19 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
             ray = rays[1 if b else 0]
             rhs = _shift_sum(live, ray, a, b, falling)
             if any(rhs[0]):
-                js.blocks[(a, b)] = live[a][b] = _sylvester_solve(
-                    b or a, ray, rhs)
+                live[a][b] = block = _sylvester_solve(b or a, ray, rhs)
             else:
-                js.blocks[(a, b)] = [0] * len(rhs[0]), 1
-    return js
+                block = rhs[0], 1
+            yield (a, b), block
 
 
 def j_series(mp, mxi, spec, order):
     """Solve the system for all frames with a + b <= order, each built
-    along one ray; a pair that is not flat raises FlatnessError."""
-    return _solve(mp, mxi, spec, order, spec.size)
+    along one ray, and keep every block; a pair that is not flat raises
+    FlatnessError."""
+    js = JSeries(spec)
+    js.blocks.update(_solve(mp, mxi, spec, order, spec.size))
+    return js
 
 
 def identity_coefficients(js):
@@ -311,11 +325,11 @@ def identity_series(mp, mxi, spec, order, weights=(1, 1)):
 
     Row one closes under each ray's equation on its own, so only that
     row is solved, each index along one ray as in j_series; a pair that
-    is not flat raises FlatnessError.
+    is not flat raises FlatnessError.  The table is read off the
+    solve's stream, entry 0 of each block, and no block is kept.
     """
-    blocks = _solve(mp, mxi, spec, order, 1, weights).blocks
-    return {key: Fraction(vec[0], den) if vec[0] % den
-            else vec[0] // den for key, (vec, den) in blocks.items()}
+    return {key: Fraction(vec[0], den) if vec[0] % den else vec[0] // den
+            for key, (vec, den) in _solve(mp, mxi, spec, order, 1, weights)}
 
 
 def apery_table(js, size):

@@ -1,6 +1,7 @@
 """Quantum differential system: frames, coefficient tables, operators."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 from math import factorial, gcd
@@ -197,11 +198,11 @@ def test_unit_row_is_row_one_of_the_frames(request, bundle):
     # rational inputs too
     spec, mp, mxi = request.getfixturevalue(bundle)
     for pair in ((mp, mxi), (rescaled(spec, mp), rescaled(spec, mxi))):
-        row = qde._solve(*pair, spec, 12, 1, (2, 1))
-        full = qde._solve(*pair, spec, 12, spec.size, (2, 1))
-        assert set(row.blocks) == set(full.blocks)
-        for key, (vec, den) in full.blocks.items():
-            rvec, rden = row.blocks[key]
+        row = dict(qde._solve(*pair, spec, 12, 1, (2, 1)))
+        full = dict(qde._solve(*pair, spec, 12, spec.size, (2, 1)))
+        assert set(row) == set(full)
+        for key, (vec, den) in full.items():
+            rvec, rden = row[key]
             assert [F(x, rden) for x in rvec] == [
                 F(x, den) for x in vec[:spec.size]], key
 
@@ -349,6 +350,44 @@ def test_one_shift_sum_per_solved_index(flagship, monkeypatch):
     assert {b > 0 for (_, b), _, _ in solves} == {False, True}
     for (a, b), label, scale in rows_solves + solves:
         assert (label, scale) == (("xi", b) if b else ("p", a)), (a, b)
+
+
+def test_solve_grid_holds_only_readable_blocks(flagship, monkeypatch):
+    # a source lies at most span = max(c + d) over both matrices' q-parts
+    # anti-diagonals below its target, and the grid the shift sums read
+    # holds no block further down, on the unit row and on full frames
+    spec, mp, mxi = flagship
+    span = max(c + d for mat in (mp, mxi) for col in mat.lift()[0]
+               for _, c, d, _ in col)
+    assert span == 3
+    depths = []
+    shift_sum = qde._shift_sum
+
+    def shift_sum_spy(live, ray, a, b, falling):
+        depths.append(max(
+            (a + b - i - j for i, row in enumerate(live)
+             for j, cell in enumerate(row) if cell is not None), default=0))
+        return shift_sum(live, ray, a, b, falling)
+
+    monkeypatch.setattr(qde, "_shift_sum", shift_sum_spy)
+    table = qde.identity_series(mp, mxi, spec, 63)
+    js = qde.j_series(mp, mxi, spec, 6)
+    assert len(depths) == len(table) - 1 + len(js.blocks) - 1
+    assert max(depths) == span
+
+
+def test_unit_row_solve_memory_follows_the_order(flagship):
+    # the streamed solve keeps span + 1 anti-diagonals of blocks, not all
+    # 8256 blocks of order 127 (about 12 MB when every block was kept)
+    spec, mp, mxi = flagship
+    tracemalloc.start()
+    try:
+        table = qde.identity_series(mp, mxi, spec, 127)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 128 * 129 // 2
+    assert peak < 4 * 10**6, peak
 
 
 def test_parse_operator_basics():
@@ -663,11 +702,15 @@ def reference_series(request, case):
     if case == "unit-row":
         # the unit row of identity_series on the index set of a cut
         spec, mp, mxi = request.getfixturevalue("flagship")
-        return mp, mxi, qde._solve(mp, mxi, spec, 40, 1, (2, 1))
+        js = qde.JSeries(spec)
+        js.blocks.update(qde._solve(mp, mxi, spec, 40, 1, (2, 1)))
+        return mp, mxi, js
     if case == "rescaled-unit-row":
         # the unit row of rational inputs: blocks over D > 1
         spec, mp, mxi = request.getfixturevalue("flagship_rescaled")
-        return mp, mxi, qde._solve(mp, mxi, spec, 20, 1)
+        js = qde.JSeries(spec)
+        js.blocks.update(qde._solve(mp, mxi, spec, 20, 1))
+        return mp, mxi, js
     if case == "rescaled":
         case = "flagship_rescaled"
     spec, mp, mxi = request.getfixturevalue(case)

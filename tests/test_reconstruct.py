@@ -18,6 +18,7 @@ from qfano import reconstruct as rc
 from qfano import seeds as seeds_mod
 from qfano.fixtures_io import fixture_lines, load_named_expressions
 from qfano.linalg import accumulate
+from qfano.opparse import parse_number
 from qfano.ring import basis_index, make_bundle
 
 
@@ -236,6 +237,24 @@ def test_triplet_literal_outside_grammar(field, lit):
             "triplet line %d: bad %s %r"
             % (lineno, "number" if field == 4 else "integer", lit))):
         rc.QuantumMatrix.from_triplet_lines(spec, "p", lines)
+
+
+LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+@settings(deadline=None)
+@given(st.one_of(st.from_regex(LITERAL, fullmatch=True),
+                 st.text("-+/0123456789_ e.\u0663", max_size=8)))
+def test_number_literal_reads_as_its_fraction(text):
+    # the one numeric grammar: an optional -, ASCII digits, and / with
+    # ASCII digits over a nonzero denominator; every literal it accepts
+    # reads as Fraction(text), built from the integer parts
+    if LITERAL.fullmatch(text) and int(text.partition("/")[2] or 1):
+        value = parse_number(text, fraction=True)
+        assert type(value) is Fraction and value == Fraction(text)
+    else:
+        with pytest.raises(ValueError):
+            parse_number(text, fraction=True)
 
 
 def test_triplet_grading_validation(flagship):
