@@ -209,15 +209,14 @@ def _sylvester_solve(scale, ray, rhs):
             if y:
                 x += y * v
         if x:
-            quo, rem = divmod(x, step)
-            if rem:
+            if x % step:
                 depth = ray.top - min(compress(ray.level, r))
                 f = ray.den ** depth * scale ** (depth + 1)
                 w = [y * f for y in w]
                 lift *= f
                 den *= f
-                quo = x * f // step
-            w[p] = quo
+                x *= f
+            w[p] = x // step
     if den == 1:
         return w, 1
     g = gcd(den, *w)

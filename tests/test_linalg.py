@@ -246,21 +246,55 @@ def test_invert_matches_fraction_reference(mat):
     assert all_fractions(inv)
 
 
+F7 = 2 ** 128 + 1
+F8 = 2 ** 256 + 1
+P7 = 59649589127497217  # the smaller prime factor of F7
+# a composite past _PACKED_BITS: the list pass meets pivots that are not
+# units modulo it
+WIDE12 = 3 * 2 ** 256
+
+
 @settings(max_examples=150, deadline=None)
 @example(12, [[2, 1], [3, 0]])
-@given(st.sampled_from([101, 12]), rational_matrices())
+@given(st.sampled_from([101, 12, WIDE12]), rational_matrices())
 def test_rref_matches_gauss_jordan_reference(modulus, mat):
-    # Modulo 101 zero pivots and row swaps are common; modulo 12 nonzero
-    # pivots that are not units are, and both passes return None there.
+    # Modulo 101 zero pivots and row swaps are common; modulo 12 and
+    # WIDE12 nonzero pivots that are not units are, and both passes return
+    # None there.  101 and 12 run the packed forward pass, WIDE12 the list
+    # pass.
     rows = [[x % modulus for x in common_denominator(row)[0]] for row in mat]
     ncols = len(rows[0]) if rows else 0
     expected = ref_rref_mod([list(row) for row in rows], ncols, modulus)
     assert linalg._rref(rows, ncols, modulus) == expected
 
 
+def extreme_updates(nrows, ncols, modulus):
+    """The residues of L*U, L the nrows x ncols lower trapezoid of ones
+    and U the unit upper trapezoid with -1 right of its diagonal.  Pivot
+    k is row k; scaled, it holds modulus - 1 at every column right of k,
+    and every row below holds 1 at k, so each update adds
+    (modulus - 1)^2 to a slot, the most it can."""
+    return [[sum(1 if k == j else -1 for k in range(min(i, j) + 1))
+             % modulus for j in range(ncols)] for i in range(nrows)]
+
+
+@pytest.mark.parametrize("modulus", [2 ** 64 + 1, F7, 101, 12],
+                         ids=["F6", "F7", "101", "12"])
+@pytest.mark.parametrize("nrows,ncols", [(16, 8), (8, 16)],
+                         ids=["tall", "wide"])
+def test_rref_packed_slots_hold_the_largest_updates(modulus, nrows, ncols):
+    # the last slots take min(nrows - 1, ncols) updates of (q - 1)^2 each:
+    # with the ncols term left out of the slot width, one would carry
+    # into the next slot
+    rows = extreme_updates(nrows, ncols, modulus)
+    expected = ref_rref_mod([list(row) for row in rows], ncols, modulus)
+    assert expected[1] == list(range(min(nrows, ncols)))
+    assert linalg._rref(rows, ncols, modulus) == expected
+
+
 class SliceLog(list):
     """A row that logs the start column of each slice assignment to it.
-    At a pivot column c, _rref scales the pivot row by one slice
+    At a pivot column c, _rref's list pass scales the pivot row by one slice
     assignment from c, and a dense update writes one more to each row
     below that is nonzero at c; a sparse update writes single entries."""
 
@@ -305,40 +339,48 @@ def staircase_matrices(draw):
                    draw(st.lists(dense, min_size=1, max_size=6))]
 
 
+def packed(modulus):
+    return modulus.bit_length() <= linalg._PACKED_BITS
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([101, 12]), staircase_matrices())
+@given(st.sampled_from([101, 12, F8, WIDE12]), staircase_matrices())
 def test_rref_sparse_pivot_rows_match_gauss_jordan_reference(modulus, mat):
     rows = [[x % modulus for x in row] for row in mat]
     ncols = len(rows[0])
     expected = ref_rref_mod([list(row) for row in rows], ncols, modulus)
     got, log = logged_rref(rows, ncols, modulus)
     assert got == expected
-    # the first pivot row is row 0; held sparse, it is the only row
-    # written from column 0 on, though the dense rows below are nonzero
-    # there
-    if got is not None and 3 * sum(map(bool, rows[0])) < ncols:
+    # past _PACKED_BITS the list pass runs: the first pivot row is row 0;
+    # held sparse, it is the only row written from column 0 on, though
+    # the dense rows below are nonzero there
+    if (not packed(modulus) and got is not None
+            and 3 * sum(map(bool, rows[0])) < ncols):
         assert log.count(0) == 1
 
 
-def test_rref_flagship_operator_search_rows():
+@pytest.mark.parametrize("modulus", [F7, F8], ids=["F7", "F8"])
+def test_rref_flagship_operator_search_rows(modulus):
     # the rows of the 64-term order-4 degree-9 search, built directly:
-    # positions 0 and 1 hold a single nonzero, at columns (0,0) and (0,1)
+    # positions 0 and 1 hold a single nonzero, at columns (0,0) and (0,1);
+    # F7 runs the packed forward pass, F8 the list pass
     spec = make_bundle(4, 6, [-3, 5, -5])
     mp, mxi = reconstruct(spec, builtin_source(spec))
     seq = regularized_periods(qde.identity_series(mp, mxi, spec, 63), spec,
                               parse_cut("p,xi^5"), 64)
     cols = [(e, m) for e in range(5) for m in range(10)]
-    rows = [[seq[pos - m] * (pos - m) ** e % F7 if pos >= m else 0
+    rows = [[seq[pos - m] * (pos - m) ** e % modulus if pos >= m else 0
              for e, m in cols] for pos in range(64)]
     assert [sum(map(bool, row)) for row in rows[:2]] == [1, 1]
-    expected = ref_rref_mod([list(row) for row in rows], 50, F7)
-    got, log = logged_rref(rows, 50, F7)
+    expected = ref_rref_mod([list(row) for row in rows], 50, modulus)
+    got, log = logged_rref(rows, 50, modulus)
     assert got == expected
     assert got[1][:2] == [0, 1]
-    # the first two pivots wrote no dense update to the rows below,
-    # 61 of them nonzero in column 1
+    # the list pass's first two pivots wrote no dense update to the rows
+    # below, 61 of them nonzero in column 1
     assert sum(bool(row[1]) for row in rows[2:]) == 61
-    assert log.count(0) == log.count(1) == 1
+    if not packed(modulus):
+        assert log.count(0) == log.count(1) == 1
 
 
 def big_matrix(nrows, ncols, salt):
@@ -383,11 +425,8 @@ def eliminations(monkeypatch, mat, first=None):
     return nullspace(mat), seen
 
 
-F7 = 2 ** 128 + 1
-F8 = 2 ** 256 + 1
-P7 = 59649589127497217  # the smaller prime factor of F7
-
-# (matrix, rungs run): a kernel the first rung certifies; a pivot entry
+# (matrix, rungs run), the ladder opened at F7, for which these were
+# built: a kernel the first rung certifies; a pivot entry
 # 2*F7 that vanishes modulo F7, so the rank drops there and its extra
 # kernel vector fails the exact check, and whose kernel entry 1/F7 is
 # beyond the reconstruction bound of F8 alone; a pivot 3*P7 that is not a
@@ -418,6 +457,22 @@ MODULAR_CASES = [
                               "second-rung", "fifth-rung", "crt",
                               "unlucky-pivots", "worse-rung"])
 def test_nullspace_modular_ladder(monkeypatch, mat, path):
+    basis, seen = eliminations(monkeypatch, mat, 7)
+    assert seen == path
+    assert basis == ref_nullspace(mat)
+    assert basis and all_fractions(basis)
+    assert_kernel(mat, basis, len(mat[0]))
+
+
+# (matrix, rungs run) from the default first rung F6, whose
+# reconstruction bound is sqrt(F6/2), about 2^31.5: a kernel entry
+# -3^18/(2^30 + 1) that F6 certifies alone, and one -3^25/(2^40 + 1)
+# beyond it, which F6*F7 reaches by CRT
+@pytest.mark.parametrize("mat,path", [
+    ([[2 ** 30 + 1, 3 ** 18]], [6]),
+    ([[2 ** 40 + 1, 3 ** 25]], [6, 7]),
+], ids=["31-bit", "40-bit"])
+def test_nullspace_ladder_opens_at_f6(monkeypatch, mat, path):
     basis, seen = eliminations(monkeypatch, mat)
     assert seen == path
     assert basis == ref_nullspace(mat)
@@ -433,7 +488,7 @@ def test_nullspace_modular_ladder(monkeypatch, mat, path):
     ([[1, 1, 0], [2, 2, 0], [3, 3, 0], [0, 0, 1]], [7, 7], [[-1, 1, 0]]),
 ], ids=["leading-rows", "all-rows"])
 def test_nullspace_leading_rows_first(monkeypatch, mat, path, expected):
-    basis, seen = eliminations(monkeypatch, mat)
+    basis, seen = eliminations(monkeypatch, mat, 7)
     assert seen == path
     assert basis == ref_nullspace(mat) == expected
     assert_kernel(mat, basis, 3)
