@@ -16,11 +16,11 @@ from level deg(row) - deg(col) to the next level up, each equation is
 solved in one pass from the lowest level upward, and any block of
 leading frame rows closes under it.  One loop solves every index along
 one ray, the fibre ray where b >= 1 and the base ray on b = 0 (on the
-flagship M_xi's q-parts are the sparser); j_series runs it on all rows,
-identity_series on the unit row alone, to high order.  The loop yields
-each block as it is solved and keeps it only while a later index can
-read it; j_series collects every block, identity_series reads entry 0
-of each and keeps none.
+flagship M_xi's q-parts are the sparser), yields each block as it is
+solved and keeps it only while a later index can read it; j_series runs
+it on all rows and collects every block.  identity_series solves the
+unit row alone, to high order, one fibre row at a time (the row lemma
+below), and reads entry 0 of each row.
 
 One ray suffices for a flat pair, which the solve checks first on the
 matrices (reconstruct.flatness_defect): [M_1, M_2] = 0 and q1 d/dq1 M_2
@@ -41,6 +41,25 @@ So E_2 vanishes everywhere, and D_2 E_1 = D_1 E_2 = 0 gives b*E_1 +
 [C_2, E_1] = (E_1 at lower b) * parts, so E_1 = 0 by induction on b.
 C_k is strictly lower triangular, so this holds on any block of leading
 rows.
+
+The row lemma: every q-part (c, d) of M_xi has d >= 1, as shown above,
+so the fibre-ray equation of a block (a, b), b >= 1, reads only blocks
+(a - c, b - d) of the rows below b, and all blocks of row b share the
+scale b and the walk.  So the unit row is solved row by row, the base
+row b = 0 first, block by block along the p ray (block (a, 0) reads
+the blocks (a - c, 0) to its left), then each fibre row b = 1, 2, ...
+in one walk over lists indexed by a: entry p of the row is the list of
+entry p of its blocks, cut after the row's last nonzero block, so the
+flagship's zero blocks a > 2b are never walked.  Each slot of a list
+keeps the arithmetic of the per-block walk: its right-hand side over
+the lcm of its sources' denominators times the lift's, an exactness
+test on every division, at an inexact division the Bareiss rescale of
+that slot alone, to the depth of its own right-hand side, and one
+closing gcd.  So every block equals the per-block solve's bit for bit.
+Only the rows b - d that a later row reads are kept, d up to the
+largest d of M_xi's q-parts (1 on the flagship).  The full frames stay
+per block: at jfun's orders a fibre row holds only a handful of blocks
+(1 to 6 at order 6), and the lists pay off over long rows.
 
 A block of leading frame rows is one flat integer vector w over one
 denominator D, in lowest terms, entry (i, j) at i*n + j for n basis
@@ -84,8 +103,9 @@ the solve reads it in the row action on flat blocks.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import factorial, gcd, lcm, prod
+from operator import add, floordiv, mod, mul
 
 from qfano import opparse
 from qfano.linalg import accumulate
@@ -178,6 +198,15 @@ def _falling(order, top, d):
              for c in range(min(a, top) + 1)] for a in range(order + 1)]
 
 
+def _bareiss_factor(scale, ray, levels):
+    """ray.den^depth * scale^(depth+1), the factor that makes every later
+    division of a block's walk exact, depth being ray.top less the
+    lowest of `levels`, the levels of the block's nonzero right-hand
+    side entries."""
+    depth = ray.top - min(levels)
+    return ray.den ** depth * scale ** (depth + 1)
+
+
 def _sylvester_solve(scale, ray, rhs):
     """Solve the row equation scale*w - w*A = r/L for A = Aint/dc, entry
     by entry along ray.walk.
@@ -210,8 +239,7 @@ def _sylvester_solve(scale, ray, rhs):
                 x += y * v
         if x:
             if x % step:
-                depth = ray.top - min(compress(ray.level, r))
-                f = ray.den ** depth * scale ** (depth + 1)
+                f = _bareiss_factor(scale, ray, compress(ray.level, r))
                 w = [y * f for y in w]
                 lift *= f
                 den *= f
@@ -252,6 +280,26 @@ class JSeries:
         return out
 
 
+def _setup(mp, mxi, spec, order, rows, weights):
+    """(rays, falling) of a solve to `order` on `rows` leading frame
+    rows: the Ray of M_p and of M_xi and the falling-power tables of a
+    and of b.  Refuses a negative order and weights below (1, 1) with
+    ValueError, and a pair that fails flatness_defect with FlatnessError
+    and its message, before any solve."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    if min(weights) < 1:
+        raise ValueError("weights (%d, %d) must be at least (1, 1)"
+                         % tuple(weights))
+    defect = flatness_defect(mp, mxi)
+    if defect is not None:
+        raise FlatnessError(defect)
+    rays = (_split_matrix(mp, rows), _split_matrix(mxi, rows))
+    keys = [key for ray in rays for key in ray.parts]
+    return rays, [_falling(order, max((key[k] for key in keys), default=0), d)
+                  for k, d in enumerate((spec.d1, spec.d2))]
+
+
 def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
     """Yield ((a, b), block) for every block cut to its leading rows, in
     solve order, over the indices with w1*a + w2*b <= order for weights
@@ -269,17 +317,13 @@ def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
     target, so the grid drops anti-diagonal total - span - 1 before the
     solve of anti-diagonal total.  The grid holds at most span + 1
     anti-diagonals; a caller that keeps every block collects the stream.
+    j_series runs it on the full frames; on the unit row, which
+    identity_series solves row by row, it is the reference that each
+    block of _unit_rows equals.  Weights below (1, 1) are refused with
+    ValueError.
     """
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    defect = flatness_defect(mp, mxi)
-    if defect is not None:
-        raise FlatnessError(defect)
-    rays = (_split_matrix(mp, rows), _split_matrix(mxi, rows))
-    keys = [key for ray in rays for key in ray.parts]
-    span = max((c + d for c, d in keys), default=0)
-    falling = [_falling(order, max((key[k] for key in keys), default=0), d)
-               for k, d in enumerate((spec.d1, spec.d2))]
+    rays, falling = _setup(mp, mxi, spec, order, rows, weights)
+    span = max((c + d for ray in rays for c, d in ray.parts), default=0)
     w1, w2 = weights
     live = [[None] * (order + 1) for _ in range(order + 1)]
     live[0][0] = block = ([int(p % spec.size == p // spec.size)
@@ -317,18 +361,186 @@ def identity_coefficients(js):
             for key, (vec, den) in js.blocks.items()}
 
 
+# A row b of the unit row is stored entry-major as (cols, dens, width):
+# cols[p] lists entry p of the blocks (a, b) for a < width, or is None
+# where no source reached entry p; dens lists their denominators, or is
+# None where all are 1.  width is one past the row's last nonzero block,
+# and every block from width on is (zeros, 1).
+
+
+def _row_shift_sum(kept, ray, b, slots, fcols, fall):
+    """The right-hand sides of the blocks (a, b), a < slots, of a fibre
+    row b >= 1 on the rows kept, slot by slot as _shift_sum builds them.
+
+    Every q-part (c, d) of M_xi has d >= 1 (module docstring), so it
+    reads row b - d, slot a - c, with the weight fcols[c][a - c] *
+    fall[d], and each slot's denominator L is the lcm of its sources'.
+    Returns (r, lcms, width): r[p] entry p over the slots below width or
+    None where no source reaches it, lcms the L or None where all are 1;
+    width is 0 when no source is nonzero."""
+    used = []
+    width = 0
+    for (c, d), part in ray.parts.items():
+        src = kept.get(b - d)
+        if src is not None and src[2] and c < slots:
+            m = min(src[2], slots - c)
+            used.append((src, part, c, fall[d], m))
+            width = max(width, c + m)
+    lcms = None
+    for (_, dens, _), _, c, _, m in used:
+        if dens is not None:
+            lcms = lcms or [1] * width
+            lcms[c:c + m] = map(lcm, lcms[c:c + m], dens)
+    out = [None] * len(ray.level)
+    for (cols, dens, _), part, c, scalar, m in used:
+        mult = list(map(mul, fcols[c][:m], repeat(scalar)))
+        if lcms is not None:
+            mult = list(map(mul, mult, map(floordiv, lcms[c:c + m],
+                                           dens or repeat(1))))
+        for p, targets in part:
+            x = cols[p]
+            if x is None:
+                continue
+            x = list(map(mul, x, mult))
+            for t, v in targets:
+                o = out[t]
+                if o is None:
+                    out[t] = o = [0] * width
+                o[c:c + m] = map(add, o[c:c + m],
+                                 x if v == 1 else map(mul, x, repeat(v)))
+    return out, lcms, width
+
+
+def _row_walk(scale, ray, rhs):
+    """Solve the blocks of a fibre row at once, entry by entry along
+    ray.walk, each slot with the arithmetic of _sylvester_solve: its
+    right-hand side over L*ray.den, an exactness test on every division,
+    at an inexact division the Bareiss rescale of that slot alone, by
+    the factor of its own right-hand side, and one closing gcd per slot
+    over a denominator other than 1.  Returns the row (cols, dens,
+    width), cut after its last nonzero block."""
+    r, lcms, width = rhs
+    step = ray.den * scale
+    steps = repeat(step)
+    dens = None
+    if ray.den != 1:
+        r = [x and list(map(mul, x, repeat(ray.den))) for x in r]
+        dens = [ray.den] * width
+    if lcms is not None:
+        dens = list(map(mul, lcms, dens or repeat(1)))
+    w = [None] * len(r)
+    for p, adj in ray.walk:
+        x = r[p]
+        for q, v in adj:
+            y = w[q]
+            if y is not None:
+                if v != 1:
+                    y = map(mul, y, repeat(v))
+                x = list(y) if x is None else list(map(add, x, y))
+        if x is None:
+            continue
+        if step != 1:
+            if any(map(mod, x, steps)):
+                # rescale slot a of every entry, walked or not; x may be
+                # r[p] itself, so it is copied first
+                x = list(x)
+                dens = dens or [1] * width
+                for a in [a for a, y in enumerate(x) if y % step]:
+                    f = _bareiss_factor(scale, ray, [
+                        lv for lv, col in zip(ray.level, r)
+                        if col is not None and col[a]])
+                    dens[a] *= f
+                    x[a] *= f
+                    for col in w + r:
+                        if col is not None:
+                            col[a] *= f
+            x = list(map(floordiv, x, steps))
+        w[p] = x
+    if dens is not None:
+        g = dens
+        for col in w:
+            if col is not None:
+                g = list(map(gcd, g, col))
+        w = [col and list(map(floordiv, col, g)) for col in w]
+        dens = list(map(floordiv, dens, g))
+    return _cut(w, dens, width)
+
+
+def _cut(cols, dens, width):
+    """The row (cols, dens, width) cut after its last nonzero block, with
+    dens None where every denominator is 1."""
+    end = width
+    while end and not any(col[end - 1] for col in cols if col is not None):
+        end -= 1
+    if end < width:
+        cols = [col and col[:end] for col in cols]
+        dens = dens and dens[:end]
+    if dens is not None and dens.count(1) == end:
+        dens = None
+    return cols, dens, end
+
+
+def _unit_rows(mp, mxi, spec, order, weights):
+    """Yield (b, slots, row) for each row b of the unit row over the
+    indices with w1*a + w2*b <= order, a < slots, row as stored above.
+
+    The base row b = 0 is solved block by block along the p ray, each
+    block reading the blocks to its left; each fibre row b >= 1 reads
+    only the rows b - d below it (module docstring) and is solved along
+    the xi ray in one walk.  Only the rows that a later row can read are
+    kept: row b - dmax - 1 is dropped before row b is solved, dmax the
+    largest d of M_xi's q-parts.  Every block equals the block of
+    _solve(mp, mxi, spec, order, 1, weights) at its index."""
+    (pray, xray), falling = _setup(mp, mxi, spec, order, 1, weights)
+    w1, w2 = weights
+    base = [[([1] + [0] * (spec.size - 1), 1)]]
+    for a in range(1, order // w1 + 1):
+        rhs = _shift_sum(base, pray, a, 0, falling)
+        base.append([_sylvester_solve(a, pray, rhs) if any(rhs[0])
+                     else None])
+    blocks = [block or ([0] * spec.size, 1) for block, in base]
+    row = _cut([list(col) if any(col) else None
+                for col in zip(*(vec for vec, _ in blocks))],
+               [den for _, den in blocks], len(blocks))
+    yield 0, len(blocks), row
+    kept = {0: row}
+    dmax = max((d for _, d in xray.parts), default=0)
+    fcols = {c: [falling[0][a + c][c] for a in range(order + 1 - c)]
+             for c, _ in xray.parts}
+    for b in range(1, order // w2 + 1):
+        kept.pop(b - dmax - 1, None)
+        slots = (order - w2 * b) // w1 + 1
+        rhs = _row_shift_sum(kept, xray, b, slots, fcols, falling[1][b])
+        row = (_row_walk(b, xray, rhs) if rhs[2]
+               else ([None] * spec.size, None, 0))
+        kept[b] = row
+        yield b, slots, row
+
+
 def identity_series(mp, mxi, spec, order, weights=(1, 1)):
     """The table (a!)^d1 (b!)^d2 c_{a,b}, an int where integral and else a
     Fraction, to high order: the frame solve on the unit row, over the
-    indices with w1*a + w2*b <= order.
+    indices with w1*a + w2*b <= order for weights (w1, w2) >= (1, 1),
+    keyed row by row, b ascending.
 
     Row one closes under each ray's equation on its own, so only that
-    row is solved, each index along one ray as in j_series; a pair that
-    is not flat raises FlatnessError.  The table is read off the
-    solve's stream, entry 0 of each block, and no block is kept.
+    row is solved, each index along one ray as in j_series, one fibre
+    row at a time (_unit_rows); a pair that is not flat raises
+    FlatnessError.  The table is read off entry 0 of each row, with
+    each block's denominator, and no row is kept.
     """
-    return {key: Fraction(vec[0], den) if vec[0] % den else vec[0] // den
-            for key, (vec, den) in _solve(mp, mxi, spec, order, 1, weights)}
+    table = {}
+    for b, slots, (cols, dens, width) in _unit_rows(mp, mxi, spec, order,
+                                                    weights):
+        first = cols[0] or [0] * width
+        keys = zip(range(width), repeat(b))
+        if dens is None:
+            table.update(zip(keys, first))
+        else:
+            table.update((key, Fraction(x, den) if x % den else x // den)
+                         for key, x, den in zip(keys, first, dens))
+        table.update(zip(zip(range(width, slots), repeat(b)), repeat(0)))
+    return table
 
 
 def apery_table(js, size):

@@ -207,6 +207,95 @@ def test_unit_row_is_row_one_of_the_frames(request, bundle):
                 F(x, den) for x in vec[:spec.size]], key
 
 
+def row_blocks(mp, mxi, spec, order, weights):
+    """{(a, b): block} built from the row batches of the unit-row solve,
+    in the form of the per-block solve."""
+    out = {}
+    for b, slots, (cols, dens, width) in qde._unit_rows(mp, mxi, spec, order,
+                                                        weights):
+        for a in range(slots):
+            out[(a, b)] = (
+                [col[a] if col and a < width else 0 for col in cols],
+                dens[a] if dens and a < width else 1)
+    return out
+
+
+@pytest.mark.parametrize("bundle", ["flagship", "p1p1", "flagship_rescaled"])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 2)])
+def test_row_batches_match_per_block_solve(request, bundle, weights):
+    # every block of the unit row, read from the row batches, is the
+    # per-block reference's bit for bit, and so is the table
+    spec, mp, mxi = request.getfixturevalue(bundle)
+    for order in (0, 1, 2, 16, 40):
+        ref = dict(qde._solve(mp, mxi, spec, order, 1, weights))
+        assert row_blocks(mp, mxi, spec, order, weights) == ref, order
+        table = qde.identity_series(mp, mxi, spec, order, weights)
+        assert table == {key: F(vec[0], den)
+                         for key, (vec, den) in ref.items()}
+        assert all(type(table[key]) is int
+                   for key, (vec, den) in ref.items() if vec[0] % den == 0)
+
+
+def test_row_walk_rescales_only_the_inexact_slots(flagship_rescaled,
+                                                  monkeypatch):
+    # the rescaled unit row at order 40 takes three inexact divisions,
+    # one on each of fibre rows 5, 8 and 10: the row walk rescales those
+    # three slots and no other, as the per-block solve rescales those
+    # three blocks
+    spec, mp, mxi = flagship_rescaled
+    scales = []
+    factor = qde._bareiss_factor
+
+    def factor_spy(scale, ray, levels):
+        scales.append(scale)
+        return factor(scale, ray, levels)
+
+    monkeypatch.setattr(qde, "_bareiss_factor", factor_spy)
+    blocks = row_blocks(mp, mxi, spec, 40, (1, 1))
+    assert scales == [5, 8, 10]
+    scales.clear()
+    assert dict(qde._solve(mp, mxi, spec, 40, 1)) == blocks
+    assert scales == [5, 8, 10]
+
+
+@pytest.mark.parametrize("bundle", ["flagship", "flagship_rescaled"])
+def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle):
+    # made-up right-hand sides with nonzero entries at every level and a
+    # scale that few of them divide: slots rescale early in the walk and
+    # read right-hand side entries after it; one slot is zero, one is
+    # zero at every entry past the first, and the last is cut off
+    spec, mp, mxi = request.getfixturevalue(bundle)
+    size = spec.size
+    vecs = [[(37 * p + 11 * a) % 23 - 11 for p in range(size)]
+            for a in range(4)] + [[0] * size, [5] + [0] * (size - 1),
+                                  [0] * size]
+    lcms = [1, 6, 1, 35, 1, 2, 1]
+    for qmat in (mp, mxi):
+        ray = qde._split_matrix(qmat, 1)
+        for scale in (1, 7):
+            blocks = [qde._sylvester_solve(scale, ray, (vec, den * ray.den))
+                      if any(vec) else (vec, 1)
+                      for vec, den in zip(vecs, lcms)]
+            r = [list(col) if any(col) else None for col in zip(*vecs)]
+            cols, dens, width = qde._row_walk(scale, ray,
+                                              (r, lcms, len(vecs)))
+            assert width == len(vecs) - 1
+            assert [([col[a] if col else 0 for col in cols],
+                     dens[a] if dens else 1)
+                    for a in range(width)] == blocks[:width], scale
+
+
+@pytest.mark.parametrize("weights", [(0, 1), (1, 0), (-1, 2), (0, 0)])
+def test_weights_below_one_rejected(flagship, weights):
+    # the weighted index set of such weights is infinite
+    spec, mp, mxi = flagship
+    error = re.escape("weights (%d, %d) must be at least (1, 1)" % weights)
+    with pytest.raises(ValueError, match=error):
+        qde.identity_series(mp, mxi, spec, 4, weights)
+    with pytest.raises(ValueError, match=error):
+        dict(qde._solve(mp, mxi, spec, 4, 1, weights))
+
+
 def test_flatness_and_homogeneity_pass(flagship, flagship_js):
     _, mp, mxi = flagship
     assert check_flatness(flagship_js, mp, mxi) is None
@@ -315,11 +404,12 @@ def test_flatness_on_the_lifts_matches_fraction_reference(request, bundle):
 def test_one_shift_sum_per_solved_index(flagship, monkeypatch):
     # each index past the origin is built from one ray's shift sum alone,
     # and solved on the xi ray with scale b where b >= 1, on the p ray
-    # with scale a on b = 0
+    # with scale a on b = 0; the unit row solves b = 0 block by block and
+    # each fibre row b >= 1 in one batch
     spec, mp, mxi = flagship
-    labels, calls, solves = {}, [], []
-    split, shift_sum, solve = (qde._split_matrix, qde._shift_sum,
-                               qde._sylvester_solve)
+    labels, calls, solves, walks = {}, [], [], []
+    split, shift_sum, solve, walk = (qde._split_matrix, qde._shift_sum,
+                                     qde._sylvester_solve, qde._row_walk)
 
     def split_spy(qmat, rows):
         ray = split(qmat, rows)
@@ -327,41 +417,50 @@ def test_one_shift_sum_per_solved_index(flagship, monkeypatch):
         return ray
 
     def shift_sum_spy(*args):
-        calls.append(args[2:4])
+        calls.append((args[2:4], labels[id(args[1])]))
         return shift_sum(*args)
 
     def solve_spy(scale, ray, rhs):
-        solves.append((calls[-1], labels[id(ray)], scale))
+        solves.append((calls[-1][0], labels[id(ray)], scale))
         return solve(scale, ray, rhs)
+
+    def walk_spy(scale, ray, rhs):
+        walks.append((labels[id(ray)], scale))
+        return walk(scale, ray, rhs)
 
     monkeypatch.setattr(qde, "_split_matrix", split_spy)
     monkeypatch.setattr(qde, "_shift_sum", shift_sum_spy)
     monkeypatch.setattr(qde, "_sylvester_solve", solve_spy)
+    monkeypatch.setattr(qde, "_row_walk", walk_spy)
     qde.identity_series(mp, mxi, spec, 63)
-    assert len(calls) == 2079 == len(set(calls))
-    rows_solves = list(solves)
+    assert calls == [((a, 0), "p") for a in range(1, 64)]
+    assert walks == [("xi", b) for b in range(1, 64)]
+    # the unit row of the flagship is zero on b = 0 past the origin
+    assert solves == []
     calls.clear()
-    solves.clear()
+    walks.clear()
     js = qde.j_series(mp, mxi, spec, 6)
     assert len(calls) == 27 == len(js.blocks) - 1
-    # the unit row of the flagship is zero on b = 0 past the origin; the
-    # full frames are not
-    assert all(b for (_, b), _, _ in rows_solves)
+    assert walks == []
+    # the full frames are not zero on b = 0
     assert {b > 0 for (_, b), _, _ in solves} == {False, True}
-    for (a, b), label, scale in rows_solves + solves:
+    for (a, b), label, scale in solves:
         assert (label, scale) == (("xi", b) if b else ("p", a)), (a, b)
 
 
 def test_solve_grid_holds_only_readable_blocks(flagship, monkeypatch):
     # a source lies at most span = max(c + d) over both matrices' q-parts
-    # anti-diagonals below its target, and the grid the shift sums read
-    # holds no block further down, on the unit row and on full frames
+    # anti-diagonals below its target, and the grid the full-frame shift
+    # sums read holds no block further down; a fibre row reads only the
+    # rows up to dmax = max(d) over the q-parts of M_xi below it, and the
+    # unit row keeps no row further down
     spec, mp, mxi = flagship
     span = max(c + d for mat in (mp, mxi) for col in mat.lift()[0]
                for _, c, d, _ in col)
-    assert span == 3
-    depths = []
-    shift_sum = qde._shift_sum
+    dmax = max(d for col in mxi.lift()[0] for _, c, d, _ in col)
+    assert (span, dmax) == (3, 1)
+    depths, kept_rows = [], []
+    shift_sum, row_shift_sum = qde._shift_sum, qde._row_shift_sum
 
     def shift_sum_spy(live, ray, a, b, falling):
         depths.append(max(
@@ -369,10 +468,17 @@ def test_solve_grid_holds_only_readable_blocks(flagship, monkeypatch):
              for j, cell in enumerate(row) if cell is not None), default=0))
         return shift_sum(live, ray, a, b, falling)
 
-    monkeypatch.setattr(qde, "_shift_sum", shift_sum_spy)
+    def row_shift_sum_spy(kept, ray, b, *args):
+        kept_rows.append((b, sorted(kept)))
+        return row_shift_sum(kept, ray, b, *args)
+
+    monkeypatch.setattr(qde, "_row_shift_sum", row_shift_sum_spy)
     table = qde.identity_series(mp, mxi, spec, 63)
+    assert len(table) == 2080
+    assert kept_rows == [(b, [b - 1]) for b in range(1, 64)]
+    monkeypatch.setattr(qde, "_shift_sum", shift_sum_spy)
     js = qde.j_series(mp, mxi, spec, 6)
-    assert len(depths) == len(table) - 1 + len(js.blocks) - 1
+    assert len(depths) == len(js.blocks) - 1
     assert max(depths) == span
 
 
