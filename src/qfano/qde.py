@@ -14,13 +14,15 @@ degree by exactly one and the basis ascends in degree, so each is
 strictly lower triangular: the commutator with P moves a frame entry
 from level deg(row) - deg(col) to the next level up, each equation is
 solved in one pass from the lowest level upward, and any block of
-leading frame rows closes under it.  One loop solves every index along
-one ray, the fibre ray where b >= 1 and the base ray on b = 0 (on the
-flagship M_xi's q-parts are the sparser), yields each block as it is
-solved and keeps it only while a later index can read it; j_series runs
-it on all rows and collects every block.  identity_series solves the
-unit row alone, to high order, one fibre row at a time (the row lemma
-below), and reads entry 0 of each row.
+leading frame rows closes under it.  The package solves the unit row
+alone, the leading row of each frame: jfun prints only its identity
+entries and checks operators on the matrices (below), so no caller
+reads another row.  Each index is solved along one ray, the fibre ray
+where b >= 1 and the base ray on b = 0 (on the flagship M_xi's q-parts
+are the sparser), one fibre row at a time (the row lemma below);
+j_series keeps every block of the unit row, and identity_series reads
+entry 0 of each row, to high order, and keeps none.  Only the tests'
+reference solver (tests/oracles.py) builds the full n x n frames.
 
 One ray suffices for a flat pair, which the solve checks first on the
 matrices (reconstruct.flatness_defect): [M_1, M_2] = 0 and q1 d/dq1 M_2
@@ -57,38 +59,35 @@ test on every division, at an inexact division the Bareiss rescale of
 that slot alone, to the depth of its own right-hand side, and one
 closing gcd.  So every block equals the per-block solve's bit for bit.
 Only the rows b - d that a later row reads are kept, d up to the
-largest d of M_xi's q-parts (1 on the flagship).  The full frames stay
-per block: at jfun's orders a fibre row holds only a handful of blocks
-(1 to 6 at order 6), and the lists pay off over long rows.
+largest d of M_xi's q-parts (1 on the flagship).
 
-A block of leading frame rows is one flat integer vector w over one
-denominator D, in lowest terms, entry (i, j) at i*n + j for n basis
-elements.  Every block, the unit row and the full frames alike, solves
-the one row equation s*w - w*A = r, where A is the matrix of the
-two-sided action U -> U*C - C*U on flat blocks (on the unit row, whose
-equation has no left product, A is C itself).  Each matrix has one
-integer form, QuantumMatrix.lift, every term over one denominator; a
-solve reads A from its classical terms as integer adjacency lists, one
-per entry, together with each entry's level and the walk order (rows
-ascending, columns descending), and the q-parts from its other terms,
-as integer lists from a source entry to its targets.  So the solve is
-one flat walk, each entry divided as soon as it is computed (Bareiss's
-exact division).  Zeros and unit denominators cost nothing: a zero
-block is neither walked nor read as a source, and a denominator of 1
-enters no lcm and multiplies nothing.
+A block of the unit row is one flat integer vector w over one
+denominator D, in lowest terms, entry j at j for n basis elements.  It
+solves the row equation s*w - w*C = r: C raises degree, so its first
+row is zero and the left product C*F adds nothing to row one (the
+tests' full frames replace C by the two-sided action U -> U*C - C*U on
+flat blocks).  Each matrix has one integer form, QuantumMatrix.lift,
+every term over one denominator; a solve reads C from its classical
+terms as integer adjacency lists, one per entry, together with each
+entry's level and the walk order (columns descending), and the q-parts
+from its other terms, as integer lists from a source entry to its
+targets.  So the solve is one flat walk, each entry divided as soon as
+it is computed (Bareiss's exact division).  Zeros and unit denominators
+cost nothing: a zero block is neither walked nor read as a source, and
+a denominator of 1 enters no lcm and multiplies nothing.
 
-Every block, full frames and unit row alike, is stored as the scaled
-frame G_{a,b} = (a!)^d1 (b!)^d2 F_{a,b}: both equations keep their
-left-hand side, the source (a-c, b-d) on the right gets the integer
-weight (a!/(a-c)!)^d1 (b!/(b-d)!)^d2 from tables made once per solve,
-and the identity entry is the Apery-normalized (a!)^d1 (b!)^d2 c_{a,b}.
+Every block is stored as the unit row of the scaled frame G_{a,b} =
+(a!)^d1 (b!)^d2 F_{a,b}: both equations keep their left-hand side, the
+source (a-c, b-d) on the right gets the integer weight (a!/(a-c)!)^d1
+(b!/(b-d)!)^d2 from tables made once per solve, and the identity entry
+is the Apery-normalized (a!)^d1 (b!)^d2 c_{a,b}.
 Every entry carries a single implicit z-power, deg(row) - deg(col) +
 a*d1 + b*d2 below zero; the exports (frames, the coefficient table)
 restore it and divide by (a!)^d1 (b!)^d2.
 
 The J-vector at index (a,b) is the first frame column, component i at
-z^-(deg phi_i + a*d1 + b*d2); the identity component gives the
-coefficient table c_{a,b}.
+z^-(deg phi_i + a*d1 + b*d2); its identity component, the entry (0, 0)
+it shares with the unit row, gives the coefficient table c_{a,b}.
 
 Operators are checked on the matrices alone, in the quantum D-module:
 with nabla_k = z q_k d/dq_k + M_k, L annihilates J exactly when w =
@@ -120,49 +119,36 @@ class NonIntegralError(ValueError):
     """A factorially normalized coefficient is not an integer."""
 
 
-# One ray's row equation s*w - w*A = r on flat blocks of leading frame
-# rows, entry (i, j) at i*size + j, with A = Aint/den the action U ->
-# U*C - C*U of the classical matrix C = Cint/den, den being the one
-# denominator of the matrix's lift.  walk lists the pairs (p, adj) rows
-# ascending and columns descending, adj holding the pairs (q,
-# Aint[q][p]): for p = (i, j), q = (i, k) with Cint[k][j] and q = (k, j)
-# with -Cint[i][k].  C raises degree by exactly one (set_column enforces
-# the grading), so k > j and k < i, and each entry reads entries already
-# walked; level[p] is deg(i) - deg(j) and top the highest level.  parts
-# = {(c, d): [(p, [(t, int), ...]), ...]} lifts each q-part, over the
-# same den, to the flat indices: the source entry p = (i, k) adds to the
-# entries t = (i, j) of its row.
+# One ray's row equation s*w - w*A = r on the unit row, entry j at j,
+# with A = C = Cint/den the classical matrix, den being the one
+# denominator of the matrix's lift.  walk lists the pairs (p, adj)
+# columns descending, adj holding the pairs (q, Cint[q][p]): C raises
+# degree by exactly one (set_column enforces the grading), so q > p and
+# each entry reads entries already walked; level[p] is -deg(p) and top
+# the highest level.  parts = {(c, d): [(k, [(j, int), ...]), ...]} lifts
+# each q-part, over the same den: the source entry k adds to the entries
+# j it reaches.
 Ray = namedtuple("Ray", "den walk level top parts")
 
 
-def _split_matrix(qmat, rows):
-    """The Ray of a QuantumMatrix, read off its lift and built once per
-    solve: the (0, 0) terms fill the two-sided classical action on flat
-    blocks of `rows` leading frame rows, the others the q-parts in the
-    row action."""
+def _split_matrix(qmat):
+    """The Ray of a QuantumMatrix on the unit row, read off its lift and
+    built once per solve: the (0, 0) terms fill A = C, the others the
+    q-parts in the row action."""
     size = qmat.spec.size
     columns, den = qmat.lift()
-    starts = range(0, rows * size, size)
-    adj = [[] for _ in range(rows * size)]
+    adj = [[] for _ in range(size)]
     parts = {}
     for k, col in enumerate(columns):
         for i, c, d, v in col:
             if c or d:
                 parts.setdefault((c, d), {}).setdefault(i, []).append((k, v))
-                continue
-            for r in starts:
-                adj[r + k].append((r + i, v))
-            if i < rows:
-                for j in range(size):
-                    adj[i * size + j].append((k * size + j, -v))
-    degree = tuple(map(qmat.spec.degree, range(size)))
-    level = [di - dj for di in degree[:rows] for dj in degree]
-    lifted = {key: [(r + k, [(r + j, v) for j, v in prow] if r else prow)
-                    for r in starts for k, prow in part.items()]
-              for key, part in parts.items()}
-    return Ray(den, [(p, adj[p]) for r in starts
-                     for p in range(r + size - 1, r - 1, -1)],
-               level, max(level), lifted)
+            else:
+                adj[k].append((i, v))
+    level = [-qmat.spec.degree(j) for j in range(size)]
+    return Ray(den, [(p, adj[p]) for p in range(size - 1, -1, -1)],
+               level, max(level),
+               {key: list(part.items()) for key, part in parts.items()})
 
 
 def _shift_sum(live, ray, a, b, falling):
@@ -252,12 +238,13 @@ def _sylvester_solve(scale, ray, rhs):
 
 
 class JSeries:
-    """Flat frames of the quantum differential system up to a total order.
+    """The unit row of the flat frames up to a total order.
 
-    blocks maps (a, b) to the scaled frame G_{a,b} as (flat integer
-    vector, D), entry (i, j) being vec[i*n + j] / D with the z-grid
-    implicit, every block of the solve's stream kept; an export divides
-    each block by weight(a, b).
+    blocks maps (a, b) to the scaled unit row of G_{a,b} as (flat integer
+    vector, D), entry j being the frame entry (0, j) as vec[j] / D with
+    the z-grid implicit; an export divides each block by weight(a, b).
+    A block of more leading rows, entry (i, j) at i*n + j, reads the
+    same way.
     """
 
     def __init__(self, spec):
@@ -270,7 +257,9 @@ class JSeries:
 
     @property
     def frames(self):
-        """{(a, b): Fraction matrix F_{a,b}}, exported on every read."""
+        """{(a, b): the rows of F_{a,b} that a block holds, as a Fraction
+        matrix}, exported on every read: the 1 x n leading row for
+        j_series."""
         n = self.spec.size
         out = {}
         for key, (vec, den) in self.blocks.items():
@@ -280,12 +269,12 @@ class JSeries:
         return out
 
 
-def _setup(mp, mxi, spec, order, rows, weights):
-    """(rays, falling) of a solve to `order` on `rows` leading frame
-    rows: the Ray of M_p and of M_xi and the falling-power tables of a
-    and of b.  Refuses a negative order and weights below (1, 1) with
-    ValueError, and a pair that fails flatness_defect with FlatnessError
-    and its message, before any solve."""
+def _setup(mp, mxi, spec, order, weights):
+    """(rays, falling) of a unit-row solve to `order`: the Ray of M_p and
+    of M_xi and the falling-power tables of a and of b.  Refuses a
+    negative order and weights below (1, 1) with ValueError, and a pair
+    that fails flatness_defect with FlatnessError and its message, before
+    any solve."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     if min(weights) < 1:
@@ -294,64 +283,25 @@ def _setup(mp, mxi, spec, order, rows, weights):
     defect = flatness_defect(mp, mxi)
     if defect is not None:
         raise FlatnessError(defect)
-    rays = (_split_matrix(mp, rows), _split_matrix(mxi, rows))
+    rays = (_split_matrix(mp), _split_matrix(mxi))
     keys = [key for ray in rays for key in ray.parts]
     return rays, [_falling(order, max((key[k] for key in keys), default=0), d)
                   for k, d in enumerate((spec.d1, spec.d2))]
 
 
-def _solve(mp, mxi, spec, order, rows, weights=(1, 1)):
-    """Yield ((a, b), block) for every block cut to its leading rows, in
-    solve order, over the indices with w1*a + w2*b <= order for weights
-    (w1, w2) >= (1, 1); the indices below (a, b) have a lower weighted
-    sum.
-
-    A pair that fails flatness_defect raises FlatnessError with its
-    message before any solve; each block is then built from one ray
-    alone (module docstring).  scale*w - w*A is invertible for scale >=
-    1, so a right-hand side with no nonzero entry gives the zero block
-    (zeros, 1) without a walk.  Only the nonzero blocks enter the grid
-    the shift sums read, so a zero source costs them nothing, and only
-    while a later index can read them: a source lies at most span =
-    max(c + d) over the q-parts of both rays anti-diagonals below its
-    target, so the grid drops anti-diagonal total - span - 1 before the
-    solve of anti-diagonal total.  The grid holds at most span + 1
-    anti-diagonals; a caller that keeps every block collects the stream.
-    j_series runs it on the full frames; on the unit row, which
-    identity_series solves row by row, it is the reference that each
-    block of _unit_rows equals.  Weights below (1, 1) are refused with
-    ValueError.
-    """
-    rays, falling = _setup(mp, mxi, spec, order, rows, weights)
-    span = max((c + d for ray in rays for c, d in ray.parts), default=0)
-    w1, w2 = weights
-    live = [[None] * (order + 1) for _ in range(order + 1)]
-    live[0][0] = block = ([int(p % spec.size == p // spec.size)
-                           for p in range(rows * spec.size)], 1)
-    yield (0, 0), block
-    for total in range(1, order + 1):
-        gone = total - span - 1
-        for a in range(gone + 1):
-            live[a][gone - a] = None
-        for a in range(total, -1, -1):
-            b = total - a
-            if w1 * a + w2 * b > order:
-                continue
-            ray = rays[1 if b else 0]
-            rhs = _shift_sum(live, ray, a, b, falling)
-            if any(rhs[0]):
-                live[a][b] = block = _sylvester_solve(b or a, ray, rhs)
-            else:
-                block = rhs[0], 1
-            yield (a, b), block
-
-
 def j_series(mp, mxi, spec, order):
-    """Solve the system for all frames with a + b <= order, each built
-    along one ray, and keep every block; a pair that is not flat raises
-    FlatnessError."""
+    """The unit row of every frame with a + b <= order, read off the
+    fibre-row walk of _unit_rows: block (a, b) is slot a of row b, and
+    the blocks past a row's last nonzero slot are (zeros, 1).  A pair
+    that is not flat raises FlatnessError."""
     js = JSeries(spec)
-    js.blocks.update(_solve(mp, mxi, spec, order, spec.size))
+    for b, slots, (cols, dens, width) in _unit_rows(mp, mxi, spec, order,
+                                                    (1, 1)):
+        for a in range(width):
+            js.blocks[a, b] = ([col[a] if col else 0 for col in cols],
+                               dens[a] if dens else 1)
+        for a in range(width, slots):
+            js.blocks[a, b] = ([0] * spec.size, 1)
     return js
 
 
@@ -489,9 +439,11 @@ def _unit_rows(mp, mxi, spec, order, weights):
     only the rows b - d below it (module docstring) and is solved along
     the xi ray in one walk.  Only the rows that a later row can read are
     kept: row b - dmax - 1 is dropped before row b is solved, dmax the
-    largest d of M_xi's q-parts.  Every block equals the block of
-    _solve(mp, mxi, spec, order, 1, weights) at its index."""
-    (pray, xray), falling = _setup(mp, mxi, spec, order, 1, weights)
+    largest d of M_xi's q-parts.  Row one closes under each ray's
+    equation on its own, so no other frame row is solved; every block
+    equals, bit for bit, the per-block solve of the unit row that the
+    tests keep as the full-frame reference (tests/oracles.py)."""
+    (pray, xray), falling = _setup(mp, mxi, spec, order, weights)
     w1, w2 = weights
     base = [[([1] + [0] * (spec.size - 1), 1)]]
     for a in range(1, order // w1 + 1):
@@ -523,11 +475,10 @@ def identity_series(mp, mxi, spec, order, weights=(1, 1)):
     indices with w1*a + w2*b <= order for weights (w1, w2) >= (1, 1),
     keyed row by row, b ascending.
 
-    Row one closes under each ray's equation on its own, so only that
-    row is solved, each index along one ray as in j_series, one fibre
-    row at a time (_unit_rows); a pair that is not flat raises
-    FlatnessError.  The table is read off entry 0 of each row, with
-    each block's denominator, and no row is kept.
+    The unit row is solved one fibre row at a time (_unit_rows), as for
+    j_series; a pair that is not flat raises FlatnessError.  The table
+    is read off entry 0 of each row, with each block's denominator, and
+    no row is kept.
     """
     table = {}
     for b, slots, (cols, dens, width) in _unit_rows(mp, mxi, spec, order,

@@ -11,8 +11,12 @@ matrices; ref_flatness_defect is that check on Fraction q-polynomials,
 where the package compares integer products of the two lifts.  ray
 rebuilds one divisor-ray equation at an index from every block below
 it, zero blocks included, where the solve reads only the nonzero ones;
-rays lifts the two divisor matrices for it with the solver's own
-_split_matrix.  The quantum ring relations are checked
+rays lifts the two divisor matrices for it with ref_split_matrix.  The
+package solves only the unit row; the full n x n frames these checks
+and the operator residual read come from ref_solve, the package's
+former full-frame solver on the anti-diagonal grid, which runs qde's
+own walk on the two-sided action of ref_split_matrix, and ref_j_series
+collects them.  The quantum ring relations are checked
 here as well, read off the z-free terms of the packaged annihilating
 operators.
 
@@ -69,11 +73,95 @@ def vector(js, a, b):
             for i, x in enumerate(vec[0::spec.size])]
 
 
+def ref_split_matrix(qmat, rows):
+    """The qde.Ray of a QuantumMatrix on `rows` leading frame rows: the
+    (0, 0) terms fill the two-sided classical action U -> U*C - C*U on
+    flat blocks, entry (i, j) at i*size + j, the others the q-parts in
+    the row action.  walk lists the entries rows ascending and columns
+    descending, adj holding the pairs (q, Aint[q][p]): for p = (i, j), q
+    = (i, k) with Cint[k][j] and q = (k, j) with -Cint[i][k]; level[p] is
+    deg(i) - deg(j).  On one row it is qde._split_matrix."""
+    size = qmat.spec.size
+    columns, den = qmat.lift()
+    starts = range(0, rows * size, size)
+    adj = [[] for _ in range(rows * size)]
+    parts = {}
+    for k, col in enumerate(columns):
+        for i, c, d, v in col:
+            if c or d:
+                parts.setdefault((c, d), {}).setdefault(i, []).append((k, v))
+                continue
+            for r in starts:
+                adj[r + k].append((r + i, v))
+            if i < rows:
+                for j in range(size):
+                    adj[i * size + j].append((k * size + j, -v))
+    degree = tuple(map(qmat.spec.degree, range(size)))
+    level = [di - dj for di in degree[:rows] for dj in degree]
+    lifted = {key: [(r + k, [(r + j, v) for j, v in prow] if r else prow)
+                    for r in starts for k, prow in part.items()]
+              for key, part in parts.items()}
+    return qde.Ray(den, [(p, adj[p]) for r in starts
+                         for p in range(r + size - 1, r - 1, -1)],
+                   level, max(level), lifted)
+
+
+def ref_solve(mp, mxi, spec, order, rows, weights=(1, 1)):
+    """Yield ((a, b), block) for every block cut to its `rows` leading
+    frame rows, in solve order, over the indices with w1*a + w2*b <=
+    order for weights (w1, w2) >= (1, 1); the indices below (a, b) have a
+    lower weighted sum.
+
+    The full-frame reference of the unit-row solve, block by block on
+    the anti-diagonal grid: qde._setup refuses the same inputs with the
+    same errors, then each block is built from one ray alone (the qde
+    docstring), by qde._shift_sum and qde._sylvester_solve on the rays of
+    ref_split_matrix.  scale*w - w*A is invertible for scale >= 1, so a
+    right-hand side with no nonzero entry gives the zero block (zeros, 1)
+    without a walk.  Only the nonzero blocks enter the grid the shift
+    sums read, and only while a later index can read them: a source lies
+    at most span = max(c + d) over the q-parts of both rays
+    anti-diagonals below its target, so the grid drops anti-diagonal
+    total - span - 1 before the solve of anti-diagonal total.
+    """
+    _, falling = qde._setup(mp, mxi, spec, order, weights)
+    rays = (ref_split_matrix(mp, rows), ref_split_matrix(mxi, rows))
+    span = max((c + d for ray in rays for c, d in ray.parts), default=0)
+    w1, w2 = weights
+    live = [[None] * (order + 1) for _ in range(order + 1)]
+    live[0][0] = block = ([int(p % spec.size == p // spec.size)
+                           for p in range(rows * spec.size)], 1)
+    yield (0, 0), block
+    for total in range(1, order + 1):
+        gone = total - span - 1
+        for a in range(gone + 1):
+            live[a][gone - a] = None
+        for a in range(total, -1, -1):
+            b = total - a
+            if w1 * a + w2 * b > order:
+                continue
+            ray = rays[1 if b else 0]
+            rhs = qde._shift_sum(live, ray, a, b, falling)
+            if any(rhs[0]):
+                live[a][b] = block = qde._sylvester_solve(b or a, ray, rhs)
+            else:
+                block = rhs[0], 1
+            yield (a, b), block
+
+
+def ref_j_series(mp, mxi, spec, order):
+    """A qde.JSeries of the full n x n frames with a + b <= order, from
+    ref_solve, where qde.j_series holds their unit rows."""
+    js = qde.JSeries(spec)
+    js.blocks.update(ref_solve(mp, mxi, spec, order, spec.size))
+    return js
+
+
 def rays(js, mp, mxi):
     """{along_p: Ray} of mp and mxi, lifted to the rows of js's blocks."""
     rows = len(js.blocks[(0, 0)][0]) // js.spec.size
-    return {True: qde._split_matrix(mp, rows),
-            False: qde._split_matrix(mxi, rows)}
+    return {True: ref_split_matrix(mp, rows),
+            False: ref_split_matrix(mxi, rows)}
 
 
 def ray(js, lifted, a, b, along_p):

@@ -12,7 +12,7 @@ import pytest
 from oracles import (check_flatness, check_grading, check_homogeneity,
                      check_purity, fiber_invariant, hypergeometric_modify,
                      mirror_map_correction, monomial_class, period_sequence,
-                     regularize, verify_relation)
+                     ref_j_series, regularize, verify_relation)
 
 from qfano import lefschetz, qde
 from qfano import reconstruct as rc
@@ -52,6 +52,14 @@ def fixture_matrices(flagship):
 def js14(flagship, matrices):
     mp, mxi = matrices
     return qde.j_series(mp, mxi, flagship, 14)
+
+
+@pytest.fixture(scope="module")
+def frames14(flagship, matrices):
+    # the full frames, from the reference solve: the package solves the
+    # unit row only
+    mp, mxi = matrices
+    return ref_j_series(mp, mxi, flagship, 14)
 
 
 @pytest.fixture(scope="module")
@@ -149,12 +157,15 @@ def test_criterion_05_operators_annihilate(js14, matrices):
     _verdict(5, failures)
 
 
-def test_criterion_06_flatness_and_homogeneity(js14, matrices):
+def test_criterion_06_flatness_and_homogeneity(js14, frames14, matrices):
     failures = []
-    bad = check_flatness(js14, *matrices)
-    if bad is not None:
-        failures.append("flatness: %s" % bad)
-    bad = check_homogeneity(js14)
+    for series in (js14, frames14):
+        bad = check_flatness(series, *matrices)
+        if bad is not None:
+            failures.append("flatness: %s" % bad)
+    if qde.identity_coefficients(frames14) != qde.identity_coefficients(js14):
+        failures.append("unit row differs from row one of the frames")
+    bad = check_homogeneity(frames14)
     if bad is not None:
         failures.append("homogeneity: %s" % bad)
     _verdict(6, failures)

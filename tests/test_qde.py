@@ -6,12 +6,14 @@ from fractions import Fraction
 from types import SimpleNamespace
 from math import factorial, gcd
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (LAMBDA, MU, basis_scale, check_flatness,
                      check_homogeneity, ray, rays, ref_check_operator,
-                     ref_classical, ref_flatness_defect, ref_route_residual,
+                     ref_classical, ref_flatness_defect, ref_j_series,
+                     ref_route_residual, ref_solve, ref_split_matrix,
                      rescaled, vector)
 
 from qfano import qde
@@ -38,6 +40,12 @@ def p1p1_js(p1p1):
 
 
 @pytest.fixture(scope="module")
+def p1p1_frames(p1p1):
+    spec, mp, mxi = p1p1
+    return ref_j_series(mp, mxi, spec, 6)
+
+
+@pytest.fixture(scope="module")
 def flagship():
     spec = make_bundle(4, 6, [-3, 5, -5])
     mp, mxi = reconstruct(spec, builtin_source(spec))
@@ -51,6 +59,12 @@ def flagship_js(flagship):
 
 
 @pytest.fixture(scope="module")
+def flagship_frames(flagship):
+    spec, mp, mxi = flagship
+    return ref_j_series(mp, mxi, spec, 8)
+
+
+@pytest.fixture(scope="module")
 def flagship_rescaled(flagship):
     # rational inputs: the classical denominator of each ray is > 1
     spec, mp, mxi = flagship
@@ -61,6 +75,12 @@ def flagship_rescaled(flagship):
 def flagship_rescaled_js(flagship_rescaled):
     spec, mp, mxi = flagship_rescaled
     return qde.j_series(mp, mxi, spec, 4)
+
+
+@pytest.fixture(scope="module")
+def flagship_rescaled_frames(flagship_rescaled):
+    spec, mp, mxi = flagship_rescaled
+    return ref_j_series(mp, mxi, spec, 4)
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +112,8 @@ def test_product_bundles_closed_form(n, r):
     # P^n x P^(r-1): c_{a,b} = 1 / ((a!)^(n+1) (b!)^r) on the unit row and
     # on full frames, so the normalized table is all ones, and the
     # J-series is annihilated by D1^(n+1) - q1 and D2^r - q2; p1-trivial
-    # (P^1 x P^1) runs to order 30, where the full frames carry factorial
-    # weights of about 200 bits
+    # (P^1 x P^1) runs to order 30, where the unit rows of j_series carry
+    # factorial weights of about 200 bits
     spec = make_bundle(n, r)
     mp, mxi = reconstruct(spec, builtin_source(spec))
     order = 30 if (n, r) == (1, 2) else 5
@@ -113,11 +133,12 @@ def test_product_bundles_closed_form(n, r):
     assert reports == [None, None], texts
 
 
-def test_p1p1_vectors_match_hand_oracle(p1p1_js):
-    # basis order (1, p, xi, p*xi)
-    assert vector(p1p1_js, 0, 0) == [{0: 1}, {}, {}, {}]
-    assert vector(p1p1_js, 1, 0) == [{-2: 1}, {-3: -2}, {}, {}]
-    assert vector(p1p1_js, 1, 1) == [{-4: 1}, {-5: -2}, {-5: -2}, {-6: 4}]
+def test_p1p1_vectors_match_hand_oracle(p1p1_frames):
+    # basis order (1, p, xi, p*xi); J is the first column of the full frames
+    assert vector(p1p1_frames, 0, 0) == [{0: 1}, {}, {}, {}]
+    assert vector(p1p1_frames, 1, 0) == [{-2: 1}, {-3: -2}, {}, {}]
+    assert vector(p1p1_frames, 1, 1) == [{-4: 1}, {-5: -2}, {-5: -2},
+                                         {-6: 4}]
 
 
 def test_p1p1_row_recursion_closed_form(p1p1):
@@ -182,29 +203,37 @@ def test_apery_errors_are_typed():
     assert not isinstance(err.value, qde.NonIntegralError)
 
 
-def test_row_recursion_matches_frames(flagship, flagship_js):
+def test_row_recursion_matches_frames(flagship, flagship_frames):
+    # the row recursion against entry (0, 0) of the reference's full frames
     spec, mp, mxi = flagship
     deep = qde.identity_series(mp, mxi, spec, 8)
-    assert deep == normalized(qde.identity_coefficients(flagship_js), spec)
+    assert deep == normalized(qde.identity_coefficients(flagship_frames),
+                              spec)
     # the normalized flagship table is integral: the Apery table's entries
     assert all(type(val) is int for val in deep.values())
     assert [deep[(i, i)] for i in range(5)] == [1, 5, 73, 1445, 33001]
 
 
+def assert_leading_rows(unit, full, size):
+    """Every block of unit is row one of full's block at its key, compared
+    as Fractions, and the two hold the same keys."""
+    assert set(unit) == set(full)
+    for key, (vec, den) in full.items():
+        rvec, rden = unit[key]
+        assert [F(x, rden) for x in rvec] == [
+            F(x, den) for x in vec[:size]], key
+
+
 @pytest.mark.parametrize("bundle", ["p1p1", "flagship"])
 def test_unit_row_is_row_one_of_the_frames(request, bundle):
-    # the unit-row solve stores row one of the full-frame solve, block for
-    # block, on the weighted index set of a cut, and for rescaled
+    # the unit-row solve stores row one of the full-frame reference, block
+    # for block, on the weighted index set of a cut, and for rescaled
     # rational inputs too
     spec, mp, mxi = request.getfixturevalue(bundle)
     for pair in ((mp, mxi), (rescaled(spec, mp), rescaled(spec, mxi))):
-        row = dict(qde._solve(*pair, spec, 12, 1, (2, 1)))
-        full = dict(qde._solve(*pair, spec, 12, spec.size, (2, 1)))
-        assert set(row) == set(full)
-        for key, (vec, den) in full.items():
-            rvec, rden = row[key]
-            assert [F(x, rden) for x in rvec] == [
-                F(x, den) for x in vec[:spec.size]], key
+        assert_leading_rows(row_blocks(*pair, spec, 12, (2, 1)),
+                            dict(ref_solve(*pair, spec, 12, spec.size,
+                                           (2, 1))), spec.size)
 
 
 def row_blocks(mp, mxi, spec, order, weights):
@@ -221,13 +250,40 @@ def row_blocks(mp, mxi, spec, order, weights):
 
 
 @pytest.mark.parametrize("bundle", ["flagship", "p1p1", "flagship_rescaled"])
+def test_j_series_solves_only_the_unit_row(request, bundle, monkeypatch):
+    # j_series holds a block at every a + b <= order, row one of the
+    # reference's full frame by value, and walks no ray wider than one
+    # frame row: no n x n block is solved
+    spec, mp, mxi = request.getfixturevalue(bundle)
+    widths = []
+
+    def spy(walk):
+        def walk_spy(scale, ray, rhs):
+            widths.append(len(ray.level))
+            return walk(scale, ray, rhs)
+        return walk_spy
+
+    for order in (0, 1, 6, 16):
+        full = ref_j_series(mp, mxi, spec, order).blocks
+        with monkeypatch.context() as patch:
+            for name in ("_sylvester_solve", "_row_walk"):
+                patch.setattr(qde, name, spy(getattr(qde, name)))
+            js = qde.j_series(mp, mxi, spec, order)
+        assert set(js.blocks) == {(a, b) for a in range(order + 1)
+                                  for b in range(order + 1 - a)}
+        assert_leading_rows(js.blocks, full, spec.size)
+        assert set(widths) == ({spec.size} if order else set()), order
+        widths.clear()
+
+
+@pytest.mark.parametrize("bundle", ["flagship", "p1p1", "flagship_rescaled"])
 @pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 2)])
 def test_row_batches_match_per_block_solve(request, bundle, weights):
     # every block of the unit row, read from the row batches, is the
     # per-block reference's bit for bit, and so is the table
     spec, mp, mxi = request.getfixturevalue(bundle)
     for order in (0, 1, 2, 16, 40):
-        ref = dict(qde._solve(mp, mxi, spec, order, 1, weights))
+        ref = dict(ref_solve(mp, mxi, spec, order, 1, weights))
         assert row_blocks(mp, mxi, spec, order, weights) == ref, order
         table = qde.identity_series(mp, mxi, spec, order, weights)
         assert table == {key: F(vec[0], den)
@@ -254,7 +310,7 @@ def test_row_walk_rescales_only_the_inexact_slots(flagship_rescaled,
     blocks = row_blocks(mp, mxi, spec, 40, (1, 1))
     assert scales == [5, 8, 10]
     scales.clear()
-    assert dict(qde._solve(mp, mxi, spec, 40, 1)) == blocks
+    assert dict(ref_solve(mp, mxi, spec, 40, 1)) == blocks
     assert scales == [5, 8, 10]
 
 
@@ -271,7 +327,7 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle):
                                   [0] * size]
     lcms = [1, 6, 1, 35, 1, 2, 1]
     for qmat in (mp, mxi):
-        ray = qde._split_matrix(qmat, 1)
+        ray = qde._split_matrix(qmat)
         for scale in (1, 7):
             blocks = [qde._sylvester_solve(scale, ray, (vec, den * ray.den))
                       if any(vec) else (vec, 1)
@@ -293,18 +349,18 @@ def test_weights_below_one_rejected(flagship, weights):
     with pytest.raises(ValueError, match=error):
         qde.identity_series(mp, mxi, spec, 4, weights)
     with pytest.raises(ValueError, match=error):
-        dict(qde._solve(mp, mxi, spec, 4, 1, weights))
+        dict(ref_solve(mp, mxi, spec, 4, 1, weights))
 
 
-def test_flatness_and_homogeneity_pass(flagship, flagship_js):
+def test_flatness_and_homogeneity_pass(flagship, flagship_frames):
     _, mp, mxi = flagship
-    assert check_flatness(flagship_js, mp, mxi) is None
-    assert check_homogeneity(flagship_js) is None
+    assert check_flatness(flagship_frames, mp, mxi) is None
+    assert check_homogeneity(flagship_frames) is None
 
 
 def test_flatness_detects_tampering(flagship):
     spec, mp, mxi = flagship
-    js = qde.j_series(mp, mxi, spec, 2)
+    js = ref_j_series(mp, mxi, spec, 2)
     # entry (5,3) of the flat integer block at index (1,0)
     js.blocks[(1, 0)][0][4 * spec.size + 2] += 1
     report = check_flatness(js, mp, mxi)
@@ -313,7 +369,7 @@ def test_flatness_detects_tampering(flagship):
 
 def test_homogeneity_detects_non_identity_origin(p1p1):
     spec, mp, mxi = p1p1
-    js = qde.j_series(mp, mxi, spec, 1)
+    js = ref_j_series(mp, mxi, spec, 1)
     assert check_homogeneity(js) is None
     # entry (2,1) of the flat identity block
     js.blocks[(0, 0)][0][spec.size] = 1
@@ -405,14 +461,21 @@ def test_one_shift_sum_per_solved_index(flagship, monkeypatch):
     # each index past the origin is built from one ray's shift sum alone,
     # and solved on the xi ray with scale b where b >= 1, on the p ray
     # with scale a on b = 0; the unit row solves b = 0 block by block and
-    # each fibre row b >= 1 in one batch
+    # each fibre row b >= 1 in one batch, the full-frame reference every
+    # index block by block
     spec, mp, mxi = flagship
     labels, calls, solves, walks = {}, [], [], []
-    split, shift_sum, solve, walk = (qde._split_matrix, qde._shift_sum,
-                                     qde._sylvester_solve, qde._row_walk)
+    split, full_split, shift_sum, solve, walk = (
+        qde._split_matrix, oracles.ref_split_matrix, qde._shift_sum,
+        qde._sylvester_solve, qde._row_walk)
 
-    def split_spy(qmat, rows):
-        ray = split(qmat, rows)
+    def split_spy(qmat):
+        ray = split(qmat)
+        labels[id(ray)] = qmat.label
+        return ray
+
+    def full_split_spy(qmat, rows):
+        ray = full_split(qmat, rows)
         labels[id(ray)] = qmat.label
         return ray
 
@@ -429,6 +492,7 @@ def test_one_shift_sum_per_solved_index(flagship, monkeypatch):
         return walk(scale, ray, rhs)
 
     monkeypatch.setattr(qde, "_split_matrix", split_spy)
+    monkeypatch.setattr(oracles, "ref_split_matrix", full_split_spy)
     monkeypatch.setattr(qde, "_shift_sum", shift_sum_spy)
     monkeypatch.setattr(qde, "_sylvester_solve", solve_spy)
     monkeypatch.setattr(qde, "_row_walk", walk_spy)
@@ -439,7 +503,7 @@ def test_one_shift_sum_per_solved_index(flagship, monkeypatch):
     assert solves == []
     calls.clear()
     walks.clear()
-    js = qde.j_series(mp, mxi, spec, 6)
+    js = ref_j_series(mp, mxi, spec, 6)
     assert len(calls) == 27 == len(js.blocks) - 1
     assert walks == []
     # the full frames are not zero on b = 0
@@ -477,14 +541,15 @@ def test_solve_grid_holds_only_readable_blocks(flagship, monkeypatch):
     assert len(table) == 2080
     assert kept_rows == [(b, [b - 1]) for b in range(1, 64)]
     monkeypatch.setattr(qde, "_shift_sum", shift_sum_spy)
-    js = qde.j_series(mp, mxi, spec, 6)
+    js = ref_j_series(mp, mxi, spec, 6)
     assert len(depths) == len(js.blocks) - 1
     assert max(depths) == span
 
 
 def test_unit_row_solve_memory_follows_the_order(flagship):
-    # the streamed solve keeps span + 1 anti-diagonals of blocks, not all
-    # 8256 blocks of order 127 (about 12 MB when every block was kept)
+    # the streamed solve keeps only the rows b - d, d <= dmax (1 on the
+    # flagship), that a later fibre row reads, not all 8256 blocks of
+    # order 127 (about 12 MB when every block was kept)
     spec, mp, mxi = flagship
     tracemalloc.start()
     try:
@@ -605,9 +670,13 @@ def series_order(js):
 def test_one_pass_matches_per_operator_oracle(request, series, operators):
     # the check in the D-module, with its chains shared by all operators,
     # reports what each operator leaves on the J-series cut at the same
-    # order, term by term, byte for byte
+    # order, term by term, byte for byte; the residual is built on the
+    # reference's full frames at that order
     js = request.getfixturevalue(series)
-    _, mp, mxi = request.getfixturevalue(series.removesuffix("_js"))
+    bundle = series.removesuffix("_js")
+    _, mp, mxi = request.getfixturevalue(bundle)
+    frames = request.getfixturevalue(bundle + "_frames")
+    assert series_order(frames) == series_order(js)
     if series == "flagship_rescaled_js":
         assert mp.lift()[1] > 1 and mxi.lift()[1] > 1
     texts = [operators[name] for name in sorted(operators)]
@@ -615,7 +684,7 @@ def test_one_pass_matches_per_operator_oracle(request, series, operators):
     reports = qde.check_operator(ops, mp, mxi, series_order(js))
     assert len(reports) == len(ops)
     for text, op, report in zip(texts + list(NON_ANNIHILATING), ops, reports):
-        assert report == ref_check_operator(op, js, mp, mxi), text
+        assert report == ref_check_operator(op, frames, mp, mxi), text
     assert None not in reports[-4:-1]
     assert reports[-1] is None
 
@@ -630,10 +699,10 @@ random_term = st.builds(
 @given(st.integers(min_value=0, max_value=2),
        st.lists(random_term, min_size=1, max_size=5))
 def test_one_pass_matches_oracle_on_random_operators(
-        flagship, flagship_js, p1p1, p1p1_js, flagship_rescaled,
-        flagship_rescaled_js, pick, op):
-    (_, mp, mxi), js = ((flagship, flagship_js), (p1p1, p1p1_js),
-                        (flagship_rescaled, flagship_rescaled_js))[pick]
+        flagship, flagship_frames, p1p1, p1p1_frames, flagship_rescaled,
+        flagship_rescaled_frames, pick, op):
+    (_, mp, mxi), js = ((flagship, flagship_frames), (p1p1, p1p1_frames),
+                        (flagship_rescaled, flagship_rescaled_frames))[pick]
     assert qde.check_operator([op], mp, mxi, series_order(js)) == [
         ref_check_operator(op, js, mp, mxi)]
 
@@ -736,15 +805,19 @@ def test_rational_inputs_rescale_frames(request, bundle):
              for qp in mat.column(j).values() for key, v in qp.items()]
     assert any(v.denominator != 1 for key, v in terms if key == (0, 0))
     assert any(v.denominator != 1 for key, v in terms if key != (0, 0))
-    js = qde.j_series(mp, mxi, spec, 4)
-    js2 = qde.j_series(mp2, mxi2, spec, 4)
-    assert set(js2.frames) == set(js.frames)
-    for (a, b), frame in js.frames.items():
-        factor = LAMBDA ** a * MU ** b
-        assert js2.frames[(a, b)] == [
-            [factor * x * basis_scale(j) / basis_scale(i)
-             for j, x in enumerate(row)] for i, row in enumerate(frame)]
-    assert check_flatness(js2, mp2, mxi2) is None
+    # on the full frames of the reference solve, and on the unit rows of
+    # j_series, whose row 0 transforms on its own
+    for solve in (ref_j_series, qde.j_series):
+        js = solve(mp, mxi, spec, 4)
+        js2 = solve(mp2, mxi2, spec, 4)
+        assert set(js2.frames) == set(js.frames)
+        for (a, b), frame in js.frames.items():
+            factor = LAMBDA ** a * MU ** b
+            assert js2.frames[(a, b)] == [
+                [factor * x * basis_scale(j) / basis_scale(i)
+                 for j, x in enumerate(row)] for i, row in enumerate(frame)]
+        assert len(frame) == (spec.size if solve is ref_j_series else 1)
+        assert check_flatness(js2, mp2, mxi2) is None
     deep = qde.identity_series(mp, mxi, spec, 10)
     assert qde.identity_series(mp2, mxi2, spec, 10) == {
         (a, b): LAMBDA ** a * MU ** b * c for (a, b), c in deep.items()}
@@ -804,23 +877,26 @@ def reference_series(request, case):
     if case == "product":
         spec = make_bundle(2, 4)
         mp, mxi = reconstruct(spec, builtin_source(spec))
-        return mp, mxi, qde.j_series(mp, mxi, spec, 6)
+        return mp, mxi, ref_j_series(mp, mxi, spec, 6)
     if case == "unit-row":
         # the unit row of identity_series on the index set of a cut
         spec, mp, mxi = request.getfixturevalue("flagship")
         js = qde.JSeries(spec)
-        js.blocks.update(qde._solve(mp, mxi, spec, 40, 1, (2, 1)))
+        js.blocks.update(row_blocks(mp, mxi, spec, 40, (2, 1)))
         return mp, mxi, js
     if case == "rescaled-unit-row":
         # the unit row of rational inputs: blocks over D > 1
         spec, mp, mxi = request.getfixturevalue("flagship_rescaled")
         js = qde.JSeries(spec)
-        js.blocks.update(qde._solve(mp, mxi, spec, 20, 1))
+        js.blocks.update(row_blocks(mp, mxi, spec, 20, (1, 1)))
         return mp, mxi, js
     if case == "rescaled":
-        case = "flagship_rescaled"
+        # the full frames of rational inputs, from the reference solve
+        spec, mp, mxi = request.getfixturevalue("flagship_rescaled")
+        return mp, mxi, request.getfixturevalue("flagship_rescaled_frames")
+    # the full frames of the reference solve
     spec, mp, mxi = request.getfixturevalue(case)
-    return mp, mxi, request.getfixturevalue(case + "_js")
+    return mp, mxi, request.getfixturevalue(case + "_frames")
 
 
 def rows_of(vec, size):
@@ -883,7 +959,7 @@ def test_lifted_row_equation_is_the_two_sided_action(flagship):
             for p, x in enumerate(vec) if x} == levels
     u = rows_of(vec, size)
     for qmat in (mp, mxi):
-        flat = qde._split_matrix(qmat, size)
+        flat = ref_split_matrix(qmat, size)
         cint, dc = ref_classical(qmat)
         scale = 3
         # R = (scale*U + C*U - U*C) * D*dc as integers, over L = D*dc
@@ -905,7 +981,7 @@ def test_zero_right_hand_side_gives_zero_block(flagship):
     size = spec.size
     zero = [0] * (3 * size)
     for qmat in (mp, mxi):
-        flat = qde._split_matrix(qmat, 3)
+        flat = ref_split_matrix(qmat, 3)
         ref = ref_classical(qmat)
         assert qde._sylvester_solve(2, flat, (zero, 5)) == (zero, 1)
         assert ref_sylvester_solve(2, ref, (rows_of(zero, size), 5)) == (
