@@ -68,11 +68,12 @@ _PACKED_BITS = 129
 
 def accumulate(dst, items):
     """Add (key, value) pairs into the sparse map dst, dropping keys that
-    cancel to zero.  Returns dst."""
+    cancel to zero and storing a sum that is integral as an int.
+    Returns dst."""
     for key, value in items:
-        value = dst.get(key, ZERO) + value
+        value = dst.get(key, 0) + value
         if value:
-            dst[key] = value
+            dst[key] = value if value.denominator != 1 else value.numerator
         elif key in dst:
             del dst[key]
     return dst

@@ -16,20 +16,22 @@ def parse_number(text, fraction=False):
     optional -, ASCII digits and, when fraction is set, optionally / and
     more ASCII digits.
 
-    Returns an int, or a Fraction when fraction is set.  Anything else,
-    a zero denominator included, raises ValueError naming the literal.
+    Returns an int where the literal's value is integral (2 and 4/2
+    alike) and a Fraction otherwise, which needs fraction set.  Anything
+    else, a zero denominator included, raises ValueError naming the
+    literal.
     """
     parts = (text[1:] if text[:1] == "-" else text).split("/")
     if len(parts) > 1 + fraction or not all(
             part.isascii() and part.isdigit() for part in parts):
         raise ValueError("bad %s %r" % ("number" if fraction else "integer",
                                          text))
-    if len(parts) == 2 and not int(parts[1]):
-        raise ValueError("zero denominator in %r" % text)
-    if not fraction:
+    if len(parts) == 1:
         return int(text)
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or 1))
+    num, den = (int(part) for part in text.split("/"))
+    if not den:
+        raise ValueError("zero denominator in %r" % text)
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def split_terms(text):
@@ -64,7 +66,7 @@ def parse_term(term, names):
         body = body[1:]
     if not body:
         raise ValueError("term %r has no factors" % term)
-    coeff = Fraction(1)
+    coeff = 1
     for factor in body.split("*"):
         if not factor:
             raise ValueError("empty factor in term %r" % term)

@@ -1,10 +1,11 @@
 """Reconstruction of the divisor quantum multiplication matrices.
 
 Entries are polynomials in the two curve-class parameters q1 (base ray)
-and q2 (fibre ray), stored as {(a, b): Fraction} maps.  Column j of a
-matrix encodes divisor * phi_j in the monomial basis.  The p-matrix
-columns of degree <= n are the seed columns; the two matrices are then
-filled column by column in basis order:
+and q2 (fibre ray), stored as {(a, b): value} maps, a value being an
+int where it is integral and a Fraction only where a denominator exists.
+Column j of a matrix encodes divisor * phi_j in the monomial basis.  The
+p-matrix columns of degree <= n are the seed columns; the two matrices
+are then filled column by column in basis order:
 
   * p-direction: p * (xi * v) = xi * (p * v) rewrites each p column of
     degree > n in terms of strictly earlier ones, provided the p-power
@@ -26,8 +27,6 @@ from qfano.linalg import col_add_into
 from qfano.opparse import parse_number
 from qfano.ring import divisor_mul, dual_basis
 
-ONE = Fraction(1)
-
 
 class QuantumMatrix:
     """Square matrix of q-polynomials; label 'p' or 'xi' picks the purity rule."""
@@ -38,6 +37,7 @@ class QuantumMatrix:
         self.spec = spec
         self.label = label
         self.cols = [None] * spec.size
+        self._lift = None
 
     def set_column(self, j, col):
         """Store col as given: callers pass no zero term and no empty row."""
@@ -58,6 +58,7 @@ class QuantumMatrix:
                         "pure-q1 term in the xi matrix at (%d,%d)"
                         % (row + 1, j + 1))
         self.cols[j] = col
+        self._lift = None
 
     def column(self, j):
         if self.cols[j] is None:
@@ -70,13 +71,17 @@ class QuantumMatrix:
     def lift(self):
         """The one integer form of the matrix, (columns, den): columns[j]
         lists (i, c, d, int) for the q1^c q2^d term int/den of entry (i,
-        j), den being the lcm of every term's denominator."""
-        columns = [self.column(j).items() for j in range(self.spec.size)]
-        den = lcm(*(v.denominator for col in columns for _, qp in col
-                    for v in qp.values()))
-        return [[(i, c, d, v.numerator * (den // v.denominator))
-                 for i, qp in col for (c, d), v in qp.items()]
-                for col in columns], den
+        j), den being the lcm of every term's denominator.  It is built
+        once and kept until set_column changes a column, so every reader
+        shares it and none may change it."""
+        if self._lift is None:
+            columns = [self.column(j).items() for j in range(self.spec.size)]
+            den = lcm(*(v.denominator for col in columns for _, qp in col
+                        for v in qp.values()))
+            self._lift = [[(i, c, d, v.numerator * (den // v.denominator))
+                           for i, qp in col for (c, d), v in qp.items()]
+                          for col in columns], den
+        return self._lift
 
     def apply(self, vec):
         """Matrix times a column vector {row: QPoly} over the q-polynomials."""
@@ -171,11 +176,13 @@ def xi_column_from_p(spec, p_col, k, b0):
     # the three kinds of terms sit at disjoint q-powers: (0, 0), (0, 1)
     # and a, b >= 1
     if b0 == spec.r - 1:
-        col.setdefault(spec.position(k, 0), {})[(0, 1)] = ONE
+        col.setdefault(spec.position(k, 0), {})[(0, 1)] = 1
     for row, qp in p_col.items():
         for (a, b), v in qp.items():
             if a >= 1 and b >= 1:
-                col.setdefault(row, {})[(a, b)] = v * Fraction(b, a)
+                v *= b
+                col.setdefault(row, {})[(a, b)] = (
+                    v // a if v % a == 0 else Fraction(v, a))
     return col
 
 

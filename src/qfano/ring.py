@@ -2,18 +2,16 @@
 
 H*(X) = Q[p, xi] / (p^(n+1), xi^r + c_1 p xi^(r-1) + ... + c_r p^r)
 with p the hyperplane pullback and xi the relative hyperplane class
-(subspace convention).  A class is a sparse map {position: Fraction} over
+(subspace convention).  A class is a sparse map {position: value} over
 the monomial basis p^k xi^(d-k), ordered by total degree ascending and
-then p-power descending; it stores no zero.  Divisor products and the
-dual basis are closed forms.
+then p-power descending; it stores no zero, and a value is an int where
+it is integral and a Fraction only where a denominator exists.  Divisor
+products and the dual basis are closed forms in the Chern integers, so
+their values are ints.
 """
-
-from fractions import Fraction
 
 from qfano.fixtures_io import data_lines, read_lines
 from qfano.opparse import parse_number
-
-ONE = Fraction(1)
 
 
 class BundleSpec:
@@ -117,7 +115,7 @@ def basis_index(spec, d, k):
 def divisor_mul(spec, label, a, b):
     """Cup product of the divisor p or xi (label) with p^a xi^b.
 
-    Returns {position: Fraction}.  p^(a+1) xi^b vanishes when a = n, and
+    Returns {position: int}.  p^(a+1) xi^b vanishes when a = n, and
     p^a xi^r = -(c_1 p^(a+1) xi^(r-1) + ... + c_r p^(a+r)), dropping the
     terms past p^n; every other product is a basis monomial.
     """
@@ -128,8 +126,8 @@ def divisor_mul(spec, label, a, b):
     if a > spec.n:
         return {}
     if b < spec.r:
-        return {spec.position(a, b): ONE}
-    return {spec.position(a + i, b - i): Fraction(-c)
+        return {spec.position(a, b): 1}
+    return {spec.position(a + i, b - i): -c
             for i, c in enumerate(spec.chern, 1) if c and a + i <= spec.n}
 
 
@@ -140,6 +138,6 @@ def dual_basis(spec):
     sum_(i=0)^min(a, r-1-b) c_i p^(n-a+i) xi^(r-1-b-i), with c_0 = 1.
     """
     chern = (1,) + spec.chern
-    return [{spec.position(spec.n - a + i, spec.r - 1 - b - i): Fraction(c)
+    return [{spec.position(spec.n - a + i, spec.r - 1 - b - i): c
              for i, c in enumerate(chern[:min(a, spec.r - 1 - b) + 1]) if c}
             for a, b in spec.basis]

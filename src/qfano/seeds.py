@@ -18,8 +18,6 @@ builtin_source from a closed form in the basis positions (i, j, k) of
 Both ways pass every entry through the same dimension and symmetry checks.
 """
 
-from fractions import Fraction
-
 from qfano import schubert
 from qfano.fixtures_io import data_lines, read_lines
 from qfano.linalg import col_add_into
@@ -73,6 +71,7 @@ class SeedTable:
         self.entries = {}
 
     def set(self, i, j, a, value):
+        """Store an int or Fraction value, as an int when it is integral."""
         spec = self.spec
         if a < 1:
             raise ValueError("curve class must be a positive multiple of the base ray")
@@ -84,7 +83,7 @@ class SeedTable:
         if old is not None and old != value:
             raise ValueError("symmetry violation: conflicting values for "
                              + seed_key(spec, i, j, a))
-        self.entries[key] = Fraction(value)
+        self.entries[key] = value.numerator if value.denominator == 1 else value
 
     def pure_base(self, i, j, k):
         key = (min(i, j), max(i, j), k)
@@ -144,27 +143,27 @@ def builtin_source(spec):
 
 def demanded_invariants(spec):
     """All (i, j, k) base-direction invariants the seed columns consume."""
+    by_degree = {}
+    for j in range(spec.size):
+        by_degree.setdefault(spec.degree(j), []).append(j)
     out = []
-    for i, (a0, b0) in enumerate(spec.basis):
-        deg = a0 + b0
+    for i in range(spec.size):
+        deg = spec.degree(i)
         if deg > spec.n:
             continue
-        k = 1
-        while k * spec.d1 <= deg + 1:
-            degj = spec.dim - 1 + k * spec.d1 - deg
-            for j in range(spec.size):
-                if spec.degree(j) == degj:
-                    out.append((i, j, k))
-            k += 1
+        for k in range(1, (deg + 1) // spec.d1 + 1):
+            out += [(i, j, k) for j in
+                    by_degree.get(spec.dim - 1 + k * spec.d1 - deg, ())]
     return out
 
 
 def seed_columns(spec, table):
     """The p-matrix column of every degree <= n class.
 
-    Returns a map column index -> {row: {(a,b): Fraction}}: the classical
-    product plus, for each base-ray invariant <gamma, phi_j> of k times
-    the ray, k times its value times q1^k times the dual class phi^j.
+    Returns a map column index -> {row: {(a,b): value}}, each value an
+    int where it is integral: the classical product plus, for each
+    nonzero base-ray invariant <gamma, phi_j> of k times the ray, k times
+    its value times q1^k times the dual class phi^j.
     Raises MissingSeedError when the table lacks a demanded invariant and
     ValueError when a mixed curve class passes the dimension filter (outside
     the reconstruction's scope).
@@ -180,7 +179,9 @@ def seed_columns(spec, table):
                 for row, c in divisor_mul(spec, "p", a, b).items()}
             for i, (a, b) in enumerate(spec.basis) if a + b <= spec.n}
     for i, j, k in demanded_invariants(spec):
-        col_add_into(cols[i], dual[j], k * table.pure_base(i, j, k), (k, 0))
+        value = table.pure_base(i, j, k)
+        if value:
+            col_add_into(cols[i], dual[j], k * value, (k, 0))
     return cols
 
 

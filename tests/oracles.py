@@ -55,11 +55,12 @@ from math import factorial, lcm, prod
 from qfano import qde
 from qfano.lefschetz import PFTerm, check_search_box, cut_weights, pf_normalize
 from qfano.linalg import accumulate, col_add_into, nullspace
-from qfano.reconstruct import ONE, QuantumMatrix
+from qfano.reconstruct import QuantumMatrix
 from qfano.ring import make_bundle
 from qfano.schubert import is_flagship
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def vector(js, a, b):

@@ -18,7 +18,7 @@ from oracles import laurent_period, rescaled, toric_mirror
 
 from qfano import cli, qde, seeds
 from qfano.fixtures_io import fixture_lines, load_named_expressions
-from qfano.reconstruct import reconstruct
+from qfano.reconstruct import QuantumMatrix, flatness_defect, reconstruct
 from qfano.ring import make_bundle
 
 
@@ -353,6 +353,44 @@ def test_jfun_check_operators_builds_each_chain_once(tmp_path, monkeypatch):
                        "--check-operators", "--out", str(tmp_path)])
     assert status == 0
     assert len(passes) == 29
+
+
+def test_each_matrix_lifts_once_until_a_column_changes(tmp_path,
+                                                       monkeypatch):
+    # flatness_defect, the two rays of the solve and check_operator read
+    # six lifts of two builds, one per matrix
+    reads = []
+    lift = QuantumMatrix.lift
+
+    def spy(self):
+        out = lift(self)
+        reads.append((self.label, out))  # kept alive, so ids stay distinct
+        return out
+
+    monkeypatch.setattr(QuantumMatrix, "lift", spy)
+    status = cli.main(["jfun", "--order", "6", "--apery", "4",
+                       "--check-operators", "--out", str(tmp_path)])
+    assert status == 0
+    assert len(reads) == 6
+    assert sorted({id(out): label for label, out in reads}.values()) == [
+        "p", "xi"]
+    # a column set after a lift reaches the next lift: doubling the q-part
+    # of a p column breaks flatness, as on a pair never lifted before
+    spec = make_bundle(*cli.BUILTIN_BUNDLES["flagship"])
+    j = spec.position(2, 0)
+
+    def perturbed(mp):
+        mp.set_column(j, {row: {key: v * (1 + (key != (0, 0)))
+                                for key, v in qp.items()}
+                          for row, qp in mp.column(j).items()})
+        return mp
+
+    mp, mxi = reconstruct(spec, seeds.builtin_source(spec))
+    assert flatness_defect(mp, mxi) is None
+    defect = flatness_defect(perturbed(mp), mxi)
+    assert defect is not None
+    mp, mxi = reconstruct(spec, seeds.builtin_source(spec))
+    assert defect == flatness_defect(perturbed(mp), mxi)
 
 
 @pytest.mark.parametrize("body,error", [

@@ -128,6 +128,15 @@ def test_accumulate_merges_and_drops_cancelled_keys():
     assert dst == {"b": F(3)}
 
 
+def test_accumulate_stores_integral_sums_as_ints():
+    # two halves sum to the int 1; a sum with a denominator stays a
+    # Fraction
+    out = accumulate({"a": F(1, 2)}, [("a", F(1, 2)), ("b", F(1, 3)),
+                                      ("c", 2), ("c", F(-4, 3))])
+    assert out == {"a": 1, "b": F(1, 3), "c": F(2, 3)}
+    assert [type(out[key]) for key in "abc"] == [int, F, F]
+
+
 def test_col_add_into_scales_shifts_and_drops_emptied_rows():
     dst = {0: {(1, 0): F(2)}, 1: {(0, 0): F(1)}}
     src = {0: {(0, 0): F(1)}, 1: {(0, 0): F(1)}, 2: {(0, 1): F(1, 2)}}

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (check_grading, check_purity, classical, classical_mul,
                      fibre_xi_seed_columns, gram_three_point_symmetry,
-                     monomial_class, pairing_matrix, set_q_zero,
+                     monomial_class, pairing_matrix, rescaled, set_q_zero,
                      verify_relation)
 
 from qfano import qde
@@ -20,6 +20,7 @@ from qfano.fixtures_io import fixture_lines, load_named_expressions
 from qfano.linalg import accumulate
 from qfano.opparse import parse_number
 from qfano.ring import basis_index, make_bundle
+from qfano.schubert import FLAGSHIP
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,49 @@ def test_triplet_round_trip(flagship, flagship_matrices):
         assert again == mat
 
 
+def stored_values(table, mats):
+    """Every value a seed table and a pair of matrices store, checked to be
+    an int where it is integral and a Fraction only where a denominator
+    exists."""
+    values = list(table.entries.values()) if table else []
+    values += [v for mat in mats for j in range(mat.spec.size)
+               for qp in mat.column(j).values() for v in qp.values()]
+    for v in values:
+        assert type(v) is (int if v.denominator == 1 else Fraction), v
+    return values
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(st.integers(min_value=1, max_value=4),
+                 st.integers(min_value=2, max_value=5)))
+@example(FLAGSHIP)
+def test_builtin_sources_store_ints(key):
+    # a builtin seed source is integral, and so is every matrix it fixes
+    spec = make_bundle(*key)
+    table = seeds_mod.builtin_source(spec)
+    values = stored_values(table, rc.reconstruct(spec, table))
+    assert all(type(v) is int for v in values)
+
+
+def test_fractions_stored_only_where_a_denominator_exists(
+        flagship, flagship_matrices, p1p1, tmp_path):
+    # the rescaled flagship read back from its triplet lines, and a
+    # p1-trivial seed table holding 3/2, mix ints and Fractions
+    back = []
+    for mat in flagship_matrices:
+        want = rescaled(flagship, mat)
+        back.append(rc.QuantumMatrix.from_triplet_lines(
+            flagship, mat.label, want.triplet_lines()))
+        assert back[-1] == want
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("(1,1) (2,1) 1 0 3/2\n(1,0) (2,1) 1 0 0\n")
+    table = seeds_mod.load_seeds(str(seeds_file), p1p1)
+    p1_values = stored_values(table, rc.reconstruct(p1p1, table))
+    for values in (stored_values(None, back), p1_values):
+        assert {type(v) for v in values} == {int, Fraction}
+    assert Fraction(3, 2) in p1_values
+
+
 @pytest.mark.parametrize("field", [0, 3, 4], ids=["row", "b", "value"])
 @pytest.mark.parametrize("lit", ["1e3", "\u0663", "1_0"])
 def test_triplet_literal_outside_grammar(field, lit):
@@ -248,10 +292,13 @@ LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def test_number_literal_reads_as_its_fraction(text):
     # the one numeric grammar: an optional -, ASCII digits, and / with
     # ASCII digits over a nonzero denominator; every literal it accepts
-    # reads as Fraction(text), built from the integer parts
+    # reads as the value of Fraction(text), built from the integer parts,
+    # an int exactly when that value is integral
     if LITERAL.fullmatch(text) and int(text.partition("/")[2] or 1):
         value = parse_number(text, fraction=True)
-        assert type(value) is Fraction and value == Fraction(text)
+        want = Fraction(text)
+        assert value == want
+        assert type(value) is (int if want.denominator == 1 else Fraction)
     else:
         with pytest.raises(ValueError):
             parse_number(text, fraction=True)

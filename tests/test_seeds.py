@@ -187,6 +187,27 @@ def test_p1p1_seed_columns(p1p1):
     assert xcol == {0: {(0, 1): Fraction(1)}}
 
 
+def test_seed_table_compares_ints_with_fractions(flagship, tmp_path):
+    # 2 and 4/2 for the two orders of a symmetric pair are one value,
+    # stored as an int; 2 against 3/2 is still a conflict
+    i = basis_index(flagship, 3, 3) - 1
+    j = basis_index(flagship, 7, 3) - 1
+    seeds_file = tmp_path / "seeds.txt"
+    for first, second in (("2", "4/2"), ("4/2", "2")):
+        seeds_file.write_text("%s %s\n%s %s\n" % (
+            seeds.seed_key(flagship, i, j, 1), first,
+            seeds.seed_key(flagship, j, i, 1), second))
+        table = seeds.load_seeds(str(seeds_file), flagship)
+        value = table.pure_base(i, j, 1)
+        assert type(value) is int and value == 2
+    for first, second in ((2, Fraction(3, 2)), (Fraction(3, 2), 2)):
+        table = seeds.SeedTable(flagship)
+        table.set(i, j, 1, first)
+        with pytest.raises(ValueError, match="symmetry violation"):
+            table.set(j, i, 1, second)
+        assert table.pure_base(i, j, 1) == first
+
+
 def test_seed_table_validation(flagship):
     table = seeds.SeedTable(flagship)
     i = basis_index(flagship, 3, 3) - 1
