@@ -367,9 +367,15 @@ def build_parser():
     return parser
 
 
+# Built once at import: parse_args leaves a parser as it found it, so
+# every main call, in this process or another, reads the same grammar.
+PARSER = build_parser()
+
+
 def main(argv=None):
-    """Run one command; the one place exceptions become exit codes."""
-    args = build_parser().parse_args(argv)
+    """Run one command; the one place exceptions become exit codes.
+    Repeated calls in one process share PARSER and build no parser."""
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (qde.FlatnessError, qde.NonIntegralError) as exc:

@@ -158,7 +158,8 @@ def format_pf_operator(op):
 
 def pf_apply(op, seq):
     """Residual of the operator on a truncated sequence, position-exact,
-    summed on integers over one common denominator: 0 or a Fraction.
+    summed on integers over one common denominator: an int where the
+    residual is integral, a Fraction only where a denominator remains.
     The terms group by t-power m; each group's D-polynomial is evaluated
     once at k = pos - m and multiplies ints[k] once."""
     coeffs, cden = common_denominator([term.coeff for term in op])
@@ -169,7 +170,8 @@ def pf_apply(op, seq):
     sums = [sum(ints[pos - m] * sum(c * (pos - m) ** e for c, e in poly)
                 for m, poly in groups.items() if pos >= m)
             for pos in range(len(seq))]
-    return [Fraction(x, den * cden) if x else 0 for x in sums]
+    q = den * cden
+    return [x // q if x % q == 0 else Fraction(x, q) for x in sums]
 
 
 def pf_first_position(op):
@@ -187,7 +189,7 @@ def pf_normalize(op):
     op = sorted(op, key=lambda t: (-t.e, t.m))
     ints = common_denominator([term.coeff for term in op])[0]
     g = gcd(*ints) if ints and ints[0] > 0 else -gcd(*ints)
-    return [PFTerm(Fraction(x // g), term.m, term.e)
+    return [PFTerm(x // g, term.m, term.e)
             for x, term in zip(ints, op)]
 
 

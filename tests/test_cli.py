@@ -1,5 +1,6 @@
 """End-to-end checks of the command line via subprocess."""
 
+import argparse
 import hashlib
 import io
 import subprocess
@@ -14,9 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import laurent_period, rescaled, toric_mirror
+from oracles import (coefficient_table, hypergeometric_modify, laurent_period,
+                     mirror_map_correction, period_sequence, regularize,
+                     rescaled, toric_mirror)
 
-from qfano import cli, qde, seeds
+from qfano import cli, lefschetz, qde, seeds
 from qfano.fixtures_io import fixture_lines, load_named_expressions
 from qfano.reconstruct import QuantumMatrix, flatness_defect, reconstruct
 from qfano.ring import make_bundle
@@ -1051,6 +1054,151 @@ def test_periods_solve_only_the_grades_of_the_cut(tmp_path, monkeypatch,
     assert [len(table) for table in tables] == [indices]
     assert hashlib.sha256((tmp_path / "periods.txt").read_bytes()
                           ).hexdigest() == digest
+
+
+# The three README commands, each with the --out directory it writes.
+README_RUNS = [
+    (["reconstruct", "--verify-fixture"], None),
+    (["jfun", "--order", "16", "--apery", "8", "--check-operators"], "jfun"),
+    (["periods", "--terms", "64", "--regularized", "--pf-verify",
+      "--pf-search", "4,9"], "periods"),
+]
+
+
+def readme_round(root, capsys):
+    """{name: bytes} of every file and stdout of one pass over the README
+    commands, writing into root."""
+    out = {}
+    for argv, sub in README_RUNS:
+        if sub:
+            argv = argv + ["--out", str(root / sub)]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out.replace(str(root), "ROOT")
+        out["%s.stdout" % argv[0]] = stdout.encode()
+    for path in sorted(root.rglob("*.*")):
+        out[str(path.relative_to(root))] = path.read_bytes()
+    return out
+
+
+def test_main_builds_no_parser(monkeypatch):
+    # the parser is built once, at import; commands bound there by
+    # set_defaults still find a patched cli.reconstruct, which they look
+    # up when they run
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def parser_spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    reconstructed = []
+
+    def reconstruct_spy(*args):
+        reconstructed.append(args[0])
+        return reconstruct(*args)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", parser_spy)
+    monkeypatch.setattr(cli, "reconstruct", reconstruct_spy)
+    runs = [["reconstruct", "--bundle", "p1-trivial", "--verify-fixture"],
+            ["seeds", "--bundle", "p1-trivial"],
+            ["jfun", "--bundle", "p1-trivial", "--order", "2"],
+            ["periods", "--bundle", "p1-trivial", "--cut", "", "--terms", "4"]]
+    for argv in runs * 3:
+        assert cli.main(argv) == 0
+    for argv, code in ((["jfun", "--order", "1_0"], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+    assert built == []
+    assert len(reconstructed) == len(runs) * 3
+
+
+def test_repeated_main_calls_write_the_same_bytes(tmp_path, capsys):
+    # one process: the README commands, a refusal and a help page from
+    # argparse, then the README commands again
+    first = readme_round(tmp_path / "one", capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["jfun", "--order", "1_0"])
+    assert exc.value.code == 2
+    assert "argument --order: bad integer '1_0'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["jfun", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qfano jfun")
+    assert readme_round(tmp_path / "two", capsys) == first
+    assert sorted(first) == [
+        "jfun.stdout", "jfun/apery.csv", "jfun/coefficients.csv",
+        "jfun/operator_report.txt", "periods.stdout", "periods/periods.txt",
+        "periods/pf_report.txt", "reconstruct.stdout"]
+
+
+def halved_flagship_seeds(tmp_path):
+    """The flagship seed dump with every value halved.  Every row is a
+    base-ray invariant, so this is the ring under q1 -> q1/2, and the
+    ring checks pass."""
+    assert cli.main(["seeds", "--out", str(tmp_path / "sd")]) == 0
+    lines = []
+    for line in (tmp_path / "sd" / "seeds.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            head, value = line.rsplit(" ", 1)
+            line = "%s %s" % (head, Fraction(value) / 2)
+        lines.append(line)
+    halved = tmp_path / "halved.txt"
+    halved.write_text("\n".join(lines) + "\n")
+    return halved
+
+
+def csv_table(path):
+    """{(i, j): c} of a coefficients.csv file."""
+    rows = path.read_text().splitlines()
+    assert rows[0] == "i,j,c"
+    return {(int(i), int(j)): Fraction(c)
+            for i, j, c in (row.split(",") for row in rows[1:])}
+
+
+def test_halved_seeds_reach_the_rational_row_walk(tmp_path, monkeypatch):
+    # the builtin seeds give integral matrices, whose walk never rescales
+    # a slot; the halved table gives classical denominators, and both
+    # subcommands take the Bareiss rescale of qde's row walk
+    halved = halved_flagship_seeds(tmp_path)
+    scales = []
+    factor = qde._bareiss_factor
+
+    def factor_spy(scale, ray, levels):
+        scales.append(scale)
+        return factor(scale, ray, levels)
+
+    monkeypatch.setattr(qde, "_bareiss_factor", factor_spy)
+    jfun = ["jfun", "--order", "12", "--out"]
+    assert cli.main(jfun + [str(tmp_path / "builtin")]) == 0
+    assert scales == []
+    assert cli.main(jfun + [str(tmp_path / "halved"),
+                            "--seeds", str(halved)]) == 0
+    assert scales
+    # c_{a,b} multiplies q1^a q2^b, so it scales by 2^-a
+    builtin = csv_table(tmp_path / "builtin" / "coefficients.csv")
+    got = csv_table(tmp_path / "halved" / "coefficients.csv")
+    assert sorted(got) == sorted(builtin)
+    assert any(c.denominator > 1 for c in got.values())
+    assert all(got[a, b] == c / 2 ** a for (a, b), c in builtin.items())
+    # the periods: the Fraction chain of the oracles on the builtin
+    # identity table scaled the same way
+    scales.clear()
+    assert cli.main(["periods", "--terms", "24", "--regularized", "--seeds",
+                     str(halved), "--out", str(tmp_path / "periods")]) == 0
+    assert scales
+    spec = make_bundle(*cli.BUILTIN_BUNDLES["flagship"])
+    bundles = lefschetz.parse_cut(cli.FLAGSHIP_CUT)
+    mp, mxi = reconstruct(spec, seeds.builtin_source(spec))
+    atable = qde.identity_series(mp, mxi, spec, 23,
+                                 lefschetz.cut_weights(spec, bundles))
+    ctable = {(a, b): c / 2 ** a
+              for (a, b), c in coefficient_table(atable, spec).items()}
+    series = hypergeometric_modify(ctable, spec, bundles, 23)
+    want = regularize(period_sequence(series, mirror_map_correction(series),
+                                      24))
+    text = (tmp_path / "periods" / "periods.txt").read_text()
+    assert [Fraction(x) for x in text.splitlines()] == want
 
 
 # sha256 of every file these invocations write, the first three captured

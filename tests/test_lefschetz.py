@@ -434,3 +434,24 @@ def test_fraction_sequences_keep_their_results(flagship_atable, flagship):
     # a nonzero residual is reported exactly, in lowest terms
     assert lf.pf_apply(op, [F(x, 3) for x in seq[:3]] + [F(1, 2)]) == \
         ref_pf_apply(op, [F(x, 3) for x in seq[:3]] + [F(1, 2)])
+
+
+def test_integral_operators_and_residuals_are_ints(flagship_atable,
+                                                   flagship):
+    # ints where integral: the searched operator has primitive int
+    # coefficients, and integral residuals are ints, zero or not, also
+    # over an operator with a denominator
+    seq = lf.regularized_periods(flagship_atable, flagship[0], FLAGSHIP_CUT,
+                                 64)
+    found = lf.find_annihilator(seq, 4, 9)
+    assert len(found) > 1 and all(type(t.coeff) is int for t in found)
+    bumped = [x + pos for pos, x in enumerate(seq)]
+    half = lf.parse_pf_operator("1/2*D - t")
+    evens = [2 * x for x in seq]
+    for op, values in ((found, seq), (found, bumped), (half, evens),
+                       (half, [2 * x for x in bumped])):
+        residual = lf.pf_apply(op, values)
+        assert residual == ref_pf_apply(op, values)
+        assert all(type(x) is int for x in residual)
+    assert any(lf.pf_apply(found, bumped))
+    assert lf.pf_apply(half, [0, 1]) == [0, F(1, 2)]
