@@ -19,7 +19,7 @@ alone, the leading row of each frame: jfun prints only its identity
 entries and checks operators on the matrices (below), so no caller
 reads another row.  Each index is solved along one ray, the fibre ray
 where b >= 1 and the base ray on b = 0 (on the flagship M_xi's q-parts
-are the sparser), one fibre row at a time (the row lemma below);
+are the sparser), one row at a time (the row lemma below);
 j_series keeps every block of the unit row, and identity_series reads
 entry 0 of each row, to high order, and keeps none.  Only the tests'
 reference solver (tests/oracles.py) builds the full n x n frames.
@@ -47,19 +47,22 @@ rows.
 The row lemma: every q-part (c, d) of M_xi has d >= 1, as shown above,
 so the fibre-ray equation of a block (a, b), b >= 1, reads only blocks
 (a - c, b - d) of the rows below b, and all blocks of row b share the
-scale b and the walk.  So the unit row is solved row by row, the base
-row b = 0 first, block by block along the p ray (block (a, 0) reads
-the blocks (a - c, 0) to its left), then each fibre row b = 1, 2, ...
-in one walk over lists indexed by a: entry p of the row is the list of
+scale b and the walk.  So each fibre row b = 1, 2, ... is solved in
+one walk over lists indexed by a: entry p of the row is the list of
 entry p of its blocks, cut after the row's last nonzero block, so the
-flagship's zero blocks a > 2b are never walked.  Each slot of a list
-keeps the arithmetic of the per-block walk: its right-hand side over
-the lcm of its sources' denominators times the lift's, an exactness
-test on every division, at an inexact division the Bareiss rescale of
-that slot alone, to the depth of its own right-hand side, and one
-closing gcd.  So every block equals the per-block solve's bit for bit.
-Only the rows b - d that a later row reads are kept, d up to the
-largest d of M_xi's q-parts (1 on the flagship).
+flagship's zero blocks a > 2b are never walked.  On the base row b = 0,
+solved first, only the pure-q1 parts (c, 0), c >= 1, of M_p apply, so
+the same walk solves block (a, 0) as the one-slot row a of the p ray
+with each part read as (0, c).  Each slot of a list keeps the
+arithmetic of the per-block walk (the tests' reference,
+tests/oracles.py): its right-hand side over the lcm of its sources'
+denominators times the lift's, an exactness test on every division, at
+an inexact division the Bareiss rescale of that slot alone, to the
+depth of its own right-hand side, and one closing gcd.  So every block
+equals the per-block solve's bit for bit.  Only the rows that a later
+row reads are kept: b - d (a - c on the base row), d (c) up to the
+largest d of M_xi's q-parts (c of M_p's pure-q1 parts), 1 on the
+flagship.
 
 A block of the unit row is one flat integer vector w over one
 denominator D, in lowest terms, entry j at j for n basis elements.  It
@@ -102,7 +105,7 @@ the solve reads it in the row action on flat blocks.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import factorial, gcd, lcm, prod
 from operator import add, floordiv, mod, mul
 
@@ -151,33 +154,6 @@ def _split_matrix(qmat):
                {key: list(part.items()) for key, part in parts.items()})
 
 
-def _shift_sum(live, ray, a, b, falling):
-    """sum over the ray's q-parts of frame(a-c, b-d) * part, as a flat
-    integer vector over L = lcm(D of the sources used) * ray.den;
-    the source (a-c, b-d) is read from the grid live[a-c][b-d] (None for
-    a zero block, which is skipped) and weighted by falling[0][a][c] *
-    falling[1][b][d].  Only the D that are not 1 enter the lcm."""
-    used = []
-    den = 1
-    for (c, d), part in ray.parts.items():
-        if c <= a and d <= b:
-            source = live[a - c][b - d]
-            if source is not None:
-                used.append((source, part, c, d))
-                if source[1] != 1:
-                    den = lcm(den, source[1])
-    out = [0] * len(ray.level)
-    for (vec, fden), part, c, d in used:
-        m = den // fden * falling[0][a][c] * falling[1][b][d]
-        for p, targets in part:
-            x = vec[p]
-            if x:
-                x *= m
-                for t, v in targets:
-                    out[t] += x * v
-    return out, den * ray.den
-
-
 def _falling(order, top, d):
     """[(a!/(a-c)!)^d for c <= min(a, top)] for each a <= order."""
     return [[prod(range(a - c + 1, a + 1)) ** d
@@ -188,53 +164,11 @@ def _bareiss_factor(scale, ray, levels):
     """ray.den^depth * scale^(depth+1), the factor that makes every later
     division of a block's walk exact, depth being ray.top less the
     lowest of `levels`, the levels of the block's nonzero right-hand
-    side entries."""
+    side entries: with lo that level, an entry at level lo + m times
+    L*den^m*scale^(m+1) is an integer of fraction-free (Bareiss)
+    elimination, L the right-hand side's denominator."""
     depth = ray.top - min(levels)
     return ray.den ** depth * scale ** (depth + 1)
-
-
-def _sylvester_solve(scale, ray, rhs):
-    """Solve the row equation scale*w - w*A = r/L for A = Aint/dc, entry
-    by entry along ray.walk.
-
-    A raises the level of an entry by exactly one, so the equation
-    splits into w_l = (r_l/L + (w*A)_l) / scale over the levels l, and
-    the walk reaches each entry after every entry it reads.  The walk
-    keeps the integers w*L*f, so an entry is (r*f*dc + (w*L*f)*Aint) /
-    (dc*scale), divided as soon as it is computed, with f = 1 while
-    every division is exact.  With lo the lowest level of r and m = l -
-    lo, w_l * L*dc^m*scale^(m+1) is the integer W_l = r_l*(dc*scale)^m +
-    (W_{l-1}*Aint)_l of fraction-free (Bareiss) elimination, so at the
-    first inexact division f becomes dc^depth * scale^(depth+1), depth
-    being the top level of the block less lo: the block is multiplied by
-    f once, and every later division is exact.  A block over D = L*f = 1
-    is in lowest terms, any other is reduced by one gcd.  Returns (flat
-    integer vector, D).
-    """
-    r, den = rhs
-    step = ray.den * scale
-    lift = ray.den
-    w = [0] * len(r)
-    for p, adj in ray.walk:
-        x = r[p]
-        if x and lift != 1:
-            x *= lift
-        for q, v in adj:
-            y = w[q]
-            if y:
-                x += y * v
-        if x:
-            if x % step:
-                f = _bareiss_factor(scale, ray, compress(ray.level, r))
-                w = [y * f for y in w]
-                lift *= f
-                den *= f
-                x *= f
-            w[p] = x // step
-    if den == 1:
-        return w, 1
-    g = gcd(den, *w)
-    return [x // g for x in w], den // g
 
 
 class JSeries:
@@ -319,11 +253,13 @@ def identity_coefficients(js):
 
 
 def _row_shift_sum(kept, ray, b, slots, fcols, fall):
-    """The right-hand sides of the blocks (a, b), a < slots, of a fibre
-    row b >= 1 on the rows kept, slot by slot as _shift_sum builds them.
+    """The right-hand sides of the blocks (a, b), a < slots, of a row b
+    on the rows kept, slot by slot as the per-block shift sum of the
+    tests' reference (tests/oracles.py) builds each block's.
 
-    Every q-part (c, d) of M_xi has d >= 1 (module docstring), so it
-    reads row b - d, slot a - c, with the weight fcols[c][a - c] *
+    Every q-part (c, d) of the ray has d >= 1: M_xi's by flatness, the
+    transposed p ray's of a base row by construction (module docstring).
+    So it reads row b - d, slot a - c, with the weight fcols[c][a - c] *
     fall[d], and each slot's denominator L is the lcm of its sources'.
     Returns (r, lcms, width): r[p] entry p over the slots below width or
     None where no source reaches it, lcms the L or None where all are 1;
@@ -362,13 +298,14 @@ def _row_shift_sum(kept, ray, b, slots, fcols, fall):
 
 
 def _row_walk(scale, ray, rhs):
-    """Solve the blocks of a fibre row at once, entry by entry along
-    ray.walk, each slot with the arithmetic of _sylvester_solve: its
-    right-hand side over L*ray.den, an exactness test on every division,
-    at an inexact division the Bareiss rescale of that slot alone, by
-    the factor of its own right-hand side, and one closing gcd per slot
-    over a denominator other than 1.  Returns the row (cols, dens,
-    width), cut after its last nonzero block."""
+    """Solve the blocks of a row at once, entry by entry along ray.walk,
+    each slot with the arithmetic of the per-block walk of the tests'
+    reference (tests/oracles.py): its right-hand side over L*ray.den, an
+    exactness test on every division, at an inexact division the Bareiss
+    rescale of that slot alone, by the factor of its own right-hand
+    side, and one closing gcd per slot over a denominator other than 1.
+    Returns the row (cols, dens, width), cut after its last nonzero
+    block."""
     r, lcms, width = rhs
     step = ray.den * scale
     steps = repeat(step)
@@ -434,27 +371,36 @@ def _unit_rows(mp, mxi, spec, order, weights):
     """Yield (b, slots, row) for each row b of the unit row over the
     indices with w1*a + w2*b <= order, a < slots, row as stored above.
 
-    The base row b = 0 is solved block by block along the p ray, each
-    block reading the blocks to its left; each fibre row b >= 1 reads
-    only the rows b - d below it (module docstring) and is solved along
-    the xi ray in one walk.  Only the rows that a later row can read are
-    kept: row b - dmax - 1 is dropped before row b is solved, dmax the
-    largest d of M_xi's q-parts.  Row one closes under each ray's
-    equation on its own, so no other frame row is solved; every block
-    equals, bit for bit, the per-block solve of the unit row that the
-    tests keep as the full-frame reference (tests/oracles.py)."""
+    The base row b = 0 is solved one block at a time, block (a, 0) as
+    the one-slot row a of the transposed p ray, reading the one-slot
+    rows a - c; each fibre row b >= 1 reads only the rows b - d below it
+    (module docstring) and is solved along the xi ray in one walk.  Only
+    the rows that a later row can read are kept: row b - dmax - 1 (a -
+    cmax - 1) is dropped before row b (base index a) is solved, dmax the
+    largest d of M_xi's q-parts, cmax the largest c of M_p's pure-q1
+    parts.  A row whose right-hand side reaches no entry is zero and is
+    not walked.  Row one closes under each ray's equation on its own,
+    so no other frame row is solved; every block equals, bit for bit,
+    the per-block solve of the unit row that the tests keep as the
+    full-frame reference (tests/oracles.py)."""
     (pray, xray), falling = _setup(mp, mxi, spec, order, weights)
     w1, w2 = weights
-    base = [[([1] + [0] * (spec.size - 1), 1)]]
+    zero = [None] * spec.size, None, 0
+    tray = pray._replace(parts={(0, c): part for (c, d), part
+                                in pray.parts.items() if not d})
+    cmax = max((c for _, c in tray.parts), default=0)
+    base = [([[1]] + [None] * (spec.size - 1), None, 1)]
+    live = {0: base[0]}
     for a in range(1, order // w1 + 1):
-        rhs = _shift_sum(base, pray, a, 0, falling)
-        base.append([_sylvester_solve(a, pray, rhs) if any(rhs[0])
-                     else None])
-    blocks = [block or ([0] * spec.size, 1) for block, in base]
+        live.pop(a - cmax - 1, None)
+        rhs = _row_shift_sum(live, tray, a, 1, {0: [1]}, falling[0][a])
+        live[a] = _row_walk(a, tray, rhs) if any(rhs[0]) else zero
+        base.append(live[a])
     row = _cut([list(col) if any(col) else None
-                for col in zip(*(vec for vec, _ in blocks))],
-               [den for _, den in blocks], len(blocks))
-    yield 0, len(blocks), row
+                for col in zip(*([col[0] if col else 0 for col in cols]
+                                 for cols, _, _ in base))],
+               [dens[0] if dens else 1 for _, dens, _ in base], len(base))
+    yield 0, len(base), row
     kept = {0: row}
     dmax = max((d for _, d in xray.parts), default=0)
     fcols = {c: [falling[0][a + c][c] for a in range(order + 1 - c)]
@@ -463,8 +409,7 @@ def _unit_rows(mp, mxi, spec, order, weights):
         kept.pop(b - dmax - 1, None)
         slots = (order - w2 * b) // w1 + 1
         rhs = _row_shift_sum(kept, xray, b, slots, fcols, falling[1][b])
-        row = (_row_walk(b, xray, rhs) if rhs[2]
-               else ([None] * spec.size, None, 0))
+        row = _row_walk(b, xray, rhs) if any(rhs[0]) else zero
         kept[b] = row
         yield b, slots, row
 

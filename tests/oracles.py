@@ -14,11 +14,12 @@ it, zero blocks included, where the solve reads only the nonzero ones;
 rays lifts the two divisor matrices for it with ref_split_matrix.  The
 package solves only the unit row; the full n x n frames these checks
 and the operator residual read come from ref_solve, the package's
-former full-frame solver on the anti-diagonal grid, which runs qde's
-own walk on the two-sided action of ref_split_matrix, and ref_j_series
-collects them.  The quantum ring relations are checked
-here as well, read off the z-free terms of the packaged annihilating
-operators.
+former full-frame solver on the anti-diagonal grid, which runs the
+per-block walk (_shift_sum and _sylvester_solve, whose arithmetic qde's
+row walk keeps slot by slot) on the two-sided action of
+ref_split_matrix, and ref_j_series collects them.  The quantum ring
+relations are checked here as well, read off the z-free terms of the
+packaged annihilating operators.
 
 The general ring computations the package replaced by closed forms are
 kept here as references: the cup product with recursive reduction, the
@@ -50,7 +51,8 @@ toric_mirror builds.
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm, prod
+from itertools import compress
+from math import factorial, gcd, lcm, prod
 
 from qfano import qde
 from qfano.lefschetz import PFTerm, check_search_box, cut_weights, pf_normalize
@@ -107,6 +109,79 @@ def ref_split_matrix(qmat, rows):
                    level, max(level), lifted)
 
 
+def _shift_sum(live, ray, a, b, falling):
+    """The per-block right-hand side that qde._row_shift_sum builds slot
+    by slot: the sum over the ray's q-parts of frame(a-c, b-d) * part, as
+    a flat integer vector over L = lcm(D of the sources used) * ray.den;
+    the source (a-c, b-d) is read from the grid live[a-c][b-d] (None for
+    a zero block, which is skipped) and weighted by falling[0][a][c] *
+    falling[1][b][d].  Only the D that are not 1 enter the lcm."""
+    used = []
+    den = 1
+    for (c, d), part in ray.parts.items():
+        if c <= a and d <= b:
+            source = live[a - c][b - d]
+            if source is not None:
+                used.append((source, part, c, d))
+                if source[1] != 1:
+                    den = lcm(den, source[1])
+    out = [0] * len(ray.level)
+    for (vec, fden), part, c, d in used:
+        m = den // fden * falling[0][a][c] * falling[1][b][d]
+        for p, targets in part:
+            x = vec[p]
+            if x:
+                x *= m
+                for t, v in targets:
+                    out[t] += x * v
+    return out, den * ray.den
+
+
+def _sylvester_solve(scale, ray, rhs):
+    """Solve the row equation scale*w - w*A = r/L for A = Aint/dc, entry
+    by entry along ray.walk: the per-block walk, whose arithmetic
+    qde._row_walk keeps in every slot.
+
+    A raises the level of an entry by exactly one, so the equation
+    splits into w_l = (r_l/L + (w*A)_l) / scale over the levels l, and
+    the walk reaches each entry after every entry it reads.  The walk
+    keeps the integers w*L*f, so an entry is (r*f*dc + (w*L*f)*Aint) /
+    (dc*scale), divided as soon as it is computed, with f = 1 while
+    every division is exact.  With lo the lowest level of r and m = l -
+    lo, w_l * L*dc^m*scale^(m+1) is the integer W_l = r_l*(dc*scale)^m +
+    (W_{l-1}*Aint)_l of fraction-free (Bareiss) elimination, so at the
+    first inexact division f becomes dc^depth * scale^(depth+1), depth
+    being the top level of the block less lo: the block is multiplied by
+    f once, and every later division is exact.  A block over D = L*f = 1
+    is in lowest terms, any other is reduced by one gcd.  Returns (flat
+    integer vector, D).
+    """
+    r, den = rhs
+    step = ray.den * scale
+    lift = ray.den
+    w = [0] * len(r)
+    for p, adj in ray.walk:
+        x = r[p]
+        if x and lift != 1:
+            x *= lift
+        for q, v in adj:
+            y = w[q]
+            if y:
+                x += y * v
+        if x:
+            if x % step:
+                f = qde._bareiss_factor(scale, ray, compress(ray.level, r))
+                w = [y * f for y in w]
+                lift *= f
+                den *= f
+                x *= f
+            w[p] = x // step
+    if den == 1:
+        return w, 1
+    g = gcd(den, *w)
+    return [x // g for x in w], den // g
+
+
 def ref_solve(mp, mxi, spec, order, rows, weights=(1, 1)):
     """Yield ((a, b), block) for every block cut to its `rows` leading
     frame rows, in solve order, over the indices with w1*a + w2*b <=
@@ -116,7 +191,7 @@ def ref_solve(mp, mxi, spec, order, rows, weights=(1, 1)):
     The full-frame reference of the unit-row solve, block by block on
     the anti-diagonal grid: qde._setup refuses the same inputs with the
     same errors, then each block is built from one ray alone (the qde
-    docstring), by qde._shift_sum and qde._sylvester_solve on the rays of
+    docstring), by _shift_sum and _sylvester_solve on the rays of
     ref_split_matrix.  scale*w - w*A is invertible for scale >= 1, so a
     right-hand side with no nonzero entry gives the zero block (zeros, 1)
     without a walk.  Only the nonzero blocks enter the grid the shift
@@ -142,9 +217,9 @@ def ref_solve(mp, mxi, spec, order, rows, weights=(1, 1)):
             if w1 * a + w2 * b > order:
                 continue
             ray = rays[1 if b else 0]
-            rhs = qde._shift_sum(live, ray, a, b, falling)
+            rhs = _shift_sum(live, ray, a, b, falling)
             if any(rhs[0]):
-                live[a][b] = block = qde._sylvester_solve(b or a, ray, rhs)
+                live[a][b] = block = _sylvester_solve(b or a, ray, rhs)
             else:
                 block = rhs[0], 1
             yield (a, b), block
@@ -177,7 +252,7 @@ def ray(js, lifted, a, b, along_p):
     falling = [[[prod(range(x - c + 1, x + 1)) ** d for c in range(x + 1)]
                 for x in range(max(a, b) + 1)]
                for d in (js.spec.d1, js.spec.d2)]
-    return scale, flat, qde._shift_sum(grid, flat, a, b, falling)
+    return scale, flat, _shift_sum(grid, flat, a, b, falling)
 
 
 def ref_route_residual(scale, ray, u, rhs, size):

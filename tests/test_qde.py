@@ -20,8 +20,8 @@ from qfano import qde
 from qfano.fixtures_io import fixture_lines, load_named_expressions
 from qfano.linalg import col_add_into
 from qfano.reconstruct import QuantumMatrix, flatness_defect, reconstruct
-from qfano.ring import make_bundle
-from qfano.seeds import builtin_source
+from qfano.ring import basis_index, make_bundle
+from qfano.seeds import SeedTable, builtin_source
 
 F = Fraction
 
@@ -30,6 +30,19 @@ F = Fraction
 def p1p1():
     spec = make_bundle(1, 2)
     mp, mxi = reconstruct(spec, builtin_source(spec))
+    return spec, mp, mxi
+
+
+@pytest.fixture(scope="module")
+def p1p1_half():
+    # p1-trivial with the seed (1,1) (2,1) 1 0 3/2: the one recorded input
+    # whose base row is not integral
+    spec = make_bundle(1, 2)
+    table = SeedTable(spec)
+    for pair, value in (((1, 1), F(3, 2)), ((1, 0), 0)):
+        table.set(basis_index(spec, *pair) - 1, basis_index(spec, 2, 1) - 1,
+                  1, value)
+    mp, mxi = reconstruct(spec, table)
     return spec, mp, mxi
 
 
@@ -266,8 +279,7 @@ def test_j_series_solves_only_the_unit_row(request, bundle, monkeypatch):
     for order in (0, 1, 6, 16):
         full = ref_j_series(mp, mxi, spec, order).blocks
         with monkeypatch.context() as patch:
-            for name in ("_sylvester_solve", "_row_walk"):
-                patch.setattr(qde, name, spy(getattr(qde, name)))
+            patch.setattr(qde, "_row_walk", spy(qde._row_walk))
             js = qde.j_series(mp, mxi, spec, order)
         assert set(js.blocks) == {(a, b) for a in range(order + 1)
                                   for b in range(order + 1 - a)}
@@ -276,11 +288,13 @@ def test_j_series_solves_only_the_unit_row(request, bundle, monkeypatch):
         widths.clear()
 
 
-@pytest.mark.parametrize("bundle", ["flagship", "p1p1", "flagship_rescaled"])
+@pytest.mark.parametrize("bundle", ["flagship", "p1p1", "flagship_rescaled",
+                                    "p1p1_half"])
 @pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 2)])
 def test_row_batches_match_per_block_solve(request, bundle, weights):
     # every block of the unit row, read from the row batches, is the
-    # per-block reference's bit for bit, and so is the table
+    # per-block reference's bit for bit, and so is the table; p1p1_half
+    # carries denominators on the base row
     spec, mp, mxi = request.getfixturevalue(bundle)
     for order in (0, 1, 2, 16, 40):
         ref = dict(ref_solve(mp, mxi, spec, order, 1, weights))
@@ -315,7 +329,8 @@ def test_row_walk_rescales_only_the_inexact_slots(flagship_rescaled,
 
 
 @pytest.mark.parametrize("bundle", ["flagship", "flagship_rescaled"])
-def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle):
+def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle,
+                                                      monkeypatch):
     # made-up right-hand sides with nonzero entries at every level and a
     # scale that few of them divide: slots rescale early in the walk and
     # read right-hand side entries after it; one slot is zero, one is
@@ -329,7 +344,8 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle):
     for qmat in (mp, mxi):
         ray = qde._split_matrix(qmat)
         for scale in (1, 7):
-            blocks = [qde._sylvester_solve(scale, ray, (vec, den * ray.den))
+            blocks = [oracles._sylvester_solve(scale, ray,
+                                               (vec, den * ray.den))
                       if any(vec) else (vec, 1)
                       for vec, den in zip(vecs, lcms)]
             r = [list(col) if any(col) else None for col in zip(*vecs)]
@@ -339,6 +355,31 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle):
             assert [([col[a] if col else 0 for col in cols],
                      dens[a] if dens else 1)
                     for a in range(width)] == blocks[:width], scale
+    # the base row: each block is a one-slot row of the transposed p ray,
+    # and a slot that rescales takes the factor of the per-block walk
+    ray = qde._split_matrix(mp)
+    tray = ray._replace(parts={(0, c): part for (c, d), part
+                               in ray.parts.items() if not d})
+    factors = []
+    factor = qde._bareiss_factor
+
+    def factor_spy(scale, ray, levels):
+        factors.append(factor(scale, ray, list(levels)))
+        return factors[-1]
+
+    monkeypatch.setattr(qde, "_bareiss_factor", factor_spy)
+    blocks = [oracles._sylvester_solve(7, ray, (vec, den * ray.den))
+              if any(vec) else (vec, 1) for vec, den in zip(vecs, lcms)]
+    assert len(factors) >= 3
+    block_factors = factors[:]
+    factors.clear()
+    for vec, den, block in zip(vecs, lcms, blocks):
+        cols, dens, width = qde._row_walk(
+            7, tray, ([[x] if x else None for x in vec], [den], 1))
+        assert width == any(vec)
+        assert ([col[0] if col else 0 for col in cols],
+                dens[0] if dens else 1) == block
+    assert factors == block_factors
 
 
 @pytest.mark.parametrize("weights", [(0, 1), (1, 0), (-1, 2), (0, 0)])
@@ -457,55 +498,71 @@ def test_flatness_on_the_lifts_matches_fraction_reference(request, bundle):
                for report in reports[2:])
 
 
-def test_one_shift_sum_per_solved_index(flagship, monkeypatch):
+def test_one_shift_sum_per_solved_index(flagship, p1p1, monkeypatch):
     # each index past the origin is built from one ray's shift sum alone,
     # and solved on the xi ray with scale b where b >= 1, on the p ray
-    # with scale a on b = 0; the unit row solves b = 0 block by block and
-    # each fibre row b >= 1 in one batch, the full-frame reference every
-    # index block by block
-    spec, mp, mxi = flagship
-    labels, calls, solves, walks = {}, [], [], []
-    split, full_split, shift_sum, solve, walk = (
-        qde._split_matrix, oracles.ref_split_matrix, qde._shift_sum,
-        qde._sylvester_solve, qde._row_walk)
+    # with scale a on b = 0.  The unit row takes one row shift sum per
+    # base index a, a one-slot row of the transposed p ray, and one per
+    # fibre row b; the row walk runs on the p ray with scale a for every
+    # base index of p1p1 and for none past the origin of the flagship,
+    # whose base row is zero there.  The full-frame reference solves
+    # every index block by block.
+    labels, calls, solves, row_calls, walks = {}, [], [], [], []
+    split, full_split, shift_sum, solve, row_shift_sum, walk = (
+        qde._split_matrix, oracles.ref_split_matrix, oracles._shift_sum,
+        oracles._sylvester_solve, qde._row_shift_sum, qde._row_walk)
 
+    # a ray is known by its walk, which the transposed p ray shares
     def split_spy(qmat):
         ray = split(qmat)
-        labels[id(ray)] = qmat.label
+        labels[id(ray.walk)] = qmat.label
         return ray
 
     def full_split_spy(qmat, rows):
         ray = full_split(qmat, rows)
-        labels[id(ray)] = qmat.label
+        labels[id(ray.walk)] = qmat.label
         return ray
 
     def shift_sum_spy(*args):
-        calls.append((args[2:4], labels[id(args[1])]))
+        calls.append((args[2:4], labels[id(args[1].walk)]))
         return shift_sum(*args)
 
     def solve_spy(scale, ray, rhs):
-        solves.append((calls[-1][0], labels[id(ray)], scale))
+        solves.append((calls[-1][0], labels[id(ray.walk)], scale))
         return solve(scale, ray, rhs)
 
+    def row_shift_sum_spy(kept, ray, b, slots, *args):
+        row_calls.append((labels[id(ray.walk)], b, slots))
+        return row_shift_sum(kept, ray, b, slots, *args)
+
     def walk_spy(scale, ray, rhs):
-        walks.append((labels[id(ray)], scale))
+        walks.append((labels[id(ray.walk)], scale))
         return walk(scale, ray, rhs)
 
     monkeypatch.setattr(qde, "_split_matrix", split_spy)
     monkeypatch.setattr(oracles, "ref_split_matrix", full_split_spy)
-    monkeypatch.setattr(qde, "_shift_sum", shift_sum_spy)
-    monkeypatch.setattr(qde, "_sylvester_solve", solve_spy)
+    monkeypatch.setattr(oracles, "_shift_sum", shift_sum_spy)
+    monkeypatch.setattr(oracles, "_sylvester_solve", solve_spy)
+    monkeypatch.setattr(qde, "_row_shift_sum", row_shift_sum_spy)
     monkeypatch.setattr(qde, "_row_walk", walk_spy)
-    qde.identity_series(mp, mxi, spec, 63)
-    assert calls == [((a, 0), "p") for a in range(1, 64)]
-    assert walks == [("xi", b) for b in range(1, 64)]
-    # the unit row of the flagship is zero on b = 0 past the origin
-    assert solves == []
-    calls.clear()
+    spec, mp, mxi = p1p1
+    qde.identity_series(mp, mxi, spec, 12)
+    assert walks == [("p", a) for a in range(1, 13)] + [
+        ("xi", b) for b in range(1, 13)]
     walks.clear()
+    row_calls.clear()
+    spec, mp, mxi = flagship
+    qde.identity_series(mp, mxi, spec, 63)
+    assert row_calls == [("p", a, 1) for a in range(1, 64)] + [
+        ("xi", b, 64 - b) for b in range(1, 64)]
+    # the unit row of the flagship is zero on b = 0 past the origin
+    assert walks == [("xi", b) for b in range(1, 64)]
+    assert calls == solves == []
+    walks.clear()
+    row_calls.clear()
     js = ref_j_series(mp, mxi, spec, 6)
     assert len(calls) == 27 == len(js.blocks) - 1
-    assert walks == []
+    assert walks == row_calls == []
     # the full frames are not zero on b = 0
     assert {b > 0 for (_, b), _, _ in solves} == {False, True}
     for (a, b), label, scale in solves:
@@ -516,15 +573,18 @@ def test_solve_grid_holds_only_readable_blocks(flagship, monkeypatch):
     # a source lies at most span = max(c + d) over both matrices' q-parts
     # anti-diagonals below its target, and the grid the full-frame shift
     # sums read holds no block further down; a fibre row reads only the
-    # rows up to dmax = max(d) over the q-parts of M_xi below it, and the
-    # unit row keeps no row further down
+    # rows up to dmax = max(d) over the q-parts of M_xi below it, a base
+    # index a only the one-slot rows up to cmax = max(c) over the pure-q1
+    # parts (c, 0) of M_p below it, and the unit row keeps no row further
+    # down
     spec, mp, mxi = flagship
     span = max(c + d for mat in (mp, mxi) for col in mat.lift()[0]
                for _, c, d, _ in col)
     dmax = max(d for col in mxi.lift()[0] for _, c, d, _ in col)
-    assert (span, dmax) == (3, 1)
+    cmax = max(c for col in mp.lift()[0] for _, c, d, _ in col if not d)
+    assert (span, dmax, cmax) == (3, 1, 1)
     depths, kept_rows = [], []
-    shift_sum, row_shift_sum = qde._shift_sum, qde._row_shift_sum
+    shift_sum, row_shift_sum = oracles._shift_sum, qde._row_shift_sum
 
     def shift_sum_spy(live, ray, a, b, falling):
         depths.append(max(
@@ -539,8 +599,10 @@ def test_solve_grid_holds_only_readable_blocks(flagship, monkeypatch):
     monkeypatch.setattr(qde, "_row_shift_sum", row_shift_sum_spy)
     table = qde.identity_series(mp, mxi, spec, 63)
     assert len(table) == 2080
-    assert kept_rows == [(b, [b - 1]) for b in range(1, 64)]
-    monkeypatch.setattr(qde, "_shift_sum", shift_sum_spy)
+    assert kept_rows == [(a, list(range(max(a - cmax, 0), a)))
+                         for a in range(1, 64)] + [
+        (b, list(range(b - dmax, b))) for b in range(1, 64)]
+    monkeypatch.setattr(oracles, "_shift_sum", shift_sum_spy)
     js = ref_j_series(mp, mxi, spec, 6)
     assert len(depths) == len(js.blocks) - 1
     assert max(depths) == span
@@ -983,7 +1045,7 @@ def test_zero_right_hand_side_gives_zero_block(flagship):
     for qmat in (mp, mxi):
         flat = ref_split_matrix(qmat, 3)
         ref = ref_classical(qmat)
-        assert qde._sylvester_solve(2, flat, (zero, 5)) == (zero, 1)
+        assert oracles._sylvester_solve(2, flat, (zero, 5)) == (zero, 1)
         assert ref_sylvester_solve(2, ref, (rows_of(zero, size), 5)) == (
             rows_of(zero, size), 1)
         assert ref_route_residual(2, flat, (zero, 1), (zero, 5), size) \
