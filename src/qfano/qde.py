@@ -59,10 +59,16 @@ tests/oracles.py): its right-hand side over the lcm of its sources'
 denominators times the lift's, an exactness test on every division, at
 an inexact division the Bareiss rescale of that slot alone, to the
 depth of its own right-hand side, and one closing gcd.  So every block
-equals the per-block solve's bit for bit.  Only the rows that a later
-row reads are kept: b - d (a - c on the base row), d (c) up to the
-largest d of M_xi's q-parts (c of M_p's pure-q1 parts), 1 on the
-flagship.
+j_series returns equals the per-block solve's bit for bit.  Only the
+rows that a later row reads are kept: b - d (a - c on the base row), d
+(c) up to the largest d of M_xi's q-parts (c of M_p's pure-q1 parts), 1
+on the flagship.  identity_series reads entry 0 of each row, and a later
+row reads only the source entries of the q-parts, so its walk keeps
+those alone: an entry no kept entry depends on is not walked, and a
+pass-through chain (one classical predecessor, no right-hand side) is
+folded into one division by a power of the step.  On the flagship's xi
+ray that walks 17 of 30 entries; every kept entry has the full walk's
+value.
 
 A block of the unit row is one flat integer vector w over one
 denominator D, in lowest terms, entry j at j for n basis elements.  It
@@ -230,7 +236,7 @@ def j_series(mp, mxi, spec, order):
     that is not flat raises FlatnessError."""
     js = JSeries(spec)
     for b, slots, (cols, dens, width) in _unit_rows(mp, mxi, spec, order,
-                                                    (1, 1)):
+                                                    (1, 1), True):
         for a in range(width):
             js.blocks[a, b] = ([col[a] if col else 0 for col in cols],
                                dens[a] if dens else 1)
@@ -255,7 +261,8 @@ def identity_coefficients(js):
 def _row_shift_sum(kept, ray, b, slots, fcols, fall):
     """The right-hand sides of the blocks (a, b), a < slots, of a row b
     on the rows kept, slot by slot as the per-block shift sum of the
-    tests' reference (tests/oracles.py) builds each block's.
+    tests' reference (tests/oracles.py) builds each block's; a target's
+    first contribution is placed as a new zero-padded list.
 
     Every q-part (c, d) of the ray has d >= 1: M_xi's by flatness, the
     transposed p ray's of a base row by construction (module docstring).
@@ -289,23 +296,67 @@ def _row_shift_sum(kept, ray, b, slots, fcols, fall):
                 continue
             x = list(map(mul, x, mult))
             for t, v in targets:
+                y = x if v == 1 else list(map(mul, x, repeat(v)))
                 o = out[t]
                 if o is None:
-                    out[t] = o = [0] * width
-                o[c:c + m] = map(add, o[c:c + m],
-                                 x if v == 1 else map(mul, x, repeat(v)))
+                    # a new list: x itself feeds the other targets
+                    out[t] = [0] * c + y + [0] * (width - c - m)
+                else:
+                    o[c:c + m] = map(add, o[c:c + m], y)
     return out, lcms, width
 
 
-def _row_walk(scale, ray, rhs):
-    """Solve the blocks of a row at once, entry by entry along ray.walk,
-    each slot with the arithmetic of the per-block walk of the tests'
-    reference (tests/oracles.py): its right-hand side over L*ray.den, an
-    exactness test on every division, at an inexact division the Bareiss
-    rescale of that slot alone, by the factor of its own right-hand
-    side, and one closing gcd per slot over a denominator other than 1.
-    Returns the row (cols, dens, width), cut after its last nonzero
-    block."""
+def _walk_plan(ray, keep):
+    """(walk, drop) for a row along `ray` whose readers take only the
+    entries in the set `keep`: walk lists (p, adj, e) columns descending,
+    entry p being adj's sum over step^e, drop the walked entries not kept.
+
+    No entry that keep does not depend on is walked.  An entry is folded,
+    never materialized, if it is not kept and it and each walked reader
+    of it have one classical predecessor and no q-part target: the
+    reader reads through it, with the product of the weights, and
+    divides once by step^(k+1) over k folded entries.  With keep every
+    entry, walk is ray.walk with e = 1."""
+    if len(keep) == len(ray.level):
+        return [(p, preds, 1) for p, preds in ray.walk], []
+    adj = dict(ray.walk)
+    fed = {t for part in ray.parts.values() for _, targets in part
+           for t, _ in targets}
+    walked = set(keep)
+    for p, preds in reversed(ray.walk):
+        if p in walked:
+            walked.update(dict(preds))
+    bare = {p for p in walked if len(adj[p]) == 1 and p not in fed}
+    folded = bare - keep - {q for p in walked - bare for q, _ in adj[p]}
+    walk = []
+    for p, preds in ray.walk:
+        if p in walked and p not in folded:
+            e, row = 1, []
+            for q, v in preds:
+                while q in folded:
+                    ((q, u),) = adj[q]
+                    e, v = e + 1, v * u
+                row.append((q, v))
+            walk.append((p, row, e))
+    return walk, [p for p, _, _ in walk if p not in keep]
+
+
+def _row_walk(scale, ray, rhs, plan):
+    """Solve the blocks of a row at once, entry by entry along the walk
+    of `plan` (_walk_plan), each slot with the arithmetic of the
+    per-block walk of the tests' reference (tests/oracles.py): its
+    right-hand side over L*ray.den, an exactness test on every division,
+    at an inexact division the Bareiss rescale of that slot alone, by the
+    factor of its own right-hand side, and one closing gcd per slot over
+    a denominator other than 1.  A folded division by step^(k+1) takes
+    the same test and rescale: the factor depends only on the slot's
+    right-hand side levels, and makes every later division exact.  So
+    every kept entry has the full walk's value; as the closing gcd runs
+    over the kept entries alone, a pruned row's (cols, dens) may still
+    differ from the full walk's.  Returns the row (cols, dens, width),
+    the entries outside the plan's keep set None, cut after its last
+    nonzero block."""
+    walk, drop = plan
     r, lcms, width = rhs
     step = ray.den * scale
     steps = repeat(step)
@@ -316,7 +367,7 @@ def _row_walk(scale, ray, rhs):
     if lcms is not None:
         dens = list(map(mul, lcms, dens or repeat(1)))
     w = [None] * len(r)
-    for p, adj in ray.walk:
+    for p, adj, e in walk:
         x = r[p]
         for q, v in adj:
             y = w[q]
@@ -327,12 +378,14 @@ def _row_walk(scale, ray, rhs):
         if x is None:
             continue
         if step != 1:
-            if any(map(mod, x, steps)):
+            divs = steps if e == 1 else repeat(step ** e)
+            if any(map(mod, x, divs)):
                 # rescale slot a of every entry, walked or not; x may be
                 # r[p] itself, so it is copied first
+                div = step ** e
                 x = list(x)
                 dens = dens or [1] * width
-                for a in [a for a, y in enumerate(x) if y % step]:
+                for a in [a for a, y in enumerate(x) if y % div]:
                     f = _bareiss_factor(scale, ray, [
                         lv for lv, col in zip(ray.level, r)
                         if col is not None and col[a]])
@@ -341,8 +394,10 @@ def _row_walk(scale, ray, rhs):
                     for col in w + r:
                         if col is not None:
                             col[a] *= f
-            x = list(map(floordiv, x, steps))
+            x = list(map(floordiv, x, divs))
         w[p] = x
+    for p in drop:
+        w[p] = None
     if dens is not None:
         g = dens
         for col in w:
@@ -367,7 +422,7 @@ def _cut(cols, dens, width):
     return cols, dens, end
 
 
-def _unit_rows(mp, mxi, spec, order, weights):
+def _unit_rows(mp, mxi, spec, order, weights, whole):
     """Yield (b, slots, row) for each row b of the unit row over the
     indices with w1*a + w2*b <= order, a < slots, row as stored above.
 
@@ -380,21 +435,28 @@ def _unit_rows(mp, mxi, spec, order, weights):
     largest d of M_xi's q-parts, cmax the largest c of M_p's pure-q1
     parts.  A row whose right-hand side reaches no entry is zero and is
     not walked.  Row one closes under each ray's equation on its own,
-    so no other frame row is solved; every block equals, bit for bit,
-    the per-block solve of the unit row that the tests keep as the
-    full-frame reference (tests/oracles.py)."""
+    so no other frame row is solved; with `whole` every block equals,
+    bit for bit, the per-block solve of the unit row that the tests keep
+    as the full-frame reference (tests/oracles.py).  Without it each row
+    keeps only entry 0 and the source entries of the rays that read it,
+    walked on one plan per ray (_walk_plan), with the full walk's values
+    and every other entry None."""
     (pray, xray), falling = _setup(mp, mxi, spec, order, weights)
     w1, w2 = weights
     zero = [None] * spec.size, None, 0
     tray = pray._replace(parts={(0, c): part for (c, d), part
                                 in pray.parts.items() if not d})
+    keep = set(range(spec.size)) if whole else {0} | {
+        k for part in xray.parts.values() for k, _ in part}
+    plan = _walk_plan(tray, keep | {k for part in tray.parts.values()
+                                    for k, _ in part})
     cmax = max((c for _, c in tray.parts), default=0)
     base = [([[1]] + [None] * (spec.size - 1), None, 1)]
     live = {0: base[0]}
     for a in range(1, order // w1 + 1):
         live.pop(a - cmax - 1, None)
         rhs = _row_shift_sum(live, tray, a, 1, {0: [1]}, falling[0][a])
-        live[a] = _row_walk(a, tray, rhs) if any(rhs[0]) else zero
+        live[a] = _row_walk(a, tray, rhs, plan) if any(rhs[0]) else zero
         base.append(live[a])
     row = _cut([list(col) if any(col) else None
                 for col in zip(*([col[0] if col else 0 for col in cols]
@@ -402,6 +464,7 @@ def _unit_rows(mp, mxi, spec, order, weights):
                [dens[0] if dens else 1 for _, dens, _ in base], len(base))
     yield 0, len(base), row
     kept = {0: row}
+    plan = _walk_plan(xray, keep)
     dmax = max((d for _, d in xray.parts), default=0)
     fcols = {c: [falling[0][a + c][c] for a in range(order + 1 - c)]
              for c, _ in xray.parts}
@@ -409,7 +472,7 @@ def _unit_rows(mp, mxi, spec, order, weights):
         kept.pop(b - dmax - 1, None)
         slots = (order - w2 * b) // w1 + 1
         rhs = _row_shift_sum(kept, xray, b, slots, fcols, falling[1][b])
-        row = _row_walk(b, xray, rhs) if any(rhs[0]) else zero
+        row = _row_walk(b, xray, rhs, plan) if any(rhs[0]) else zero
         kept[b] = row
         yield b, slots, row
 
@@ -421,13 +484,14 @@ def identity_series(mp, mxi, spec, order, weights=(1, 1)):
     keyed row by row, b ascending.
 
     The unit row is solved one fibre row at a time (_unit_rows), as for
-    j_series; a pair that is not flat raises FlatnessError.  The table
-    is read off entry 0 of each row, with each block's denominator, and
-    no row is kept.
+    j_series, but each row walks only entry 0 and the entries a later
+    row reads, on the pruned plan of _walk_plan; a pair that is not flat
+    raises FlatnessError.  The table is read off entry 0 of each row,
+    with each block's denominator, and no row is kept.
     """
     table = {}
     for b, slots, (cols, dens, width) in _unit_rows(mp, mxi, spec, order,
-                                                    weights):
+                                                    weights, False):
         first = cols[0] or [0] * width
         keys = zip(range(width), repeat(b))
         if dens is None:

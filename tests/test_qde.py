@@ -85,6 +85,17 @@ def flagship_rescaled(flagship):
 
 
 @pytest.fixture(scope="module")
+def flagship_halved(flagship):
+    # every seed value halved, the seeds of test_cli's halved dump: the
+    # ring under q1 -> q1/2, whose fibre rows take the Bareiss rescale
+    spec = flagship[0]
+    table = SeedTable(spec)
+    for (i, j, k), value in builtin_source(spec).entries.items():
+        table.set(i, j, k, F(value) / 2)
+    return (spec,) + reconstruct(spec, table)
+
+
+@pytest.fixture(scope="module")
 def flagship_rescaled_js(flagship_rescaled):
     spec, mp, mxi = flagship_rescaled
     return qde.j_series(mp, mxi, spec, 4)
@@ -250,11 +261,11 @@ def test_unit_row_is_row_one_of_the_frames(request, bundle):
 
 
 def row_blocks(mp, mxi, spec, order, weights):
-    """{(a, b): block} built from the row batches of the unit-row solve,
-    in the form of the per-block solve."""
+    """{(a, b): block} built from the row batches of the whole unit-row
+    solve, in the form of the per-block solve."""
     out = {}
     for b, slots, (cols, dens, width) in qde._unit_rows(mp, mxi, spec, order,
-                                                        weights):
+                                                        weights, True):
         for a in range(slots):
             out[(a, b)] = (
                 [col[a] if col and a < width else 0 for col in cols],
@@ -271,9 +282,9 @@ def test_j_series_solves_only_the_unit_row(request, bundle, monkeypatch):
     widths = []
 
     def spy(walk):
-        def walk_spy(scale, ray, rhs):
+        def walk_spy(scale, ray, rhs, plan):
             widths.append(len(ray.level))
-            return walk(scale, ray, rhs)
+            return walk(scale, ray, rhs, plan)
         return walk_spy
 
     for order in (0, 1, 6, 16):
@@ -304,6 +315,58 @@ def test_row_batches_match_per_block_solve(request, bundle, weights):
                          for key, (vec, den) in ref.items()}
         assert all(type(table[key]) is int
                    for key, (vec, den) in ref.items() if vec[0] % den == 0)
+
+
+@pytest.mark.parametrize("bundle", ["flagship", "flagship_rescaled", "p1p1",
+                                    "p1p1_half", "flagship_halved"])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (1, 2)])
+def test_pruned_rows_keep_the_whole_walks_values(request, bundle, weights):
+    # identity_series walks each row on a pruned plan: entry 0 and the
+    # source entries of the rays that read the row (both rays on the base
+    # row) hold the whole walk's values, and every other entry is None;
+    # the closing gcd runs over the kept entries alone, so a row's
+    # (cols, dens) may differ
+    spec, mp, mxi = request.getfixturevalue(bundle)
+    pray, xray = qde._split_matrix(mp), qde._split_matrix(mxi)
+    keep = {0} | {k for part in xray.parts.values() for k, _ in part}
+    base_keep = keep | {k for (c, d), part in pray.parts.items() if not d
+                        for k, _ in part}
+    for order in (0, 1, 2, 7, 16, 40):
+        for (b, slots, full), (pb, pslots, pruned) in zip(
+                qde._unit_rows(mp, mxi, spec, order, weights, True),
+                qde._unit_rows(mp, mxi, spec, order, weights, False),
+                strict=True):
+            entries = keep if b else base_keep
+            assert (b, slots) == (pb, pslots)
+            assert row_values(pruned, entries, slots) == row_values(
+                full, entries, slots), (order, b)
+            assert {p for p, col in enumerate(pruned[0]) if col} <= entries
+
+
+def test_identity_series_walks_only_the_entries_it_reads(flagship,
+                                                         monkeypatch):
+    # a flagship fibre row is read at entry 0 and the 7 source entries of
+    # M_xi's q-parts: identity_series materializes 17 of its 30 entries,
+    # 13 pass-through entries folded into 5 divisions by a power of the
+    # step, while j_series, which returns the whole unit row, walks all
+    # 30 one division each
+    spec, mp, mxi = flagship
+    walked = []
+    walk = qde._row_walk
+
+    def walk_spy(scale, ray, rhs, plan):
+        row = walk(scale, ray, rhs, plan)
+        walked.append((len(plan[0]), sum(e for _, _, e in plan[0]),
+                       sum(col is not None for col in row[0])))
+        return row
+
+    monkeypatch.setattr(qde, "_row_walk", walk_spy)
+    qde.identity_series(mp, mxi, spec, 63)
+    assert len(walked) == 63 and set(walked) == {(17, 30, 7)}
+    walked.clear()
+    qde.j_series(mp, mxi, spec, 16)
+    assert len(walked) == 16 and {n for n, _, _ in walked} == {30}
+    assert {e for _, e, _ in walked} == {30}
 
 
 def test_row_walk_rescales_only_the_inexact_slots(flagship_rescaled,
@@ -337,6 +400,7 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle,
     # zero at every entry past the first, and the last is cut off
     spec, mp, mxi = request.getfixturevalue(bundle)
     size = spec.size
+    whole = set(range(size))
     vecs = [[(37 * p + 11 * a) % 23 - 11 for p in range(size)]
             for a in range(4)] + [[0] * size, [5] + [0] * (size - 1),
                                   [0] * size]
@@ -349,8 +413,8 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle,
                       if any(vec) else (vec, 1)
                       for vec, den in zip(vecs, lcms)]
             r = [list(col) if any(col) else None for col in zip(*vecs)]
-            cols, dens, width = qde._row_walk(scale, ray,
-                                              (r, lcms, len(vecs)))
+            cols, dens, width = qde._row_walk(
+                scale, ray, (r, lcms, len(vecs)), qde._walk_plan(ray, whole))
             assert width == len(vecs) - 1
             assert [([col[a] if col else 0 for col in cols],
                      dens[a] if dens else 1)
@@ -375,11 +439,53 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle,
     factors.clear()
     for vec, den, block in zip(vecs, lcms, blocks):
         cols, dens, width = qde._row_walk(
-            7, tray, ([[x] if x else None for x in vec], [den], 1))
+            7, tray, ([[x] if x else None for x in vec], [den], 1),
+            qde._walk_plan(tray, whole))
         assert width == any(vec)
         assert ([col[0] if col else 0 for col in cols],
                 dens[0] if dens else 1) == block
     assert factors == block_factors
+    # a pruned plan keeps entry 0 and the ray's source entries, on
+    # right-hand sides at the entries its q-parts write: every kept entry
+    # has the whole walk's value and every other entry is None
+    xray = qde._split_matrix(mxi)
+    for pruned in (ray, xray):
+        keep = {0} | {k for part in pruned.parts.values() for k, _ in part}
+        fed = {t for part in pruned.parts.values() for _, targets in part
+               for t, _ in targets}
+        rows = [qde._row_walk(7, pruned, (
+            [list(col) if p in fed and any(col) else None
+             for p, col in enumerate(zip(*vecs))], lcms, len(vecs)),
+            qde._walk_plan(pruned, entries)) for entries in (whole, keep)]
+        assert row_values(rows[1], keep, len(vecs)) == row_values(
+            rows[0], keep, len(vecs))
+        assert {p for p, col in enumerate(rows[1][0]) if col} <= keep
+    # the rescale at a folded division: a right-hand side at entry q
+    # alone, exact there, reaches the kept entry p of the xi ray through
+    # k >= 1 folded entries, and p's one division by step^(k+1) is
+    # inexact; the whole walk rescales at the first folded entry instead
+    p, ((q, v),), e = next(entry for entry in qde._walk_plan(xray, keep)[0]
+                           if entry[2] > 1)
+    plan = qde._walk_plan(xray, {p})
+    assert (p, [(q, v)], e) in plan[0] and q in fed
+    walks = []
+    for entries in (plan, qde._walk_plan(xray, whole)):
+        factors.clear()
+        rhs = [[7] if t == q else None for t in range(size)], None, 1
+        walks.append((qde._row_walk(7, xray, rhs, entries), factors[:]))
+    (pruned, pruned_factors), (full, full_factors) = walks
+    assert len(pruned_factors) == 1 and pruned_factors == full_factors
+    assert row_values(pruned, {p}, 1) == row_values(full, {p}, 1) != {
+        (p, 0): 0}
+
+
+def row_values(row, entries, slots):
+    """{(p, a): entry p of block a as a Fraction} of a row (cols, dens,
+    width), for p in entries and a < slots, zero past the width."""
+    cols, dens, width = row
+    return {(p, a): F(cols[p][a], dens[a] if dens else 1)
+            if cols[p] and a < width else 0
+            for p in entries for a in range(slots)}
 
 
 @pytest.mark.parametrize("weights", [(0, 1), (1, 0), (-1, 2), (0, 0)])
@@ -535,9 +641,9 @@ def test_one_shift_sum_per_solved_index(flagship, p1p1, monkeypatch):
         row_calls.append((labels[id(ray.walk)], b, slots))
         return row_shift_sum(kept, ray, b, slots, *args)
 
-    def walk_spy(scale, ray, rhs):
+    def walk_spy(scale, ray, rhs, plan):
         walks.append((labels[id(ray.walk)], scale))
-        return walk(scale, ray, rhs)
+        return walk(scale, ray, rhs, plan)
 
     monkeypatch.setattr(qde, "_split_matrix", split_spy)
     monkeypatch.setattr(oracles, "ref_split_matrix", full_split_spy)
