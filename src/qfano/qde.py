@@ -64,11 +64,10 @@ rows that a later row reads are kept: b - d (a - c on the base row), d
 (c) up to the largest d of M_xi's q-parts (c of M_p's pure-q1 parts), 1
 on the flagship.  identity_series reads entry 0 of each row, and a later
 row reads only the source entries of the q-parts, so its walk keeps
-those alone: an entry no kept entry depends on is not walked, and a
-pass-through chain (one classical predecessor, no right-hand side) is
-folded into one division by a power of the step.  On the flagship's xi
-ray that walks 17 of 30 entries; every kept entry has the full walk's
-value.
+those alone: a pass-through chain (one classical predecessor, no
+right-hand side) outside them is folded into one division by a power
+of the step.  On the flagship's xi ray that walks 17 of 30 entries;
+every kept entry has the full walk's value.
 
 A block of the unit row is one flat integer vector w over one
 denominator D, in lowest terms, entry j at j for n basis elements.  It
@@ -311,26 +310,23 @@ def _walk_plan(ray, keep):
     entries in the set `keep`: walk lists (p, adj, e) columns descending,
     entry p being adj's sum over step^e, drop the walked entries not kept.
 
-    No entry that keep does not depend on is walked.  An entry is folded,
-    never materialized, if it is not kept and it and each walked reader
-    of it have one classical predecessor and no q-part target: the
-    reader reads through it, with the product of the weights, and
-    divides once by step^(k+1) over k folded entries.  With keep every
-    entry, walk is ray.walk with e = 1."""
+    An entry is folded, never materialized, if it is not kept and it and
+    each reader of it have one classical predecessor and no q-part
+    target: the reader reads through it, with the product of the
+    weights, and divides once by step^(k+1) over k folded entries.
+    Every other entry is walked.  With keep every entry, walk is
+    ray.walk with e = 1."""
     if len(keep) == len(ray.level):
         return [(p, preds, 1) for p, preds in ray.walk], []
     adj = dict(ray.walk)
     fed = {t for part in ray.parts.values() for _, targets in part
            for t, _ in targets}
-    walked = set(keep)
-    for p, preds in reversed(ray.walk):
-        if p in walked:
-            walked.update(dict(preds))
-    bare = {p for p in walked if len(adj[p]) == 1 and p not in fed}
-    folded = bare - keep - {q for p in walked - bare for q, _ in adj[p]}
+    bare = {p for p, preds in ray.walk if len(preds) == 1 and p not in fed}
+    folded = bare - keep - {q for p, preds in ray.walk if p not in bare
+                            for q, _ in preds}
     walk = []
     for p, preds in ray.walk:
-        if p in walked and p not in folded:
+        if p not in folded:
             e, row = 1, []
             for q, v in preds:
                 while q in folded:
