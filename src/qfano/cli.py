@@ -28,6 +28,12 @@ BUILTIN_BUNDLES = {
 # The cut whose operator pf_operator.txt packages, on the flagship.
 FLAGSHIP_CUT = "p,xi^5"
 
+# The largest `jfun --order` and `periods --terms`: the solve tabulates
+# falling powers over every index up to the order before the first row,
+# so an absurd value would exhaust memory, not fail; 4096 is 8 times the
+# 512 terms of the largest documented run, which takes about a second.
+MAX_COUNT = 4096
+
 # Packaged reference matrices by bundle spec (n, r, padded Chern tuple).
 FIXTURE_MATRICES = {
     bundle_key(*BUILTIN_BUNDLES["flagship"]): ("flagship_mp.triplets",
@@ -172,6 +178,8 @@ def cmd_reconstruct(args):
 def cmd_jfun(args):
     if args.order < 0:
         raise CliError("--order must be >= 0")
+    if args.order > MAX_COUNT:
+        raise CliError("--order must be <= %d" % MAX_COUNT)
     if args.apery is not None and args.apery < 0:
         raise CliError("--apery must be >= 0")
     corner = (args.apery or 1) - 1
@@ -226,6 +234,8 @@ def cmd_jfun(args):
 def cmd_periods(args):
     if args.terms < 0:
         raise CliError("--terms must be >= 0")
+    if args.terms > MAX_COUNT:
+        raise CliError("--terms must be <= %d" % MAX_COUNT)
     spec = _bundle(args)
     bundles = lefschetz.parse_cut(args.cut)
     weights = lefschetz.cut_weights(spec, bundles)

@@ -28,8 +28,9 @@ primitive integer generator of a one-dimensional kernel.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from math import gcd
+from operator import add, mul
 
 from qfano import opparse
 from qfano.fixtures_io import data_lines
@@ -160,16 +161,19 @@ def pf_apply(op, seq):
     """Residual of the operator on a truncated sequence, position-exact,
     summed on integers over one common denominator: an int where the
     residual is integral, a Fraction only where a denominator remains.
-    The terms group by t-power m; each group's D-polynomial is evaluated
-    once at k = pos - m and multiplies ints[k] once."""
+    powers[e][k] = ints[k] * k^e is tabulated once per D-power e of the
+    operator, and each term c*t^m*D^e adds c * powers[e][:n - m] into
+    the residual from position m on, in one pass over the list."""
     coeffs, cden = common_denominator([term.coeff for term in op])
     ints, den = common_denominator(seq)
-    groups = {}
+    n = len(seq)
+    powers = {e: [x * k ** e for k, x in enumerate(ints)]
+              for e in {t.e for t in op}}
+    sums = [0] * n
     for c, t in zip(coeffs, op):
-        groups.setdefault(t.m, []).append((c, t.e))
-    sums = [sum(ints[pos - m] * sum(c * (pos - m) ** e for c, e in poly)
-                for m, poly in groups.items() if pos >= m)
-            for pos in range(len(seq))]
+        if t.m < n:
+            sums[t.m:] = map(add, sums[t.m:],
+                             map(mul, powers[t.e][:n - t.m], repeat(c)))
     q = den * cden
     return [x // q if x % q == 0 else Fraction(x, q) for x in sums]
 

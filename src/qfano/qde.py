@@ -69,6 +69,27 @@ right-hand side) outside them is folded into one division by a power
 of the step.  On the flagship's xi ray that walks 17 of 30 entries;
 every kept entry has the full walk's value.
 
+The leading levels of such a pruned row take no division.  With b the
+row's scale and den = 1, entry p of a slot is w_p = sum_t r_t*P_tp /
+b^delta(t,p) over the right-hand side's targets t, P_tp summing the
+weighted classical paths from t to p and delta(t,p) = level[p] -
+level[t] + 1 counting the divisions on them.  Every q-part has d >= 1,
+so every r_t carries fall[d] = (b!/(b-d)!)^d2, a multiple of b^kappa,
+kappa = d2 (d1 on the base row, whose scale is a).  With lo the lowest
+level of any target and depth(p) = level[p] - lo + 1 >= delta(t,p), an
+entry of depth at most kappa is the integer w_p / b^(kappa - depth(p)) =
+sum_t (r_t / b^kappa) * b^(depth(t) - 1) * P_tp: Bareiss's fraction-free
+bound, each of those divisions exact by construction.  So the walk gives
+a target in that region the scalar fall[d] // b^kappa * b^(depth(t) -
+1), sums its entries with no division and no exactness test, and the
+first level past it reads true values; each entry there divides by the
+step to the power of its divisions past the region, and a kept entry
+inside it is lifted by b^(kappa - depth(p)).  On the flagship's xi ray
+11 of the 17 walked entries lie in the region, and the other 6 divide by
+step powers summing to 10.  A lift with den > 1
+divides by den*b, which the right-hand side does not carry, and j_series
+walks every entry one division each, as above.
+
 A block of the unit row is one flat integer vector w over one
 denominator D, in lowest terms, entry j at j for n basis elements.  It
 solves the row equation s*w - w*C = r: C raises degree, so its first
@@ -257,7 +278,7 @@ def identity_coefficients(js):
 # and every block from width on is (zeros, 1).
 
 
-def _row_shift_sum(kept, ray, b, slots, fcols, fall):
+def _row_shift_sum(kept, ray, b, slots, fcols, fall, plan):
     """The right-hand sides of the blocks (a, b), a < slots, of a row b
     on the rows kept, slot by slot as the per-block shift sum of the
     tests' reference (tests/oracles.py) builds each block's; a target's
@@ -267,16 +288,24 @@ def _row_shift_sum(kept, ray, b, slots, fcols, fall):
     transposed p ray's of a base row by construction (module docstring).
     So it reads row b - d, slot a - c, with the weight fcols[c][a - c] *
     fall[d], and each slot's denominator L is the lcm of its sources'.
+    The sources come grouped as the plan's parts (_walk_plan): a group
+    with exponent e writes targets inside the plan's division-free
+    region, each carrying fall[d] // b^kappa * b^e in place of fall[d]
+    (fall[d] is a multiple of b^kappa as d >= 1), so that the walk's
+    entry there is sum_t r_t*P_tp / b^delta(t,p) times b^(kappa -
+    depth(p)) on integers (module docstring).
     Returns (r, lcms, width): r[p] entry p over the slots below width or
     None where no source reaches it, lcms the L or None where all are 1;
     width is 0 when no source is nonzero."""
     used = []
     width = 0
-    for (c, d), part in ray.parts.items():
+    shed = b ** plan.kappa
+    for (c, d), e, part in plan.parts:
         src = kept.get(b - d)
         if src is not None and src[2] and c < slots:
             m = min(src[2], slots - c)
-            used.append((src, part, c, fall[d], m))
+            used.append((src, part, c,
+                         fall[d] if e is None else fall[d] // shed * b ** e, m))
             width = max(width, c + m)
     lcms = None
     for (_, dens, _), _, c, _, m in used:
@@ -285,15 +314,20 @@ def _row_shift_sum(kept, ray, b, slots, fcols, fall):
             lcms[c:c + m] = map(lcm, lcms[c:c + m], dens)
     out = [None] * len(ray.level)
     for (cols, dens, _), part, c, scalar, m in used:
-        mult = list(map(mul, fcols[c][:m], repeat(scalar)))
+        # the slot weights, None where all are 1: fcols[0] is all 1
+        mult = fcols[c][:m] if c else None
         if lcms is not None:
-            mult = list(map(mul, mult, map(floordiv, lcms[c:c + m],
-                                           dens or repeat(1))))
+            ratios = map(floordiv, lcms[c:c + m], dens or repeat(1))
+            mult = list(ratios if mult is None else map(mul, mult, ratios))
+        if scalar != 1:
+            mult = ([scalar] * m if mult is None
+                    else list(map(mul, mult, repeat(scalar))))
         for p, targets in part:
             x = cols[p]
             if x is None:
                 continue
-            x = list(map(mul, x, mult))
+            if mult is not None:
+                x = list(map(mul, x, mult))
             for t, v in targets:
                 y = x if v == 1 else list(map(mul, x, repeat(v)))
                 o = out[t]
@@ -305,22 +339,55 @@ def _row_shift_sum(kept, ray, b, slots, fcols, fall):
     return out, lcms, width
 
 
-def _walk_plan(ray, keep):
-    """(walk, drop) for a row along `ray` whose readers take only the
-    entries in the set `keep`: walk lists (p, adj, e) columns descending,
-    entry p being adj's sum over step^e, drop the walked entries not kept.
+# The walk plan of a row (_walk_plan): walk lists (p, adj, k) columns
+# descending, entry p being adj's sum over step^k, k = 0 taking neither
+# a division nor an exactness test; drop lists the walked entries that
+# no reader takes, and lift the pairs (p, m) of kept entries that the
+# walk leaves over scale^m.  parts lists ((c, d), e, [(k, [(t, v),
+# ...]), ...]), the ray's q-parts grouped by the exponent e of their
+# targets' scalar, e None outside the division-free region of the
+# exponent kappa.
+Plan = namedtuple("Plan", "walk drop lift kappa parts")
+
+
+def _walk_plan(ray, keep, grading):
+    """The Plan of a row along `ray`, of grading `grading` (d2 on the xi
+    ray, d1 on the transposed p ray), whose readers take only the
+    entries in the set `keep`.
 
     An entry is folded, never materialized, if it is not kept and it and
     each reader of it have one classical predecessor and no q-part
     target: the reader reads through it, with the product of the
     weights, and divides once by step^(k+1) over k folded entries.
     Every other entry is walked.  With keep every entry, walk is
-    ray.walk with e = 1."""
+    ray.walk with k = 1 and kappa is 0.
+
+    On a pruned row of a ray with den 1, kappa is the grading.  With lo
+    the lowest level of any q-part target and depth(p) = level[p] - lo +
+    1, an entry at depth(p) <= kappa is walked with no division: every
+    right-hand side carries b^kappa (module docstring), so the walk
+    keeps the integer w_p / b^(kappa - depth(p)) there, a target at
+    depth(t) <= kappa enters with the scalar fall[d] // b^kappa *
+    b^(depth(t) - 1), and the first level past kappa reads true values.
+    Every other entry divides by step^max(0, min(k, depth(p) - kappa)),
+    a folded chain across the boundary too, and a kept entry inside the
+    region is lifted by b^(kappa - depth(p)) after the walk."""
     if len(keep) == len(ray.level):
-        return [(p, preds, 1) for p, preds in ray.walk], []
-    adj = dict(ray.walk)
+        return Plan([(p, preds, 1) for p, preds in ray.walk], [], [], 0,
+                    [(key, None, part) for key, part in ray.parts.items()])
     fed = {t for part in ray.parts.values() for _, targets in part
            for t, _ in targets}
+    kappa = grading if ray.den == 1 else 0
+    lo = min((ray.level[t] for t in fed), default=0)
+    depth = [lv - lo + 1 for lv in ray.level]
+    groups = {}
+    for key, part in ray.parts.items():
+        for k, targets in part:
+            for t, v in targets:
+                e = depth[t] - 1 if depth[t] <= kappa else None
+                groups.setdefault((key, e), {}).setdefault(k, []).append(
+                    (t, v))
+    adj = dict(ray.walk)
     bare = {p for p, preds in ray.walk if len(preds) == 1 and p not in fed}
     folded = bare - keep - {q for p, preds in ray.walk if p not in bare
                             for q, _ in preds}
@@ -333,26 +400,35 @@ def _walk_plan(ray, keep):
                     ((q, u),) = adj[q]
                     e, v = e + 1, v * u
                 row.append((q, v))
-            walk.append((p, row, e))
-    return walk, [p for p, _, _ in walk if p not in keep]
+            walk.append((p, row, max(0, min(e, depth[p] - kappa))))
+    return Plan(walk, [p for p, _, _ in walk if p not in keep],
+                [(p, kappa - depth[p]) for p in sorted(keep)
+                 if 0 < depth[p] < kappa], kappa,
+                [(key, e, list(group.items()))
+                 for (key, e), group in groups.items()])
 
 
 def _row_walk(scale, ray, rhs, plan):
     """Solve the blocks of a row at once, entry by entry along the walk
-    of `plan` (_walk_plan), each slot with the arithmetic of the
+    of `plan` (_walk_plan) on the right-hand side that _row_shift_sum
+    builds on the same plan, each slot with the arithmetic of the
     per-block walk of the tests' reference (tests/oracles.py): its
     right-hand side over L*ray.den, an exactness test on every division,
-    at an inexact division the Bareiss rescale of that slot alone, by the
-    factor of its own right-hand side, and one closing gcd per slot over
-    a denominator other than 1.  A folded division by step^(k+1) takes
+    at an inexact division the Bareiss rescale of that slot alone, by
+    the factor of its own right-hand side, and one closing gcd per slot
+    over a denominator other than 1.  A folded division by step^k takes
     the same test and rescale: the factor depends only on the slot's
-    right-hand side levels, and makes every later division exact.  So
-    every kept entry has the full walk's value; as the closing gcd runs
-    over the kept entries alone, a pruned row's (cols, dens) may still
-    differ from the full walk's.  Returns the row (cols, dens, width),
-    the entries outside the plan's keep set None, cut after its last
-    nonzero block."""
-    walk, drop = plan
+    right-hand side levels, and makes every later division exact.  The
+    plan's division-free region takes no division and no test: its entry
+    w_p = sum_t r_t*P_tp / b^delta(t,p), every r_t carrying b^kappa, is
+    held as the integer w_p / b^(kappa - depth(p)) (module docstring),
+    and a rescale past it multiplies the region's entries as it does
+    every other, so the kept ones lifted after the walk read the full
+    walk's values.  So every kept entry has the full walk's value; as
+    the closing gcd runs over the kept entries alone, a pruned row's
+    (cols, dens) may still differ from the full walk's.  Returns the row
+    (cols, dens, width), the entries outside the plan's keep set None,
+    cut after its last nonzero block."""
     r, lcms, width = rhs
     step = ray.den * scale
     steps = repeat(step)
@@ -363,7 +439,7 @@ def _row_walk(scale, ray, rhs, plan):
     if lcms is not None:
         dens = list(map(mul, lcms, dens or repeat(1)))
     w = [None] * len(r)
-    for p, adj, e in walk:
+    for p, adj, k in plan.walk:
         x = r[p]
         for q, v in adj:
             y = w[q]
@@ -373,12 +449,13 @@ def _row_walk(scale, ray, rhs, plan):
                 x = list(y) if x is None else list(map(add, x, y))
         if x is None:
             continue
-        if step != 1:
-            divs = steps if e == 1 else repeat(step ** e)
+        if k and step != 1:
+            divs = steps if k == 1 else repeat(step ** k)
             if any(map(mod, x, divs)):
-                # rescale slot a of every entry, walked or not; x may be
-                # r[p] itself, so it is copied first
-                div = step ** e
+                # rescale slot a of every entry, walked or not, once per
+                # list: x, and an entry walked with no division, may be
+                # r[p] itself, so x is copied first
+                div = step ** k
                 x = list(x)
                 dens = dens or [1] * width
                 for a in [a for a, y in enumerate(x) if y % div]:
@@ -387,13 +464,16 @@ def _row_walk(scale, ray, rhs, plan):
                         if col is not None and col[a]])
                     dens[a] *= f
                     x[a] *= f
-                    for col in w + r:
-                        if col is not None:
-                            col[a] *= f
+                    for col in {id(col): col for col in w + r
+                                if col is not None}.values():
+                        col[a] *= f
             x = list(map(floordiv, x, divs))
         w[p] = x
-    for p in drop:
+    for p in plan.drop:
         w[p] = None
+    for p, m in plan.lift:
+        if w[p] is not None:
+            w[p] = list(map(mul, w[p], repeat(scale ** m)))
     if dens is not None:
         g = dens
         for col in w:
@@ -445,13 +525,14 @@ def _unit_rows(mp, mxi, spec, order, weights, whole):
     keep = set(range(spec.size)) if whole else {0} | {
         k for part in xray.parts.values() for k, _ in part}
     plan = _walk_plan(tray, keep | {k for part in tray.parts.values()
-                                    for k, _ in part})
+                                    for k, _ in part}, spec.d1)
     cmax = max((c for _, c in tray.parts), default=0)
     base = [([[1]] + [None] * (spec.size - 1), None, 1)]
     live = {0: base[0]}
     for a in range(1, order // w1 + 1):
         live.pop(a - cmax - 1, None)
-        rhs = _row_shift_sum(live, tray, a, 1, {0: [1]}, falling[0][a])
+        rhs = _row_shift_sum(live, tray, a, 1, {0: [1]}, falling[0][a],
+                             plan)
         live[a] = _row_walk(a, tray, rhs, plan) if any(rhs[0]) else zero
         base.append(live[a])
     row = _cut([list(col) if any(col) else None
@@ -460,14 +541,15 @@ def _unit_rows(mp, mxi, spec, order, weights, whole):
                [dens[0] if dens else 1 for _, dens, _ in base], len(base))
     yield 0, len(base), row
     kept = {0: row}
-    plan = _walk_plan(xray, keep)
+    plan = _walk_plan(xray, keep, spec.d2)
     dmax = max((d for _, d in xray.parts), default=0)
     fcols = {c: [falling[0][a + c][c] for a in range(order + 1 - c)]
              for c, _ in xray.parts}
     for b in range(1, order // w2 + 1):
         kept.pop(b - dmax - 1, None)
         slots = (order - w2 * b) // w1 + 1
-        rhs = _row_shift_sum(kept, xray, b, slots, fcols, falling[1][b])
+        rhs = _row_shift_sum(kept, xray, b, slots, fcols, falling[1][b],
+                             plan)
         row = _row_walk(b, xray, rhs, plan) if any(rhs[0]) else zero
         kept[b] = row
         yield b, slots, row

@@ -6,6 +6,7 @@ import io
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
@@ -959,12 +960,15 @@ BAD_COUNTS = [
     (["jfun", "--order", "-1"], "--order must be >= 0"),
     (["jfun", "--order", "4", "--apery", "-1"], "--apery must be >= 0"),
     (["periods", "--terms", "-1"], "--terms must be >= 0"),
+    (["jfun", "--order", "4097"], "--order must be <= 4096"),
+    (["periods", "--terms", "4097"], "--terms must be <= 4096"),
 ]
 
 
 @pytest.mark.parametrize("argv,error", BAD_COUNTS,
                          ids=["apery-beyond-order", "order-negative",
-                              "apery-negative", "terms-negative"])
+                              "apery-negative", "terms-negative",
+                              "order-above-bound", "terms-above-bound"])
 def test_bad_counts_exit_before_reconstructing(tmp_path, monkeypatch, capsys,
                                                argv, error):
     monkeypatch.setattr(qde, "identity_series", refuse_to_solve)
@@ -977,6 +981,24 @@ def test_bad_counts_exit_before_reconstructing(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err == "error: %s\n" % error
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["jfun", "--order", "99999999999999999999", "--apery", "2"],
+    ["periods", "--terms", "99999999999999999999", "--regularized"]],
+    ids=["order", "terms"])
+def test_absurd_count_exits_at_once(capsys, argv):
+    # without the bound the solve would tabulate falling powers up to the
+    # order before its first row and exhaust memory; with it the run
+    # exits 2 at once, naming the option and the bound
+    start = time.perf_counter()
+    status = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert status == 2 and elapsed < 1
+    assert captured.err == "error: %s must be <= %d\n" % (argv[1],
+                                                          cli.MAX_COUNT)
+    assert cli.MAX_COUNT == 4096
 
 
 # Integer options outside the literal grammar of the input files, refused

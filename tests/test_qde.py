@@ -347,26 +347,29 @@ def test_identity_series_walks_only_the_entries_it_reads(flagship,
                                                          monkeypatch):
     # a flagship fibre row is read at entry 0 and the 7 source entries of
     # M_xi's q-parts: identity_series materializes 17 of its 30 entries,
-    # 13 pass-through entries folded into 5 divisions by a power of the
-    # step, while j_series, which returns the whole unit row, walks all
-    # 30 one division each
+    # 13 pass-through entries folded into 5 chains.  The 11 walked
+    # entries of the d2 = 6 lowest target levels take no division and no
+    # exactness test; the other 6 divide by powers of the step summing to
+    # 10.  j_series, which returns the whole unit row, walks all 30, one
+    # division each
     spec, mp, mxi = flagship
     walked = []
     walk = qde._row_walk
 
     def walk_spy(scale, ray, rhs, plan):
         row = walk(scale, ray, rhs, plan)
-        walked.append((len(plan[0]), sum(e for _, _, e in plan[0]),
+        powers = [k for _, _, k in plan.walk]
+        walked.append((len(powers), sum(k > 0 for k in powers), sum(powers),
                        sum(col is not None for col in row[0])))
         return row
 
     monkeypatch.setattr(qde, "_row_walk", walk_spy)
     qde.identity_series(mp, mxi, spec, 63)
-    assert len(walked) == 63 and set(walked) == {(17, 30, 7)}
+    assert len(walked) == 63 and set(walked) == {(17, 6, 10, 7)}
     walked.clear()
     qde.j_series(mp, mxi, spec, 16)
-    assert len(walked) == 16 and {n for n, _, _ in walked} == {30}
-    assert {e for _, e, _ in walked} == {30}
+    assert len(walked) == 16
+    assert {counts[:3] for counts in walked} == {(30, 30, 30)}
 
 
 def test_row_walk_rescales_only_the_inexact_slots(flagship_rescaled,
@@ -397,7 +400,9 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle,
     # made-up right-hand sides with nonzero entries at every level and a
     # scale that few of them divide: slots rescale early in the walk and
     # read right-hand side entries after it; one slot is zero, one is
-    # zero at every entry past the first, and the last is cut off
+    # zero at every entry past the first, and the last is cut off.  Every
+    # plan here has grading 0, so no division-free region: these
+    # right-hand sides carry no power of the scale
     spec, mp, mxi = request.getfixturevalue(bundle)
     size = spec.size
     whole = set(range(size))
@@ -414,7 +419,8 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle,
                       for vec, den in zip(vecs, lcms)]
             r = [list(col) if any(col) else None for col in zip(*vecs)]
             cols, dens, width = qde._row_walk(
-                scale, ray, (r, lcms, len(vecs)), qde._walk_plan(ray, whole))
+                scale, ray, (r, lcms, len(vecs)),
+                qde._walk_plan(ray, whole, 0))
             assert width == len(vecs) - 1
             assert [([col[a] if col else 0 for col in cols],
                      dens[a] if dens else 1)
@@ -440,7 +446,7 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle,
     for vec, den, block in zip(vecs, lcms, blocks):
         cols, dens, width = qde._row_walk(
             7, tray, ([[x] if x else None for x in vec], [den], 1),
-            qde._walk_plan(tray, whole))
+            qde._walk_plan(tray, whole, 0))
         assert width == any(vec)
         assert ([col[0] if col else 0 for col in cols],
                 dens[0] if dens else 1) == block
@@ -456,7 +462,8 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle,
         rows = [qde._row_walk(7, pruned, (
             [list(col) if p in fed and any(col) else None
              for p, col in enumerate(zip(*vecs))], lcms, len(vecs)),
-            qde._walk_plan(pruned, entries)) for entries in (whole, keep)]
+            qde._walk_plan(pruned, entries, 0))
+            for entries in (whole, keep)]
         assert row_values(rows[1], keep, len(vecs)) == row_values(
             rows[0], keep, len(vecs))
         assert {p for p, col in enumerate(rows[1][0]) if col} <= keep
@@ -464,12 +471,13 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle,
     # alone, exact there, reaches the kept entry p of the xi ray through
     # k >= 1 folded entries, and p's one division by step^(k+1) is
     # inexact; the whole walk rescales at the first folded entry instead
-    p, ((q, v),), e = next(entry for entry in qde._walk_plan(xray, keep)[0]
+    p, ((q, v),), e = next(entry for entry
+                           in qde._walk_plan(xray, keep, 0).walk
                            if entry[2] > 1)
-    plan = qde._walk_plan(xray, {p})
-    assert (p, [(q, v)], e) in plan[0] and q in fed
+    plan = qde._walk_plan(xray, {p}, 0)
+    assert (p, [(q, v)], e) in plan.walk and q in fed
     walks = []
-    for entries in (plan, qde._walk_plan(xray, whole)):
+    for entries in (plan, qde._walk_plan(xray, whole, 0)):
         factors.clear()
         rhs = [[7] if t == q else None for t in range(size)], None, 1
         walks.append((qde._row_walk(7, xray, rhs, entries), factors[:]))
@@ -477,6 +485,65 @@ def test_row_walk_matches_the_block_walk_slot_by_slot(request, bundle,
     assert len(pruned_factors) == 1 and pruned_factors == full_factors
     assert row_values(pruned, {p}, 1) == row_values(full, {p}, 1) != {
         (p, 0): 0}
+
+
+def test_division_free_region_meets_the_rescale(flagship, monkeypatch):
+    # made-up source rows at scale 7 on the flagship's xi ray, whose den
+    # is 1: a pruned plan walks the entries of the kappa = d2 = 6 lowest
+    # target levels with no division, and the first division past them
+    # is inexact, so its slots rescale entries that the region holds as
+    # w / 7^(kappa - depth).  Every kept entry, two inside the region
+    # lifted back among them, has the whole walk's value and the
+    # per-block walk's, and both walks rescale by the same factors
+    spec, mp, mxi = flagship
+    size, slots = spec.size, 6
+    xray = qde._split_matrix(mxi)
+    sources = {k for part in xray.parts.values() for k, _ in part}
+    fed = {t for part in xray.parts.values() for _, targets in part
+           for t, _ in targets}
+    keep = {0, 19, 29} | sources
+    cols = [[(37 * p + 11 * a) % 23 - 11 for a in range(slots)]
+            if p in sources else None for p in range(size)]
+    kept = {6: (cols, [1, 6, 1, 35, 1, 2], slots)}
+    falling = qde._falling(slots + 1, 2, spec.d1)
+    fcols = {c: [falling[a + c][c] for a in range(slots)] for c in range(3)}
+    fall = qde._falling(7, 1, spec.d2)[7]
+    whole = qde._walk_plan(xray, set(range(size)), spec.d2)
+    region = qde._walk_plan(xray, keep, spec.d2)
+    assert (whole.kappa, region.kappa) == (0, spec.d2) == (0, 6)
+    assert region.lift == [(19, 1), (29, 5)]
+    factors = []
+    factor = qde._bareiss_factor
+
+    def factor_spy(scale, ray, levels):
+        factors.append(factor(scale, ray, levels))
+        return factors[-1]
+
+    monkeypatch.setattr(qde, "_bareiss_factor", factor_spy)
+    rows = []
+    for plan in (whole, region):
+        rhs = qde._row_shift_sum(kept, xray, 7, slots, fcols, fall, plan)
+        rows.append((qde._row_walk(7, xray, rhs, plan), factors[:]))
+        factors.clear()
+    (full, full_factors), (pruned, pruned_factors) = rows
+    r, lcms, width = qde._row_shift_sum(kept, xray, 7, slots, fcols, fall,
+                                        whole)
+    blocks = [oracles._sylvester_solve(
+        7, xray, ([col[a] if col else 0 for col in r], lcms[a]))
+        for a in range(width)]
+    # the first entry that divides lies one level past the region, and
+    # its division is inexact in some slot
+    lo = min(xray.level[t] for t in fed)
+    p = next(p for p, _, k in region.walk if k)
+    assert xray.level[p] - lo + 1 == region.kappa + 1
+    assert any((F(vec[p], den) * lcm).denominator == 7
+               for (vec, den), lcm in zip(blocks, lcms))
+    assert full_factors == pruned_factors != []
+    assert width == slots
+    assert row_values(pruned, keep, slots) == row_values(
+        full, keep, slots) == {(p, a): F(vec[p], den) for p in keep
+                               for a, (vec, den) in enumerate(blocks)}
+    assert {p for p, col in enumerate(pruned[0]) if col} <= keep
 
 
 def row_values(row, entries, slots):
